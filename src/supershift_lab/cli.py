@@ -66,7 +66,6 @@ DEFAULTS = {
         "t_sequence": [1e-2, 1e-3, 1e-4],
     },
     "supershift": {"n_values": [10, 20, 40], "kappa": 3.0},
-    "threads": 1,
     "output": {"dir": "out", "prefix": "run"},
 }
 
@@ -306,7 +305,6 @@ def run_evolve(cfg: dict) -> int:
         xs,
         tol=cfg["quadrature"]["tol"],
         max_panels=cfg["quadrature"]["max_panels"],
-        workers=cfg.get("threads", 1),
     )
     _atomic_write(_out_path(cfg, "field.csv"), field_csv(field))
     emit_plotdata(field, _out_path(cfg, "plot.dat"))

@@ -162,10 +162,7 @@ def truncation_radius(
 
 def _eval_signal(f, z):
     """Evaluate a signal-like object or plain callable on a complex array."""
-    fn = getattr(f, "eval", f)
-    if getattr(f, "vectorized", True):
-        return np.asarray(fn(z), dtype=complex)
-    return np.array([fn(w) for w in z], dtype=complex)
+    return np.asarray(getattr(f, "eval", f)(z), dtype=complex)
 
 
 def _panel_sums(g, lows, highs, rescale, chunk=100_000):

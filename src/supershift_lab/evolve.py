@@ -14,9 +14,7 @@ quadrature, so grids are embarrassingly parallel and deterministic.
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -25,7 +23,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .contour_quad import GrowthWitness, QuadraturePlan, QuadratureResult, rotated_integral
-from .errors import PanelExhausted
+from .errors import SupershiftError
 from .greens import GreensKernel
 from .initial_data import (
     HolomorphicSignal,
@@ -38,18 +36,11 @@ from .initial_data import (
 
 def _integrand(kernel: GreensKernel, t: float, x: float, f: HolomorphicSignal):
     gt = kernel.gtilde
-    if f.vectorized:
-        ev = lambda z: gt(t, x, np.asarray(z, dtype=complex)) * f.eval(z)
-    else:
-        def ev(z):
-            z = np.asarray(z, dtype=complex)
-            fv = np.array([f.eval(complex(w)) for w in z.ravel()]).reshape(z.shape)
-            return gt(t, x, z) * fv
-
+    ev = lambda z: gt(t, x, np.asarray(z, dtype=complex)) * f.eval(z)
     a0, b0 = kernel.growth(t, x)
     fw = f.growth
     witness = GrowthWitness(a0 * fw.amplitude, b0 + fw.rate, "modulus")
-    return HolomorphicSignal(eval=ev, growth=witness, label="integrand", vectorized=True)
+    return HolomorphicSignal(eval=ev, growth=witness, label="integrand")
 
 
 def wavefunction_result(
@@ -106,43 +97,32 @@ def wavefield(
     xs: Sequence[float],
     tol: float = 1e-10,
     max_panels: int = 4000,
-    workers: int | None = None,
 ) -> WaveField:
     """Evaluate the wave on a rectangular grid.
 
-    Every point is an independent quadrature writing its own cell, so the
-    result does not depend on scheduling; per-point failures are recorded
-    in ``failures`` instead of aborting the grid.  ``workers`` defaults to
-    1 and is capped by the SUPERSHIFT_THREADS environment variable.
+    Every point is an independent quadrature writing its own cell; a
+    point that raises a ``SupershiftError`` is recorded in ``failures``
+    as ``(t, x, reason)`` instead of aborting the grid, with its value and
+    error estimate taken from the exception when it carries them (nan and
+    inf otherwise).
     """
     ts = np.asarray(ts, dtype=float)
     xs = np.asarray(xs, dtype=float)
     values = np.empty((len(ts), len(xs)), dtype=complex)
     errors = np.empty((len(ts), len(xs)))
     failures: list = []
-
-    cap = int(os.environ.get("SUPERSHIFT_THREADS", "1"))
-    workers = max(1, min(workers or 1, cap))
-
-    def point(idx):
-        i, j = idx
-        try:
-            r = wavefunction_result(kernel, f, float(ts[i]), float(xs[j]), tol, max_panels)
-            values[i, j] = r.value
-            errors[i, j] = r.err_estimate
-        except PanelExhausted as exc:
-            values[i, j] = exc.value if exc.value is not None else np.nan
-            errors[i, j] = exc.err_estimate if exc.err_estimate is not None else np.inf
-            failures.append((float(ts[i]), float(xs[j]), str(exc)))
-
-    idxs = [(i, j) for i in range(len(ts)) for j in range(len(xs))]
-    if workers == 1:
-        for idx in idxs:
-            point(idx)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(point, idxs))
-        failures.sort()
+    for i, t in enumerate(ts):
+        for j, x in enumerate(xs):
+            try:
+                r = wavefunction_result(kernel, f, float(t), float(x), tol, max_panels)
+                values[i, j] = r.value
+                errors[i, j] = r.err_estimate
+            except SupershiftError as exc:
+                value = getattr(exc, "value", None)
+                err = getattr(exc, "err_estimate", None)
+                values[i, j] = value if value is not None else np.nan
+                errors[i, j] = err if err is not None else np.inf
+                failures.append((float(t), float(x), f"{type(exc).__name__}: {exc}"))
 
     return WaveField(
         ts=ts,
@@ -270,13 +250,8 @@ def supershift_experiment(
     """Distance of the evolved combination to the evolved limit signal.
 
     d_n = max over the grid of |Psi(t, x; F_n) - Psi(t, x; phi_kappa)|
-    where F_n combines family signals at unit-bounded frequencies.  The
-    frequency sum is taken at extended precision *inside* the integrand
-    (node-level combination): combining independently rounded per-
-    frequency wave values would amplify rounding by the coefficient mass
-    sum|C_l| ~ k^n, wiping out d_n for moderate n.  With shared
-    quadrature nodes both orderings are algebraically identical; see
-    supershift_combination_direct for the small-n cross-check.
+    where F_n combines family signals at unit-bounded frequencies; it
+    enters the integrand in its product form (see ``superosc_signal``).
     """
     family = family or exponential_family()
     target = family.phi(kappa)
@@ -320,7 +295,8 @@ def supershift_combination_direct(
 
     Per-frequency wave values are computed in doubles and combined in
     extended precision, so rounding is amplified by sum|C_l|; useful only
-    while n log(k) stays small.  Cross-checks the node-level path.
+    while n log(k) stays small.  Cross-checks the product form that
+    ``supershift_experiment`` integrates.
     """
     coeffs = superosc_coefficients(n, kappa)
     vals = [

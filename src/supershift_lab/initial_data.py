@@ -6,10 +6,16 @@ The superoscillating family
     C_l = binom(n, l) ((1+k)/2)^{n-l} ((1-k)/2)^l,   k_l = 1 - 2l/n,
 
 carries only unit-bounded frequencies k_l yet converges to e^{i k z} with
-|k| > 1.  Its coefficients alternate in sign and reach magnitudes of
-order k^n, so the partial sums cancel almost completely: double
-precision fails beyond n of a few tens, and every evaluation here runs
-through mpmath at a working precision chosen from the coefficient mass.
+|k| > 1.  By the binomial theorem it is exactly
+
+    F_n(z; k) = (cos(z/n) + i k sin(z/n))^n,
+
+which is how signals evaluate it: in doubles, array in and array out,
+with no cancellation.  The coefficients alternate in sign and reach
+magnitudes of order k^n, so the expanded sum cancels almost completely
+and double precision fails on it beyond n of a few tens;
+``superosc_value`` sums it through mpmath at a working precision chosen
+from the coefficient mass and serves as the extended-precision oracle.
 """
 
 from __future__ import annotations
@@ -33,15 +39,9 @@ class HolomorphicSignal:
     eval: Callable
     growth: GrowthWitness
     label: str
-    vectorized: bool = True
 
     def __call__(self, z):
-        if self.vectorized:
-            return self.eval(z)
-        z = np.asarray(z, dtype=complex)
-        if z.ndim == 0:
-            return self.eval(complex(z))
-        return np.array([self.eval(complex(w)) for w in z.ravel()]).reshape(z.shape)
+        return self.eval(z)
 
 
 def plane_wave(kappa: complex, witness_kind: str = "modulus") -> HolomorphicSignal:
@@ -90,7 +90,6 @@ def combine_signals(terms: list[tuple[complex, HolomorphicSignal]], label=None):
         eval=ev,
         growth=GrowthWitness(amp, rate, kind),
         label=label or "+".join(f"{c}*{s.label}" for c, s in terms),
-        vectorized=all(s.vectorized for _, s in terms),
     )
 
 
@@ -180,25 +179,28 @@ def superosc_value_float64(n: int, k: float, z: complex) -> complex:
 
 
 def superosc_signal(n: int, k: complex) -> HolomorphicSignal:
-    """F_n(.; k) as an integrable signal.
+    """F_n(.; k) as an integrable signal, in the product form
+    (cos w + i k sin w)^n with w = z/n.
 
-    Witness: |F_n(z)| <= sum |C_l| e^{|z|} (every frequency is unit
-    bounded); the amplitude is the exact coefficient mass, capped at the
-    largest double.
+    Witness: |F_n(z)| <= e^{max(1,|k|) |z|}.  With r = |z|/n, the bounds
+    |cos w| <= cosh r and |sin w| <= sinh r give
+    |F_n(z)| <= (cosh r + |k| sinh r)^n; the Taylor coefficients of
+    cosh r + |k| sinh r are 1/m! or |k|/m!, each at most max(1,|k|)^m/m!,
+    those of e^{max(1,|k|) r}, so cosh r + |k| sinh r <= e^{max(1,|k|) r}
+    and the n-th power is at most e^{max(1,|k|) |z|}.
     """
-    coeffs = superosc_coefficients(n, k)
-    with mp.workdps(_coeff_dps(n, complex(k))):
-        amp = sum(abs(c) for c in coeffs)
-        amp = float(amp) if amp < mp.mpf("1e300") else 1e300
+    if n < 1:
+        raise ValueError("order n must be >= 1")
+    k = complex(k)
 
     def ev(z):
-        return superosc_value(n, k, z, coeffs=coeffs)
+        w = np.asarray(z, dtype=complex) / n
+        return (np.cos(w) + 1j * k * np.sin(w)) ** n
 
     return HolomorphicSignal(
         eval=ev,
-        growth=GrowthWitness(amp, 1.0, "modulus"),
-        label=f"superosc:n={n},k={complex(k).real:g}",
-        vectorized=False,
+        growth=GrowthWitness(1.0, max(1.0, abs(k)), "modulus"),
+        label=f"superosc:n={n},k={k.real:g}",
     )
 
 

@@ -128,14 +128,25 @@ class TestSignals:
         with pytest.raises(ValueError):
             plane_wave(2.0 + 1j, witness_kind="imag")
 
-    def test_superosc_signal_witness_mass(self):
-        sg = superosc_signal(20, 3)
-        assert sg.growth.amplitude == pytest.approx(3.0**20)
-        assert sg.growth.rate == 1.0
-        assert not sg.vectorized
-        # array-call path loops the scalar evaluator
-        vals = sg(np.array([0.0, 0.5]))
-        assert abs(vals[0] - 1.0) < 1e-13
+    def test_superosc_signal_product_form(self):
+        zs = np.concatenate(
+            [disk_samples(3.0), np.exp(0.25j * np.pi) * np.linspace(-15.0, 15.0, 31)]
+        )
+        for n in (1, 20, 60, 640):
+            for k in (2, 3, 2 + 1j):
+                sg = superosc_signal(n, k)
+                rate = max(1.0, abs(k))
+                assert (sg.growth.amplitude, sg.growth.rate) == (1.0, rate)
+                vals = sg(zs)
+                assert np.all(np.abs(vals) <= np.exp(rate * np.abs(zs)) * (1 + 1e-12))
+                # the extended-precision oracle is slow at n = 640
+                pick = zs[::60] if n == 640 else zs[::5]
+                got = sg(pick)
+                for z, v in zip(pick, got):
+                    ref = superosc_value(n, k, z)
+                    assert abs(v - ref) <= 1e-12 * abs(ref)
+        with pytest.raises(ValueError):
+            superosc_signal(0, 3)
 
     def test_combined_signal(self):
         comb = combine_signals([(2.0, plane_wave(1.0)), (-0.5j, constant_signal())])
