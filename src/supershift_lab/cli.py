@@ -339,7 +339,8 @@ def run_supershift(cfg: dict) -> int:
         _out_path(cfg, "manifest.json"),
         _manifest(cfg, {"kappa": kappa, "weight_C": c_weight}),
     )
-    print(f"wrote {_out_path(cfg, 'supershift.csv')}; decreasing={report.strictly_decreasing}")
+    print(f"wrote {_out_path(cfg, 'supershift.csv')}; decreasing={report.strictly_decreasing}"
+          f"; failures={len(report.failures)}")
     return 0
 
 

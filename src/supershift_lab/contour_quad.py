@@ -95,20 +95,54 @@ def _log_gaussian_tail(log_amplitude: float, c: float, b: float, radius: float) 
 
     Closed form through the scaled complementary error function, kept in
     log space so huge amplitudes and saturated tails cannot overflow;
-    valid for c > 0 and any b >= 0.
+    valid for c > 0 and any b >= 0.  In x = sqrt(c) radius - b/(2 sqrt(c))
+    it is a constant plus log erfc(x), so it is concave and decreasing in
+    the radius, with slope -2 sqrt(c) / (sqrt(pi) erfcx(x)).
     """
+    return _tail_terms(log_amplitude, c, b, radius)[0]
+
+
+def _tail_terms(log_amplitude, c, b, radius):
+    """``_log_gaussian_tail`` together with the erfcx value behind it."""
     root_c = np.sqrt(c)
     arg = root_c * radius - b / (2.0 * root_c)
     base = log_amplitude + np.log(SQRT_PI / root_c)
     if arg < -25.0:
         # tail indistinguishable from the whole-line integral
-        return base + np.log(2.0) + b * b / (4.0 * c)
-    return (
-        base
-        - c * radius * radius
-        + b * radius
-        + np.log(max(erfcx(arg).real, np.finfo(float).tiny))
-    )
+        return base + np.log(2.0) + b * b / (4.0 * c), np.inf
+    scaled = max(erfcx(arg).real, np.finfo(float).tiny)
+    return base - c * radius * radius + b * radius + np.log(scaled), scaled
+
+
+def _tail_radius(log_amp: float, c: float, b: float, log_tol: float, limit: float) -> float:
+    """Smallest radius >= b/(2c) with ``_log_gaussian_tail <= log_tol``.
+
+    Safeguarded Newton in log space.  With e the excess over log_tol at the
+    envelope maximum b/(2c) (x = 0), the root solves log erfc(x) = -e; as
+    erfc(x) <= min(e^{-x^2}, e^{-2x/sqrt(pi)}), the start x = min(sqrt(e),
+    sqrt(pi) e / 2) lies right of it, and concavity makes the iterates fall
+    monotonically to the root, each a certified radius.  Stops once a step
+    is a few ulps; the final check is the certificate, and a radius that
+    rounding fails moves up by ulps.
+    """
+    root_c = np.sqrt(c)
+    y = b / (2.0 * c)
+    excess = _log_gaussian_tail(log_amp, c, b, y) - log_tol
+    if excess <= 0.0:
+        return y
+    y += min(np.sqrt(excess), 0.5 * SQRT_PI * excess) / root_c
+    if not y <= limit:
+        raise ValueError(f"Gaussian tail radius solve diverged (start {y:.3g})")
+    for _ in range(50):
+        log_tail, scaled = _tail_terms(log_amp, c, b, y)
+        step = 0.5 * SQRT_PI * scaled * (log_tail - log_tol) / root_c
+        if not step < -4.0 * np.spacing(y):
+            break
+        y += step
+    ulp = np.spacing(y)
+    while _log_gaussian_tail(log_amp, c, b, y) > log_tol:
+        y, ulp = y + ulp, 2.0 * ulp
+    return y
 
 
 def truncation_radius(
@@ -127,9 +161,10 @@ def truncation_radius(
         amplitude e^{rate |shift|} *
         e^{-a sin(2 angle) u^2 + (rate + 2 a |shift - y1| sin(angle)) |u|},
 
-    and the two-sided Gaussian tail equation is solved for Y by
-    bisection.  The imag-kind witness satisfies the same envelope, so the
-    bound is valid (if slightly conservative) for both kinds.
+    and Newton steps on the concave log tail (``_tail_radius``) give a Y
+    certified by ``_log_gaussian_tail(Y) <= log tol``.  The imag-kind
+    witness satisfies the same envelope, so the bound is valid (if
+    slightly conservative) for both kinds.
     """
     if a <= 0 or not 0 < angle < np.pi / 2 or tol <= 0:
         raise ValueError("truncation_radius requires a > 0, angle in (0, pi/2), tol > 0")
@@ -141,23 +176,7 @@ def truncation_radius(
         np.log(max(witness.amplitude, np.finfo(float).tiny))
         + witness.rate * abs(shift)
     )
-    log_tol = np.log(tol)
-
-    lo = b / (2.0 * c)  # envelope maximum; tail decreasing beyond
-    hi = max(lo, 1.0)
-    while _log_gaussian_tail(log_amp, c, b, hi) > log_tol:
-        hi *= 2.0
-        if hi > 1e12:
-            raise ValueError("truncation radius search diverged")
-    if _log_gaussian_tail(log_amp, c, b, lo) <= log_tol:
-        hi = max(lo, 1e-3)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _log_gaussian_tail(log_amp, c, b, mid) > log_tol:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return _tail_radius(log_amp, c, b, np.log(tol), 1e12)
 
 
 def _eval_signal(f, z):
@@ -200,6 +219,8 @@ def _panel_sums(g, lows, highs, rescale, chunk=100_000):
             )
         i15[s : s + chunk] = v
         err[s : s + chunk] = d
+    if not (np.all(np.isfinite(i15)) and np.all(np.isfinite(err))):
+        raise EvaluationOverflow("quadrature integrand produced non-finite values")
     return i15, err
 
 
@@ -213,8 +234,6 @@ def _adaptive_panels(g, edges, tol, max_panels, rescale=False):
             panels_used=len(lows),
         )
     vals, errs = _panel_sums(g, lows, highs, rescale)
-    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(errs))):
-        raise EvaluationOverflow("quadrature integrand produced non-finite values")
 
     err_history = []
     for _ in range(64):
@@ -247,10 +266,6 @@ def _adaptive_panels(g, edges, tol, max_panels, rescale=False):
         new_lo = np.concatenate([lows[bad], mid])
         new_hi = np.concatenate([mid, highs[bad]])
         new_vals, new_errs = _panel_sums(g, new_lo, new_hi, rescale)
-        if not (np.all(np.isfinite(new_vals)) and np.all(np.isfinite(new_errs))):
-            raise EvaluationOverflow(
-                "quadrature integrand produced non-finite values"
-            )
         lows = np.concatenate([lows[~bad], new_lo])
         highs = np.concatenate([highs[~bad], new_hi])
         vals = np.concatenate([vals[~bad], new_vals])
@@ -265,6 +280,20 @@ def _adaptive_panels(g, edges, tol, max_panels, rescale=False):
     return complex(vals.sum()), float(errs.sum()), len(lows)
 
 
+def _cluster_edges(lo, hi, cluster, sigma, *extra):
+    """Sorted distinct points of [lo, hi] among lo, hi, cluster, the
+    geometric cluster cluster +- sigma 2^k, and the arrays in extra."""
+    pts = [lo, hi, cluster]
+    off = sigma
+    while cluster - off > lo or cluster + off < hi:
+        pts += [cluster - off, cluster + off]
+        off *= 2.0
+        if off > 1e15:
+            break
+    edges = np.unique(np.concatenate([pts, *extra]))
+    return edges[(edges >= lo) & (edges <= hi)]
+
+
 def _seed_edges(lo, hi, cluster, sigma, phase_rate):
     """Initial breakpoints: geometric clustering plus equal-phase splitting.
 
@@ -272,28 +301,17 @@ def _seed_edges(lo, hi, cluster, sigma, phase_rate):
     phase_rate(y) bounds |d(phase)/dy| so long panels with fast phase are
     pre-split to the GL-15 budget.
     """
-    pts = {lo, hi}
-    if lo < cluster < hi:
-        pts.add(cluster)
-    off = sigma
-    while cluster - off > lo or cluster + off < hi:
-        for p in (cluster - off, cluster + off):
-            if lo < p < hi:
-                pts.add(p)
-        off *= 2.0
-        if off > 1e15:
-            break
-    edges = sorted(pts)
-    out = []
-    for a0, b0 in zip(edges[:-1], edges[1:]):
-        dphi = abs(phase_rate(0.5 * (a0 + b0))) * (b0 - a0)
-        extra = abs(phase_rate(a0)) + abs(phase_rate(b0))
-        dphi = max(dphi, 0.5 * extra * (b0 - a0))
-        n_sub = max(1, int(np.ceil(dphi / _PHASE_BUDGET)))
-        n_sub = min(n_sub, 100000)
-        out.extend(np.linspace(a0, b0, n_sub + 1)[:-1])
-    out.append(edges[-1])
-    return np.asarray(out)
+    edges = _cluster_edges(lo, hi, cluster, sigma)
+    a0, b0 = edges[:-1], edges[1:]
+    width = b0 - a0
+    dphi = np.abs(phase_rate(0.5 * (a0 + b0))) * width
+    extra = np.abs(phase_rate(a0)) + np.abs(phase_rate(b0))
+    dphi = np.maximum(dphi, 0.5 * extra * width)
+    n_sub = np.clip(np.ceil(dphi / _PHASE_BUDGET), 1, 100000).astype(int)
+    # np.linspace(a0, b0, n_sub + 1)[:-1] per interval: a0 + k (b0 - a0) / n_sub
+    k = np.arange(n_sub.sum()) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
+    out = k * np.repeat(width / n_sub, n_sub) + np.repeat(a0, n_sub)
+    return np.append(out, edges[-1])
 
 
 def _quadratic_phase_edges(lo, hi, y1, a, cluster, sigma, budget=1.6):
@@ -305,7 +323,7 @@ def _quadratic_phase_edges(lo, hi, y1, a, cluster, sigma, budget=1.6):
     regimes, so almost no adaptive refinement is spent on the long
     oscillatory stretches.
     """
-    pts = [np.array([lo, hi])]
+    pts = []
     k_right = a * max(hi - y1, 0.0) ** 2 / budget
     k_left = a * max(y1 - lo, 0.0) ** 2 / budget
     if k_right + k_left > 5e6:
@@ -319,21 +337,7 @@ def _quadratic_phase_edges(lo, hi, y1, a, cluster, sigma, budget=1.6):
     if k_left >= 1.0:
         ks = np.arange(1.0, np.floor(k_left) + 1.0)
         pts.append(y1 - np.sqrt(ks * budget / a))
-    if lo < y1 < hi:
-        pts.append(np.array([y1]))
-    cl = []
-    off = sigma
-    while cluster - off > lo or cluster + off < hi:
-        cl.extend([cluster - off, cluster + off])
-        off *= 2.0
-        if off > 1e15:
-            break
-    if lo < cluster < hi:
-        cl.append(cluster)
-    if cl:
-        pts.append(np.asarray(cl))
-    edges = np.unique(np.concatenate(pts))
-    return edges[(edges >= lo) & (edges <= hi)]
+    return _cluster_edges(lo, hi, cluster, sigma, [y1], *pts)
 
 
 def rotated_integral(f, plan: QuadraturePlan) -> QuadratureResult:
@@ -411,19 +415,7 @@ def epsilon_regularized_integral(
         log_amp = (
             np.log(max(witness.amplitude, np.finfo(float).tiny)) + rate * abs(y0)
         )
-        log_tol = np.log(0.1 * tol)
-        hi = max(1.0, rate / (2.0 * eps))
-        while _log_gaussian_tail(log_amp, eps, rate, hi) > log_tol:
-            hi *= 2.0
-            if hi > 1e9:
-                raise ValueError("regularized window search diverged")
-        lo = 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if _log_gaussian_tail(log_amp, eps, rate, mid) > log_tol:
-                lo = mid
-            else:
-                hi = mid
+        hi = _tail_radius(log_amp, eps, rate, np.log(0.1 * tol), 1e9)
         window = (y0 - hi, y0 + hi)
 
     def g(y):

@@ -236,6 +236,7 @@ class SupershiftReport:
     t_grid: list
     x_grid: list
     strictly_decreasing: bool
+    failures: list = field(default_factory=list)
 
 
 def supershift_experiment(
@@ -252,24 +253,33 @@ def supershift_experiment(
     d_n = max over the grid of |Psi(t, x; F_n) - Psi(t, x; phi_kappa)|
     where F_n combines family signals at unit-bounded frequencies; it
     enters the integrand in its product form (see ``superosc_signal``).
+    A point raising a ``SupershiftError`` goes to ``failures`` as
+    ``(n, t, x, reason)`` (n None for the target) and out of d_n (nan if
+    none is left); any failure makes ``strictly_decreasing`` False.
     """
     family = family or exponential_family()
+    failures: list = []
+
+    def value(n, f, t, x):
+        try:
+            return wavefunction(kernel, f, t, float(x), tol)
+        except SupershiftError as exc:
+            failures.append((n, t, float(x), f"{type(exc).__name__}: {exc}"))
+            return None
+
     target = family.phi(kappa)
-    target_vals = {
-        (t, x): wavefunction(kernel, target, t, float(x), tol)
-        for t in t_grid
-        for x in x_grid
-    }
+    points = [(t, x) for t in t_grid for x in x_grid]
+    target_vals = [value(None, target, t, x) for t, x in points]
     distances = []
     for n in n_values:
         fn = superosc_signal(n, kappa)
-        worst = 0.0
-        for t in t_grid:
-            for x in x_grid:
-                a = wavefunction(kernel, fn, t, float(x), tol)
-                worst = max(worst, abs(a - target_vals[(t, x)]))
-        distances.append(worst)
-    dec = all(
+        gaps = []
+        for (t, x), ref in zip(points, target_vals):
+            a = None if ref is None else value(n, fn, t, x)
+            if a is not None:
+                gaps.append(abs(a - ref))
+        distances.append(max(gaps, default=np.nan))
+    dec = not failures and all(
         distances[i + 1] < distances[i] for i in range(len(distances) - 1)
     )
     return SupershiftReport(
@@ -280,6 +290,7 @@ def supershift_experiment(
         t_grid=list(t_grid),
         x_grid=list(x_grid),
         strictly_decreasing=dec,
+        failures=failures,
     )
 
 

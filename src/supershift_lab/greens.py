@@ -147,10 +147,11 @@ class GreensKernel:
             self.sector_angle
         )
         if clearance < self.pole_margin:
+            where = (f"comes within {clearance:.3f} of the pole set" if clearance >= 0.0
+                     else f"has the pole set {-clearance:.3f} inside its swept sector")
             raise DomainMarginError(
                 f"contour through {shift:g} at angle {self.sector_angle:.3f} "
-                f"comes within {clearance:.3f} of the pole set (margin "
-                f"{self.pole_margin})"
+                f"{where} (margin {self.pole_margin})"
             )
 
 
@@ -355,20 +356,15 @@ def make_kernel(
     shifted contours through every |x| <= 3.5 keep clear of the cosh
     zeros; the others use pi/4.
     """
-    if isinstance(potential, Free):
-        return _free_kernel(np.pi / 4 if angle is None else angle)
-    if isinstance(potential, Electric):
-        return _electric_kernel(
-            potential, t_max, ode_tol, np.pi / 4 if angle is None else angle
-        )
-    if isinstance(potential, Harmonic):
-        return _harmonic_kernel(
-            potential, t_max, ode_tol, np.pi / 4 if angle is None else angle
-        )
     if isinstance(potential, PoschlTeller):
-        return _pt_kernel(
-            potential, np.pi / 8 if angle is None else angle, pole_margin
-        )
+        return _pt_kernel(potential, np.pi / 8 if angle is None else angle, pole_margin)
+    angle = np.pi / 4 if angle is None else angle
+    if isinstance(potential, Free):
+        return _free_kernel(angle)
+    if isinstance(potential, Electric):
+        return _electric_kernel(potential, t_max, ode_tol, angle)
+    if isinstance(potential, Harmonic):
+        return _harmonic_kernel(potential, t_max, ode_tol, angle)
     raise TypeError(f"unsupported potential {potential!r}")
 
 

@@ -7,22 +7,28 @@ Closed forms used as oracles:
   int_R e^{i y^2} y^2 dy                  = (i/2) sqrt(pi) e^{i pi/4}
 """
 
+import itertools
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from supershift_lab import contour_quad
 from supershift_lab.contour_quad import (
     GrowthWitness,
     QuadraturePlan,
     QuadratureResult,
+    _log_gaussian_tail,
+    _seed_edges,
     epsilon_regularized_integral,
     rotated_integral,
     truncated_integral,
     truncation_radius,
 )
 from supershift_lab.errors import PanelExhausted
-from supershift_lab.initial_data import HolomorphicSignal
+from supershift_lab.evolve import wavefunction_result
+from supershift_lab.initial_data import HolomorphicSignal, plane_wave
 
 FRESNEL = np.sqrt(np.pi) * np.exp(1j * np.pi / 4)
 
@@ -74,6 +80,134 @@ class TestTruncationRadius:
         with_rate = truncation_radius(GrowthWitness(1, 3), 1.0, np.pi / 4, 0.0, 1e-12)
         with_amp = truncation_radius(GrowthWitness(1e6, 0), 1.0, np.pi / 4, 0.0, 1e-12)
         assert with_rate > base and with_amp > base
+
+
+def _envelope(w, a, angle, y1, shift):
+    """(log amplitude, c, b) of the contour envelope truncation_radius bounds."""
+    c = a * np.sin(2.0 * angle)
+    b = w.rate + 2.0 * a * abs(shift - y1) * np.sin(angle)
+    return np.log(max(w.amplitude, np.finfo(float).tiny)) + w.rate * abs(shift), c, b
+
+
+def _radius_sweep():
+    rng = np.random.default_rng(7)
+    amps = (0.0, 1e-300, 1e-20, 1e-3, 1.0, 7.3, 1e6, 1e100, 1e300)
+    for amp, rate, a, tol in itertools.product(
+        amps, (0.0, 0.5, 3.0, 12.0, 40.0), (1e-3, 0.05, 1.0, 250.0), (1e-16, 1e-9, 1e-3)
+    ):
+        y1 = rng.uniform(-3.0, 3.0)
+        shift = y1 + rng.choice([0.0, rng.uniform(-2.0, 2.0)])
+        yield GrowthWitness(amp, rate), a, rng.uniform(0.1, 1.4), y1, tol, shift
+
+
+class TestNewtonRadius:
+    """The Newton solve behind truncation_radius, over a parameter sweep."""
+
+    def test_certified_minimal_and_cheap(self, monkeypatch):
+        calls = []
+        erfcx = contour_quad.erfcx
+        monkeypatch.setattr(contour_quad, "erfcx", lambda z: calls.append(z) or erfcx(z))
+        worst_calls = above = 0
+        for w, a, angle, y1, tol, shift in _radius_sweep():
+            calls.clear()
+            radius = truncation_radius(w, a, angle, y1, tol, shift=shift)
+            worst_calls = max(worst_calls, len(calls))
+            log_amp, c, b = _envelope(w, a, angle, y1, shift)
+            assert _log_gaussian_tail(log_amp, c, b, radius) <= np.log(tol)
+            if radius > b / (2.0 * c):
+                above += 1
+                below = radius * (1.0 - 1e-10)
+                assert _log_gaussian_tail(log_amp, c, b, below) > np.log(tol)
+        assert above > 400
+        # every tail evaluation is one scalar erfcx call
+        assert worst_calls <= 30
+
+    @pytest.mark.parametrize(
+        "amp, rate, a, angle, offset, tol",
+        [
+            (1.0, 0.0, 1.0, np.pi / 4, 0.0, 1e-16),
+            (1e300, 40.0, 1e-3, 0.3, 1.5, 1e-3),
+            (1e-20, 3.0, 250.0, 1.2, -0.7, 1e-9),
+            (7.3, 12.0, 0.05, 0.9, 2.0, 1e-12),
+        ],
+    )
+    def test_matches_mpmath_root(self, amp, rate, a, angle, offset, tol):
+        w = GrowthWitness(amp, rate)
+        radius = truncation_radius(w, a, angle, 0.0, tol, shift=offset)
+        log_amp, c, b = _envelope(w, a, angle, 0.0, offset)
+        with mp.workdps(30):
+            c_, b_ = mp.mpf(c), mp.mpf(b)
+            # log of amp e^{rate |shift|} sqrt(pi/c) e^{b^2/4c} erfc(x) = log tol
+            rhs = mp.log(tol) - log_amp - mp.log(mp.sqrt(mp.pi / c_)) - b_**2 / (4 * c_)
+            x = mp.findroot(lambda x: mp.log(mp.erfc(x)) - rhs, mp.sqrt(-rhs))
+            root = (x + b_ / (2 * mp.sqrt(c_))) / mp.sqrt(c_)
+        assert abs(radius - float(root)) <= 1e-12 * float(root)
+
+    def test_tail_below_tol_at_envelope_maximum(self):
+        # the tail is already certified where the envelope peaks
+        w = GrowthWitness(1e-30, 4.0)
+        radius = truncation_radius(w, 1.0, np.pi / 4, 0.0, 1e-3, shift=0.0)
+        assert radius == 4.0 / 2.0
+
+    def test_divergent_solve_raises(self):
+        with pytest.raises(ValueError, match="diverged"):
+            truncation_radius(GrowthWitness(1e300, 0.0), 1e-30, np.pi / 4, 0.0, 1e-16)
+
+
+def _linspace_edges(lo, hi, cluster, sigma, phase_rate):
+    """Per-interval np.linspace splitting, the reference for _seed_edges."""
+    pts = {lo, hi}
+    if lo < cluster < hi:
+        pts.add(cluster)
+    off = sigma
+    while cluster - off > lo or cluster + off < hi:
+        pts.update(p for p in (cluster - off, cluster + off) if lo < p < hi)
+        off *= 2.0
+        if off > 1e15:
+            break
+    edges = sorted(pts)
+    out = []
+    for a0, b0 in zip(edges[:-1], edges[1:]):
+        dphi = abs(phase_rate(0.5 * (a0 + b0))) * (b0 - a0)
+        extra = abs(phase_rate(a0)) + abs(phase_rate(b0))
+        dphi = max(dphi, 0.5 * extra * (b0 - a0))
+        n_sub = min(max(1, int(np.ceil(dphi / 18.0))), 100000)
+        out.extend(np.linspace(a0, b0, n_sub + 1)[:-1])
+    out.append(edges[-1])
+    return np.asarray(out)
+
+
+class TestSeedEdges:
+    def test_equals_per_interval_linspace(self, rng):
+        for _ in range(500):
+            radius = rng.uniform(0.05, 80.0)
+            cluster = rng.choice([0.0, rng.uniform(-radius, radius)])
+            sigma = 10 ** rng.uniform(-2.5, 1.0)
+            a, c2, cos_a, off = 10 ** rng.uniform(-2, 3), *rng.uniform(-1, 1, 3)
+
+            def phase_rate(u):
+                return 2.0 * a * (u * c2 + off * cos_a)
+
+            ref = _linspace_edges(-radius, radius, cluster, sigma, phase_rate)
+            got = _seed_edges(-radius, radius, cluster, sigma, phase_rate)
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize(
+        "kernel, t, x, k, panels",
+        [
+            ("free_kernel", 0.3, 0.5, 3.0, 15),
+            ("free_kernel", 0.1, -2.0, 3.0, 13),
+            ("free_kernel", 0.9, 2.5, 1.5, 14),
+            ("pt1_kernel", 0.3, 0.0, 1.0, 18),
+            ("pt1_kernel", 0.7, 1.5, 2.0, 33),
+            ("pt2_kernel", 0.2, -1.0, 2.0, 24),
+            ("pt2_kernel", 1.0, 2.0, 1.0, 50),
+        ],
+    )
+    def test_panels_used_pinned(self, kernel, t, x, k, panels, request):
+        # pinned from the bisection radius with per-interval np.linspace seeding
+        r = wavefunction_result(request.getfixturevalue(kernel), plane_wave(k), t, x, 1e-9)
+        assert r.panels_used == panels
 
 
 class TestRotatedIntegral:

@@ -292,6 +292,18 @@ class TestSupershift:
         for d, ref in zip(rep.distances, HARM_D):
             assert abs(d - ref) <= 1e-4
 
+    def test_point_error_recorded_not_raised(self, pt1_kernel):
+        # x = 4.25 puts a pole inside the swept sector; x = 0 still counts
+        rep = supershift_experiment(pt1_kernel, [10], 2.0, [0.3], [0.0, 4.25], tol=1e-8)
+        assert len(rep.failures) == 1
+        n, t, x, reason = rep.failures[0]
+        assert (n, t, x) == (None, 0.3, 4.25) and reason.startswith("DomainMarginError")
+        gap = abs(
+            wavefunction(pt1_kernel, superosc_signal(10, 2.0), 0.3, 0.0, 1e-8)
+            - wavefunction(pt1_kernel, plane_wave(2.0), 0.3, 0.0, 1e-8)
+        )
+        assert rep.distances == [gap] and not rep.strictly_decreasing
+
     def test_single_term_family_is_exact(self, free_kernel):
         # combination with the target frequency itself: distance 0 to tol
         rep = supershift_experiment(

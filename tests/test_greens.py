@@ -159,6 +159,16 @@ class TestPoschlTellerKernel:
         with pytest.raises(ValueError):
             PoschlTeller(0)
 
+    def test_contour_past_pole_message(self, pt1_kernel):
+        # (pi/2) cos(pi/8) - 4.25 sin(pi/8) = -0.175: the pole is inside
+        from supershift_lab.errors import DomainMarginError
+
+        with pytest.raises(DomainMarginError) as exc:
+            pt1_kernel.check_contour(4.25)
+        assert "has the pole set 0.175 inside its swept sector" in str(exc.value)
+        with pytest.raises(DomainMarginError, match="comes within 0.074 of the pole set"):
+            pt1_kernel.check_contour(3.6)
+
 
 class TestPdeResidualAllPotentials:
     def test_free(self, free_kernel):
