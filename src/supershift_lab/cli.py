@@ -376,6 +376,7 @@ def run_verify(cfg: dict) -> int:
             "name": "initial_value_limit",
             "value": rep.final_error,
             "errors": rep.errors,
+            "failures": len(rep.failures),
             "threshold": vf["initial_limit_threshold"],
             "pass": bool(rep.passed),
         }

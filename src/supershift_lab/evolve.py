@@ -76,6 +76,19 @@ def wavefunction(
     return wavefunction_result(kernel, f, t, x, tol, max_panels).value
 
 
+def _reason(exc: SupershiftError) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _value_or_record(failures: list, key: tuple, kernel, f, t, x, tol):
+    """Wave value, or None after appending ``(*key, t, x, reason)`` to failures."""
+    try:
+        return wavefunction(kernel, f, float(t), float(x), tol)
+    except SupershiftError as exc:
+        failures.append((*key, float(t), float(x), _reason(exc)))
+        return None
+
+
 @dataclass
 class WaveField:
     """Grid of wave values with per-point quadrature error estimates."""
@@ -122,7 +135,7 @@ def wavefield(
                 err = getattr(exc, "err_estimate", None)
                 values[i, j] = value if value is not None else np.nan
                 errors[i, j] = err if err is not None else np.inf
-                failures.append((float(t), float(x), f"{type(exc).__name__}: {exc}"))
+                failures.append((float(t), float(x), _reason(exc)))
 
     return WaveField(
         ts=ts,
@@ -181,6 +194,7 @@ class InitialLimitReport:
     decreasing: bool
     final_error: float
     passed: bool
+    failures: list = field(default_factory=list)
 
 
 def initial_limit_check(
@@ -191,20 +205,28 @@ def initial_limit_check(
     tol: float = 1e-8,
     threshold: float = 1e-2,
 ) -> InitialLimitReport:
-    """Track max_x |Psi(t, x) - f(x)| along a time sequence decreasing to 0."""
+    """Track max_x |Psi(t, x) - f(x)| along a time sequence decreasing to 0.
+
+    A point raising a ``SupershiftError`` goes to ``failures`` as
+    ``(t, x, reason)`` and out of its time's error (nan if no x is left);
+    any failure fails the check.
+    """
     t_seq = sorted(t_seq, reverse=True)
     errs = []
+    failures: list = []
     fx = np.asarray(f(np.asarray(xs, dtype=float) + 0j), dtype=complex)
     for t in t_seq:
-        vals = np.array([wavefunction(kernel, f, t, float(x), tol) for x in xs])
-        errs.append(float(np.max(np.abs(vals - fx))))
+        vals = [_value_or_record(failures, (), kernel, f, t, x, tol) for x in xs]
+        gaps = [abs(v - r) for v, r in zip(vals, fx) if v is not None]
+        errs.append(float(max(gaps, default=np.nan)))
     decreasing = all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
     return InitialLimitReport(
         t_values=list(t_seq),
         errors=errs,
         decreasing=decreasing,
         final_error=errs[-1],
-        passed=decreasing and errs[-1] <= threshold,
+        passed=not failures and decreasing and errs[-1] <= threshold,
+        failures=failures,
     )
 
 
@@ -259,26 +281,15 @@ def supershift_experiment(
     """
     family = family or exponential_family()
     failures: list = []
-
-    def value(n, f, t, x):
-        try:
-            return wavefunction(kernel, f, t, float(x), tol)
-        except SupershiftError as exc:
-            failures.append((n, t, float(x), f"{type(exc).__name__}: {exc}"))
-            return None
-
     target = family.phi(kappa)
     points = [(t, x) for t in t_grid for x in x_grid]
-    target_vals = [value(None, target, t, x) for t, x in points]
-    distances = []
-    for n in n_values:
-        fn = superosc_signal(n, kappa)
-        gaps = []
-        for (t, x), ref in zip(points, target_vals):
-            a = None if ref is None else value(n, fn, t, x)
-            if a is not None:
-                gaps.append(abs(a - ref))
-        distances.append(max(gaps, default=np.nan))
+    target_vals = [
+        _value_or_record(failures, (None,), kernel, target, t, x, tol) for t, x in points
+    ]
+    distances = [
+        _grid_distance(failures, n, kernel, superosc_signal(n, kappa), points, target_vals, tol)
+        for n in n_values
+    ]
     dec = not failures and all(
         distances[i + 1] < distances[i] for i in range(len(distances) - 1)
     )
@@ -292,6 +303,16 @@ def supershift_experiment(
         strictly_decreasing=dec,
         failures=failures,
     )
+
+
+def _grid_distance(failures, n, kernel, fn, points, target_vals, tol) -> float:
+    """max |Psi(t, x; fn) - target| over the points where both evaluate (nan if none)."""
+    gaps = []
+    for (t, x), ref in zip(points, target_vals):
+        a = None if ref is None else _value_or_record(failures, (n,), kernel, fn, t, x, tol)
+        if a is not None:
+            gaps.append(abs(a - ref))
+    return max(gaps, default=np.nan)
 
 
 def supershift_combination_direct(
@@ -359,6 +380,7 @@ class ContinuousDependenceReport:
     fitted_constant: float
     stable_within: float
     passed: bool
+    failures: list = field(default_factory=list)
 
 
 def continuous_dependence_check(
@@ -378,18 +400,21 @@ def continuous_dependence_check(
     For each approximant the report records the weighted-sup metric and
     the sup grid distance of the wave fields; the evolution is continuous
     in the initial data when the distances are bounded by a stable
-    multiple of the metrics.
+    multiple of the metrics.  A point raising a ``SupershiftError`` goes
+    to ``failures`` as ``(n, t, x, reason)`` (n None for the target) and
+    out of the distances (nan if none is left); any failure fails the
+    check.
     """
-    metrics, dists = [], []
-    for fn in approximants:
-        metrics.append(weighted_sup_distance(fn, target, c_weight, metric_samples))
-        worst = 0.0
-        for t in t_grid:
-            for x in x_grid:
-                a = wavefunction(kernel, fn, t, float(x), tol)
-                b = wavefunction(kernel, target, t, float(x), tol)
-                worst = max(worst, abs(a - b))
-        dists.append(worst)
+    failures: list = []
+    points = [(t, x) for t in t_grid for x in x_grid]
+    target_vals = [
+        _value_or_record(failures, (None,), kernel, target, t, x, tol) for t, x in points
+    ]
+    metrics = [weighted_sup_distance(fn, target, c_weight, metric_samples) for fn in approximants]
+    dists = [
+        _grid_distance(failures, n, kernel, fn, points, target_vals, tol)
+        for n, fn in zip(n_values, approximants, strict=True)
+    ]
     ratios = [
         d / m if m > 0 else (0.0 if d == 0 else np.inf)
         for d, m in zip(dists, metrics)
@@ -404,5 +429,6 @@ def continuous_dependence_check(
         ratios=ratios,
         fitted_constant=fitted,
         stable_within=stable,
-        passed=bool(stable <= stability_factor),
+        passed=bool(not failures and stable <= stability_factor),
+        failures=failures,
     )

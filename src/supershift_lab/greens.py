@@ -29,14 +29,14 @@ import numpy as np
 from .errors import DomainMarginError, HorizonExceeded
 from .ode_coeff import ElectricCoeffs, HarmonicCoeffs, solve_electric, solve_harmonic
 from .special_fn import (
+    ROOT_I,
     assoc_legendre_tanh,
     erfcx,
     pole_set_distance,
     pt_weighted_term,
 )
 
-_ROOT_I = complex(np.cos(np.pi / 4), np.sin(np.pi / 4))  # principal sqrt(i)
-INV_SQRT_IPI = 1.0 / (np.sqrt(np.pi) * _ROOT_I)
+INV_SQRT_IPI = 1.0 / (np.sqrt(np.pi) * ROOT_I)
 
 
 class Potential:
@@ -169,7 +169,7 @@ def _free_kernel(angle: float) -> GreensKernel:
 
     def gtilde(t, x, z):
         z = np.asarray(z, dtype=complex)
-        return np.full(z.shape, 1.0 / (2.0 * np.sqrt(np.pi * t) * _ROOT_I))
+        return np.full(z.shape, 1.0 / (2.0 * np.sqrt(np.pi * t) * ROOT_I))
 
     def growth(t, x):
         return 1.0 / (2.0 * np.sqrt(np.pi * t)), 0.0
@@ -198,7 +198,7 @@ def _electric_kernel(
     def gtilde(t, x, z):
         z = np.asarray(z, dtype=complex)
         phase = coeffs.beta(t) + x * coeffs.t_alpha_prime(t) + z * coeffs.alpha(t)
-        return np.exp(1j * phase) / (2.0 * np.sqrt(np.pi * t) * _ROOT_I)
+        return np.exp(1j * phase) / (2.0 * np.sqrt(np.pi * t) * ROOT_I)
 
     def growth(t, x):
         return 1.0 / (2.0 * np.sqrt(np.pi * t)), abs(coeffs.alpha(t))
@@ -235,7 +235,7 @@ def _harmonic_kernel(
         be = coeffs.beta(t)
         ap = coeffs.alpha_prime(t)
         expo = ((be - ap) * x * x + 2.0 * x * z * (1.0 - be)) / (4j * al)
-        return np.exp(expo) / (2.0 * np.sqrt(np.pi * al) * _ROOT_I)
+        return np.exp(expo) / (2.0 * np.sqrt(np.pi * al) * ROOT_I)
 
     def growth(t, x):
         al = coeffs.alpha(t)
@@ -294,7 +294,7 @@ def _pt_kernel(
 
     def gtilde(t, x, z):
         z = np.asarray(z, dtype=complex)
-        acc = np.full(z.shape, 1.0 / (2.0 * np.sqrt(np.pi * t) * _ROOT_I))
+        acc = np.full(z.shape, 1.0 / (2.0 * np.sqrt(np.pi * t) * ROOT_I))
         for m in range(1, l + 1):
             acc = acc + (
                 coef[m]

@@ -8,101 +8,48 @@ functions accept scalars or numpy arrays and are pure.
 
 from __future__ import annotations
 
+import cmath
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 import numpy as np
-from scipy.special import wofz
+from numpy.polynomial.polynomial import polyval
+from scipy import special
 
 from .errors import DomainMarginError, EvaluationOverflow
 
 SQRT_PI = float(np.sqrt(np.pi))
+ROOT_I = complex(np.cos(np.pi / 4), np.sin(np.pi / 4))  # principal sqrt(i)
 
 # log of the largest double; exponents beyond this overflow
 _EXP_LIMIT = 709.0
 
-# coefficients of the erf Maclaurin series 2/sqrt(pi) * (-1)^n / (n! (2n+1))
-_ERF_SERIES_N = 24
-_ERF_SERIES = np.array(
-    [
-        2.0 / SQRT_PI * (-1.0) ** n / (float(factorial(n)) * (2 * n + 1))
-        for n in range(_ERF_SERIES_N)
-    ]
-)
+
+def _finite(out, what: str):
+    """Return a ufunc result (a Python complex for scalars), or raise if not finite."""
+    if not (np.isfinite(out).all() if out.ndim else cmath.isfinite(out)):
+        raise EvaluationOverflow(f"{what} evaluation produced a non-finite value")
+    return out if out.ndim else complex(out)
 
 
 def erfcx(z):
     """Scaled complementary error function e^{z^2} erfc(z) for complex z.
 
-    Evaluated through the Faddeeva function w (erfcx(z) = w(iz)) on the
-    closed right half-plane; the left half-plane uses the reflection
-    erfcx(-z) = 2 e^{z^2} - erfcx(z).  Never forms e^{z^2} and erfc
-    separately, so no spurious overflow occurs where the result is
-    representable.
-
-    Raises EvaluationOverflow when the reflection term 2 e^{z^2} leaves
-    the double range (Re(z^2) too large with Re z < 0).
+    scipy's Faddeeva-based erfcx never forms e^{z^2} and erfc separately,
+    so no spurious overflow occurs where the result is representable.
+    Raises EvaluationOverflow where it is not (Re(z^2) beyond ~709 with
+    Re z < 0).
     """
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = np.empty_like(z)
-
-    right = z.real >= 0.0
-    if np.any(right):
-        out[right] = wofz(1j * z[right])
-    left = ~right
-    if np.any(left):
-        zl = z[left]
-        w2 = zl * zl
-        if np.any(w2.real > _EXP_LIMIT):
-            raise EvaluationOverflow(
-                "erfcx reflection term 2*exp(z^2) overflows for Re(z) < 0"
-            )
-        out[left] = 2.0 * np.exp(w2) - wofz(-1j * zl)
-
-    if not np.all(np.isfinite(out)):
-        raise EvaluationOverflow("erfcx evaluation produced a non-finite value")
-    return complex(out[0]) if scalar else out
+    return _finite(special.erfcx(np.asarray(z, dtype=complex)), "erfcx")
 
 
 def erf_complex(z):
-    """Error function on the complex plane.
+    """Error function on the complex plane (scipy's Faddeeva-based erf).
 
-    Small arguments (|z| <= 0.5) use the Maclaurin series; elsewhere
-    erf(z) = 1 - e^{-z^2} erfcx(z) on Re z >= 0 and the odd reflection
-    for Re z < 0.  Odd and conjugate symmetries hold to rounding.
+    Raises EvaluationOverflow where |erf z| leaves the double range.
     """
-    z = np.asarray(z, dtype=complex)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = np.empty_like(z)
-
-    small = np.abs(z) <= 0.5
-    if np.any(small):
-        zs = z[small]
-        z2 = zs * zs
-        acc = np.zeros_like(zs)
-        for c in _ERF_SERIES[::-1]:
-            acc = acc * z2 + c
-        out[small] = acc * zs
-
-    big = ~small
-    if np.any(big):
-        zb = np.where(z[big].real >= 0.0, z[big], -z[big])
-        sign = np.where(z[big].real >= 0.0, 1.0, -1.0)
-        m2 = -zb * zb
-        if np.any(m2.real > _EXP_LIMIT):
-            raise EvaluationOverflow("erf overflows: |exp(-z^2)| too large")
-        out[big] = sign * (1.0 - np.exp(m2) * erfcx(zb))
-
-    return complex(out[0]) if scalar else out
-
-
-def _sqrt_it(t):
-    """Principal branch of sqrt(i t) for t > 0: sqrt(t) e^{i pi/4}."""
-    return np.sqrt(t) * complex(np.cos(np.pi / 4), np.sin(np.pi / 4))
+    return _finite(special.erf(np.asarray(z, dtype=complex)), "erf")
 
 
 def pt_kernel_term(t, z):
@@ -125,7 +72,7 @@ def pt_kernel_term(t, z):
     # erfcx arguments out of the regime where their reflection terms are
     # astronomically large and cancel only in exact arithmetic
     z = np.where(z.real < 0.0, -z, z)
-    s = _sqrt_it(t)
+    s = np.sqrt(t) * ROOT_I
     u = z / (2.0 * s)
     res = np.exp(z) * erfcx(u - s) - np.exp(-z) * erfcx(u + s)
     return complex(res) if res.ndim == 0 else res
@@ -143,7 +90,7 @@ def pt_kernel_term_derivatives(t, z):
     """
     z = np.asarray(z, dtype=complex)
     r = pt_kernel_term(t, z)
-    root_ipt = np.sqrt(np.pi * t) * complex(np.cos(np.pi / 4), np.sin(np.pi / 4))
+    root_ipt = np.sqrt(np.pi * t) * ROOT_I
     dz = z * r / (2j * t) - 2.0 * np.sinh(z) / root_ipt
     dt = (
         1j * (1.0 + z * z / (4.0 * t * t)) * r
@@ -177,7 +124,7 @@ def pt_weighted_term(l: int, m: int, t: float, x: float, z, *, pole_margin: floa
     eta = np.where((z - x).real >= 0.0, 1.0, -1.0)
     zeta = np.where(z.real >= 0.0, 1.0, -1.0)
     w = m * eta * (z - x)
-    s = m * _sqrt_it(t)
+    s = m * (np.sqrt(t) * ROOT_I)
     u = w / (2.0 * s)
     lam1 = erfcx(u - s)
     lam2 = erfcx(u + s)
@@ -185,10 +132,7 @@ def pt_weighted_term(l: int, m: int, t: float, x: float, z, *, pole_margin: floa
     e2 = -w - m * zeta * z
     if np.any(e1.real > _EXP_LIMIT):
         raise EvaluationOverflow("pt_weighted_term: residual exponent overflows")
-    xi = np.tanh(z)
-    acc = np.zeros_like(xi)
-    for c in _legendre_deriv_coeffs(l, m)[::-1]:
-        acc = acc * xi + c
+    acc = polyval(np.tanh(z), _legendre_deriv_coeffs(l, m))
     sech_rest = (2.0 / (1.0 + np.exp(-2.0 * zeta * z))) ** m
     res = (
         (-1.0) ** m
@@ -255,10 +199,7 @@ def assoc_legendre_tanh(l: int, m: int, z, *, pole_margin: float = 0.1):
         raise DomainMarginError(
             f"argument within margin {pole_margin} of a cosh zero"
         )
-    xi = np.tanh(z)
-    acc = np.zeros_like(xi)
-    for c in _legendre_deriv_coeffs(l, m)[::-1]:
-        acc = acc * xi + c
+    acc = polyval(np.tanh(z), _legendre_deriv_coeffs(l, m))
     res = (-1.0) ** m * np.cosh(z) ** (-m) * acc
     return complex(res) if res.ndim == 0 else res
 

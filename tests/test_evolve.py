@@ -264,6 +264,16 @@ class TestInitialLimit:
         )
         assert rep.decreasing and rep.final_error <= 1e-2
 
+    def test_point_error_recorded_not_raised(self, pt1_kernel):
+        # x = 4.25 puts a pole inside the swept sector at every t; x = 0 still counts
+        pw = plane_wave(1.0)
+        rep = initial_limit_check(pt1_kernel, pw, [0.0, 4.25], [0.1, 0.01], tol=1e-8)
+        assert [(t, x) for t, x, _ in rep.failures] == [(0.1, 4.25), (0.01, 4.25)]
+        assert all(r.startswith("DomainMarginError") for _, _, r in rep.failures)
+        for t, e in zip(rep.t_values, rep.errors):
+            assert e == abs(wavefunction(pt1_kernel, pw, t, 0.0, 1e-8) - 1.0)
+        assert rep.decreasing and rep.final_error <= 1e-2 and not rep.passed
+
 
 class TestSupershift:
     def test_free_true_values(self, free_kernel):
@@ -393,3 +403,18 @@ class TestContinuousDependence:
         assert all(m2 < m1 for m1, m2 in zip(rep.metrics, rep.metrics[1:]))
         assert rep.passed
         assert rep.stable_within <= 3.0
+
+    def test_point_error_recorded_not_raised(self, pt1_kernel):
+        # x = 4.25 puts a pole inside the swept sector; x = 0 still counts
+        pw, fn = plane_wave(2.0), superosc_signal(10, 2.0)
+        rep = continuous_dependence_check(
+            pt1_kernel, pw, [fn], [10], 6.0, disk_samples(3.0), [0.3], [0.0, 4.25], tol=1e-8
+        )
+        assert len(rep.failures) == 1
+        n, t, x, reason = rep.failures[0]
+        assert (n, t, x) == (None, 0.3, 4.25) and reason.startswith("DomainMarginError")
+        gap = abs(
+            wavefunction(pt1_kernel, fn, 0.3, 0.0, 1e-8)
+            - wavefunction(pt1_kernel, pw, 0.3, 0.0, 1e-8)
+        )
+        assert rep.field_distances == [gap] and not rep.passed

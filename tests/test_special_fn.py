@@ -108,6 +108,34 @@ class TestErfcx:
         with pytest.raises(EvaluationOverflow):
             erfcx(-30.0)
 
+    def test_left_half_plane_accuracy(self, rng):
+        z = rng.uniform(-12, 0, 200) + 1j * rng.uniform(-12, 12, 200)
+        z = z[(z * z).real < 600][:40]
+        assert len(z) == 40
+        for zz in z:
+            with mp.workdps(60):
+                ref = complex(mp.exp(mp.mpc(zz) ** 2) * mp.erfc(mp.mpc(zz)))
+            assert abs(erfcx(complex(zz)) - ref) <= 1e-12 * abs(ref)
+
+    def test_overflow_band(self):
+        # 2 e^{z^2} reaches the double limit between Re(z^2) = 708.6 and 712.9
+        with mp.workdps(60):
+            ref = complex(mp.exp(mp.mpf(-26.62) ** 2) * mp.erfc(mp.mpf(-26.62)))
+        got = erfcx(-26.62)
+        assert np.isfinite(got) and abs(got - ref) <= 1e-12 * abs(ref)
+        with pytest.raises(EvaluationOverflow):
+            erfcx(-26.7)
+
+    @pytest.mark.parametrize("fn", [erfcx, erf_complex])
+    def test_scalar_and_array_shapes(self, fn):
+        for z in (0.5, 0.5 - 1j, np.float64(0.5), np.array(0.5 + 1j)):
+            assert type(fn(z)) is complex
+        for shape in ((3,), (2, 3)):
+            z = np.linspace(-1, 1, int(np.prod(shape))).reshape(shape) + 0.5j
+            out = fn(z)
+            assert isinstance(out, np.ndarray) and out.shape == shape
+            assert out.flat[-1] == fn(complex(z.flat[-1]))
+
 
 class TestPtKernelTerm:
     def test_frozen_values(self):
