@@ -9,8 +9,11 @@ for f holomorphic on a double sector around the real axis:
 
 The rotated route is the workhorse: the quadratic phase becomes a genuine
 Gaussian there, so a certified truncation radius exists for any growth
-witness, and fixed-order Gauss-Legendre panels with an embedded lower-order
-estimate converge quickly.
+witness, and 15-point Gauss-Legendre panels with a 7-point Gauss-Legendre
+estimate converge quickly.  The two real-line comparators integrate long
+oscillatory stretches instead; they use the Gauss-Kronrod 10/21 pair, whose
+21 nodes carry both the value and the embedded 10-point estimate, on panels
+spanning ~12 rad of quadratic phase.
 """
 
 from __future__ import annotations
@@ -24,11 +27,75 @@ from numpy.polynomial.legendre import leggauss
 from .errors import EvaluationOverflow, PanelExhausted
 from .special_fn import SQRT_PI, erfcx
 
+# phase increment per seeded rotated panel; GL-15 resolves this to ~1e-12
+_PHASE_BUDGET = 18.0
+# quadratic phase per seeded real-line panel; GK-21 and its G-10 estimate
+# are both converged there, so refinement stays rare
+_REAL_PHASE_BUDGET = 12.0
+# cap on the integrand nodes of one batch of panel sums; keeps the kernel
+# temporaries of a long real-line comparator small
+_BATCH_NODES = 250_000
+
+
+# QUADPACK qk21 (Piessens et al., 1983): Kronrod abscissae on [0, 1] in
+# decreasing order, entries 1, 3, ..., 9 being the 10-point Gauss abscissae,
+# with their 21-point weights and the 10-point Gauss weights
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208814505298, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+
+
+@dataclass(frozen=True)
+class _PanelRule:
+    """A panel rule on [-1, 1] with an embedded error estimate.
+
+    The value uses the first len(weights) nodes, the estimate the last
+    len(embedded) nodes.  With ``power_law`` the raw difference d of the
+    two sums is mapped through  s * min(1, (50 d / s)^{3/2})  (s the
+    absolute sum of the value rule), which estimates the error of the
+    higher-order rule instead of the lower one.
+    """
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    embedded: np.ndarray
+    power_law: bool = False
+
+
 _X15, _W15 = leggauss(15)
 _X7, _W7 = leggauss(7)
-
-# phase increment per seeded panel; GL-15 resolves this to ~1e-12
-_PHASE_BUDGET = 18.0
+# rotated route: GL-15 value, separate GL-7 estimate (22 nodes)
+_GL15_GL7 = _PanelRule(nodes=np.concatenate([_X15, _X7]), weights=_W15, embedded=_W7)
+# real-line comparators: K-21 value, G-10 estimate on the same 21 nodes
+# (the 11 Kronrod-only nodes first, then the Gauss nodes in ascending order)
+_GK21 = _PanelRule(
+    nodes=np.concatenate([
+        -_XGK[0::2], _XGK[-3::-2], -_XGK[1::2], _XGK[-2::-2]
+    ]),
+    weights=np.concatenate([
+        _WGK[0::2], _WGK[-3::-2], _WGK[1::2], _WGK[-2::-2]
+    ]),
+    embedded=np.concatenate([_WG, _WG[::-1]]),
+    power_law=True,
+)
 
 
 @dataclass(frozen=True)
@@ -184,47 +251,46 @@ def _eval_signal(f, z):
     return np.asarray(getattr(f, "eval", f)(z), dtype=complex)
 
 
-def _panel_sums(g, lows, highs, rescale, chunk=100_000):
-    """Batched 15-point sums with embedded 7-point error estimates.
+def _panel_sums(g, lows, highs, rule):
+    """Batched panel values of ``rule`` with per-panel error estimates.
 
-    With ``rescale`` the raw pair difference is mapped through the
-    production-style power law  s * min(1, (50 d / s)^{3/2})  (s the
-    absolute Gauss sum), which estimates the error of the higher-order
-    rule instead of the lower one; used by the long real-line
-    comparators where the raw difference over-refines by orders of
-    magnitude.
+    The rotated route passes GL-15 with its GL-7 estimate (the raw
+    difference), the real-line comparators K-21 with its embedded G-10
+    estimate mapped through the power law.  Each integrand call gets whole
+    panels and at most ``_BATCH_NODES`` nodes, so a rotated call (at most
+    4000 panels of 22 nodes) is never split.
     """
+    m = len(rule.nodes)
+    n_hi, n_emb = len(rule.weights), len(rule.embedded)
+    chunk = max(1, _BATCH_NODES // m)
     n = len(lows)
-    i15 = np.empty(n, dtype=complex)
+    vals = np.empty(n, dtype=complex)
     err = np.empty(n)
     for s in range(0, n, chunk):
         lo = lows[s : s + chunk]
         hi = highs[s : s + chunk]
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
-        x15 = mid[:, None] + half[:, None] * _X15[None, :]
-        x7 = mid[:, None] + half[:, None] * _X7[None, :]
-        n15 = x15.size
-        vals = g(np.concatenate([x15.ravel(), x7.ravel()]))
-        f15 = vals[:n15].reshape(x15.shape)
-        f7 = vals[n15:].reshape(x7.shape)
-        v = (f15 * _W15).sum(axis=1) * half
-        d = np.abs(v - (f7 * _W7).sum(axis=1) * half)
-        if rescale:
-            sabs = (np.abs(f15) * _W15).sum(axis=1) * half
+        x = mid[:, None] + half[:, None] * rule.nodes[None, :]
+        f = g(x.ravel()).reshape(x.shape)
+        f_hi = f[:, :n_hi]
+        v = (f_hi * rule.weights).sum(axis=1) * half
+        d = np.abs(v - (f[:, m - n_emb :] * rule.embedded).sum(axis=1) * half)
+        if rule.power_law:
+            sabs = (np.abs(f_hi) * rule.weights).sum(axis=1) * half
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = np.where(sabs > 0.0, 50.0 * d / np.maximum(sabs, 1e-300), 0.0)
             d = np.where(
                 (sabs > 0.0) & (ratio < 1.0), sabs * ratio**1.5, d
             )
-        i15[s : s + chunk] = v
+        vals[s : s + chunk] = v
         err[s : s + chunk] = d
-    if not (np.all(np.isfinite(i15)) and np.all(np.isfinite(err))):
+    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(err))):
         raise EvaluationOverflow("quadrature integrand produced non-finite values")
-    return i15, err
+    return vals, err
 
 
-def _adaptive_panels(g, edges, tol, max_panels, rescale=False):
+def _adaptive_panels(g, edges, tol, max_panels, rule):
     """Bisect offender panels per round until the summed estimate meets tol."""
     edges = np.asarray(edges, dtype=float)
     lows, highs = edges[:-1].copy(), edges[1:].copy()
@@ -233,7 +299,7 @@ def _adaptive_panels(g, edges, tol, max_panels, rescale=False):
             f"seeding already needs {len(lows)} panels > budget {max_panels}",
             panels_used=len(lows),
         )
-    vals, errs = _panel_sums(g, lows, highs, rescale)
+    vals, errs = _panel_sums(g, lows, highs, rule)
 
     err_history = []
     for _ in range(64):
@@ -265,7 +331,7 @@ def _adaptive_panels(g, edges, tol, max_panels, rescale=False):
         mid = 0.5 * (lows[bad] + highs[bad])
         new_lo = np.concatenate([lows[bad], mid])
         new_hi = np.concatenate([mid, highs[bad]])
-        new_vals, new_errs = _panel_sums(g, new_lo, new_hi, rescale)
+        new_vals, new_errs = _panel_sums(g, new_lo, new_hi, rule)
         lows = np.concatenate([lows[~bad], new_lo])
         highs = np.concatenate([highs[~bad], new_hi])
         vals = np.concatenate([vals[~bad], new_vals])
@@ -314,29 +380,32 @@ def _seed_edges(lo, hi, cluster, sigma, phase_rate):
     return np.append(out, edges[-1])
 
 
-def _quadratic_phase_edges(lo, hi, y1, a, cluster, sigma, budget=1.6):
+def _quadratic_phase_edges(lo, hi, y1, a, cluster, sigma, max_panels):
     """Equal-phase breakpoints of a (y - y1)^2 on [lo, hi], merged with a
     geometric cluster around the regularizer center.
 
-    With ~1.6 rad of quadratic phase per panel both the 15-point value
-    and the 7-point estimate are already deep in their convergence
-    regimes, so almost no adaptive refinement is spent on the long
-    oscillatory stretches.
+    With ~12 rad of quadratic phase per panel (``_REAL_PHASE_BUDGET``)
+    both the Kronrod 21-point value and the embedded Gauss 10-point
+    estimate are already converged, so little adaptive refinement is
+    spent on the long oscillatory stretches.  Raises ``PanelExhausted``
+    before allocating anything when the seeding alone would exceed
+    ``max_panels``.
     """
     pts = []
-    k_right = a * max(hi - y1, 0.0) ** 2 / budget
-    k_left = a * max(y1 - lo, 0.0) ** 2 / budget
-    if k_right + k_left > 5e6:
+    k_right = a * max(hi - y1, 0.0) ** 2 / _REAL_PHASE_BUDGET
+    k_left = a * max(y1 - lo, 0.0) ** 2 / _REAL_PHASE_BUDGET
+    if k_right + k_left > max_panels:
         raise PanelExhausted(
-            f"equal-phase seeding would need ~{int(k_right + k_left)} panels",
+            f"equal-phase seeding would need ~{int(k_right + k_left)} panels "
+            f"> budget {max_panels}",
             panels_used=0,
         )
     if k_right >= 1.0:
         ks = np.arange(1.0, np.floor(k_right) + 1.0)
-        pts.append(y1 + np.sqrt(ks * budget / a))
+        pts.append(y1 + np.sqrt(ks * _REAL_PHASE_BUDGET / a))
     if k_left >= 1.0:
         ks = np.arange(1.0, np.floor(k_left) + 1.0)
-        pts.append(y1 - np.sqrt(ks * budget / a))
+        pts.append(y1 - np.sqrt(ks * _REAL_PHASE_BUDGET / a))
     return _cluster_edges(lo, hi, cluster, sigma, [y1], *pts)
 
 
@@ -379,7 +448,9 @@ def rotated_integral(f, plan: QuadraturePlan) -> QuadratureResult:
         return 2.0 * a * (u * cos2a + off * cos_a)
 
     edges = _seed_edges(-radius, radius, 0.0, sigma, phase_rate)
-    value, err, n_panels = _adaptive_panels(g, edges, half_tol, plan.max_panels)
+    value, err, n_panels = _adaptive_panels(
+        g, edges, half_tol, plan.max_panels, _GL15_GL7
+    )
     return QuadratureResult(
         value=rot * value,
         err_estimate=err + half_tol,
@@ -425,8 +496,8 @@ def epsilon_regularized_integral(
         )
 
     sigma = 1.0 / np.sqrt(2.0 * eps)
-    edges = _quadratic_phase_edges(window[0], window[1], y1, a, y0, sigma)
-    value, _, _ = _adaptive_panels(g, edges, tol, max_panels, rescale=True)
+    edges = _quadratic_phase_edges(window[0], window[1], y1, a, y0, sigma, max_panels)
+    value, _, _ = _adaptive_panels(g, edges, tol, max_panels, _GK21)
     return complex(value)
 
 
@@ -462,7 +533,7 @@ def truncated_integral(
 
     span = r1 + r2
     edges = _quadratic_phase_edges(
-        -r1, r2, y1, a, min(max(y1, -r1), r2), span / 8.0
+        -r1, r2, y1, a, min(max(y1, -r1), r2), span / 8.0, max_panels
     )
-    value, _, _ = _adaptive_panels(g, edges, tol, max_panels, rescale=True)
+    value, _, _ = _adaptive_panels(g, edges, tol, max_panels, _GK21)
     return complex(value)

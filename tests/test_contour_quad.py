@@ -5,6 +5,11 @@ Closed forms used as oracles:
   int_R e^{-eps y^2 + i y^2} dy           = sqrt(pi/(eps - i))
   int_R e^{i y^2 + i kappa y} dy          = sqrt(pi) e^{i pi/4} e^{-i kappa^2/4}
   int_R e^{i y^2} y^2 dy                  = (i/2) sqrt(pi) e^{i pi/4}
+  int_R e^{-eps y^2 + i a (y - y1)^2 + i kappa y} dy
+                                          = sqrt(pi/A) e^{B^2/(4A) + i a y1^2},
+                                            A = eps - i a, B = -2i a y1 + i kappa
+  int_{-r1}^{r2} e^{i a (y - y1)^2} dy    = (1/2) sqrt(pi/c) [erf(sqrt(c) (r2 - y1))
+                                            + erf(sqrt(c) (r1 + y1))],  c = -i a
 """
 
 import itertools
@@ -13,13 +18,16 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import leggauss
 
 from supershift_lab import contour_quad
 from supershift_lab.contour_quad import (
+    _GK21,
     GrowthWitness,
     QuadraturePlan,
     QuadratureResult,
     _log_gaussian_tail,
+    _quadratic_phase_edges,
     _seed_edges,
     epsilon_regularized_integral,
     rotated_integral,
@@ -29,6 +37,7 @@ from supershift_lab.contour_quad import (
 from supershift_lab.errors import PanelExhausted
 from supershift_lab.evolve import wavefunction_result
 from supershift_lab.initial_data import HolomorphicSignal, plane_wave
+from supershift_lab.special_fn import SQRT_PI, erf_complex
 
 FRESNEL = np.sqrt(np.pi) * np.exp(1j * np.pi / 4)
 
@@ -43,6 +52,18 @@ PW2 = sig(lambda z: np.exp(2j * z), 1.0, 2.0)
 PW2_IM = sig(lambda z: np.exp(2j * z), 1.0, 2.0, "imag")
 COS = sig(np.cos, 1.0, 1.0)
 COS_IM = sig(np.cos, 1.0, 1.0, "imag")
+
+
+def _free_plane_wave(kernel, t, y1, kappa):
+    """The free kernel's gtilde times e^{i kappa y}, with the comparator's
+    imag-kind witness."""
+    g0 = kernel.gtilde(t, y1, np.array([0j]))[0]
+    return sig(
+        lambda y: kernel.gtilde(t, y1, y) * np.exp(1j * kappa * np.asarray(y, dtype=complex)),
+        2.0 * abs(g0),
+        0.0,
+        "imag",
+    )
 
 
 class TestTruncationRadius:
@@ -210,6 +231,19 @@ class TestSeedEdges:
         assert r.panels_used == panels
 
 
+class TestPanelRules:
+    def test_kronrod_21_exact_to_degree_31(self):
+        for k in range(32):
+            exact = 0.0 if k % 2 else 2.0 / (k + 1)
+            assert abs((_GK21.weights * _GK21.nodes**k).sum() - exact) <= 1e-14
+
+    def test_embedded_gauss_10(self):
+        x10, w10 = leggauss(10)
+        assert len(_GK21.nodes) == len(_GK21.weights) == 21
+        assert np.allclose(_GK21.nodes[-10:], x10, rtol=0.0, atol=1e-15)
+        assert np.allclose(_GK21.embedded, w10, rtol=0.0, atol=1e-15)
+
+
 class TestRotatedIntegral:
     def test_fresnel_constant(self):
         r = rotated_integral(ONE, QuadraturePlan(a=1.0, tol=1e-12))
@@ -317,6 +351,53 @@ class TestEpsilonRegularized:
         with pytest.raises(ValueError):
             epsilon_regularized_integral(ONE, 1.0, 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "t, y1, kappa, eps, tol",
+        [
+            (0.3, 0.4, 2.0, 1e-5, 1e-5),
+            (0.3, 0.4, 2.0, 1e-5, 1e-8),
+            (0.1, -1.0, 3.0, 1e-4, 1e-9),
+            (0.05, 0.0, 2.0, 1e-4, 1e-10),
+        ],
+    )
+    def test_free_plane_wave_closed_form(self, free_kernel, t, y1, kappa, eps, tol):
+        # true error of the comparator on the free kernel times a plane wave
+        a = free_kernel.a(t)
+        g0 = free_kernel.gtilde(t, y1, np.array([0j]))[0]
+        f = _free_plane_wave(free_kernel, t, y1, kappa)
+        v = epsilon_regularized_integral(f, a, y1, 0.0, eps, tol=tol)
+        A, B = eps - 1j * a, -2j * a * y1 + 1j * kappa
+        exact = g0 * np.sqrt(np.pi / A) * np.exp(B * B / (4 * A) + 1j * a * y1 * y1)
+        assert abs(v - exact) <= tol
+
+    def test_panel_budget_applies_to_seeding(self):
+        # the caller's max_panels guards the equal-phase seeding itself,
+        # before any edge is allocated
+        with pytest.raises(PanelExhausted, match="seeding") as exc:
+            epsilon_regularized_integral(ONE_IM, 1.0, 0.0, 0.0, 1e-4, tol=1e-8, max_panels=100)
+        assert exc.value.panels_used == 0
+        # a * 10^2 / 12 rad = 1000 panels on each side of y1
+        args = (-10.0, 10.0, 0.0, 120.0, 0.0, 1.0)
+        assert len(_quadratic_phase_edges(*args, max_panels=2000)) > 2000
+        with pytest.raises(PanelExhausted, match="seeding"):
+            _quadratic_phase_edges(*args, max_panels=1999)
+
+    def test_crossrep_cost(self, free_kernel):
+        # the free case of the cross-representation check: node count and
+        # largest integrand batch (41.5 M nodes in 2.2 M-node batches with
+        # GL-15/GL-7 panels of 1.6 rad)
+        t, x = 0.3, 0.4
+        f = _free_plane_wave(free_kernel, t, x, 2.0)
+        sizes = []
+        counted = HolomorphicSignal(
+            eval=lambda y: sizes.append(np.size(y)) or f.eval(y),
+            growth=f.growth,
+            label=f.label,
+        )
+        epsilon_regularized_integral(counted, free_kernel.a(t), x, 0.0, 1e-5, tol=1e-5)
+        assert sum(sizes) <= 8_000_000
+        assert max(sizes) <= 260_000
+
 
 class TestTruncatedIntegral:
     def test_empty_interval(self):
@@ -355,6 +436,20 @@ class TestTruncatedIntegral:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             truncated_integral(ONE_IM, 1.0, 0.0, 3.0, 3.0, tol=1e-9)
+
+    @pytest.mark.parametrize(
+        "a, y1, r1, r2, tol",
+        [
+            (1.0, 0.0, 40.0, 40.0, 1e-10),
+            (2.5, 0.7, 5.0, 30.0, 1e-11),
+            (1.0 / 1.2, 0.4, 20.0, 10.0, 1e-12),
+            (5.0, -1.0, 0.5, 60.0, 1e-9),
+        ],
+    )
+    def test_constant_closed_form(self, a, y1, r1, r2, tol):
+        c = np.sqrt(-1j * a)
+        exact = 0.5 * SQRT_PI / c * (erf_complex(c * (r2 - y1)) + erf_complex(c * (r1 + y1)))
+        assert abs(truncated_integral(ONE_IM, a, y1, r1, r2, tol=tol) - exact) <= tol
 
 
 class TestWitnessValidation:

@@ -5,9 +5,12 @@ shows directly in the benchmark's ``setup_s`` and ``peak_rss_mb``; this
 test pins that no kernel build pulls in such a subpackage.
 """
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = ("scipy.integrate", "scipy.interpolate", "scipy.sparse", "scipy.linalg")
 
 SCRIPT = """
@@ -24,8 +27,9 @@ print(" ".join(sorted(sys.modules)))
 
 
 def test_kernel_builds_skip_heavy_scipy_subpackages():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
-        [sys.executable, "-c", SCRIPT], capture_output=True, text=True, check=True
+        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
     assert "supershift_lab.greens" in out
     assert [m for m in HEAVY if m in out] == []
