@@ -287,21 +287,13 @@ def _pt_kernel(
     if angle > np.pi / 3:
         raise ValueError("sech^2-well kernels keep the sector angle <= pi/3")
     qconsts = _pt_qbound_constants(l, angle, pole_margin)
-    coef = {m: m * factorial(l - m) / (2.0 * factorial(l + m)) for m in range(1, l + 1)}
 
     def a(t):
         return 1.0 / (4.0 * t)
 
     def gtilde(t, x, z):
-        z = np.asarray(z, dtype=complex)
-        acc = np.full(z.shape, 1.0 / (2.0 * np.sqrt(np.pi * t) * ROOT_I))
-        for m in range(1, l + 1):
-            acc = acc + (
-                coef[m]
-                * assoc_legendre_tanh(l, m, x, pole_margin=pole_margin)
-                * pt_weighted_term(l, m, t, x, z, pole_margin=pole_margin)
-            )
-        return acc
+        free = 1.0 / (2.0 * np.sqrt(np.pi * t) * ROOT_I)
+        return free + np.asarray(pt_weighted_term(l, t, x, z, pole_margin=pole_margin))
 
     def growth(t, x):
         a0 = 1.0 / (2.0 * np.sqrt(np.pi * t))

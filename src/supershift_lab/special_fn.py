@@ -24,6 +24,8 @@ ROOT_I = complex(np.cos(np.pi / 4), np.sin(np.pi / 4))  # principal sqrt(i)
 
 # log of the largest double; exponents beyond this overflow
 _EXP_LIMIT = 709.0
+# a term below e^{-42} ~ 6e-19 of another is under half an ulp of their sum
+_DROP_NATS = 42.0
 
 
 def _finite(out, what: str):
@@ -102,44 +104,83 @@ def pt_kernel_term_derivatives(t, z):
     return dz, dt
 
 
-def pt_weighted_term(l: int, m: int, t: float, x: float, z, *, pole_margin: float = 0.1):
-    """Overflow-free product  Q_l^m(z) * R(m^2 t, m(z - x)).
+def pt_weighted_term(l: int, t: float, x: float, z, *, pole_margin: float = 0.1):
+    """Bound-state sum of the sech^2-well kernel, all orders in one pass:
 
-    R alone grows like e^{m |Re(z-x)|} and overflows doubles on wide
-    integration windows, while the Legendre factor decays like
-    e^{-m |Re z|}; combining the exponents keeps the product, which is
-    bounded by ~e^{m |x|} / |z|, representable everywhere.  Uses the
-    evenness of the kernel term and the expansion
-    sech^m(z) = 2^m e^{-m s z} (1 + e^{-2 s z})^{-m} on the decaying side
-    s = sign(Re z).
+        sum_{m=1}^{l} c_m Q_l^m(x) Q_l^m(z) R(m^2 t, m(z - x)),
+        c_m = m (l-m)! / (2 (l+m)!),
+
+    with Q_l^m = assoc_legendre_tanh and R = pt_kernel_term; the orders
+    run along a leading axis.  R alone grows like e^{m |Re(z-x)|} and
+    overflows doubles on wide integration windows, while Q_l^m(z) decays
+    like e^{-m |Re z|}; combining the exponents keeps each product, which
+    is bounded by ~e^{m |x|} / |z|, representable everywhere.  Uses the
+    evenness of R and sech^m(z) = e^{-m zeta z} (2 / (1 + e^{-2 zeta z}))^m
+    on the decaying side zeta = sign(Re z); tanh z comes from the same
+    e^{-2 zeta z}.
+
+    With w = m(z - x) taken on the side Re w >= 0, s = m sqrt(it) and
+    u = w / (2s), order m contributes its polynomial factor times
+    e^{e1} erfcx(u - s) - e^{e2} erfcx(u + s), where e1 = w - m zeta z and
+    e2 = -w - m zeta z.  The reflected term e^{e2} erfcx(u + s) is
+    evaluated only where it can change the result.  Where Re(u + s) >= 0,
+    |erfcx(u + s)| <= 1 (the Faddeeva function is bounded by 1 on the
+    closed upper half-plane), so wherever also
+    Re e2 < Re e1 + log|erfcx(u - s)| - 42 the term is below e^{-42} of
+    the kept one: under half an ulp.
     """
     if t <= 0:
         raise ValueError("pt_weighted_term requires t > 0")
     z = np.asarray(z, dtype=complex)
-    if np.any(pole_set_distance(z) <= pole_margin):
+    shape = z.shape
+    z = z.reshape(-1)
+    # the pole distance is at least |Re z|: only nodes inside that band can fail
+    near = np.abs(z.real) <= pole_margin
+    if pole_set_distance(x) <= pole_margin or (
+        near.any() and np.any(pole_set_distance(z[near]) <= pole_margin)
+    ):
         raise DomainMarginError(
             f"argument within margin {pole_margin} of a cosh zero"
         )
-    # canonical side for the kernel term (evenness) and the sech expansion
-    eta = np.where((z - x).real >= 0.0, 1.0, -1.0)
-    zeta = np.where(z.real >= 0.0, 1.0, -1.0)
-    w = m * eta * (z - x)
+    coeffs, weights = _pt_orders(l)
+    m = np.arange(1.0, l + 1.0)[:, None]
+    # c_m Q_l^m(x) without the Condon-Shortley sign, which cancels against
+    # the one of Q_l^m(z); folded into the tanh-polynomial coefficients
+    qx = polyval(np.tanh(x), coeffs.T) * np.cosh(x) ** -m[:, 0]
+    # canonical sides, flipped in place: d = +-(z - x) with Re d >= 0 (R is
+    # even) and az = zeta z
+    d = z - x
+    np.negative(d, out=d, where=d.real < 0.0)
+    left = z.real < 0.0
+    az = np.negative(z, out=z.copy(), where=left)
+    q = np.exp(-2.0 * az)
+    sech_rest = 2.0 / (1.0 + q)
+    tanh_z = (1.0 - q) * (0.5 * sech_rest)
+    np.negative(tanh_z, out=tanh_z, where=left)
+    poly = polyval(tanh_z, (coeffs * (weights * qx)[:, None]).T)
+    w = m * d
     s = m * (np.sqrt(t) * ROOT_I)
     u = w / (2.0 * s)
     lam1 = erfcx(u - s)
-    lam2 = erfcx(u + s)
-    e1 = w - m * zeta * z
-    e2 = -w - m * zeta * z
+    maz = m * az
+    e1 = w - maz
     if np.any(e1.real > _EXP_LIMIT):
         raise EvaluationOverflow("pt_weighted_term: residual exponent overflows")
-    acc = polyval(np.tanh(z), _legendre_deriv_coeffs(l, m))
-    sech_rest = (2.0 / (1.0 + np.exp(-2.0 * zeta * z))) ** m
-    res = (
-        (-1.0) ** m
-        * acc
-        * sech_rest
-        * (np.exp(e1) * lam1 - np.exp(np.maximum(e2.real, -745.0) + 1j * e2.imag) * lam2)
-    )
+    terms = np.exp(e1) * lam1
+    # Re e2 - Re e1 = -2 Re w; the negated comparison keeps log 0 = -inf
+    with np.errstate(divide="ignore"):
+        log_lam1 = np.log(np.abs(lam1))
+    keep = (u.real + s.real < 0.0) | ~(log_lam1 + 2.0 * w.real > _DROP_NATS)
+    if keep.any():
+        e2 = -w[keep] - maz[keep]
+        lam2 = erfcx(u[keep] + np.broadcast_to(s, keep.shape)[keep])
+        terms[keep] -= np.exp(np.maximum(e2.real, -745.0) + 1j * e2.imag) * lam2
+    # sum over orders of acc_m sech_rest^m, by Horner in sech_rest
+    acc = poly * terms
+    res = acc[-1]
+    for k in range(l - 2, -1, -1):
+        res = acc[k] + sech_rest * res
+    res = (sech_rest * res).reshape(shape)
     return complex(res) if res.ndim == 0 else res
 
 
@@ -169,6 +210,23 @@ def _legendre_deriv_coeffs(l: int, m: int) -> tuple[float, ...]:
         if not coeffs:
             coeffs = [Fraction(0)]
     return tuple(float(c) for c in coeffs)
+
+
+@lru_cache(maxsize=None)
+def _pt_orders(l: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-order tables for pt_weighted_term, orders m = 1..l along axis 0.
+
+    Row m-1 of the first array holds the ascending coefficients of the
+    m-th derivative of the Legendre polynomial P_l, zero padded to degree
+    l - 1; the second holds c_m = m (l-m)! / (2 (l+m)!).
+    """
+    coeffs = np.zeros((l, l))
+    for m in range(1, l + 1):
+        row = _legendre_deriv_coeffs(l, m)
+        coeffs[m - 1, : len(row)] = row
+    weights = np.array([m * factorial(l - m) / (2.0 * factorial(l + m)) for m in range(1, l + 1)])
+    coeffs.flags.writeable = weights.flags.writeable = False
+    return coeffs, weights
 
 
 def pole_set_distance(z):

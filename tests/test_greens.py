@@ -11,7 +11,13 @@ import json
 import numpy as np
 import pytest
 
-from supershift_lab.contour_quad import GrowthWitness, QuadraturePlan, rotated_integral
+from supershift_lab import greens, special_fn
+from supershift_lab.contour_quad import (
+    GrowthWitness,
+    QuadraturePlan,
+    epsilon_regularized_integral,
+    rotated_integral,
+)
 from supershift_lab.errors import HorizonExceeded
 from supershift_lab.greens import (
     Electric,
@@ -168,6 +174,46 @@ class TestPoschlTellerKernel:
         assert "has the pole set 0.175 inside its swept sector" in str(exc.value)
         with pytest.raises(DomainMarginError, match="comes within 0.074 of the pole set"):
             pt1_kernel.check_contour(3.6)
+
+
+class TestPtKernelCost:
+    """Work counts of the Pöschl–Teller kernel, no timing."""
+
+    def test_comparator_erfcx_points_per_node(self, pt1_kernel, monkeypatch):
+        # the eps-regularized comparator point of the cross-representation
+        # test: almost every node drops its reflected erfcx term
+        kappa, t, x = 2.0, 0.3, 0.4
+        points, nodes = [], []
+        erfcx = special_fn.erfcx
+        monkeypatch.setattr(special_fn, "erfcx", lambda z: points.append(np.size(z)) or erfcx(z))
+
+        def integrand(y):
+            y = np.asarray(y, dtype=complex)
+            nodes.append(y.size)
+            return pt1_kernel.gtilde(t, x, y) * np.exp(1j * kappa * y)
+
+        a0, _ = pt1_kernel.growth_imag(t, x)
+        f = HolomorphicSignal(integrand, GrowthWitness(a0 * 2.0, 0.0, "imag"), "greens*planewave")
+        epsilon_regularized_integral(f, pt1_kernel.a(t), x, 0.0, 1e-5, tol=1e-5)
+        assert sum(nodes) > 1_000_000
+        assert sum(points) / sum(nodes) <= 1.2
+
+    def test_one_pass_per_gtilde_call(self, pt2_kernel, monkeypatch):
+        calls = {"pt": 0, "legendre": 0}
+        pt_term, legendre = greens.pt_weighted_term, greens.assoc_legendre_tanh
+
+        def count(key, fn):
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(greens, "pt_weighted_term", count("pt", pt_term))
+        monkeypatch.setattr(greens, "assoc_legendre_tanh", count("legendre", legendre))
+        z = 0.4 + np.linspace(-14.0, 14.0, 66) * np.exp(1j * np.pi / 8)
+        pt2_kernel.gtilde(0.3, 0.4, z)
+        assert calls == {"pt": 1, "legendre": 0}
 
 
 class TestPdeResidualAllPotentials:

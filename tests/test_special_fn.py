@@ -4,10 +4,15 @@ Frozen reference values were produced with mpmath at 60 significant
 digits (see oracle helpers below); the library path never touches mpmath.
 """
 
+from math import factorial
+
 import mpmath as mp
 import numpy as np
 import pytest
+from numpy.polynomial import legendre as L
+from numpy.polynomial import polynomial as P
 
+from supershift_lab import special_fn
 from supershift_lab.errors import DomainMarginError, EvaluationOverflow
 from supershift_lab.special_fn import (
     assoc_legendre_tanh,
@@ -17,6 +22,7 @@ from supershift_lab.special_fn import (
     pole_set_distance,
     pt_kernel_term,
     pt_kernel_term_derivatives,
+    pt_weighted_term,
 )
 
 # mpmath 60-digit values, rounded to double
@@ -31,16 +37,55 @@ R_05_1 = 0.8427007929497149 + 1.6504257587975429j
 def _oracle_r(t, z, dps=None):
     """mpmath transcription of the defining two-term expression.
 
-    Working precision scales with |z|^2/(4t) because the two terms cancel
-    to that exponential order off the right half-plane.
+    With s = sqrt(it), each term grows like e^{Re((z/(2s))^2)} =
+    e^{Im(z^2)/(4t)}, times e^{-+Re z} from the shifted arguments, which the
+    e^{+-z} factors undo; off the right half-plane the two terms cancel to
+    that order.  The working precision covers those nats plus |Re z|, with
+    50 guard digits.
     """
-    dps = dps or max(50, int(0.46 * abs(complex(z)) ** 2 / (4 * t)) + 50)
+    z = complex(z)
+    nats = abs((z * z).imag) / (4 * t) + abs(z.real)
+    dps = dps or max(50, int(nats / np.log(10)) + 50)
     with mp.workdps(dps):
         zz = mp.mpc(z)
         s = mp.sqrt(t) * mp.expjpi(mp.mpf(1) / 4)
         lam = lambda w: mp.exp(w * w) * mp.erfc(w)
         val = mp.exp(zz) * lam(zz / (2 * s) - s) - mp.exp(-zz) * lam(zz / (2 * s) + s)
         return complex(val)
+
+
+def _pt_coef(l, m):
+    return m * factorial(l - m) / (2.0 * factorial(l + m))
+
+
+def _pt_sum_direct(l, t, x, z):
+    """sum_m c_m Q_l^m(x) Q_l^m(z) R(m^2 t, m(z - x)) from the per-order factors."""
+    return sum(
+        _pt_coef(l, m)
+        * assoc_legendre_tanh(l, m, x)
+        * assoc_legendre_tanh(l, m, z)
+        * pt_kernel_term(m * m * t, m * (z - x))
+        for m in range(1, l + 1)
+    )
+
+
+def _pt_sum_oracle(l, t, x, z, dps=30):
+    """The same sum at mpmath precision, where e^{m |z|} needs no double range."""
+    with mp.workdps(dps):
+        x, z = mp.mpf(x), mp.mpc(z)
+        s = mp.sqrt(t) * mp.expjpi(mp.mpf(1) / 4)
+        lam = lambda w: mp.exp(w * w) * mp.erfc(w)
+
+        def q(m, w):
+            deriv = P.polyder(L.leg2poly([0] * l + [1]), m)
+            return (-1) ** m * mp.sech(w) ** m * mp.polyval(deriv[::-1].tolist(), mp.tanh(w))
+
+        acc = 0
+        for m in range(1, l + 1):
+            w = m * (z - x)
+            r = mp.exp(w) * lam(w / (2 * m * s) - m * s) - mp.exp(-w) * lam(w / (2 * m * s) + m * s)
+            acc += _pt_coef(l, m) * q(m, x) * q(m, z) * r
+        return complex(acc)
 
 
 class TestErf:
@@ -203,20 +248,80 @@ class TestPtKernelTerm:
             pt_kernel_term(0.5, 800.0)
 
     def test_weighted_product_matches_direct_and_stays_finite(self, rng):
-        from supershift_lab.special_fn import pt_weighted_term
-
-        for _ in range(15):
-            l = int(rng.integers(1, 3))
-            m = int(rng.integers(1, l + 1))
+        # the one-pass sum over all orders against the per-order factors
+        ray = np.exp(1j * np.pi / 8)
+        for l in (1, 2, 3, 4) * 6:
             t = rng.uniform(0.1, 1.0)
             x = rng.uniform(-2, 2)
-            z = rng.uniform(-3, 3) + 1j * rng.uniform(-1, 1)
-            direct = assoc_legendre_tanh(l, m, z) * pt_kernel_term(m * m * t, m * (z - x))
-            scaled = pt_weighted_term(l, m, t, x, z)
-            assert abs(scaled - direct) <= 1e-12 * max(1.0, abs(direct))
-        # far out the product must stay finite although R alone overflows
-        v = pt_weighted_term(1, 1, 0.3, 0.4, 1900.0)
+            r = rng.uniform(-40, 40, 6)
+            # direct factors stay in double range while m |Re z| < ~700
+            z = np.concatenate([
+                rng.uniform(-3, 3, 6) + 1j * rng.uniform(-1, 1, 6),
+                x + r * ray,
+                x + r * np.conj(ray),
+                rng.uniform(-600 / l, 600 / l, 6) + 0j,
+            ])
+            direct = np.array([_pt_sum_direct(l, t, x, zz) for zz in z])
+            scaled = pt_weighted_term(l, t, x, z)
+            assert np.all(np.abs(scaled - direct) <= 1e-12 * np.maximum(1.0, np.abs(direct)))
+            far = np.array([1900.0, -1900.0, x + 1900.0 * ray, x - 1900.0 * np.conj(ray)])
+            oracle = np.array([_pt_sum_oracle(l, t, x, zz) for zz in far])
+            scaled = pt_weighted_term(l, t, x, far)
+            assert np.all(np.abs(scaled - oracle) <= 1e-12 * np.maximum(1.0, np.abs(oracle)))
+        # far out the sum must stay finite although R alone overflows
+        v = pt_weighted_term(1, 0.3, 0.4, 1900.0)
         assert np.isfinite(v) and abs(v) < 1.0
+
+    def test_scalar_and_array_shapes(self):
+        z = np.array([[0.5 + 0.2j, -3.0], [40.0, 2.0 - 0.7j]])
+        out = pt_weighted_term(2, 0.3, 0.4, z)
+        assert out.shape == (2, 2)
+        assert type(pt_weighted_term(2, 0.3, 0.4, z[1, 1])) is complex
+        assert pt_weighted_term(2, 0.3, 0.4, z[1, 1]) == out[1, 1]
+
+    def test_pole_margin_checked_where_it_can_fail(self):
+        far = np.linspace(-30.0, 30.0, 61) + 0.5j
+        with pytest.raises(DomainMarginError):
+            pt_weighted_term(2, 0.3, 0.4, np.append(far, 0.05 + 1j * np.pi / 2))
+        with pytest.raises(DomainMarginError):
+            pt_weighted_term(2, 0.3, 0.4, -0.08 + 1j * (np.pi / 2 + 0.02))
+        # |Re z| > margin: the pole distance already exceeds the margin
+        pt_weighted_term(2, 0.3, 0.4, np.array([0.11 + 1j * np.pi / 2, 0.05 + 0.3j]))
+        # x is checked too: Q_l^m(x) has the same poles
+        with pytest.raises(DomainMarginError):
+            pt_weighted_term(1, 0.3, 0.4, 5.0, pole_margin=2.0)
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    def test_dropped_reflected_term_is_below_rounding(self, l, rng, monkeypatch):
+        # the same pass with every reflected term evaluated, against the
+        # default pass that drops it where it is below e^{-42} of the kept one
+        t = rng.uniform(0.05, 1.5)
+        x = rng.uniform(-2, 2)
+        r = rng.uniform(-100, 100, 400)
+        ray = np.exp(1j * np.pi / 8)
+        z = np.concatenate([r + 0j, x + r * ray, x + r * np.conj(ray)])
+        points = []
+        erfcx = special_fn.erfcx
+        monkeypatch.setattr(special_fn, "erfcx", lambda w: points.append(np.size(w)) or erfcx(w))
+        fast = pt_weighted_term(l, t, x, z)
+        n_fast = sum(points)
+        points.clear()
+        monkeypatch.setattr(special_fn, "_DROP_NATS", np.inf)
+        full = pt_weighted_term(l, t, x, z)
+        assert n_fast < sum(points) == 2 * l * z.size
+        s = np.sqrt(t) * np.exp(1j * np.pi / 4)
+        kept = 0.0
+        for m in range(1, l + 1):
+            w = m * (z - x)
+            w = np.where(w.real >= 0.0, w, -w)
+            kept = kept + np.abs(
+                _pt_coef(l, m)
+                * assoc_legendre_tanh(l, m, x)
+                * assoc_legendre_tanh(l, m, z)
+                * np.exp(w)
+                * erfcx(w / (2 * m * s) - m * s)
+            )
+        assert np.all(np.abs(fast - full) <= 4 * np.finfo(float).eps * kept)
 
 
 class TestLegendreFactors:
