@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-import mpmath as mp
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
@@ -330,6 +329,8 @@ def supershift_combination_direct(
     while n log(k) stays small.  Cross-checks the product form that
     ``supershift_experiment`` integrates.
     """
+    import mpmath as mp  # imported here: only this oracle path needs it
+
     coeffs = superosc_coefficients(n, kappa)
     vals = [
         wavefunction(kernel, plane_wave(1.0 - 2.0 * l / n), t, x, tol)

@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import mpmath as mp
 import numpy as np
 
 from .contour_quad import GrowthWitness
@@ -104,17 +103,15 @@ def _coeff_dps(n: int, k: complex, extra: int = 35) -> int:
     return dps
 
 
-def _to_mp(k: complex):
-    k = complex(k)
-    return mp.mpf(k.real) if k.imag == 0.0 else mp.mpc(k.real, k.imag)
-
-
 def superosc_coefficients(n: int, k: complex) -> list:
     """Extended-precision coefficients C_l; their plain sum is exactly 1."""
+    import mpmath as mp  # imported here: only the oracle paths need it
+
     if n < 1:
         raise ValueError("order n must be >= 1")
-    with mp.workdps(_coeff_dps(n, complex(k))):
-        km = _to_mp(k)
+    k = complex(k)
+    with mp.workdps(_coeff_dps(n, k)):
+        km = mp.mpf(k.real) if k.imag == 0.0 else mp.mpc(k.real, k.imag)
         p = (1 + km) / 2
         q = (1 - km) / 2
         return [mp.binomial(n, l) * p ** (n - l) * q**l for l in range(n + 1)]
@@ -135,6 +132,8 @@ def superosc_value(
     is checked after summation and bumps the precision if the first pass
     was too coarse.
     """
+    import mpmath as mp
+
     z = complex(z)
     dps = _coeff_dps(n, complex(k)) + int(0.44 * abs(z.imag)) + 10
     for attempt in range(3):

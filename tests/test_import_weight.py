@@ -1,8 +1,12 @@
-"""Import-weight guard: the library loads only the scipy parts it uses.
+"""Import-weight guard: the library's runtime path loads no scipy and no mpmath.
 
-Importing ``scipy.integrate`` alone costs 0.2-0.4 s and ~26 MB, which
-shows directly in the benchmark's ``setup_s`` and ``peak_rss_mb``; this
-test pins that no kernel build pulls in such a subpackage.
+Importing ``scipy.special`` costs 0.3-0.4 s and ~25 MB, ``scipy.integrate``
+0.2-0.4 s and ~26 MB, and ``mpmath`` ~35 ms; each shows directly in the
+benchmark's ``setup_s`` and ``peak_rss_mb`` and in every CLI run.  This
+test pins that the import, the four kernel builds, one grid point per
+kernel and one real-line comparator call load none of them: scipy stays
+a lazy import of the CLI's ``table`` spline, and mpmath of the
+extended-precision oracles.
 """
 
 import os
@@ -16,20 +20,35 @@ HEAVY = ("scipy.integrate", "scipy.interpolate", "scipy.sparse", "scipy.linalg")
 SCRIPT = """
 import sys
 import supershift_lab
+from supershift_lab.contour_quad import epsilon_regularized_integral
+from supershift_lab.evolve import wavefield
 from supershift_lab.greens import Electric, Free, Harmonic, PoschlTeller, make_kernel
+from supershift_lab.initial_data import constant_signal, plane_wave
 
-make_kernel(Free())
-make_kernel(Electric(lambda t: 1.0, "const:1"), t_max=2.0)
-make_kernel(Harmonic(lambda t: 1.0, "omega=1"), t_max=1.7)
-make_kernel(PoschlTeller(2))
+kernels = [
+    make_kernel(Free()),
+    make_kernel(Electric(lambda t: 1.0, "const:1"), t_max=2.0),
+    make_kernel(Harmonic(lambda t: 1.0, "omega=1"), t_max=1.7),
+    make_kernel(PoschlTeller(2)),
+]
+for kernel in kernels:
+    field = wavefield(kernel, plane_wave(2.0), [0.3], [0.4], tol=1e-8)
+    assert not field.failures, field.failures
+epsilon_regularized_integral(constant_signal(), 1.0, 0.0, eps=1e-3, tol=1e-8)
 print(" ".join(sorted(sys.modules)))
 """
 
 
-def test_kernel_builds_skip_heavy_scipy_subpackages():
+def _loaded_modules():
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, check=True
     ).stdout.split()
+
+
+def test_kernel_builds_skip_heavy_scipy_subpackages():
+    out = _loaded_modules()
     assert "supershift_lab.greens" in out
     assert [m for m in HEAVY if m in out] == []
+    assert [m for m in out if m == "scipy" or m.startswith("scipy.")] == []
+    assert [m for m in out if m == "mpmath" or m.startswith("mpmath.")] == []

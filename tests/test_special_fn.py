@@ -171,6 +171,51 @@ class TestErfcx:
         with pytest.raises(EvaluationOverflow):
             erfcx(-26.7)
 
+    @staticmethod
+    def _sweep():
+        # log-spaced moduli and angles across the closed right half-plane
+        mag = np.geomspace(1e-3, 1e6, 37)
+        ang = np.linspace(-np.pi / 2, np.pi / 2, 19)
+        return (mag[:, None] * np.exp(1j * ang)).ravel()
+
+    @staticmethod
+    def _oracle(z):
+        with mp.workdps(40):
+            w = mp.mpc(z)
+            return complex(mp.exp(w * w) * mp.erfc(w))
+
+    def test_accuracy_sweep_right_half_plane(self):
+        z = self._sweep()
+        ref = np.array([self._oracle(zz) for zz in z])
+        assert np.max(np.abs(erfcx(z) - ref) / np.abs(ref)) <= 1e-14
+
+    def test_accuracy_sweep_left_half_plane(self):
+        # where the reflection term 2 e^{z^2} dominates, erfcx has condition
+        # number ~2|z|^2, so a double z carries |z|^2 eps of error in the
+        # phase of e^{z^2} alone: the sweep keeps the points where that is
+        # below the tolerance (|z|^2 < 700) or where the term is negligible
+        z = -self._sweep()
+        z2 = z * z
+        z = z[(z2.real < 700) & ((np.abs(z2) < 700) | (z2.real < -40))]
+        assert z.size > 400
+        ref = np.array([self._oracle(zz) for zz in z])
+        assert np.max(np.abs(erfcx(z) - ref) / np.abs(ref)) <= 1e-13
+
+    def test_real_scalar_path_accuracy(self):
+        # a real scalar below 26 takes e^{x^2} erfc(x) from the math module
+        x = np.concatenate([np.linspace(-26.6, 25.99, 401), np.geomspace(1e-8, 25.9, 60)])
+        ref = np.array([self._oracle(v).real for v in x])
+        got = np.array([erfcx(float(v)) for v in x])
+        assert np.all(got.imag == 0.0)
+        assert np.max(np.abs(got.real - ref) / ref) <= 1e-15
+
+    def test_blocks_match_scalar_calls(self, rng):
+        # an element must not depend on the length of the array it came in
+        n = special_fn._BLOCK + 37
+        z = rng.uniform(-6, 6, n) + 1j * rng.uniform(-6, 6, n)
+        out = erfcx(z)
+        assert np.array_equal(out, [erfcx(complex(zz)) for zz in z])
+
     @pytest.mark.parametrize("fn", [erfcx, erf_complex])
     def test_scalar_and_array_shapes(self, fn):
         for z in (0.5, 0.5 - 1j, np.float64(0.5), np.array(0.5 + 1j)):
@@ -271,6 +316,17 @@ class TestPtKernelTerm:
         # far out the sum must stay finite although R alone overflows
         v = pt_weighted_term(1, 0.3, 0.4, 1900.0)
         assert np.isfinite(v) and abs(v) < 1.0
+
+    def test_far_residual_exponent_against_oracle(self):
+        # e1 = w - m zeta z is a difference of two numbers of size m |z|;
+        # at |z| = 1900 forming it by subtraction costs ~eps m |z| relative
+        ray = np.exp(1j * np.pi / 8)
+        for t, x in ((1.0, -1.7), (1.5, 1.9)):
+            far = np.array([1900.0, -1900.0, x + 1900.0 * ray, x - 1900.0 * np.conj(ray)])
+            for l in (1, 2, 3, 4):
+                oracle = np.array([_pt_sum_oracle(l, t, x, zz) for zz in far])
+                got = pt_weighted_term(l, t, x, far)
+                assert np.all(np.abs(got - oracle) <= 1e-14 * np.maximum(1.0, np.abs(oracle)))
 
     def test_scalar_and_array_shapes(self):
         z = np.array([[0.5 + 0.2j, -3.0], [40.0, 2.0 - 0.7j]])
