@@ -11,9 +11,9 @@ The rotated route is the workhorse: the quadratic phase becomes a genuine
 Gaussian there, so a certified truncation radius exists for any growth
 witness, and 15-point Gauss-Legendre panels with a 7-point Gauss-Legendre
 estimate converge quickly.  The two real-line comparators integrate long
-oscillatory stretches instead; they use the Gauss-Kronrod 10/21 pair, whose
-21 nodes carry both the value and the embedded 10-point estimate, on panels
-spanning ~12 rad of quadratic phase.
+oscillatory stretches instead; they use the Gauss-Kronrod 30/61 pair, whose
+61 nodes carry both the value and the embedded 30-point estimate, on panels
+spanning ~64 rad of quadratic phase.
 """
 
 from __future__ import annotations
@@ -29,37 +29,65 @@ from .special_fn import SQRT_PI, erfcx
 
 # phase increment per seeded rotated panel; GL-15 resolves this to ~1e-12
 _PHASE_BUDGET = 18.0
-# quadratic phase per seeded real-line panel; GK-21 and its G-10 estimate
-# are both converged there, so refinement stays rare
-_REAL_PHASE_BUDGET = 12.0
+# quadratic phase per seeded real-line panel; K-61 and its G-30 estimate
+# are both converged there, so refinement stays rare (from 68 rad on, most
+# comparator calls at tol <= 1e-8 refine past 1.1x the seeded nodes)
+_REAL_PHASE_BUDGET = 64.0
 # cap on the integrand nodes of one batch of panel sums; keeps the kernel
 # temporaries of a long real-line comparator small
 _BATCH_NODES = 250_000
 
 
-# QUADPACK qk21 (Piessens et al., 1983): Kronrod abscissae on [0, 1] in
-# decreasing order, entries 1, 3, ..., 9 being the 10-point Gauss abscissae,
-# with their 21-point weights and the 10-point Gauss weights
+# Kronrod 61 / Gauss 30 in the layout of QUADPACK qk61 (Piessens et al.,
+# 1983): Kronrod abscissae on [0, 1] in decreasing order, entries 1, 3, ...,
+# 29 being the 30-point Gauss abscissae, with their 61-point weights and the
+# 30-point Gauss weights; 33 decimals of the 60-digit construction in
+# tests/test_contour_quad.py (QUADPACK's own digits differ beyond the 32nd)
 _XGK = np.array([
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.999484410050490637571325895705809, 0.996893484074649540271630050918695,
+    0.991630996870404594858628366109489, 0.983668123279747209970032581605663,
+    0.973116322501126268374693868423703, 0.960021864968307512216871025581798,
+    0.944374444748559979415831324037443, 0.926200047429274325879324277080474,
+    0.905573307699907798546522558925954, 0.882560535792052681543116462530226,
+    0.857205233546061098958658510658948, 0.829565762382768397442898119732502,
+    0.799727835821839083013668942322679, 0.767777432104826194917977340974503,
+    0.733790062453226804726171131369533, 0.697850494793315796932292388026640,
+    0.660061064126626961370053668149265, 0.620526182989242861140477556431189,
+    0.579345235826361691756024932172547, 0.536624148142019899264169793311073,
+    0.492480467861778574993693061207702, 0.447033769538089176780609900322854,
+    0.400401254830394392535476211542667, 0.352704725530878113471037207089374,
+    0.304073202273625077372677107199251, 0.254636926167889846439805129817805,
+    0.204525116682309891438957671002029, 0.153869913608583546963794672743256,
+    0.102806937966737030147096751317998, 0.051471842555317695833025213166723,
     0.0,
 ])
 _WGK = np.array([
-    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-    0.123491976262065851077208814505298, 0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821,
+    0.001389013698677007624551591226762, 0.003890461127099884051267201844511,
+    0.006630703915931292173319826369750, 0.009273279659517763428441146892030,
+    0.011823015253496341742232898853251, 0.014369729507045804812451432443574,
+    0.016920889189053272627572289420322, 0.019414141193942381173408951050135,
+    0.021828035821609192297167485738339, 0.024191162078080601365686370725226,
+    0.026509954882333101610601709335075, 0.028754048765041292843978785354341,
+    0.030907257562387762472884252943093, 0.032981447057483726031814191016847,
+    0.034979338028060024137499670731467, 0.036882364651821229223911065617145,
+    0.038678945624727592950348651532281, 0.040374538951535959111995279752458,
+    0.041969810215164246147147541285969, 0.043452539701356069316831728117084,
+    0.044814800133162663192355551616723, 0.046059238271006988116271735559363,
+    0.047185546569299153945261478181100, 0.048185861757087129140779492298315,
+    0.049055434555029778887528165367238, 0.049795683427074206357811569379934,
+    0.050405921402782346840893085653586, 0.050881795898749606492297473049810,
+    0.051221547849258772170656282604943, 0.051426128537459025933862879215779,
+    0.051494729429451567558340433647101,
 ])
 _WG = np.array([
-    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338,
+    0.007968192496166605615465883474674, 0.018466468311090959142302131912047,
+    0.028784707883323369349719179611292, 0.038799192569627049596801936446348,
+    0.048402672830594052902938140422808, 0.057493156217619066481721689402056,
+    0.065974229882180495128128515115962, 0.073755974737705206268243850022191,
+    0.080755895229420215354694938460530, 0.086899787201082979802387530715126,
+    0.092122522237786128717632707087619, 0.096368737174644259639468626351810,
+    0.099593420586795267062780282103569, 0.101762389748405504596428952168554,
+    0.102852652893558840341285636705415,
 ])
 
 
@@ -84,9 +112,9 @@ _X15, _W15 = leggauss(15)
 _X7, _W7 = leggauss(7)
 # rotated route: GL-15 value, separate GL-7 estimate (22 nodes)
 _GL15_GL7 = _PanelRule(nodes=np.concatenate([_X15, _X7]), weights=_W15, embedded=_W7)
-# real-line comparators: K-21 value, G-10 estimate on the same 21 nodes
-# (the 11 Kronrod-only nodes first, then the Gauss nodes in ascending order)
-_GK21 = _PanelRule(
+# real-line comparators: K-61 value, G-30 estimate on the same 61 nodes
+# (the 31 Kronrod-only nodes first, then the Gauss nodes in ascending order)
+_GK61 = _PanelRule(
     nodes=np.concatenate([
         -_XGK[0::2], _XGK[-3::-2], -_XGK[1::2], _XGK[-2::-2]
     ]),
@@ -151,10 +179,19 @@ class QuadraturePlan:
 
 @dataclass(frozen=True)
 class QuadratureResult:
+    """Value of one rotated-contour evaluation and what it cost.
+
+    nodes   integrand evaluations over all panel sums
+    rounds  refinement rounds after the seeding pass; each pass is one
+            integrand call while it stays within ``_BATCH_NODES`` nodes
+    """
+
     value: complex
     err_estimate: float
     truncation_radius: float
     panels_used: int
+    nodes: int
+    rounds: int
 
 
 def _log_gaussian_tail(log_amplitude: float, c: float, b: float, radius: float) -> float:
@@ -255,7 +292,7 @@ def _panel_sums(g, lows, highs, rule):
     """Batched panel values of ``rule`` with per-panel error estimates.
 
     The rotated route passes GL-15 with its GL-7 estimate (the raw
-    difference), the real-line comparators K-21 with its embedded G-10
+    difference), the real-line comparators K-61 with its embedded G-30
     estimate mapped through the power law.  Each integrand call gets whole
     panels and at most ``_BATCH_NODES`` nodes, so a rotated call (at most
     4000 panels of 22 nodes) is never split.
@@ -291,7 +328,11 @@ def _panel_sums(g, lows, highs, rule):
 
 
 def _adaptive_panels(g, edges, tol, max_panels, rule):
-    """Bisect offender panels per round until the summed estimate meets tol."""
+    """Bisect offender panels per round until the summed estimate meets tol.
+
+    Returns (value, error estimate, panels, integrand nodes, refinement
+    rounds); every round is one ``_panel_sums`` call after the seeding one.
+    """
     edges = np.asarray(edges, dtype=float)
     lows, highs = edges[:-1].copy(), edges[1:].copy()
     if len(lows) > max_panels:
@@ -300,6 +341,7 @@ def _adaptive_panels(g, edges, tol, max_panels, rule):
             panels_used=len(lows),
         )
     vals, errs = _panel_sums(g, lows, highs, rule)
+    nodes, rounds = len(lows) * len(rule.nodes), 0
 
     err_history = []
     for _ in range(64):
@@ -332,6 +374,8 @@ def _adaptive_panels(g, edges, tol, max_panels, rule):
         new_lo = np.concatenate([lows[bad], mid])
         new_hi = np.concatenate([mid, highs[bad]])
         new_vals, new_errs = _panel_sums(g, new_lo, new_hi, rule)
+        nodes += len(new_lo) * len(rule.nodes)
+        rounds += 1
         lows = np.concatenate([lows[~bad], new_lo])
         highs = np.concatenate([highs[~bad], new_hi])
         vals = np.concatenate([vals[~bad], new_vals])
@@ -343,7 +387,7 @@ def _adaptive_panels(g, edges, tol, max_panels, rule):
             err_estimate=float(errs.sum()),
             panels_used=len(lows),
         )
-    return complex(vals.sum()), float(errs.sum()), len(lows)
+    return complex(vals.sum()), float(errs.sum()), len(lows), nodes, rounds
 
 
 def _cluster_edges(lo, hi, cluster, sigma, *extra):
@@ -384,8 +428,8 @@ def _quadratic_phase_edges(lo, hi, y1, a, cluster, sigma, max_panels):
     """Equal-phase breakpoints of a (y - y1)^2 on [lo, hi], merged with a
     geometric cluster around the regularizer center.
 
-    With ~12 rad of quadratic phase per panel (``_REAL_PHASE_BUDGET``)
-    both the Kronrod 21-point value and the embedded Gauss 10-point
+    With ~64 rad of quadratic phase per panel (``_REAL_PHASE_BUDGET``)
+    both the Kronrod 61-point value and the embedded Gauss 30-point
     estimate are already converged, so little adaptive refinement is
     spent on the long oscillatory stretches.  Raises ``PanelExhausted``
     before allocating anything when the seeding alone would exceed
@@ -448,7 +492,7 @@ def rotated_integral(f, plan: QuadraturePlan) -> QuadratureResult:
         return 2.0 * a * (u * cos2a + off * cos_a)
 
     edges = _seed_edges(-radius, radius, 0.0, sigma, phase_rate)
-    value, err, n_panels = _adaptive_panels(
+    value, err, n_panels, nodes, rounds = _adaptive_panels(
         g, edges, half_tol, plan.max_panels, _GL15_GL7
     )
     return QuadratureResult(
@@ -456,6 +500,8 @@ def rotated_integral(f, plan: QuadraturePlan) -> QuadratureResult:
         err_estimate=err + half_tol,
         truncation_radius=radius,
         panels_used=n_panels,
+        nodes=nodes,
+        rounds=rounds,
     )
 
 
@@ -497,8 +543,7 @@ def epsilon_regularized_integral(
 
     sigma = 1.0 / np.sqrt(2.0 * eps)
     edges = _quadratic_phase_edges(window[0], window[1], y1, a, y0, sigma, max_panels)
-    value, _, _ = _adaptive_panels(g, edges, tol, max_panels, _GK21)
-    return complex(value)
+    return _adaptive_panels(g, edges, tol, max_panels, _GK61)[0]
 
 
 def truncated_integral(
@@ -535,5 +580,4 @@ def truncated_integral(
     edges = _quadratic_phase_edges(
         -r1, r2, y1, a, min(max(y1, -r1), r2), span / 8.0, max_panels
     )
-    value, _, _ = _adaptive_panels(g, edges, tol, max_panels, _GK21)
-    return complex(value)
+    return _adaptive_panels(g, edges, tol, max_panels, _GK61)[0]

@@ -161,7 +161,9 @@ def erf_complex(z):
 
     Small arguments (|z| <= 0.5) use the Maclaurin series; elsewhere
     erf(z) = 1 - e^{-z^2} erfcx(z) on Re z >= 0 and the odd reflection
-    for Re z < 0, with erfcx from the same Faddeeva kernel.
+    for Re z < 0, with erfcx from the same Faddeeva kernel.  On the
+    imaginary axis erf is purely imaginary, and its real part is set to an
+    exact 0 there instead of the rounding left by 1 - e^{-z^2} erfcx(z).
 
     Raises EvaluationOverflow where |erf z| leaves the double range.
     """
@@ -186,6 +188,7 @@ def erf_complex(z):
             raise EvaluationOverflow("erf overflows: |exp(-z^2)| too large")
         val = 1.0 - np.exp(m2) * erfcx(zb)
         out[big] = np.where(left, -val, val)
+    out.real[flat.real == 0.0] = 0.0
     return _finite(out.reshape(z.shape), "erf")
 
 

@@ -22,7 +22,8 @@ from numpy.polynomial.legendre import leggauss
 
 from supershift_lab import contour_quad
 from supershift_lab.contour_quad import (
-    _GK21,
+    _GK61,
+    _REAL_PHASE_BUDGET,
     GrowthWitness,
     QuadraturePlan,
     QuadratureResult,
@@ -231,17 +232,82 @@ class TestSeedEdges:
         assert r.panels_used == panels
 
 
-class TestPanelRules:
-    def test_kronrod_21_exact_to_degree_31(self):
-        for k in range(32):
-            exact = 0.0 if k % 2 else 2.0 / (k + 1)
-            assert abs((_GK21.weights * _GK21.nodes**k).sum() - exact) <= 1e-14
+def _kronrod_table_mp(n=30, dps=60):
+    """QUADPACK's xgk/wgk/wg for the (2n+1)-point Kronrod extension of the
+    n-point Gauss rule (n even), built from scratch in mpmath.
 
-    def test_embedded_gauss_10(self):
-        x10, w10 = leggauss(10)
-        assert len(_GK21.nodes) == len(_GK21.weights) == 21
-        assert np.allclose(_GK21.nodes[-10:], x10, rtol=0.0, atol=1e-15)
-        assert np.allclose(_GK21.embedded, w10, rtol=0.0, atol=1e-15)
+    The n + 1 Kronrod-only nodes are the zeros of the Stieltjes polynomial
+    E = P_{n+1} + sum_j c_j P_j (j odd, j < n), fixed by the orthogonality
+    int P_n P_k E = 0 for k <= n (only odd k are not zero by parity).  The
+    Kronrod weights solve the Legendre moment equations of the symmetric
+    rule; the Gauss weights are 2 / ((1 - x^2) P_n'(x)^2).
+    """
+    with mp.workdps(dps):
+        P = [[mp.mpf(1)], [mp.mpf(0), mp.mpf(1)]]
+        for k in range(1, n + 1):
+            up = [mp.mpf(0)] + [(2 * k + 1) * c for c in P[k]]
+            down = P[k - 1] + [mp.mpf(0)] * 2
+            P.append([(u - k * d) / (k + 1) for u, d in zip(up, down)])
+
+        def integral(*polys):
+            prod = [mp.mpf(1)]
+            for p in polys:
+                out = [mp.mpf(0)] * (len(prod) + len(p) - 1)
+                for i, u in enumerate(prod):
+                    for j, v in enumerate(p):
+                        out[i + j] += u * v
+                prod = out
+            return mp.fsum(2 * c / (m + 1) for m, c in enumerate(prod) if m % 2 == 0)
+
+        odd = range(1, n, 2)
+        c = mp.lu_solve(
+            mp.matrix([[integral(P[n], P[k], P[j]) for j in odd] for k in odd]),
+            mp.matrix([-integral(P[n], P[k], P[n + 1]) for k in odd]),
+        )
+        stieltjes = list(P[n + 1])
+        for cj, j in zip(c, odd):
+            for m, v in enumerate(P[j]):
+                stieltjes[m] += cj * v
+
+        def positive_roots(coeffs_in_x2):
+            ys = mp.polyroots(coeffs_in_x2[::-1], maxsteps=200, extraprec=400)
+            return [mp.sqrt(mp.re(y)) for y in ys]
+
+        # E = x Q(x^2) is odd, P_n = R(x^2) even
+        xg = sorted(positive_roots(P[n][0::2]), reverse=True)
+        xgk = sorted(positive_roots(stieltjes[1::2]) + xg, reverse=True) + [mp.mpf(0)]
+        moments = mp.matrix(
+            [[(2 if x else 1) * mp.legendre(2 * m, x) for x in xgk] for m in range(n + 1)]
+        )
+        wgk = mp.lu_solve(moments, mp.matrix([2] + [0] * n))
+        dp = [m * v for m, v in enumerate(P[n])][1:][::-1]
+        wg = [2 / ((1 - x * x) * mp.polyval(dp, x) ** 2) for x in xg]
+        return xgk, list(wgk), xg, wg
+
+
+class TestPanelRules:
+    def test_kronrod_61_exact_to_degree_91(self):
+        for k in range(92):
+            exact = 0.0 if k % 2 else 2.0 / (k + 1)
+            assert abs((_GK61.weights * _GK61.nodes**k).sum() - exact) <= 1e-14
+
+    def test_embedded_gauss_30(self):
+        x30, w30 = leggauss(30)
+        assert len(_GK61.nodes) == len(_GK61.weights) == 61
+        assert np.allclose(_GK61.nodes[-30:], x30, rtol=0.0, atol=1e-15)
+        # leggauss(30)'s outermost weights are 2.4e-15 off the 60-digit values
+        # that test_table_matches_mpmath_construction pins; the rest agree to 1e-15
+        assert np.allclose(_GK61.embedded, w30, rtol=0.0, atol=3e-15)
+        assert np.allclose(_GK61.embedded[1:-1], w30[1:-1], rtol=0.0, atol=1e-15)
+
+    def test_table_matches_mpmath_construction(self):
+        # the provenance of the hard-coded qk61 table: every entry is the
+        # double nearest the 60-digit construction
+        xgk, wgk, xg, wg = _kronrod_table_mp()
+        assert np.array_equal(contour_quad._XGK, [float(v) for v in xgk])
+        assert np.array_equal(contour_quad._XGK[1::2], [float(v) for v in xg])
+        assert np.array_equal(contour_quad._WGK, [float(v) for v in wgk])
+        assert np.array_equal(contour_quad._WG, [float(v) for v in wg])
 
 
 class TestRotatedIntegral:
@@ -280,6 +346,21 @@ class TestRotatedIntegral:
         lhs = rotated_integral(comb, plan).value
         rhs = 2.0 * rotated_integral(f1, plan).value - 0.5j * rotated_integral(COS, plan).value
         assert abs(lhs - rhs) < 5e-13
+
+    @pytest.mark.parametrize("f", [ONE, PW2, COS], ids=["one", "pw2", "cos"])
+    def test_counts_match_integrand_calls(self, f):
+        # every seeded GL-15/GL-7 panel costs 22 nodes and every split 44,
+        # the arithmetic a caller can derive panels from
+        sizes = []
+        counted = sig(
+            lambda z: sizes.append(np.size(z)) or f.eval(z), f.growth.amplitude, f.growth.rate
+        )
+        r = rotated_integral(counted, QuadraturePlan(a=1.0, tol=1e-12))
+        assert r.rounds > 0
+        assert len(sizes) == r.rounds + 1
+        assert sum(sizes) == r.nodes
+        seeded = sizes[0] // 22
+        assert r.nodes == 22 * seeded + 44 * (r.panels_used - seeded)
 
     def test_panel_budget_raises(self):
         wild = sig(lambda z: np.exp(1j * 200.0 * np.asarray(z) ** 2), 1.0, 0.0)
@@ -376,27 +457,46 @@ class TestEpsilonRegularized:
         with pytest.raises(PanelExhausted, match="seeding") as exc:
             epsilon_regularized_integral(ONE_IM, 1.0, 0.0, 0.0, 1e-4, tol=1e-8, max_panels=100)
         assert exc.value.panels_used == 0
-        # a * 10^2 / 12 rad = 1000 panels on each side of y1
-        args = (-10.0, 10.0, 0.0, 120.0, 0.0, 1.0)
-        assert len(_quadratic_phase_edges(*args, max_panels=2000)) > 2000
+        # a * 10^2 / _REAL_PHASE_BUDGET = 1000 panels on each side of y1
+        a = 10.0 * _REAL_PHASE_BUDGET
+        per_side = a * 10.0**2 / _REAL_PHASE_BUDGET
+        assert per_side == 1000.0
+        n = int(2 * per_side)
+        args = (-10.0, 10.0, 0.0, a, 0.0, 1.0)
+        assert len(_quadratic_phase_edges(*args, max_panels=n)) > n
         with pytest.raises(PanelExhausted, match="seeding"):
-            _quadratic_phase_edges(*args, max_panels=1999)
+            _quadratic_phase_edges(*args, max_panels=n - 1)
 
-    def test_crossrep_cost(self, free_kernel):
-        # the free case of the cross-representation check: node count and
-        # largest integrand batch (41.5 M nodes in 2.2 M-node batches with
-        # GL-15/GL-7 panels of 1.6 rad)
-        t, x = 0.3, 0.4
-        f = _free_plane_wave(free_kernel, t, x, 2.0)
-        sizes = []
-        counted = HolomorphicSignal(
-            eval=lambda y: sizes.append(np.size(y)) or f.eval(y),
-            growth=f.growth,
-            label=f.label,
-        )
-        epsilon_regularized_integral(counted, free_kernel.a(t), x, 0.0, 1e-5, tol=1e-5)
-        assert sum(sizes) <= 8_000_000
-        assert max(sizes) <= 260_000
+    def test_crossrep_cost(self, free_kernel, pt1_kernel, monkeypatch):
+        # both kernels of the cross-representation check: node count, largest
+        # integrand batch, and refinement beyond the equal-phase seeding
+        # (5.3 M and 6.1 M nodes with K-21 panels of 12 rad)
+        t, x, kappa = 0.3, 0.4, 2.0
+        calls = []
+        adaptive_panels = contour_quad._adaptive_panels
+
+        def adaptive(g, edges, *args):
+            out = adaptive_panels(g, edges, *args)
+            calls.append((len(edges) - 1, out[3]))
+            return out
+
+        monkeypatch.setattr(contour_quad, "_adaptive_panels", adaptive)
+        for kernel in (free_kernel, pt1_kernel):
+            sizes = []
+            calls.clear()
+
+            def integrand(y, kernel=kernel):
+                y = np.asarray(y, dtype=complex)
+                sizes.append(y.size)
+                return kernel.gtilde(t, x, y) * np.exp(1j * kappa * y)
+
+            a0, _ = kernel.growth_imag(t, x)
+            f = sig(integrand, 2.0 * a0, 0.0, "imag")
+            epsilon_regularized_integral(f, kernel.a(t), x, 0.0, 1e-5, tol=1e-5)
+            [(seeded, nodes)] = calls
+            assert nodes == sum(sizes) <= 3_500_000
+            assert max(sizes) <= 260_000
+            assert nodes <= 1.1 * len(_GK61.nodes) * seeded
 
 
 class TestTruncatedIntegral:

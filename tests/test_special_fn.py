@@ -116,9 +116,20 @@ class TestErf:
         got = erf_complex(1e-8 + 2e-9j)
         assert abs(got - ref) <= 1e-14 * abs(ref)
 
+    @pytest.mark.parametrize("y", [0.3, 1.0, 3.0, 20.0])
+    def test_imaginary_axis(self, y):
+        # erf(iy) is purely imaginary
+        with mp.workdps(40):
+            ref = float(mp.erf(mp.mpc(0, y)).imag)
+        for z in (1j * y, -1j * y):
+            got = erf_complex(z)
+            assert got.real == 0.0
+            assert abs(got.imag - np.sign(z.imag) * ref) <= 1e-15 * ref
+
     def test_overflow_signaled(self):
-        with pytest.raises(EvaluationOverflow):
-            erf_complex(30j)
+        for z in (30j, -27.5j, 0.5 + 27.5j):
+            with pytest.raises(EvaluationOverflow):
+                erf_complex(z)
 
 
 class TestErfcx:
