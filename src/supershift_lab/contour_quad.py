@@ -33,9 +33,14 @@ _PHASE_BUDGET = 18.0
 # are both converged there, so refinement stays rare (from 68 rad on, most
 # comparator calls at tol <= 1e-8 refine past 1.1x the seeded nodes)
 _REAL_PHASE_BUDGET = 64.0
-# cap on the integrand nodes of one batch of panel sums; keeps the kernel
-# temporaries of a long real-line comparator small
-_BATCH_NODES = 250_000
+# cap on the integrand nodes of one batch of panel sums.  A complex temporary
+# of this length is 64 KiB: the operands of each array pass of a kernel call
+# stay in L2, and the temporaries stay well below glibc's 128 KiB heap trim
+# threshold, so freeing them does not hand the heap top back to the OS to
+# be faulted in again by the next pass (with calls of 7k nodes and more, a
+# comparator run spends a fifth to a quarter of its CPU time in those page
+# faults; scan in CHANGES.md)
+_BATCH_NODES = 4096
 
 
 # Kronrod 61 / Gauss 30 in the layout of QUADPACK qk61 (Piessens et al.,
@@ -182,8 +187,8 @@ class QuadratureResult:
     """Value of one rotated-contour evaluation and what it cost.
 
     nodes   integrand evaluations over all panel sums
-    rounds  refinement rounds after the seeding pass; each pass is one
-            integrand call while it stays within ``_BATCH_NODES`` nodes
+    rounds  refinement rounds after the seeding pass; a pass of up to 186
+            panels (``_BATCH_NODES`` // 22) is one integrand call
     """
 
     value: complex
@@ -294,8 +299,11 @@ def _panel_sums(g, lows, highs, rule):
     The rotated route passes GL-15 with its GL-7 estimate (the raw
     difference), the real-line comparators K-61 with its embedded G-30
     estimate mapped through the power law.  Each integrand call gets whole
-    panels and at most ``_BATCH_NODES`` nodes, so a rotated call (at most
-    4000 panels of 22 nodes) is never split.
+    panels and at most ``_BATCH_NODES`` nodes: 67 K-61 panels or 186
+    GL-15/GL-7 panels.  A rotated pass of up to 186 panels is therefore one
+    call; the largest measured on the benchmark grids is 50 panels
+    (1,100 nodes, ``plane-field``).  Panels are independent, so no value or
+    estimate depends on where a pass is split.
     """
     m = len(rule.nodes)
     n_hi, n_emb = len(rule.weights), len(rule.embedded)

@@ -90,7 +90,13 @@ def _value_or_record(failures: list, key: tuple, kernel, f, t, x, tol):
 
 @dataclass
 class WaveField:
-    """Grid of wave values with per-point quadrature error estimates."""
+    """Grid of wave values with per-point quadrature error estimates.
+
+    radius, nodes and rounds are the per-point ``QuadratureResult``
+    fields (truncation radius, integrand nodes, refinement rounds); a
+    failed point reads nan, -1 and -1.  They are None on a field built
+    without quadrature.
+    """
 
     ts: np.ndarray
     xs: np.ndarray
@@ -100,6 +106,9 @@ class WaveField:
     initial: str
     tol: float
     failures: list = field(default_factory=list)
+    radius: np.ndarray | None = None
+    nodes: np.ndarray | None = None
+    rounds: np.ndarray | None = None
 
 
 def wavefield(
@@ -120,8 +129,12 @@ def wavefield(
     """
     ts = np.asarray(ts, dtype=float)
     xs = np.asarray(xs, dtype=float)
-    values = np.empty((len(ts), len(xs)), dtype=complex)
-    errors = np.empty((len(ts), len(xs)))
+    shape = (len(ts), len(xs))
+    values = np.empty(shape, dtype=complex)
+    errors = np.empty(shape)
+    radius = np.full(shape, np.nan)
+    nodes = np.full(shape, -1)
+    rounds = np.full(shape, -1)
     failures: list = []
     for i, t in enumerate(ts):
         for j, x in enumerate(xs):
@@ -129,6 +142,9 @@ def wavefield(
                 r = wavefunction_result(kernel, f, float(t), float(x), tol, max_panels)
                 values[i, j] = r.value
                 errors[i, j] = r.err_estimate
+                radius[i, j] = r.truncation_radius
+                nodes[i, j] = r.nodes
+                rounds[i, j] = r.rounds
             except SupershiftError as exc:
                 value = getattr(exc, "value", None)
                 err = getattr(exc, "err_estimate", None)
@@ -145,6 +161,9 @@ def wavefield(
         initial=f.label,
         tol=tol,
         failures=failures,
+        radius=radius,
+        nodes=nodes,
+        rounds=rounds,
     )
 
 

@@ -183,10 +183,12 @@ def erf_complex(z):
         zb = flat[big]
         left = zb.real < 0.0
         zb = np.where(left, -zb, zb)
-        m2 = -zb * zb
-        if np.any(m2.real > _EXP_LIMIT):
-            raise EvaluationOverflow("erf overflows: |exp(-z^2)| too large")
-        val = 1.0 - np.exp(m2) * erfcx(zb)
+        # e^{-z^2} in two halves: e^{-z^2} itself overflows up to Re(-z^2)
+        # ~ 709 + log(|z| sqrt(pi)) before erfcx(z) ~ 1/(z sqrt(pi)) brings
+        # the product back into range; what still overflows is |erf z|
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = np.exp(-0.5 * (zb * zb))
+            val = 1.0 - h * (h * erfcx(zb))
         out[big] = np.where(left, -val, val)
     out.real[flat.real == 0.0] = 0.0
     return _finite(out.reshape(z.shape), "erf")

@@ -495,7 +495,7 @@ class TestEpsilonRegularized:
             epsilon_regularized_integral(f, kernel.a(t), x, 0.0, 1e-5, tol=1e-5)
             [(seeded, nodes)] = calls
             assert nodes == sum(sizes) <= 3_500_000
-            assert max(sizes) <= 260_000
+            assert max(sizes) <= 4096
             assert nodes <= 1.1 * len(_GK61.nodes) * seeded
 
 
@@ -550,6 +550,66 @@ class TestTruncatedIntegral:
         c = np.sqrt(-1j * a)
         exact = 0.5 * SQRT_PI / c * (erf_complex(c * (r2 - y1)) + erf_complex(c * (r1 + y1)))
         assert abs(truncated_integral(ONE_IM, a, y1, r1, r2, tol=tol) - exact) <= tol
+
+
+class TestBatchCap:
+    """No result depends on where ``_panel_sums`` splits a pass into
+    integrand calls: a cap of 7 panels gives bit-identical results."""
+
+    GROW = sig(lambda z: np.exp(0.5 * np.asarray(z, dtype=complex)), 1.0, 0.5)
+
+    @staticmethod
+    def _at_caps(monkeypatch, small, run):
+        # (_adaptive_panels outputs, integrand calls, result) per cap
+        adaptive_panels = contour_quad._adaptive_panels
+        out = []
+        for cap in (contour_quad._BATCH_NODES, small):
+            monkeypatch.setattr(contour_quad, "_BATCH_NODES", cap)
+            passes, calls = [], []
+
+            def adaptive(g, edges, *args):
+                def counted(y):
+                    calls.append(np.size(y))
+                    return g(y)
+
+                passes.append(adaptive_panels(counted, edges, *args))
+                return passes[-1]
+
+            monkeypatch.setattr(contour_quad, "_adaptive_panels", adaptive)
+            result = run()
+            out.append((passes, len(calls), result))
+        return out
+
+    @pytest.mark.parametrize("case", ["eps-refining", "eps-pt1", "truncated"])
+    def test_real_line_routes(self, case, pt1_kernel, monkeypatch):
+        t, x = 0.3, 0.4
+        runs = {
+            "eps-refining": lambda: epsilon_regularized_integral(
+                self.GROW, 1.0, 0.0, 0.0, 4e-3, tol=1e-8
+            ),
+            "eps-pt1": lambda: epsilon_regularized_integral(
+                _free_plane_wave(pt1_kernel, t, x, 2.0), pt1_kernel.a(t), x, 0.0, 1e-3,
+                tol=1e-8,
+            ),
+            "truncated": lambda: truncated_integral(PW2_IM, 1.0, 0.0, 20.0, 20.0, tol=1e-10),
+        }
+        (full, full_calls, full_val), (split, split_calls, split_val) = self._at_caps(
+            monkeypatch, 7 * len(_GK61.nodes), runs[case]
+        )
+        assert split == full and split_val == full_val
+        assert split_calls > full_calls
+        if case == "eps-refining":
+            assert full[0][4] > 0
+
+    def test_rotated_pass(self, pt2_kernel, monkeypatch):
+        # the largest rotated pass of the benchmark grids (63 panels)
+        run = lambda: wavefunction_result(pt2_kernel, plane_wave(2.0), 1.0, 2.0, 1e-9)
+        (full, full_calls, full_res), (split, split_calls, split_res) = self._at_caps(
+            monkeypatch, 7 * 22, run
+        )
+        assert split == full and split_res == full_res
+        assert full_res.rounds > 0 and full_calls == full_res.rounds + 1
+        assert split_calls > full_calls
 
 
 class TestWitnessValidation:

@@ -31,6 +31,7 @@ from supershift_lab.evolve import (
     supershift_experiment,
     wavefield,
     wavefunction,
+    wavefunction_result,
 )
 from supershift_lab.initial_data import (
     combine_signals,
@@ -186,6 +187,20 @@ class TestWavefield:
         assert (t, x) == (0.3, 4.25) and reason.startswith("DomainMarginError")
         assert np.isnan(fld.values[0, 1]) and fld.quad_errors[0, 1] == np.inf
         assert np.isfinite(fld.values[0, 0])
+
+    def test_per_point_quadrature_counts(self, pt1_kernel):
+        # radius, nodes and rounds are the per-point QuadratureResult fields;
+        # the failing point at x = 4.25 reads nan, -1, -1
+        f, ts, xs = plane_wave(1.0), [0.3], [0.0, 0.5, 4.25]
+        fld = wavefield(pt1_kernel, f, ts, xs, tol=1e-8)
+        assert [(t, x) for t, x, _ in fld.failures] == [(0.3, 4.25)]
+        for j, x in enumerate(xs[:2]):
+            r = wavefunction_result(pt1_kernel, f, 0.3, x, 1e-8)
+            assert fld.radius[0, j] == r.truncation_radius
+            assert fld.nodes[0, j] == r.nodes
+            assert fld.rounds[0, j] == r.rounds
+        assert np.isnan(fld.radius[0, 2])
+        assert fld.nodes[0, 2] == -1 and fld.rounds[0, 2] == -1
 
     def test_grid_order_invariance(self, free_kernel):
         ts, xs = [0.2, 0.5], [-0.3, 0.8]

@@ -126,6 +126,16 @@ class TestErf:
             assert got.real == 0.0
             assert abs(got.imag - np.sign(z.imag) * ref) <= 1e-15 * ref
 
+    @pytest.mark.parametrize("y", [26.65, 26.7])
+    def test_finite_beyond_exp_limit(self, y):
+        # Re(-z^2) > 709, but |erf z| ~ e^{y^2} / (y sqrt(pi)) is still a double
+        with mp.workdps(40):
+            ref = float(mp.erf(mp.mpc(0, y)).imag)
+        for z in (1j * y, -1j * y):
+            got = erf_complex(z)
+            assert got.real == 0.0
+            assert abs(got.imag - np.sign(z.imag) * ref) <= 1e-13 * ref
+
     def test_overflow_signaled(self):
         for z in (30j, -27.5j, 0.5 + 27.5j):
             with pytest.raises(EvaluationOverflow):
