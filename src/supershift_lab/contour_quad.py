@@ -41,6 +41,7 @@ _REAL_PHASE_BUDGET = 64.0
 # comparator run spends a fifth to a quarter of its CPU time in those page
 # faults; scan in CHANGES.md)
 _BATCH_NODES = 4096
+_TINY = np.finfo(float).tiny
 
 
 # Kronrod 61 / Gauss 30 in the layout of QUADPACK qk61 (Piessens et al.,
@@ -219,7 +220,7 @@ def _tail_terms(log_amplitude, c, b, radius):
     if arg < -25.0:
         # tail indistinguishable from the whole-line integral
         return base + np.log(2.0) + b * b / (4.0 * c), np.inf
-    scaled = max(erfcx(arg).real, np.finfo(float).tiny)
+    scaled = max(erfcx(arg).real, _TINY)
     return base - c * radius * radius + b * radius + np.log(scaled), scaled
 
 
@@ -282,7 +283,7 @@ def truncation_radius(
     c = a * np.sin(2.0 * angle)
     b = witness.rate + 2.0 * a * abs(shift - y1) * np.sin(angle)
     log_amp = (
-        np.log(max(witness.amplitude, np.finfo(float).tiny))
+        np.log(max(witness.amplitude, _TINY))
         + witness.rate * abs(shift)
     )
     return _tail_radius(log_amp, c, b, np.log(tol), 1e12)
@@ -359,10 +360,12 @@ def _adaptive_panels(g, edges, tol, max_panels, rule):
         err_history.append(total_err)
         if len(err_history) >= 4 and err_history[-1] > 0.5 * err_history[-4]:
             # refinement no longer reduces the estimate: the panel sums are
-            # rounding-limited (cancellation-dominated integrand)
+            # rounding-limited.  sum |v_p| / |sum v_p| measures how much the
+            # panel values of the last pass cancel, whatever the cause
+            cancel = float(np.abs(vals).sum()) / max(abs(vals.sum()), _TINY)
             raise PanelExhausted(
-                f"error estimate stagnated at {total_err:.3e} "
-                f"(cancellation-limited integrand)",
+                f"error estimate stagnated at {total_err:.3e}: the panel values "
+                f"cancel by a factor {cancel:.1e} (sum |v_p| / |sum v_p|)",
                 value=complex(vals.sum()),
                 err_estimate=total_err,
                 panels_used=len(lows),
@@ -500,9 +503,14 @@ def rotated_integral(f, plan: QuadraturePlan) -> QuadratureResult:
         return 2.0 * a * (u * cos2a + off * cos_a)
 
     edges = _seed_edges(-radius, radius, 0.0, sigma, phase_rate)
-    value, err, n_panels, nodes, rounds = _adaptive_panels(
-        g, edges, half_tol, plan.max_panels, _GL15_GL7
-    )
+    try:
+        value, err, n_panels, nodes, rounds = _adaptive_panels(
+            g, edges, half_tol, plan.max_panels, _GL15_GL7
+        )
+    except PanelExhausted as exc:
+        if exc.value is not None:  # rotate the sum over u and add the tail
+            exc.value, exc.err_estimate = rot * exc.value, exc.err_estimate + half_tol
+        raise
     return QuadratureResult(
         value=rot * value,
         err_estimate=err + half_tol,
@@ -538,7 +546,7 @@ def epsilon_regularized_integral(
         # its rate in the tail solve
         rate = witness.rate if witness.kind == "modulus" else 0.0
         log_amp = (
-            np.log(max(witness.amplitude, np.finfo(float).tiny)) + rate * abs(y0)
+            np.log(max(witness.amplitude, _TINY)) + rate * abs(y0)
         )
         hi = _tail_radius(log_amp, eps, rate, np.log(0.1 * tol), 1e9)
         window = (y0 - hi, y0 + hi)

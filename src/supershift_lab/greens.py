@@ -197,7 +197,8 @@ def _electric_kernel(
 
     def gtilde(t, x, z):
         z = np.asarray(z, dtype=complex)
-        phase = coeffs.beta(t) + x * coeffs.t_alpha_prime(t) + z * coeffs.alpha(t)
+        al, ap, be = coeffs.state(t)
+        phase = be + x * (t * ap) + z * al
         return np.exp(1j * phase) / (2.0 * np.sqrt(np.pi * t) * ROOT_I)
 
     def growth(t, x):
@@ -227,19 +228,17 @@ def _harmonic_kernel(
     formula_horizon = min(coeffs.horizon, t_max)
 
     def a(t):
-        return coeffs.beta(t) / (4.0 * coeffs.alpha(t))
+        al, _, be, _ = coeffs.state(t)
+        return be / (4.0 * al)
 
     def gtilde(t, x, z):
         z = np.asarray(z, dtype=complex)
-        al = coeffs.alpha(t)
-        be = coeffs.beta(t)
-        ap = coeffs.alpha_prime(t)
+        al, ap, be, _ = coeffs.state(t)
         expo = ((be - ap) * x * x + 2.0 * x * z * (1.0 - be)) / (4j * al)
         return np.exp(expo) / (2.0 * np.sqrt(np.pi * al) * ROOT_I)
 
     def growth(t, x):
-        al = coeffs.alpha(t)
-        be = coeffs.beta(t)
+        al, _, be, _ = coeffs.state(t)
         return 1.0 / (2.0 * np.sqrt(np.pi * al)), abs(x) * abs(1.0 - be) / (
             2.0 * al
         )

@@ -33,6 +33,7 @@ from supershift_lab.evolve import (
     wavefunction,
     wavefunction_result,
 )
+from supershift_lab.greens import Harmonic, make_kernel
 from supershift_lab.initial_data import (
     combine_signals,
     constant_signal,
@@ -210,6 +211,33 @@ class TestWavefield:
                 assert fld.values[i, j] == wavefunction(
                     free_kernel, plane_wave(2.0), t, x, 1e-10
                 )
+
+    def test_failed_point_records_rotated_value(self, harmonic_kernel):
+        # near the pi/4 horizon the rotated sum through y1 = x cancels by
+        # e^{w^2 sin^2(angle) / (4a)} (w the net frequency of kernel and
+        # data) and stagnates; the recorded value is still the rotated
+        # panel sum with the truncation tail in its estimate
+        t, x, kappa = 0.72, -2.0, 2.0
+        fld = wavefield(harmonic_kernel, plane_wave(kappa), [t], [x], tol=1e-9)
+        [(_, _, reason)] = fld.failures
+        assert reason.startswith("PanelExhausted") and "stagnated" in reason
+        assert abs(fld.values[0, 0] - harm_plane(t, x, kappa)) <= fld.quad_errors[0, 0]
+        al, be = np.sin(2 * t) / 2, np.cos(2 * t)
+        a, w = be / (4.0 * al), kappa - x * (1.0 - be) / (2.0 * al)
+        predicted = np.exp(w * w * np.sin(np.pi / 4) ** 2 / (4.0 * a))
+        measured = float(reason.split("factor ")[1].split()[0])
+        assert 0.1 <= measured / predicted <= 10.0
+
+    def test_one_coefficient_evaluation_per_time_slice(self):
+        # a, growth and gtilde share one dense coefficient evaluation per t
+        kernel = make_kernel(Harmonic(lambda t: 1.0, "omega=1"), t_max=1.1)
+        calls = []
+        dense = kernel.coeffs._dense
+        kernel.coeffs._dense = lambda t: (calls.append(t), dense(t))[1]
+        ts, xs = np.linspace(0.1, 0.55, 8), np.linspace(-2.0, 2.0, 25)
+        fld = wavefield(kernel, plane_wave(2.0), ts, xs, tol=1e-9)
+        assert not fld.failures
+        assert len(calls) <= len(ts)
 
 
 class TestResidualField:

@@ -136,8 +136,42 @@ class TestDenseOutput:
         with pytest.raises(ValueError):
             h.alpha(1.5)
 
-    def test_dense_matches_nodes(self):
-        h = solve_harmonic(lambda t: 1.0, t_max=1.0)
-        sol = h._sol
-        for i in (0, len(sol.ts) // 2, -1):
-            assert np.allclose(sol(float(sol.ts[i])), sol.ys[i], atol=1e-14)
+    def test_dense_continuous_at_panel_edges(self):
+        h = solve_harmonic(lambda t: 1.0 + 0.5 * np.sin(t), t_max=3.0)
+        dense = h._dense
+        assert len(dense.edges) > 3
+        for p, e in enumerate(dense.edges[1:-1], start=1):
+            # the stored values are returned exactly at an edge, and the
+            # panel on its left ends on them
+            assert np.array_equal(dense(e), dense.values[p, 0])
+            assert np.array_equal(dense.values[p - 1, -1], dense.values[p, 0])
+            left = dense(float(np.nextafter(e, -np.inf)))
+            assert np.allclose(left, dense.values[p, 0], rtol=0.0, atol=1e-14)
+
+
+class TestChebyshevPanels:
+    def test_long_span_closed_forms(self):
+        # 20 panels of 0.5 at make_kernel's default t_max
+        h = solve_harmonic(lambda t: 1.0, t_max=10.0)
+        ts = np.linspace(0.0, 10.0, 401)
+        assert max(abs(h.alpha(t) - np.sin(2 * t) / 2) for t in ts) <= 1e-13
+        assert max(abs(h.alpha_prime(t) - np.cos(2 * t)) for t in ts) <= 1e-13
+        assert max(abs(h.beta(t) - np.cos(2 * t)) for t in ts) <= 1e-13
+        assert wronskian_drift(h, ts) <= 1e-13
+
+    def test_spline_knots_split_panels(self):
+        # the CLI's table lambda is a cubic spline: its third derivative
+        # jumps at the knots 0.7 and 1.2, inside the panels [0.5, 1] and
+        # [1, 1.5], and the tail certificate halves those panels toward them
+        from supershift_lab.cli import _lambda_from_spec
+
+        lam, _ = _lambda_from_spec(
+            {"kind": "table", "t": [0.0, 0.3, 0.7, 1.2, 1.6, 2.0],
+             "values": [1.0, 1.3, 0.8, 1.1, 0.9, 1.2]}
+        )
+        h = solve_harmonic(lam, t_max=2.0)
+        widths = np.diff(h._dense.edges)
+        assert len(widths) > 4 and widths.min() < 0.5 / 16
+        assert wronskian_drift(h, np.linspace(0.0, 2.0, 401)) <= 1e-12
+        e = solve_electric(lam, t_max=2.0)
+        assert len(e._dense.edges) > 5
