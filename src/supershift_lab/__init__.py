@@ -18,11 +18,9 @@ from .errors import (
     SupershiftError,
 )
 from .evolve import (
-    SupershiftFamily,
     WaveField,
     analyticity_probe,
     continuous_dependence_check,
-    exponential_family,
     initial_limit_check,
     schrodinger_residual_field,
     supershift_experiment,
@@ -30,7 +28,6 @@ from .evolve import (
     wavefunction,
 )
 from .greens import (
-    AuditSampleSpec,
     Electric,
     Free,
     GreensKernel,

@@ -9,6 +9,7 @@ write CSV / JSON / gnuplot outputs atomically.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -25,10 +26,8 @@ from .evolve import (
     schrodinger_residual_field,
     supershift_experiment,
     wavefield,
-    wavefunction,
 )
 from .greens import (
-    AuditSampleSpec,
     Electric,
     Free,
     Harmonic,
@@ -48,6 +47,15 @@ from .initial_data import (
 
 class _UsageError(Exception):
     pass
+
+
+@contextlib.contextmanager
+def _parsing(what: str):
+    """Report a malformed config or flag value as a usage error."""
+    try:
+        yield
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise _UsageError(f"invalid {what}: {exc!r}") from None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,13 +91,12 @@ def _lambda_from_spec(spec) -> tuple:
 
         ts = np.asarray(spec["t"], dtype=float)
         vs = np.asarray(spec["values"], dtype=float)
-        if len(ts) != len(vs) or len(ts) < 2:
-            raise _UsageError("lambda table needs matching t/values arrays")
         sp = CubicSpline(ts, vs)
         return (lambda t: float(sp(t))), f"table:{len(ts)}pts"
     raise _UsageError(f"unknown lambda kind {kind!r} (constant|sinusoid|table)")
 
 
+@_parsing("potential")
 def _potential_from_config(spec) -> object:
     kind = spec.get("kind")
     if kind == "free":
@@ -108,14 +115,20 @@ def _potential_from_config(spec) -> object:
     raise _UsageError(f"config field 'potential.kind' missing or unknown: {kind!r}")
 
 
-def _potential_from_inline(text: str) -> dict:
-    """Parse 'free', 'harmonic:omega=1', 'electric:lambda=1', 'poschl-teller:l=2'."""
+def _inline(text: str) -> tuple[str, dict]:
+    """Split 'head:key=val,...' into the lower-case head and its options."""
     head, _, rest = text.partition(":")
-    head = head.strip().lower().replace("_", "-")
     opts = {}
     for item in filter(None, rest.split(",")):
         key, _, val = item.partition("=")
         opts[key.strip()] = val.strip()
+    return head.strip().lower(), opts
+
+
+def _potential_from_inline(text: str) -> dict:
+    """Parse 'free', 'harmonic:omega=1', 'electric:lambda=1', 'poschl-teller:l=2'."""
+    head, opts = _inline(text)
+    head = head.replace("_", "-")
     if head == "free":
         return {"kind": "free"}
     if head == "electric":
@@ -133,6 +146,7 @@ def _potential_from_inline(text: str) -> dict:
     raise _UsageError(f"cannot parse potential {text!r}")
 
 
+@_parsing("initial")
 def _initial_from_config(spec):
     kind = spec.get("kind")
     if kind == "plane_wave":
@@ -152,12 +166,7 @@ def _initial_from_config(spec):
 
 
 def _initial_from_inline(text: str) -> dict:
-    head, _, rest = text.partition(":")
-    head = head.strip().lower()
-    opts = {}
-    for item in filter(None, rest.split(",")):
-        key, _, val = item.partition("=")
-        opts[key.strip()] = val.strip()
+    head, opts = _inline(text)
     if head in ("plane", "plane_wave"):
         return {"kind": "plane_wave", "k": float(opts.get("k", 1.0))}
     if head == "superosc":
@@ -186,15 +195,15 @@ def _load_config(args) -> dict:
         except json.JSONDecodeError as exc:
             raise _UsageError(f"config parse error at line {exc.lineno}: {exc.msg}")
     cfg = _merge(DEFAULTS, cfg)
-    if getattr(args, "potential", None):
-        cfg["potential"] = _potential_from_inline(args.potential)
-    if getattr(args, "initial", None):
-        cfg["initial"] = _initial_from_inline(args.initial)
+    with _parsing("option"):
+        if getattr(args, "potential", None):
+            cfg["potential"] = _potential_from_inline(args.potential)
+        if getattr(args, "initial", None):
+            cfg["initial"] = _initial_from_inline(args.initial)
+        if getattr(args, "n_values", None):
+            cfg["supershift"]["n_values"] = [int(v) for v in args.n_values.split(",")]
     if getattr(args, "kappa", None) is not None:
-        cfg.setdefault("supershift", {})
         cfg["supershift"]["kappa"] = float(args.kappa)
-    if getattr(args, "n_values", None):
-        cfg["supershift"]["n_values"] = [int(v) for v in args.n_values.split(",")]
     if getattr(args, "tol", None) is not None:
         cfg["quadrature"]["tol"] = float(args.tol)
     if getattr(args, "output", None):
@@ -207,7 +216,10 @@ def _load_config(args) -> dict:
 
 
 def _grid_axis(spec) -> np.ndarray:
-    lo, hi, n = float(spec[0]), float(spec[1]), int(spec[2])
+    with _parsing(f"grid axis {spec!r} (expected [lo, hi, n >= 1])"):
+        lo, hi, n = float(spec[0]), float(spec[1]), int(spec[2])
+        if n < 1:
+            raise ValueError(f"{n} points")
     return np.linspace(lo, hi, n)
 
 
@@ -278,26 +290,26 @@ def _out_path(cfg: dict, suffix: str) -> str:
 
 def _build_kernel(cfg: dict):
     pot = _potential_from_config(cfg["potential"])
-    t_hint = cfg.get("grid", DEFAULTS["grid"])["t"]
-    t_max = max(2.0 * float(t_hint[1]), 1.0)
+    t_max = max(2.0 * float(_grid_axis(cfg["grid"]["t"]).max()), 1.0)
     angle = cfg["quadrature"].get("angle")
     return make_kernel(pot, t_max=t_max, angle=angle)
 
 
-def _check_grid(kernel, ts):
-    if ts[0] <= 0 or ts[-1] >= kernel.horizon:
+def _grid(cfg: dict, kernel):
+    """The config's t and x axes; every t must lie inside the kernel's horizon."""
+    ts, xs = _grid_axis(cfg["grid"]["t"]), _grid_axis(cfg["grid"]["x"])
+    if ts.min() <= 0 or ts.max() >= kernel.horizon:
         raise _UsageError(
             f"grid times must lie in (0, {kernel.horizon:g}) for "
             f"{kernel.potential.label()}"
         )
+    return ts, xs
 
 
 def run_evolve(cfg: dict) -> int:
     kernel = _build_kernel(cfg)
     signal = _initial_from_config(cfg.get("initial", {"kind": "plane_wave", "k": 3.0}))
-    ts = _grid_axis(cfg["grid"]["t"])
-    xs = _grid_axis(cfg["grid"]["x"])
-    _check_grid(kernel, ts)
+    ts, xs = _grid(cfg, kernel)
     field = wavefield(
         kernel,
         signal,
@@ -319,16 +331,15 @@ def run_evolve(cfg: dict) -> int:
 def run_supershift(cfg: dict) -> int:
     kernel = _build_kernel(cfg)
     ss = cfg["supershift"]
-    kappa = float(ss["kappa"])
-    n_values = [int(n) for n in ss["n_values"]]
-    ts = _grid_axis(cfg["grid"]["t"])
-    xs = _grid_axis(cfg["grid"]["x"])
-    _check_grid(kernel, ts)
+    with _parsing("supershift"):
+        kappa = float(ss["kappa"])
+        n_values = [int(n) for n in ss["n_values"]]
+        c_weight = float(ss.get("weight_C") or default_weight(kappa))
+        samples = disk_samples(float(ss.get("sample_radius", 3.0)))
+    ts, xs = _grid(cfg, kernel)
     report = supershift_experiment(
         kernel, n_values, kappa, ts, xs, tol=cfg["quadrature"]["tol"]
     )
-    c_weight = float(ss.get("weight_C") or default_weight(kappa))
-    samples = disk_samples(float(ss.get("sample_radius", 3.0)))
     target = plane_wave(kappa)
     lines = ["n,d_n,metric_n"]
     for n, d in zip(report.n_values, report.distances):
@@ -384,11 +395,10 @@ def run_verify(cfg: dict) -> int:
 
     if cfg["potential"]["kind"] == "free" and cfg.get("initial", {}).get("kind") == "plane_wave":
         kappa = float(cfg["initial"]["k"])
-        worst = 0.0
-        for t in np.linspace(0.1, 1.0, 5):
-            for x in np.linspace(-3.0, 3.0, 7):
-                v = wavefunction(kernel, signal, float(t), float(x), tol=1e-10)
-                worst = max(worst, abs(v - np.exp(1j * kappa * x - 1j * kappa**2 * t)))
+        ts, xs = np.meshgrid(np.linspace(0.1, 1.0, 5), np.linspace(-3.0, 3.0, 7), indexing="ij")
+        fld = wavefield(kernel, signal, ts[:, 0], xs[0], tol=1e-10)
+        gap = fld.values - np.exp(1j * kappa * xs - 1j * kappa**2 * ts)
+        worst = float(np.max(np.hypot(gap.real, gap.imag)))
         checks.append(
             {
                 "name": "free_plane_wave_closed_form",
@@ -408,7 +418,7 @@ def run_verify(cfg: dict) -> int:
 
 def run_greens_audit(cfg: dict) -> int:
     kernel = _build_kernel(cfg)
-    report = audit_kernel(kernel, AuditSampleSpec())
+    report = audit_kernel(kernel)
     _atomic_write(_out_path(cfg, "audit.json"), report.to_json() + "\n")
     print(f"greens-audit: {'PASS' if report.passed else 'FAIL'} -> {_out_path(cfg, 'audit.json')}")
     return 0 if report.passed else 2

@@ -37,6 +37,8 @@ from .special_fn import (
 )
 
 INV_SQRT_IPI = 1.0 / (np.sqrt(np.pi) * ROOT_I)
+_ODE_TOL = 1e-13  # coefficient solves of the field and oscillator kernels
+_POLE_MARGIN = 0.1  # least distance of a sech^2-well contour from the cosh zeros
 
 
 class Potential:
@@ -187,10 +189,8 @@ def _free_kernel(angle: float) -> GreensKernel:
     )
 
 
-def _electric_kernel(
-    potential: Electric, t_max: float, ode_tol: float, angle: float
-) -> GreensKernel:
-    coeffs = solve_electric(potential.lam, t_max, tol=ode_tol)
+def _electric_kernel(potential: Electric, t_max: float, angle: float) -> GreensKernel:
+    coeffs = solve_electric(potential.lam, t_max, tol=_ODE_TOL)
 
     def a(t):
         return 1.0 / (4.0 * t)
@@ -218,10 +218,8 @@ def _electric_kernel(
     )
 
 
-def _harmonic_kernel(
-    potential: Harmonic, t_max: float, ode_tol: float, angle: float
-) -> GreensKernel:
-    coeffs = solve_harmonic(potential.lam, t_max, tol=ode_tol)
+def _harmonic_kernel(potential: Harmonic, t_max: float, angle: float) -> GreensKernel:
+    coeffs = solve_harmonic(potential.lam, t_max, tol=_ODE_TOL)
     # evolution needs a = beta/(4 alpha) > 0: stop at the first zero of
     # either coefficient; the kernel formula itself only needs alpha > 0
     horizon = min(coeffs.horizon, coeffs.beta_horizon, t_max)
@@ -257,7 +255,7 @@ def _harmonic_kernel(
     )
 
 
-def _pt_qbound_constants(l: int, angle: float, pole_margin: float):
+def _pt_qbound_constants(l: int, angle: float):
     """Witness constants for the Legendre factors on the sector.
 
     For each order m the bound |Q_l^m(z)| <= A e^{B |z|} uses B = m + 1
@@ -274,25 +272,23 @@ def _pt_qbound_constants(l: int, angle: float, pole_margin: float):
     consts = {}
     for m in range(1, l + 1):
         b = m + 1.0
-        q = assoc_legendre_tanh(l, m, pts, pole_margin=pole_margin)
+        q = assoc_legendre_tanh(l, m, pts, pole_margin=_POLE_MARGIN)
         consts[m] = (float(np.max(np.abs(q) * np.exp(-b * np.abs(pts)))), b)
     return consts
 
 
-def _pt_kernel(
-    potential: PoschlTeller, angle: float, pole_margin: float
-) -> GreensKernel:
+def _pt_kernel(potential: PoschlTeller, angle: float) -> GreensKernel:
     l = potential.l
     if angle > np.pi / 3:
         raise ValueError("sech^2-well kernels keep the sector angle <= pi/3")
-    qconsts = _pt_qbound_constants(l, angle, pole_margin)
+    qconsts = _pt_qbound_constants(l, angle)
 
     def a(t):
         return 1.0 / (4.0 * t)
 
     def gtilde(t, x, z):
         free = 1.0 / (2.0 * np.sqrt(np.pi * t) * ROOT_I)
-        return free + np.asarray(pt_weighted_term(l, t, x, z, pole_margin=pole_margin))
+        return free + np.asarray(pt_weighted_term(l, t, x, z, pole_margin=_POLE_MARGIN))
 
     def growth(t, x):
         a0 = 1.0 / (2.0 * np.sqrt(np.pi * t))
@@ -326,7 +322,7 @@ def _pt_kernel(
         horizon=np.inf,
         formula_horizon=np.inf,
         sector_angle=angle,
-        pole_margin=pole_margin,
+        pole_margin=_POLE_MARGIN,
         growth=growth,
         growth_imag=growth_imag,
     )
@@ -336,26 +332,24 @@ def make_kernel(
     potential: Potential,
     *,
     t_max: float = 10.0,
-    ode_tol: float = 1e-13,
     angle: float | None = None,
-    pole_margin: float = 0.1,
 ) -> GreensKernel:
     """Construct the kernel bundle for one potential.
 
-    t_max / ode_tol control the coefficient solves for the field and
-    oscillator potentials.  The sech^2 well defaults to a pi/8 sector so
+    t_max bounds the coefficient solves for the field and oscillator
+    potentials.  The sech^2 well defaults to a pi/8 sector so
     shifted contours through every |x| <= 3.5 keep clear of the cosh
     zeros; the others use pi/4.
     """
     if isinstance(potential, PoschlTeller):
-        return _pt_kernel(potential, np.pi / 8 if angle is None else angle, pole_margin)
+        return _pt_kernel(potential, np.pi / 8 if angle is None else angle)
     angle = np.pi / 4 if angle is None else angle
     if isinstance(potential, Free):
         return _free_kernel(angle)
     if isinstance(potential, Electric):
-        return _electric_kernel(potential, t_max, ode_tol, angle)
+        return _electric_kernel(potential, t_max, angle)
     if isinstance(potential, Harmonic):
-        return _harmonic_kernel(potential, t_max, ode_tol, angle)
+        return _harmonic_kernel(potential, t_max, angle)
     raise TypeError(f"unsupported potential {potential!r}")
 
 
@@ -364,14 +358,12 @@ def pde_residual(
     t: float,
     x: float,
     z: complex,
-    h_t: float = 1e-4,
-    h_x: float = 1e-4,
-    floor: float = 1e-12,
     refine: bool = False,
 ) -> float:
-    """Relative Schrodinger residual |i dG/dt + d2G/dx2 - V G| / max(|G|, floor).
+    """Relative Schrodinger residual |i dG/dt + d2G/dx2 - V G| / max(|G|, 1e-12).
 
-    Central differences in t and x at fixed z; the result is dominated
+    Central differences in t and x at fixed z, steps 1e-4 (the t step at
+    most t/4); the result is dominated
     by the O(h^2) stencil error when the kernel is exact.  ``refine``
     adds a half-step evaluation and Richardson-extrapolates both
     derivatives, which pays off where the kernel phase rotates fast
@@ -385,7 +377,7 @@ def pde_residual(
         dxx = (g(t, x + hx) - 2.0 * g0 + g(t, x - hx)) / (hx * hx)
         return g0, dt, dxx
 
-    h_t = min(h_t, 0.25 * t)
+    h_t, h_x = min(1e-4, 0.25 * t), 1e-4
     g0, dt, dxx = stencil(h_t, h_x)
     if refine:
         _, dt2, dxx2 = stencil(0.5 * h_t, 0.5 * h_x)
@@ -393,7 +385,7 @@ def pde_residual(
         dxx = (4.0 * dxx2 - dxx) / 3.0
     v = kernel.potential.value(t, x)
     res = abs(1j * dt + dxx - v * g0)
-    return float(res / max(abs(g0), floor))
+    return float(res / max(abs(g0), 1e-12))
 
 
 @dataclass
@@ -437,24 +429,14 @@ class KernelAuditReport:
         return json.dumps(self.to_json_dict(), indent=indent)
 
 
-@dataclass(frozen=True)
-class AuditSampleSpec:
-    """Sampling plan and thresholds for a kernel audit."""
-
-    t_values: tuple = (0.05, 0.2, 0.5)
-    x_values: tuple = (-1.5, 0.0, 0.8)
-    z_radii: tuple = (0.5, 1.5, 3.0, 6.0)
-    t_small: tuple = (1e-2, 1e-3, 1e-4)
-    pde_tol: float = 1e-3
-    growth_slack: float = 1e-6
-    limit_tol: float = 1e-3
-    envelope_slack: float = 2.0
+_AUDIT_T = (0.05, 0.2, 0.5)
+_AUDIT_X = (-1.5, 0.0, 0.8)
 
 
-def _sector_samples(kernel: GreensKernel, radii) -> np.ndarray:
+def _sector_samples(kernel: GreensKernel) -> np.ndarray:
     angs = np.array([0.0, 0.35, 0.7, 1.0]) * kernel.sector_angle
     pts = []
-    for r in radii:
+    for r in (0.5, 1.5, 3.0, 6.0):
         for s in (1.0, -1.0):
             pts.append(r * np.exp(1j * s * angs))
             pts.append(-r * np.exp(1j * s * angs))
@@ -464,9 +446,7 @@ def _sector_samples(kernel: GreensKernel, radii) -> np.ndarray:
     return z
 
 
-def audit_kernel(
-    kernel: GreensKernel, spec: AuditSampleSpec | None = None
-) -> KernelAuditReport:
+def audit_kernel(kernel: GreensKernel) -> KernelAuditReport:
     """Numerical audit of the kernel contract on sampled points.
 
     Checks, in order: the Schrodinger equation residual; positivity and
@@ -475,13 +455,14 @@ def audit_kernel(
     envelopes for the finite-difference derivatives of gtilde (fitted on
     half the samples, verified on the other half).  Envelope fitting is a
     sampled stand-in for the locally-integrable bound the derivation
-    assumes; it certifies the sampled points only.
+    assumes; it certifies the sampled points only.  Samples: t in
+    _AUDIT_T (capped at 0.6 of the horizon), x in _AUDIT_X, z on sector
+    rays of radius 0.5 to 6.
     """
-    spec = spec or AuditSampleSpec()
     report = KernelAuditReport(potential=kernel.potential.label())
-    zs = _sector_samples(kernel, spec.z_radii)
-    t_hi = min(kernel.horizon * 0.6, max(spec.t_values))
-    ts = tuple(min(t, t_hi) for t in spec.t_values)
+    zs = _sector_samples(kernel)
+    t_hi = min(kernel.horizon * 0.6, max(_AUDIT_T))
+    ts = tuple(min(t, t_hi) for t in _AUDIT_T)
 
     # (1) PDE residual; moderate |z| and t bounded away from 0 keep the
     # finite-difference stencil inside its resolution budget
@@ -491,13 +472,13 @@ def audit_kernel(
         t = max(t, 0.15)
         if t >= kernel.formula_horizon:
             continue
-        for x in spec.x_values:
+        for x in _AUDIT_X:
             for z in z_pde[:: max(1, len(z_pde) // 8)]:
                 r = pde_residual(kernel, t, x, complex(z), refine=True)
                 if r > worst:
                     worst, wpt = r, (t, x, complex(z))
     report.checks.append(
-        AuditCheck("pde_residual", worst, wpt, worst <= spec.pde_tol)
+        AuditCheck("pde_residual", worst, wpt, worst <= 1e-3)
     )
 
     # (2) a(t) > 0 and a -> inf toward 0+
@@ -512,21 +493,21 @@ def audit_kernel(
     # (3) growth witness
     worst, wpt = 0.0, ()
     for t in ts:
-        for x in spec.x_values:
+        for x in _AUDIT_X:
             a0, b0 = kernel.growth(t, x)
             ratio = np.abs(kernel.gtilde(t, x, zs)) * np.exp(-b0 * np.abs(zs)) / a0
             i = int(np.argmax(ratio))
             if ratio[i] > worst:
                 worst, wpt = float(ratio[i]), (t, x, complex(zs[i]))
     report.checks.append(
-        AuditCheck("growth_witness", worst, wpt, worst <= 1.0 + spec.growth_slack)
+        AuditCheck("growth_witness", worst, wpt, worst <= 1.0 + 1e-6)
     )
 
     # (4) small-time limit of gtilde/sqrt(a)
-    t0 = min(spec.t_small)
+    t0 = 1e-4
     z_small = zs[np.abs(zs) <= 3.0]
     worst, wpt = 0.0, ()
-    for x in spec.x_values:
+    for x in _AUDIT_X:
         dev = np.abs(
             kernel.gtilde(t0, x, z_small) / np.sqrt(kernel.a(t0)) - INV_SQRT_IPI
         )
@@ -534,7 +515,7 @@ def audit_kernel(
         if dev[i] > worst:
             worst, wpt = float(dev[i]), (t0, x, complex(z_small[i]))
     report.checks.append(
-        AuditCheck("small_time_limit", worst, wpt, worst <= spec.limit_tol)
+        AuditCheck("small_time_limit", worst, wpt, worst <= 1e-3)
     )
 
     # (5) derivative envelopes (sampled in place of integrable bounds):
@@ -554,7 +535,7 @@ def audit_kernel(
     fit_idx = np.where(~held)[0]
     chk_idx = np.where(held)[0]
     for t in ts:
-        for x in spec.x_values:
+        for x in _AUDIT_X:
             _, b0 = kernel.growth(t, x)
             b_grid = np.linspace(0.0, b0 + 3.0, 31)
             dx = (kernel.gtilde(t, x + h, zs) - kernel.gtilde(t, x - h, zs)) / (2 * h)
@@ -579,8 +560,6 @@ def audit_kernel(
                 if ratio[i] > worst:
                     worst, wpt = float(ratio[i]), (t, x, complex(zs[chk_idx][i]))
     report.checks.append(
-        AuditCheck(
-            "derivative_envelopes", worst, wpt, worst <= spec.envelope_slack
-        )
+        AuditCheck("derivative_envelopes", worst, wpt, worst <= 2.0)
     )
     return report

@@ -57,6 +57,41 @@ class TestExitCodes:
         )
         assert run(["evolve", "--config", str(cfg), "--output", outdir]) == 1
 
+    def test_empty_order_is_usage_error(self, outdir, capsys):
+        assert run(["supershift", "--potential", "free", "--n", "10,,20", "--output", outdir]) == 1
+        assert capsys.readouterr().err.startswith("error: invalid option")
+
+    def test_non_numeric_inline_option_is_usage_error(self, outdir, capsys):
+        assert run(["evolve", "--potential", "harmonic:omega=abc", "--output", outdir]) == 1
+        assert capsys.readouterr().err.startswith("error: invalid option")
+
+    def test_missing_well_order_is_usage_error(self, tmp_path, outdir, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"potential": {"kind": "poschl_teller"}}')
+        assert run(["evolve", "--config", str(cfg), "--output", outdir]) == 1
+        assert capsys.readouterr().err.startswith("error: invalid potential: KeyError('l')")
+
+    def test_empty_grid_axis_is_usage_error(self, tmp_path, outdir, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"potential": {"kind": "free"}, "grid": {"t": [0.1, 0.5, 0]}}))
+        assert run(["evolve", "--config", str(cfg), "--output", outdir]) == 1
+        assert capsys.readouterr().err.startswith("error: invalid grid axis")
+
+    def test_descending_time_axis_checked_against_horizon(self, tmp_path, outdir, capsys):
+        # t runs 2.0 -> 0.1; the harmonic horizon pi/4 lies inside the axis
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "potential": {"kind": "harmonic", "omega": 1.0},
+                    "grid": {"t": [2.0, 0.1, 3], "x": [-1, 1, 3]},
+                }
+            )
+        )
+        assert run(["evolve", "--config", str(cfg), "--output", outdir]) == 1
+        assert "grid times must lie in (0, 0.785398)" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(outdir, "run_field.csv"))
+
     def test_verification_failure_exits_two(self, tmp_path, outdir):
         # an unreachable residual threshold forces the failure path
         cfg = tmp_path / "cfg.json"

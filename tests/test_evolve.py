@@ -348,14 +348,29 @@ class TestSupershift:
     def test_point_error_recorded_not_raised(self, pt1_kernel):
         # x = 4.25 puts a pole inside the swept sector; x = 0 still counts
         rep = supershift_experiment(pt1_kernel, [10], 2.0, [0.3], [0.0, 4.25], tol=1e-8)
-        assert len(rep.failures) == 1
-        n, t, x, reason = rep.failures[0]
-        assert (n, t, x) == (None, 0.3, 4.25) and reason.startswith("DomainMarginError")
+        assert [(n, t, x) for n, t, x, _ in rep.failures] == [(None, 0.3, 4.25), (10, 0.3, 4.25)]
+        assert all(r.startswith("DomainMarginError") for *_, r in rep.failures)
         gap = abs(
             wavefunction(pt1_kernel, superosc_signal(10, 2.0), 0.3, 0.0, 1e-8)
             - wavefunction(pt1_kernel, plane_wave(2.0), 0.3, 0.0, 1e-8)
         )
         assert rep.distances == [gap] and not rep.strictly_decreasing
+
+    def test_gaps_equal_python_abs_over_wavefield_cells(self, free_kernel):
+        # criterion-9 free column: kappa = 3, x = -1, t in [0.1, 0.5]; the
+        # experiments' array gaps must round like Python's complex abs
+        ts, col = np.linspace(0.1, 0.5, 5), [-1.0]
+        ref = wavefield(free_kernel, plane_wave(3.0), ts, col, tol=1e-8).values
+        rep = supershift_experiment(free_kernel, [10, 20, 40], 3.0, ts, col, tol=1e-8)
+        for n, d in zip([10, 20, 40], rep.distances):
+            vals = wavefield(free_kernel, superosc_signal(n, 3.0), ts, col, tol=1e-8).values
+            assert d == max(abs(complex(v) - complex(r)) for v, r in zip(vals.flat, ref.flat))
+        pw = plane_wave(3.0)
+        lim = initial_limit_check(free_kernel, pw, col, ts, tol=1e-8)
+        f0 = complex(pw(np.array(col) + 0j)[0])
+        for t, e in zip(lim.t_values, lim.errors):
+            [v] = wavefield(free_kernel, pw, [t], col, tol=1e-8).values.flat
+            assert e == abs(complex(v) - f0)
 
     def test_single_term_family_is_exact(self, free_kernel):
         # combination with the target frequency itself: distance 0 to tol
@@ -453,9 +468,8 @@ class TestContinuousDependence:
         rep = continuous_dependence_check(
             pt1_kernel, pw, [fn], [10], 6.0, disk_samples(3.0), [0.3], [0.0, 4.25], tol=1e-8
         )
-        assert len(rep.failures) == 1
-        n, t, x, reason = rep.failures[0]
-        assert (n, t, x) == (None, 0.3, 4.25) and reason.startswith("DomainMarginError")
+        assert [(n, t, x) for n, t, x, _ in rep.failures] == [(None, 0.3, 4.25), (10, 0.3, 4.25)]
+        assert all(r.startswith("DomainMarginError") for *_, r in rep.failures)
         gap = abs(
             wavefunction(pt1_kernel, fn, 0.3, 0.0, 1e-8)
             - wavefunction(pt1_kernel, pw, 0.3, 0.0, 1e-8)

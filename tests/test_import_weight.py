@@ -4,7 +4,9 @@ Importing ``scipy.special`` costs 0.3-0.4 s and ~25 MB, ``scipy.integrate``
 0.2-0.4 s and ~26 MB, and ``mpmath`` ~35 ms; each shows directly in the
 benchmark's ``setup_s`` and ``peak_rss_mb`` and in every CLI run.  This
 test pins that the import, the four kernel builds, one grid point per
-kernel and one real-line comparator call load none of them: scipy stays
+kernel, one real-line comparator call and one point each of the three
+grid experiments (supershift distances, continuous dependence with its
+initial-data metric, the initial-value limit) load none of them: scipy stays
 a lazy import of the CLI's ``table`` spline, and mpmath of the
 extended-precision oracles.
 """
@@ -21,9 +23,20 @@ SCRIPT = """
 import sys
 import supershift_lab
 from supershift_lab.contour_quad import epsilon_regularized_integral
-from supershift_lab.evolve import wavefield
+from supershift_lab.evolve import (
+    continuous_dependence_check,
+    initial_limit_check,
+    supershift_experiment,
+    wavefield,
+)
 from supershift_lab.greens import Electric, Free, Harmonic, PoschlTeller, make_kernel
-from supershift_lab.initial_data import constant_signal, plane_wave
+from supershift_lab.initial_data import (
+    constant_signal,
+    default_weight,
+    disk_samples,
+    plane_wave,
+    superosc_signal,
+)
 
 kernels = [
     make_kernel(Free()),
@@ -35,6 +48,13 @@ for kernel in kernels:
     field = wavefield(kernel, plane_wave(2.0), [0.3], [0.4], tol=1e-8)
     assert not field.failures, field.failures
 epsilon_regularized_integral(constant_signal(), 1.0, 0.0, eps=1e-3, tol=1e-8)
+free = kernels[0]
+assert not supershift_experiment(free, [10], 3.0, [0.3], [0.4]).failures
+assert not continuous_dependence_check(
+    free, plane_wave(3.0), [superosc_signal(10, 3.0)], [10], default_weight(3.0),
+    disk_samples(3.0), [0.3], [0.4],
+).failures
+assert not initial_limit_check(free, plane_wave(3.0), [0.4], [0.01]).failures
 print(" ".join(sorted(sys.modules)))
 """
 
