@@ -146,13 +146,16 @@ def _potential_from_inline(text: str) -> dict:
     raise _UsageError(f"cannot parse potential {text!r}")
 
 
+def _plane_kappa(k):
+    """A plane wave's frequency: a number, or [re, im] for a complex one."""
+    return complex(k[0], k[1]) if isinstance(k, (list, tuple)) else float(k)
+
+
 @_parsing("initial")
 def _initial_from_config(spec):
     kind = spec.get("kind")
     if kind == "plane_wave":
-        k = spec["k"]
-        kappa = complex(k[0], k[1]) if isinstance(k, (list, tuple)) else float(k)
-        return plane_wave(kappa)
+        return plane_wave(_plane_kappa(spec["k"]))
     if kind == "superosc":
         return superosc_signal(int(spec["n"]), float(spec["k"]))
     if kind == "linear_combination":
@@ -202,17 +205,31 @@ def _load_config(args) -> dict:
             cfg["initial"] = _initial_from_inline(args.initial)
         if getattr(args, "n_values", None):
             cfg["supershift"]["n_values"] = [int(v) for v in args.n_values.split(",")]
-    if getattr(args, "kappa", None) is not None:
-        cfg["supershift"]["kappa"] = float(args.kappa)
-    if getattr(args, "tol", None) is not None:
-        cfg["quadrature"]["tol"] = float(args.tol)
-    if getattr(args, "output", None):
-        cfg["output"]["dir"] = args.output
-    if getattr(args, "prefix", None):
-        cfg["output"]["prefix"] = args.prefix
+        if getattr(args, "kappa", None) is not None:
+            cfg["supershift"]["kappa"] = float(args.kappa)
+        if getattr(args, "tol", None) is not None:
+            cfg["quadrature"]["tol"] = float(args.tol)
+        if getattr(args, "output", None):
+            cfg["output"]["dir"] = args.output
+        if getattr(args, "prefix", None):
+            cfg["output"]["prefix"] = args.prefix
     if "potential" not in cfg:
         raise _UsageError("missing required field: potential")
+    _check_quadrature(cfg["quadrature"])
     return cfg
+
+
+def _check_quadrature(spec):
+    """quadrature.tol must be a positive number, max_panels a positive integer."""
+    if not isinstance(spec, dict):
+        raise _UsageError(f"quadrature must be an object, got {spec!r}")
+    tol, max_panels = spec.get("tol"), spec.get("max_panels")
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0.0 < tol < np.inf:
+        raise _UsageError(f"quadrature.tol must be a positive number, got {tol!r}")
+    if isinstance(max_panels, bool) or not isinstance(max_panels, int) or max_panels < 1:
+        raise _UsageError(
+            f"quadrature.max_panels must be a positive integer, got {max_panels!r}"
+        )
 
 
 def _grid_axis(spec) -> np.ndarray:
@@ -394,7 +411,7 @@ def run_verify(cfg: dict) -> int:
     )
 
     if cfg["potential"]["kind"] == "free" and cfg.get("initial", {}).get("kind") == "plane_wave":
-        kappa = float(cfg["initial"]["k"])
+        kappa = _plane_kappa(cfg["initial"]["k"])
         ts, xs = np.meshgrid(np.linspace(0.1, 1.0, 5), np.linspace(-3.0, 3.0, 7), indexing="ij")
         fld = wavefield(kernel, signal, ts[:, 0], xs[0], tol=1e-10)
         gap = fld.values - np.exp(1j * kappa * xs - 1j * kappa**2 * ts)

@@ -136,13 +136,18 @@ _GK61 = _PanelRule(
 class GrowthWitness:
     """Exponential envelope certificate for a holomorphic integrand.
 
-    kind "modulus":  |f(z)| <= amplitude * e^{rate |z|}
-    kind "imag":     |f(z)| <= amplitude * e^{rate |Im z|}
+    kind "modulus":  |f(z)| <= amplitude * e^{rate |z| - freq Im z}
+    kind "imag":     |f(z)| <= amplitude * e^{rate |Im z| - freq Im z}
+
+    freq is the integrand's net linear frequency: e^{i freq z} is bounded
+    on the real line but grows like e^{-freq Im z} off it, and naming it
+    keeps it out of the rate.  The default 0 is the plain envelope.
     """
 
     amplitude: float
     rate: float
     kind: str = "modulus"
+    freq: float = 0.0
 
     def __post_init__(self):
         if self.amplitude < 0 or self.rate < 0:
@@ -159,8 +164,10 @@ class QuadraturePlan:
     y1      center of the quadratic phase
     angle   contour angle in (0, pi/2); default pi/4 maximizes decay
     center  real point the contour passes through; defaults to y1, which
-            turns the quadratic phase into a pure Gaussian along the line
-            and keeps the integrand modulus bounded for any a
+            turns the quadratic phase into a pure Gaussian along the line.
+            For an integrand of witness frequency w the stationary point
+            y1 - w / (2a) does the same for the quadratic phase times
+            e^{i w z}, and keeps the integrand modulus bounded for any a
     """
 
     a: float
@@ -269,19 +276,20 @@ def truncation_radius(
     center y1) the integrand modulus is bounded by
 
         amplitude e^{rate |shift|} *
-        e^{-a sin(2 angle) u^2 + (rate + 2 a |shift - y1| sin(angle)) |u|},
+        e^{-a sin(2 angle) u^2 + (rate + |2 a (shift - y1) + freq| sin(angle)) |u|},
 
     and Newton steps on the concave log tail (``_tail_radius``) give a Y
-    certified by ``_log_gaussian_tail(Y) <= log tol``.  The imag-kind
-    witness satisfies the same envelope, so the bound is valid (if
-    slightly conservative) for both kinds.
+    certified by ``_log_gaussian_tail(Y) <= log tol``.  Through the
+    stationary point shift = y1 - freq / (2a) the linear term is the rate
+    alone.  The imag-kind witness satisfies the same envelope, so the
+    bound is valid (if slightly conservative) for both kinds.
     """
     if a <= 0 or not 0 < angle < np.pi / 2 or tol <= 0:
         raise ValueError("truncation_radius requires a > 0, angle in (0, pi/2), tol > 0")
     if shift is None:
         shift = y1
     c = a * np.sin(2.0 * angle)
-    b = witness.rate + 2.0 * a * abs(shift - y1) * np.sin(angle)
+    b = witness.rate + abs(2.0 * a * (shift - y1) + witness.freq) * np.sin(angle)
     log_amp = (
         np.log(max(witness.amplitude, _TINY))
         + witness.rate * abs(shift)
@@ -475,7 +483,9 @@ def rotated_integral(f, plan: QuadraturePlan) -> QuadratureResult:
     e^{i angle} * int_R e^{i a (y e^{i angle} - y1)^2} f(y e^{i angle}) dy.
     The default shift s = y1 makes the quadratic factor a pure Gaussian
     along the line, avoiding the e^{a s^2 sin^2(angle) sin(2 angle)}
-    cancellation an origin-anchored parameterization would suffer.
+    cancellation an origin-anchored parameterization would suffer; for a
+    witness of frequency w the shift y1 - w / (2a) does the same for the
+    quadratic factor times e^{i w z}.
 
     The error estimate combines the summed panel estimates with the
     certified truncation tail.
@@ -498,9 +508,12 @@ def rotated_integral(f, plan: QuadraturePlan) -> QuadratureResult:
     cos2a = np.cos(2.0 * plan.angle)
     cos_a = np.cos(plan.angle)
     off = shift - y1
+    # the witness frequency turns with the quadratic phase; at the
+    # stationary point the two linear terms cancel
+    freq_rate = witness.freq * cos_a
 
     def phase_rate(u):
-        return 2.0 * a * (u * cos2a + off * cos_a)
+        return 2.0 * a * (u * cos2a + off * cos_a) + freq_rate
 
     edges = _seed_edges(-radius, radius, 0.0, sigma, phase_rate)
     try:

@@ -3,7 +3,9 @@
 The wave value at (t, x) is the rotated-contour integral of
 G(t, x, z) F(z): with the kernel split G = e^{i a (z-x)^2} gtilde, the
 quadrature plan gets the Gaussian rate a(t), phase center x, and the
-combined growth witness of gtilde * F.  On top of the point evaluator sit
+combined growth witness of gtilde * F, whose frequency w is the kernel's
+plus the datum's.  The contour passes through the real stationary point
+x - w / (2a) of the whole phase.  On top of the point evaluator sit
 grid batching, finite-difference residual fields, initial-value and
 continuous-dependence checks, supershift experiments, and a Morera-type
 analyticity probe in the frequency parameter.
@@ -38,7 +40,9 @@ def _integrand(kernel: GreensKernel, t: float, x: float, f: HolomorphicSignal):
     ev = lambda z: gt(t, x, np.asarray(z, dtype=complex)) * f.eval(z)
     a0, b0 = kernel.growth(t, x)
     fw = f.growth
-    witness = GrowthWitness(a0 * fw.amplitude, b0 + fw.rate, "modulus")
+    witness = GrowthWitness(
+        a0 * fw.amplitude, b0 + fw.rate, "modulus", kernel.freq(t, x) + fw.freq
+    )
     return HolomorphicSignal(eval=ev, growth=witness, label="integrand")
 
 
@@ -50,17 +54,27 @@ def wavefunction_result(
     tol: float = 1e-10,
     max_panels: int = 4000,
 ) -> QuadratureResult:
-    """Propagator integral with full quadrature diagnostics."""
+    """Propagator integral with full quadrature diagnostics.
+
+    The contour passes through x - w / (2a), w the frequency of the
+    integrand's witness: along that line the phase is stationary and the
+    integrand a Gaussian times a bounded factor, so no cancellation is
+    left for the panel sums.  Where the poles of a sech^2 well refuse that
+    line, ``kernel.contour_center`` moves it back toward x.
+    """
     kernel.check_time(t)
-    kernel.check_contour(x)
+    a = kernel.a(t)
+    integrand = _integrand(kernel, t, x, f)
+    center = kernel.contour_center(x, x - integrand.growth.freq / (2.0 * a))
     plan = QuadraturePlan(
-        a=kernel.a(t),
+        a=a,
         y1=x,
         angle=kernel.sector_angle,
+        center=center,
         tol=tol,
         max_panels=max_panels,
     )
-    return rotated_integral(_integrand(kernel, t, x, f), plan)
+    return rotated_integral(integrand, plan)
 
 
 def wavefunction(

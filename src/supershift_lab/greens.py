@@ -20,16 +20,20 @@ solve coefficient ODEs but the returned kernel is immutable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from math import factorial
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial.polynomial import polyval
 
 from .errors import DomainMarginError, HorizonExceeded
 from .ode_coeff import ElectricCoeffs, HarmonicCoeffs, solve_electric, solve_harmonic
-from .special_fn import (
+# erfcx and assoc_legendre_tanh are not called here; bench/tracer.py
+# patches them under these names
+from .special_fn import (  # noqa: F401
     ROOT_I,
+    _pt_orders,
     assoc_legendre_tanh,
     erfcx,
     pole_set_distance,
@@ -111,9 +115,12 @@ class GreensKernel:
 
     horizon         largest time usable for evolution (a(t) > 0 there)
     formula_horizon largest time where the kernel formula itself is valid
-    growth          (t, x) -> (A0, B0) modulus witness |gtilde| <= A0 e^{B0 |z|}
-    growth_imag     same but for the |Im z| exponent (all four potentials
-                    admit one)
+    growth          (t, x) -> (A0, B0) modulus witness
+                    |gtilde| <= A0 e^{B0 |z| - w Im z}, w = freq(t, x)
+    growth_imag     (t, x) -> (A0, B0) with |gtilde| <= A0 e^{B0 |Im z|}
+                    (all four potentials admit one)
+    freq            (t, x) -> w, the kernel's linear frequency: gtilde is
+                    e^{i w z} times a bounded factor
     """
 
     potential: Potential
@@ -125,6 +132,7 @@ class GreensKernel:
     pole_margin: float
     growth: Callable[[float, float], tuple[float, float]]
     growth_imag: Callable[[float, float], tuple[float, float]]
+    freq: Callable[[float, float], float]
     coeffs: ElectricCoeffs | HarmonicCoeffs | None = None
 
     def check_time(self, t: float, *, evolution: bool = True):
@@ -141,20 +149,43 @@ class GreensKernel:
         The first pole +-i pi/2 enters the shifted double sector once
         |shift| tan(angle) reaches pi/2; crossing it would silently add a
         residue to the contour integral, so the clearance
-        (pi/2) cos(angle) - |shift| sin(angle) must stay >= pole_margin.
+        (pi/2) cos(angle) - |shift| sin(angle) must stay >= pole_margin,
+        that is |shift| <= ``_center_limit``.
         """
         if self.pole_margin <= 0.0:
             return
-        clearance = (np.pi / 2) * np.cos(self.sector_angle) - abs(shift) * np.sin(
-            self.sector_angle
-        )
-        if clearance < self.pole_margin:
+        if abs(shift) > _center_limit(self.sector_angle, self.pole_margin):
+            clearance = (np.pi / 2) * np.cos(self.sector_angle) - abs(shift) * np.sin(
+                self.sector_angle
+            )
             where = (f"comes within {clearance:.3f} of the pole set" if clearance >= 0.0
                      else f"has the pole set {-clearance:.3f} inside its swept sector")
             raise DomainMarginError(
                 f"contour through {shift:g} at angle {self.sector_angle:.3f} "
                 f"{where} (margin {self.pole_margin})"
             )
+
+    def contour_center(self, x: float, stationary: float) -> float:
+        """The real point the contour for target x passes through.
+
+        That is ``stationary`` when ``check_contour`` admits it, else the
+        admitted point nearest it on the segment back to x (the line
+        through x is admitted wherever it was).  Raises DomainMarginError
+        when no point of the segment is admitted.
+        """
+        if self.pole_margin > 0.0:
+            limit = _center_limit(self.sector_angle, self.pole_margin)
+            clipped = min(max(stationary, -limit), limit)
+            if min(x, stationary) <= clipped <= max(x, stationary):
+                stationary = clipped
+        self.check_contour(stationary)
+        return stationary
+
+
+def _center_limit(angle: float, margin: float) -> float:
+    """Largest |shift| whose contour at ``angle`` keeps the poles +-i pi/2
+    (and their copies) at ``margin``."""
+    return ((np.pi / 2) * np.cos(angle) - margin) / np.sin(angle)
 
 
 def greens_value(kernel: GreensKernel, t: float, x: float, z):
@@ -163,6 +194,10 @@ def greens_value(kernel: GreensKernel, t: float, x: float, z):
     z = np.asarray(z, dtype=complex)
     val = np.exp(1j * kernel.a(t) * (z - x) ** 2) * kernel.gtilde(t, x, z)
     return complex(val) if val.ndim == 0 else val
+
+
+def _no_freq(t, x):
+    return 0.0
 
 
 def _free_kernel(angle: float) -> GreensKernel:
@@ -186,6 +221,7 @@ def _free_kernel(angle: float) -> GreensKernel:
         pole_margin=0.0,
         growth=growth,
         growth_imag=growth,
+        freq=_no_freq,
     )
 
 
@@ -201,8 +237,16 @@ def _electric_kernel(potential: Electric, t_max: float, angle: float) -> GreensK
         phase = be + x * (t * ap) + z * al
         return np.exp(1j * phase) / (2.0 * np.sqrt(np.pi * t) * ROOT_I)
 
+    # gtilde is e^{i alpha z} times a unimodular factor: the modulus
+    # witness is exact with rate 0 and frequency alpha
     def growth(t, x):
+        return 1.0 / (2.0 * np.sqrt(np.pi * t)), 0.0
+
+    def growth_imag(t, x):
         return 1.0 / (2.0 * np.sqrt(np.pi * t)), abs(coeffs.alpha(t))
+
+    def freq(t, x):
+        return coeffs.alpha(t)
 
     return GreensKernel(
         potential=potential,
@@ -213,7 +257,8 @@ def _electric_kernel(potential: Electric, t_max: float, angle: float) -> GreensK
         sector_angle=angle,
         pole_margin=0.0,
         growth=growth,
-        growth_imag=growth,
+        growth_imag=growth_imag,
+        freq=freq,
         coeffs=coeffs,
     )
 
@@ -235,11 +280,20 @@ def _harmonic_kernel(potential: Harmonic, t_max: float, angle: float) -> GreensK
         expo = ((be - ap) * x * x + 2.0 * x * z * (1.0 - be)) / (4j * al)
         return np.exp(expo) / (2.0 * np.sqrt(np.pi * al) * ROOT_I)
 
+    # the x^2 term of the exponent is imaginary: gtilde is e^{i w z},
+    # w = -x (1 - beta) / (2 alpha), times a factor of modulus
+    # 1 / (2 sqrt(pi alpha)), so the modulus witness is exact with rate 0
     def growth(t, x):
+        al, _, _, _ = coeffs.state(t)
+        return 1.0 / (2.0 * np.sqrt(np.pi * al)), 0.0
+
+    def growth_imag(t, x):
+        al, _, _, _ = coeffs.state(t)
+        return 1.0 / (2.0 * np.sqrt(np.pi * al)), abs(freq(t, x))
+
+    def freq(t, x):
         al, _, be, _ = coeffs.state(t)
-        return 1.0 / (2.0 * np.sqrt(np.pi * al)), abs(x) * abs(1.0 - be) / (
-            2.0 * al
-        )
+        return -x * (1.0 - be) / (2.0 * al)
 
     return GreensKernel(
         potential=potential,
@@ -250,38 +304,71 @@ def _harmonic_kernel(potential: Harmonic, t_max: float, angle: float) -> GreensK
         sector_angle=angle,
         pole_margin=0.0,
         growth=growth,
-        growth_imag=growth,
+        growth_imag=growth_imag,
+        freq=freq,
         coeffs=coeffs,
     )
 
 
-def _pt_qbound_constants(l: int, angle: float):
-    """Witness constants for the Legendre factors on the sector.
+def _pt_sech_bound(angle: float) -> float:
+    """Bound S on |2 / (1 + e^{-2 zeta z})| (zeta = sign Re z) and on
+    |tanh z| over D = {|Im z| <= (|Re z| + s_max) tan(angle)}, the union of
+    the double sectors of every contour ``check_contour`` admits (s_max
+    the largest admitted |center|).
 
-    For each order m the bound |Q_l^m(z)| <= A e^{B |z|} uses B = m + 1
-    and A maximized over sector samples (the factors decay like
-    e^{-m |Re z|}, so this is comfortably valid); sampled on rays at the
-    sector edge and the real axis out to |z| = 12.
+    With z = X + iY the first is e^{|X|} / |cosh z|, and |tanh z| =
+    |1 - q| / |1 + q| <= 2 / |1 + q| (q = e^{-2 zeta z}, |q| <= 1) is at
+    most the same.  On D, e^{-2|X|} |cosh z|^2 = e^{-2|X|} (sinh^2 X +
+    cos^2 Y) >= L(X) = e^{-2|X|} (sinh^2 X + [Y_m < pi/2] cos^2 Y_m),
+    Y_m = (|X| + s_max) tan(angle).  Past X_c, where Y_m reaches pi/2,
+    L = ((1 - e^{-2X}) / 2)^2 increases; on [0, X_c] the slope of L is at
+    most 9/4 + tan(angle), so its grid minimum less that slope times half
+    the step bounds it.  S = 1 / sqrt(min L).
     """
-    rr = np.linspace(0.0, 12.0, 241)
-    samples = [rr.astype(complex), -rr.astype(complex)]
-    for sgn in (1.0, -1.0):
-        ray = rr * np.exp(1j * sgn * angle)
-        samples += [ray, -ray]
-    pts = np.concatenate(samples)
-    consts = {}
-    for m in range(1, l + 1):
-        b = m + 1.0
-        q = assoc_legendre_tanh(l, m, pts, pole_margin=_POLE_MARGIN)
-        consts[m] = (float(np.max(np.abs(q) * np.exp(-b * np.abs(pts)))), b)
-    return consts
+    tan_a = np.tan(angle)
+    s_max = _center_limit(angle, _POLE_MARGIN)
+    xs = np.linspace(0.0, (np.pi / 2) / tan_a - s_max, 4097)
+    e2 = np.exp(-2.0 * xs)
+    lows = 0.25 * (1.0 - e2) ** 2 + e2 * np.cos((xs + s_max) * tan_a) ** 2
+    low = lows.min() - (2.25 + tan_a) * 0.5 * (xs[1] - xs[0])
+    return 1.0 / np.sqrt(min(low, 0.25 * (1.0 - e2[-1]) ** 2))
 
 
 def _pt_kernel(potential: PoschlTeller, angle: float) -> GreensKernel:
+    """The sech^2-well kernel with witnesses derived from its closed form.
+
+    gtilde = free part + sum_m c_m Q_l^m(x) Q_l^m(z) R_m(z - x)
+    (``pt_weighted_term``).  With p = |Re(z - x)|, each R_m is
+    e^{m p} erfcx(xi_1) - e^{-m p} erfcx(xi_2), and |erfcx| <= 1 on the
+    closed right half-plane, <= 1 + 2 |e^{xi^2}| left of it.  Where
+    Re xi_1 < 0 or Re xi_2 < 0 the e^{xi^2} terms contribute
+    2 e^{Im((z-x)^2) / (4t)}, which is at most 2 e^{m^2 t / 2} (at most 2
+    for xi_2), and at most 2 e^{m |Im z|} as well.  Q_l^m(z) =
+    sech^m(z) P_l^(m)(tanh z) carries e^{-m |Re z|}, which cancels the
+    e^{m p} growth to e^{m |x|}:
+
+    * modulus witness, rate 0 and frequency 0 on D (``_pt_sech_bound``):
+      |Q_l^m(z)| e^{m |Re z|} <= S^m sum_k |a_k| S^k (a_k the coefficients
+      of P_l^(m)), times e^{m|x|} + e^{-m|x|} + 2 e^{m^2 t/2} + 2;
+    * imag witness: for |Im z| <= pi/4, Re(1 + e^{-2 zeta z}) >= 1 bounds
+      the sech factor by 2 and |tanh z| by 1; beyond, S <= e^{b pi/4} with
+      b = (4/pi) log S.  So |Q_l^m(z)| e^{m |Re z|} <= 2^m sum_k |a_k|
+      e^{b l |Im z|}, times (e^{m|x|} + e^{-m|x|} + 4) e^{m |Im z|}:
+      the rate is l (b + 1) and the amplitude is tight on the real line.
+    """
     l = potential.l
     if angle > np.pi / 3:
         raise ValueError("sech^2-well kernels keep the sector angle <= pi/3")
-    qconsts = _pt_qbound_constants(l, angle)
+    sech = _pt_sech_bound(angle)
+    coeffs, weights = _pt_orders(l)
+    orders = []
+    for m in range(1, l + 1):
+        poly_c = tuple(float(c) for c in coeffs[m - 1])
+        abs_p = np.abs(coeffs[m - 1])
+        q_sector = sech**m * float(polyval(sech, abs_p))
+        q_strip = 2.0**m * float(abs_p.sum())
+        orders.append((m, float(weights[m - 1]), poly_c, q_sector, q_strip))
+    rate_imag = l * (4.0 / np.pi * np.log(sech) + 1.0)
 
     def a(t):
         return 1.0 / (4.0 * t)
@@ -290,30 +377,29 @@ def _pt_kernel(potential: PoschlTeller, angle: float) -> GreensKernel:
         free = 1.0 / (2.0 * np.sqrt(np.pi * t) * ROOT_I)
         return free + np.asarray(pt_weighted_term(l, t, x, z, pole_margin=_POLE_MARGIN))
 
+    def bound_sum(t, x, imag):
+        # c_m |Q_l^m(x)| e^{m|x|} = c_m |P_l^(m)(tanh x)| (2 / (1 + r^2))^m,
+        # r = e^{-|x|}, so every factor stays in range for any x
+        th, r = math.tanh(x), math.exp(-abs(x))
+        total = 0.0
+        for m, c_m, poly_c, q_sector, q_strip in orders:
+            poly = 0.0
+            for coef in reversed(poly_c):
+                poly = poly * th + coef
+            qx = c_m * abs(poly) * (2.0 / (1.0 + r * r)) ** m
+            rm = r**m
+            if imag:
+                total += qx * q_strip * (1.0 + rm * rm + 4.0 * rm)
+            else:
+                hump = 2.0 * math.exp(0.5 * m * m * t) + 2.0
+                total += qx * q_sector * (1.0 + rm * rm + hump * rm)
+        return 1.0 / (2.0 * math.sqrt(math.pi * t)) + total
+
     def growth(t, x):
-        a0 = 1.0 / (2.0 * np.sqrt(np.pi * t))
-        b0 = 0.0
-        for m in range(1, l + 1):
-            am, bm = qconsts[m]
-            lam_neg = float(erfcx(-m * np.sqrt(t) / np.sqrt(2.0)).real)
-            a0 += (
-                m
-                * factorial(l - m)
-                / factorial(l + m)
-                * am
-                * am
-                * np.exp((m + bm) * abs(x))
-                * lam_neg
-            )
-            b0 = max(b0, m + bm)
-        return a0, b0
+        return bound_sum(t, x, False), 0.0
 
     def growth_imag(t, x):
-        # Q decays like e^{-m |Re z|} while the kernel term grows like
-        # e^{m |Re(z-x)|}: their product is bounded in Re z, so the
-        # imag-exponent witness has rate 0 with an x-dependent amplitude
-        a0, _ = growth(t, x)
-        return a0, 0.0
+        return bound_sum(t, x, True), rate_imag
 
     return GreensKernel(
         potential=potential,
@@ -325,6 +411,7 @@ def _pt_kernel(potential: PoschlTeller, angle: float) -> GreensKernel:
         pole_margin=_POLE_MARGIN,
         growth=growth,
         growth_imag=growth_imag,
+        freq=_no_freq,
     )
 
 
@@ -431,12 +518,16 @@ class KernelAuditReport:
 
 _AUDIT_T = (0.05, 0.2, 0.5)
 _AUDIT_X = (-1.5, 0.0, 0.8)
+# radii of the growth-witness samples, past the largest truncation radius
+# of the plane-wave benchmark grids (21 at tol 1e-9); the other checks
+# keep to radius 6
+_AUDIT_RADII = (0.5, 1.5, 3.0, 6.0, 12.0, 24.0, 45.0, 60.0)
 
 
-def _sector_samples(kernel: GreensKernel) -> np.ndarray:
+def _sector_samples(kernel: GreensKernel, radii=_AUDIT_RADII[:4]) -> np.ndarray:
     angs = np.array([0.0, 0.35, 0.7, 1.0]) * kernel.sector_angle
     pts = []
-    for r in (0.5, 1.5, 3.0, 6.0):
+    for r in radii:
         for s in (1.0, -1.0):
             pts.append(r * np.exp(1j * s * angs))
             pts.append(-r * np.exp(1j * s * angs))
@@ -457,7 +548,8 @@ def audit_kernel(kernel: GreensKernel) -> KernelAuditReport:
     sampled stand-in for the locally-integrable bound the derivation
     assumes; it certifies the sampled points only.  Samples: t in
     _AUDIT_T (capped at 0.6 of the horizon), x in _AUDIT_X, z on sector
-    rays of radius 0.5 to 6.
+    rays of radius 0.5 to 6, and to 60 (_AUDIT_RADII) for the growth
+    witness |gtilde| <= A e^{B |z| - w Im z}.
     """
     report = KernelAuditReport(potential=kernel.potential.label())
     zs = _sector_samples(kernel)
@@ -492,13 +584,18 @@ def audit_kernel(kernel: GreensKernel) -> KernelAuditReport:
 
     # (3) growth witness
     worst, wpt = 0.0, ()
+    z_far = _sector_samples(kernel, _AUDIT_RADII)
     for t in ts:
         for x in _AUDIT_X:
             a0, b0 = kernel.growth(t, x)
-            ratio = np.abs(kernel.gtilde(t, x, zs)) * np.exp(-b0 * np.abs(zs)) / a0
+            w = kernel.freq(t, x)
+            ratio = (
+                np.abs(kernel.gtilde(t, x, z_far))
+                * np.exp(w * z_far.imag - b0 * np.abs(z_far)) / a0
+            )
             i = int(np.argmax(ratio))
             if ratio[i] > worst:
-                worst, wpt = float(ratio[i]), (t, x, complex(zs[i]))
+                worst, wpt = float(ratio[i]), (t, x, complex(z_far[i]))
     report.checks.append(
         AuditCheck("growth_witness", worst, wpt, worst <= 1.0 + 1e-6)
     )
@@ -537,7 +634,7 @@ def audit_kernel(kernel: GreensKernel) -> KernelAuditReport:
     for t in ts:
         for x in _AUDIT_X:
             _, b0 = kernel.growth(t, x)
-            b_grid = np.linspace(0.0, b0 + 3.0, 31)
+            b_grid = np.linspace(0.0, b0 + abs(kernel.freq(t, x)) + 3.0, 31)
             dx = (kernel.gtilde(t, x + h, zs) - kernel.gtilde(t, x - h, zs)) / (2 * h)
             dxx = (
                 kernel.gtilde(t, x + h, zs)

@@ -44,10 +44,12 @@ class HolomorphicSignal:
 
 
 def plane_wave(kappa: complex, witness_kind: str = "modulus") -> HolomorphicSignal:
-    """e^{i kappa z} with |e^{i kappa z}| <= e^{|kappa| |z|}.
+    """e^{i kappa z}, with |e^{i kappa z}| = e^{-Re kappa Im z - Im kappa Re z}
+    <= e^{|Im kappa| |z| - Re kappa Im z}: witness frequency Re kappa and
+    rate |Im kappa|.
 
-    For real kappa the sharper imag-kind witness is also valid and can be
-    requested for real-line integration routes.
+    For real kappa the imag-kind witness (rate 0) can be requested for
+    real-line integration routes.
     """
     kappa = complex(kappa)
     if witness_kind == "imag" and abs(kappa.imag) > 0:
@@ -59,7 +61,7 @@ def plane_wave(kappa: complex, witness_kind: str = "modulus") -> HolomorphicSign
 
     return HolomorphicSignal(
         eval=ev,
-        growth=GrowthWitness(1.0, abs(kappa), witness_kind),
+        growth=GrowthWitness(1.0, abs(kappa.imag), witness_kind, kappa.real),
         label=f"plane:k={kappa.real:g}" + (f"{kappa.imag:+g}j" if kappa.imag else ""),
     )
 
@@ -73,9 +75,18 @@ def constant_signal(c: complex = 1.0) -> HolomorphicSignal:
 
 
 def combine_signals(terms: list[tuple[complex, HolomorphicSignal]], label=None):
-    """Finite linear combination with the triangle-inequality witness."""
+    """Finite linear combination with the triangle-inequality witness.
+
+    The terms' frequencies w_i differ in general; against one frequency w
+    each term is bounded with rate B_i + |w_i - w|, as
+    e^{-w_i Im z} = e^{-(w_i - w) Im z} e^{-w Im z}.  The w minimizing the
+    largest such rate is the midpoint of max(w_i + B_i) and
+    min(w_i - B_i), and the rate is half their distance (max B_i with
+    w = 0 when every frequency is 0).
+    """
     amp = sum(abs(c) * s.growth.amplitude for c, s in terms)
-    rate = max(s.growth.rate for _, s in terms)
+    hi = max(s.growth.freq + s.growth.rate for _, s in terms)
+    lo = min(s.growth.freq - s.growth.rate for _, s in terms)
     kind = "imag" if all(s.growth.kind == "imag" for _, s in terms) else "modulus"
 
     def ev(z):
@@ -87,7 +98,7 @@ def combine_signals(terms: list[tuple[complex, HolomorphicSignal]], label=None):
 
     return HolomorphicSignal(
         eval=ev,
-        growth=GrowthWitness(amp, rate, kind),
+        growth=GrowthWitness(amp, 0.5 * (hi - lo), kind, 0.5 * (hi + lo)),
         label=label or "+".join(f"{c}*{s.label}" for c, s in terms),
     )
 

@@ -30,6 +30,41 @@ class TestExitCodes:
         names = [c["name"] for c in doc["checks"]]
         assert "free_plane_wave_closed_form" in names
 
+    def test_verify_complex_plane_wave_passes(self, tmp_path, outdir):
+        # k = [re, im]: the closed-form check compares with e^{i k x - i k^2 t}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "potential": {"kind": "free"},
+                    "initial": {"kind": "plane_wave", "k": [2.0, 0.1]},
+                }
+            )
+        )
+        assert run(["verify", "--config", str(cfg), "--output", outdir]) == 0
+        doc = json.loads(open(os.path.join(outdir, "run_verify.json")).read())
+        [check] = [c for c in doc["checks"] if c["name"] == "free_plane_wave_closed_form"]
+        assert check["pass"] and check["value"] <= 1e-8
+
+    @pytest.mark.parametrize(
+        "quadrature, field",
+        [
+            ({"tol": "abc"}, "quadrature.tol"),
+            ({"tol": -1e-9}, "quadrature.tol"),
+            ({"tol": 0}, "quadrature.tol"),
+            ({"max_panels": "many"}, "quadrature.max_panels"),
+            ({"max_panels": 0}, "quadrature.max_panels"),
+            ({"max_panels": 2.5}, "quadrature.max_panels"),
+            ("abc", "quadrature"),
+            (None, "quadrature"),
+        ],
+    )
+    def test_malformed_quadrature_is_usage_error(self, tmp_path, outdir, capsys, quadrature, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"potential": {"kind": "free"}, "quadrature": quadrature}))
+        assert run(["evolve", "--config", str(cfg), "--output", outdir]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {field} must be")
+
     def test_missing_potential_kind_is_usage_error(self, tmp_path, outdir):
         cfg = tmp_path / "bad.json"
         cfg.write_text('{"potential": {"kind": "warp"}}')

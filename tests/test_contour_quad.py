@@ -214,20 +214,23 @@ class TestSeedEdges:
             got = _seed_edges(-radius, radius, cluster, sigma, phase_rate)
             assert np.array_equal(got, ref)
 
+    # the ids are fixed test names; the asserted count is the last value
     @pytest.mark.parametrize(
         "kernel, t, x, k, panels",
         [
-            ("free_kernel", 0.3, 0.5, 3.0, 15),
-            ("free_kernel", 0.1, -2.0, 3.0, 13),
-            ("free_kernel", 0.9, 2.5, 1.5, 14),
-            ("pt1_kernel", 0.3, 0.0, 1.0, 18),
-            ("pt1_kernel", 0.7, 1.5, 2.0, 33),
-            ("pt2_kernel", 0.2, -1.0, 2.0, 24),
-            ("pt2_kernel", 1.0, 2.0, 1.0, 50),
+            pytest.param("free_kernel", 0.3, 0.5, 3.0, 8, id="free_kernel-0.3-0.5-3.0-15"),
+            pytest.param("free_kernel", 0.1, -2.0, 3.0, 8, id="free_kernel-0.1--2.0-3.0-13"),
+            pytest.param("free_kernel", 0.9, 2.5, 1.5, 8, id="free_kernel-0.9-2.5-1.5-14"),
+            pytest.param("pt1_kernel", 0.3, 0.0, 1.0, 12, id="pt1_kernel-0.3-0.0-1.0-18"),
+            pytest.param("pt1_kernel", 0.7, 1.5, 2.0, 14, id="pt1_kernel-0.7-1.5-2.0-33"),
+            pytest.param("pt2_kernel", 0.2, -1.0, 2.0, 12, id="pt2_kernel-0.2--1.0-2.0-24"),
+            pytest.param("pt2_kernel", 1.0, 2.0, 1.0, 17, id="pt2_kernel-1.0-2.0-1.0-50"),
         ],
     )
     def test_panels_used_pinned(self, kernel, t, x, k, panels, request):
-        # pinned from the bisection radius with per-interval np.linspace seeding
+        # pinned on the contour through the stationary point x - w / (2a)
+        # with the frequency witnesses: on the free kernel the integrand is
+        # a pure Gaussian there and only the geometric cluster is seeded
         r = wavefunction_result(request.getfixturevalue(kernel), plane_wave(k), t, x, 1e-9)
         assert r.panels_used == panels
 

@@ -56,6 +56,19 @@ def harm_plane(t, x, kappa):
     return np.exp(1j * ap * x * x / (4 * al) - 1j * al * (kappa - x / (2 * al)) ** 2 / be) / np.sqrt(be)
 
 
+def electric_plane(t, x, kappa):
+    """Constant unit field: alpha = -t/2, t alpha' = -t/2, beta = -t^3/12."""
+    al, t_ap, beta = -t / 2, -t / 2, -(t**3) / 12
+    return np.exp(1j * (beta + x * t_ap) + 1j * (kappa + al) * x - 1j * (kappa + al) ** 2 * t)
+
+
+def jost2(kappa, z):
+    """Poschl-Teller l = 2 Jost solution (3 tanh^2 - 3 i kappa tanh - 1 - kappa^2) e^{i kappa z};
+    its wave is e^{-i kappa^2 t} times it."""
+    th = np.tanh(np.asarray(z, dtype=complex))
+    return (3.0 * th * th - 3j * kappa * th - 1.0 - kappa * kappa) * np.exp(1j * kappa * z)
+
+
 class TestWavefunction:
     def test_free_constant_is_constant(self, free_kernel):
         for t, x in ((0.2, 0.0), (0.9, 1.7)):
@@ -76,14 +89,8 @@ class TestWavefunction:
         # with alpha = -t/2, t alpha' = -t/2, beta = -t^3/12; verified by
         # substitution into i dPsi/dt = -d2Psi/dx2 + x Psi
         for t, x, k in ((0.3, 0.0, 2.0), (0.5, 1.2, 3.0), (0.8, -0.7, 1.0)):
-            al = -t / 2
-            beta = -(t**3) / 12
-            t_ap = -t / 2
-            ref = np.exp(
-                1j * (beta + x * t_ap) + 1j * (k + al) * x - 1j * (k + al) ** 2 * t
-            )
             v = wavefunction(electric_kernel, plane_wave(k), t, x, 1e-10)
-            assert abs(v - ref) < 1e-9
+            assert abs(v - electric_plane(t, x, k)) < 1e-9
 
     def test_linearity(self, free_kernel):
         f1, f2 = plane_wave(2.0), plane_wave(-1.0)
@@ -181,6 +188,52 @@ class TestWavefield:
         with pytest.raises(DomainMarginError):
             wavefunction(pt1_kernel, plane_wave(1.0), 0.3, 4.25, 1e-8)
 
+    def test_pt_stationary_point_past_pole_line(self, pt1_kernel):
+        # the line through x = 4.25 has a pole inside its swept sector, but
+        # the plane wave's contour passes through its stationary point
+        # 4.25 - 2 t kappa = 3.05, which keeps clear of it; the value agrees
+        # with the eps-regularized real-line comparator (its regularizer
+        # centered there too, so its bias eps (y - y0)^2 stays small)
+        from supershift_lab.contour_quad import GrowthWitness
+        from supershift_lab.initial_data import HolomorphicSignal
+
+        t, x, kappa = 0.3, 4.25, 2.0
+        rot = wavefunction_result(pt1_kernel, plane_wave(kappa), t, x, 1e-8)
+        a0, _ = pt1_kernel.growth_imag(t, x)
+
+        def integrand(y):
+            y = np.asarray(y, dtype=complex)
+            return pt1_kernel.gtilde(t, x, y) * np.exp(1j * kappa * y)
+
+        f = HolomorphicSignal(integrand, GrowthWitness(a0, 0.0, "imag"), "greens*planewave")
+        y0 = x - 2.0 * t * kappa
+        eps_val = epsilon_regularized_integral(f, pt1_kernel.a(t), x, y0, 1e-5, tol=1e-5)
+        assert abs(eps_val - rot.value) <= 2e-5
+
+    def test_pt_stationary_point_clipped_to_pole_clearance(self, pt1_kernel):
+        # at (0.5, -2) the stationary point -2 - 2 t kappa = -5 lies past the
+        # pole line, but the line through x keeps clear of it: the contour
+        # passes through the admitted center nearest -5, and the value
+        # agrees with the line through x
+        from supershift_lab.contour_quad import QuadraturePlan, rotated_integral
+        from supershift_lab.errors import DomainMarginError
+        from supershift_lab.evolve import _integrand
+
+        t, x, f = 0.5, -2.0, plane_wave(3.0)
+        center = pt1_kernel.contour_center(x, x - 2.0 * t * 3.0)
+        assert -5.0 < center < x
+        with pytest.raises(DomainMarginError):
+            pt1_kernel.check_contour(center - 1e-3)
+        rot = wavefunction_result(pt1_kernel, f, t, x, 1e-9)
+        plan = QuadraturePlan(
+            a=pt1_kernel.a(t), y1=x, angle=pt1_kernel.sector_angle, center=x, tol=1e-9
+        )
+        ref = rotated_integral(_integrand(pt1_kernel, t, x, f), plan)
+        assert abs(rot.value - ref.value) <= rot.err_estimate + ref.err_estimate
+        # the CLI's default grid and supershift kappa: no point is refused
+        fld = wavefield(pt1_kernel, f, np.linspace(0.1, 0.5, 5), np.linspace(-2, 2, 9), tol=1e-9)
+        assert fld.failures == []
+
     def test_point_error_recorded_not_raised(self, pt1_kernel):
         fld = wavefield(pt1_kernel, plane_wave(1.0), [0.3], [0.0, 4.25], tol=1e-8)
         assert len(fld.failures) == 1
@@ -213,20 +266,54 @@ class TestWavefield:
                 )
 
     def test_failed_point_records_rotated_value(self, harmonic_kernel):
-        # near the pi/4 horizon the rotated sum through y1 = x cancels by
-        # e^{w^2 sin^2(angle) / (4a)} (w the net frequency of kernel and
-        # data) and stagnates; the recorded value is still the rotated
-        # panel sum with the truncation tail in its estimate
-        t, x, kappa = 0.72, -2.0, 2.0
-        fld = wavefield(harmonic_kernel, plane_wave(kappa), [t], [x], tol=1e-9)
+        # near the pi/4 horizon no contour is stationary for both terms of
+        # e^{2iz} + e^{-2iz}, so the point refines; a small panel budget
+        # fails it, and the recorded value is still the rotated panel sum
+        # with the truncation tail in its estimate
+        t, x = 0.72, -2.0
+        f = combine_signals([(1.0, plane_wave(2.0)), (1.0, plane_wave(-2.0))])
+        ref = harm_plane(t, x, 2.0) + harm_plane(t, x, -2.0)
+        fld = wavefield(harmonic_kernel, f, [t], [x], tol=1e-9, max_panels=30)
         [(_, _, reason)] = fld.failures
-        assert reason.startswith("PanelExhausted") and "stagnated" in reason
-        assert abs(fld.values[0, 0] - harm_plane(t, x, kappa)) <= fld.quad_errors[0, 0]
+        assert reason.startswith("PanelExhausted") and "budget 30" in reason
+        assert abs(fld.values[0, 0] - ref) <= fld.quad_errors[0, 0]
+        fld = wavefield(harmonic_kernel, f, [t], [x], tol=1e-9)
+        assert not fld.failures
+        assert abs(fld.values[0, 0] - ref) <= fld.quad_errors[0, 0]
+
+    def test_contour_through_phase_center_cancels(self, harmonic_kernel):
+        # the line through y1 = x instead of the stationary point: the
+        # integrand modulus peaks at e^{w^2 sin^2(angle) / (4a)} (w the net
+        # frequency of kernel and data) while the value is O(1), and the
+        # panel sums stagnate on that cancellation
+        from supershift_lab import evolve
+        from supershift_lab.contour_quad import QuadraturePlan, rotated_integral
+        from supershift_lab.errors import PanelExhausted
+
+        t, x, kappa = 0.72, -2.0, 2.0
+        f = evolve._integrand(harmonic_kernel, t, x, plane_wave(kappa))
+        a = harmonic_kernel.a(t)
+        plan = QuadraturePlan(a=a, y1=x, angle=harmonic_kernel.sector_angle, tol=1e-9)
+        with pytest.raises(PanelExhausted, match="stagnated") as info:
+            rotated_integral(f, plan)
+        exc = info.value
+        assert abs(exc.value - harm_plane(t, x, kappa)) <= exc.err_estimate
         al, be = np.sin(2 * t) / 2, np.cos(2 * t)
-        a, w = be / (4.0 * al), kappa - x * (1.0 - be) / (2.0 * al)
+        w = kappa - x * (1.0 - be) / (2.0 * al)
+        assert f.growth.freq == pytest.approx(w, rel=1e-12)
         predicted = np.exp(w * w * np.sin(np.pi / 4) ** 2 / (4.0 * a))
-        measured = float(reason.split("factor ")[1].split()[0])
+        measured = float(str(exc).split("factor ")[1].split()[0])
         assert 0.1 <= measured / predicted <= 10.0
+
+    def test_harmonic_plane_wave_to_075(self, harmonic_kernel):
+        # the harmonic plane-wave grid up to t = 0.75, near the pi/4 horizon
+        # (at tol 1e-9 the line through y1 = x failed 19 of these points on
+        # cancellation)
+        ts, xs = np.linspace(0.1, 0.75, 14), np.linspace(-2.0, 2.0, 25)
+        fld = wavefield(harmonic_kernel, plane_wave(2.0), ts, xs, tol=1e-9)
+        assert not fld.failures
+        T, X = np.meshgrid(ts, xs, indexing="ij")
+        assert np.all(np.abs(fld.values - harm_plane(T, X, 2.0)) <= fld.quad_errors)
 
     def test_one_coefficient_evaluation_per_time_slice(self):
         # a, growth and gtilde share one dense coefficient evaluation per t
@@ -238,6 +325,38 @@ class TestWavefield:
         fld = wavefield(kernel, plane_wave(2.0), ts, xs, tol=1e-9)
         assert not fld.failures
         assert len(calls) <= len(ts)
+
+
+class TestCalibration:
+    """The error estimate bounds the true error on the plane-wave grids of
+    all four potentials (the Poschl-Teller l = 2 grid with its Jost datum),
+    from loose to tight tolerances."""
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+    def test_estimate_bounds_true_error(
+        self, tol, free_kernel, electric_kernel, harmonic_kernel, pt2_kernel
+    ):
+        from supershift_lab.contour_quad import GrowthWitness
+        from supershift_lab.initial_data import HolomorphicSignal
+
+        # |tanh z| <= 2 on the pi/8 double sectors around |x| <= 2.5
+        jost = HolomorphicSignal(
+            eval=lambda z: jost2(2.0, z),
+            growth=GrowthWitness(3.0 * 4.0 + 3.0 * 2.0 * 2.0 + 1.0 + 4.0, 2.0),
+            label="jost:l=2,k=2",
+        )
+        cases = [
+            (free_kernel, plane_wave(3.0), 1.0, lambda t, x: free_plane(t, x, 3.0)),
+            (electric_kernel, plane_wave(2.0), 1.0, lambda t, x: electric_plane(t, x, 2.0)),
+            (harmonic_kernel, plane_wave(2.0), 0.75, lambda t, x: harm_plane(t, x, 2.0)),
+            (pt2_kernel, jost, 1.0, lambda t, x: np.exp(-4j * t) * jost2(2.0, x)),
+        ]
+        for kernel, f, t_hi, exact in cases:
+            ts, xs = np.linspace(0.1, t_hi, 4), np.linspace(-2.0, 2.0, 5)
+            fld = wavefield(kernel, f, ts, xs, tol=tol)
+            assert not fld.failures, kernel.potential.label()
+            err = np.abs(fld.values - exact(ts[:, None], xs[None, :]))
+            assert np.all(err <= fld.quad_errors), (kernel.potential.label(), np.max(err / fld.quad_errors))
 
 
 class TestResidualField:
@@ -346,9 +465,11 @@ class TestSupershift:
             assert abs(d - ref) <= 1e-4
 
     def test_point_error_recorded_not_raised(self, pt1_kernel):
-        # x = 4.25 puts a pole inside the swept sector; x = 0 still counts
+        # x = 4.25 puts a pole inside the sector swept to the line through
+        # it, where F_10 (frequency 0) is integrated; the plane wave's line
+        # through 4.25 - 2 t kappa = 3.05 keeps clear.  x = 0 still counts
         rep = supershift_experiment(pt1_kernel, [10], 2.0, [0.3], [0.0, 4.25], tol=1e-8)
-        assert [(n, t, x) for n, t, x, _ in rep.failures] == [(None, 0.3, 4.25), (10, 0.3, 4.25)]
+        assert [(n, t, x) for n, t, x, _ in rep.failures] == [(10, 0.3, 4.25)]
         assert all(r.startswith("DomainMarginError") for *_, r in rep.failures)
         gap = abs(
             wavefunction(pt1_kernel, superosc_signal(10, 2.0), 0.3, 0.0, 1e-8)
@@ -463,12 +584,14 @@ class TestContinuousDependence:
         assert rep.stable_within <= 3.0
 
     def test_point_error_recorded_not_raised(self, pt1_kernel):
-        # x = 4.25 puts a pole inside the swept sector; x = 0 still counts
+        # x = 4.25 puts a pole inside the sector swept to the line through
+        # it, where F_10 is integrated; the plane wave's contour through its
+        # stationary point keeps clear.  x = 0 still counts
         pw, fn = plane_wave(2.0), superosc_signal(10, 2.0)
         rep = continuous_dependence_check(
             pt1_kernel, pw, [fn], [10], 6.0, disk_samples(3.0), [0.3], [0.0, 4.25], tol=1e-8
         )
-        assert [(n, t, x) for n, t, x, _ in rep.failures] == [(None, 0.3, 4.25), (10, 0.3, 4.25)]
+        assert [(n, t, x) for n, t, x, _ in rep.failures] == [(10, 0.3, 4.25)]
         assert all(r.startswith("DomainMarginError") for *_, r in rep.failures)
         gap = abs(
             wavefunction(pt1_kernel, fn, 0.3, 0.0, 1e-8)

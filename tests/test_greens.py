@@ -102,9 +102,18 @@ class TestElectricKernel:
         assert pde_residual(electric_kernel, 0.5, 0.0, 0.5) <= 1e-4
 
     def test_growth_witness_fields(self, electric_kernel):
+        # gtilde = e^{i alpha z} times a factor of modulus 1/(2 sqrt(pi t)):
+        # the frequency witness is exact with rate 0
         a0, b0 = electric_kernel.growth(0.5, 0.3)
         assert a0 == pytest.approx(1.0 / (2.0 * np.sqrt(np.pi * 0.5)))
-        assert b0 == pytest.approx(abs(electric_kernel.coeffs.alpha(0.5)))
+        assert b0 == 0.0
+        alpha = electric_kernel.coeffs.alpha(0.5)
+        assert electric_kernel.freq(0.5, 0.3) == alpha
+        assert electric_kernel.growth_imag(0.5, 0.3)[1] == pytest.approx(abs(alpha))
+        z = np.array([3.0 + 2.0j, -20.0 - 15.0j])
+        assert np.allclose(
+            np.abs(electric_kernel.gtilde(0.5, 0.3, z)), a0 * np.exp(-alpha * z.imag), rtol=1e-12
+        )
 
 
 class TestHarmonicKernel:
@@ -254,6 +263,30 @@ class TestAudit:
         z = np.concatenate([r * np.exp(1j * th), -r * np.exp(1j * th)])
         vals = np.abs(pt2_kernel.gtilde(t, x, z))
         assert np.all(vals <= a0 * np.exp(b0 * np.abs(z)) * (1 + 1e-6))
+
+    @pytest.mark.parametrize("fixture", ["pt1_kernel", "pt2_kernel"])
+    def test_pt_witnesses_on_rays_to_60(self, fixture, request):
+        # the derived rate-0 modulus witness and the imag witness, on rays
+        # out to |z| = 60 through admissible contour centers (|s| <= 3.5
+        # comes within 0.112 of the pole set at the pi/8 angle)
+        kernel = request.getfixturevalue(fixture)
+        ang = kernel.sector_angle
+        r = np.concatenate([-np.geomspace(60.0, 0.01, 40), [0.0], np.geomspace(0.01, 60.0, 40)])
+        z = np.concatenate([
+            s + r * np.exp(1j * phi)
+            for s in (-3.5, -1.2, 0.0, 2.0, 3.5)
+            for phi in (-ang, -0.5 * ang, 0.0, 0.5 * ang, ang)
+        ])
+        worst = worst_imag = 0.0
+        for t in np.linspace(0.05, 1.05, 5):
+            for x in np.linspace(-3.5, 3.5, 8):
+                vals = np.abs(kernel.gtilde(t, x, z))
+                a0, b0 = kernel.growth(t, x)
+                assert b0 == 0.0 and kernel.freq(t, x) == 0.0
+                worst = max(worst, vals.max() / a0)
+                a_im, b_im = kernel.growth_imag(t, x)
+                worst_imag = max(worst_imag, np.max(vals / (a_im * np.exp(b_im * np.abs(z.imag)))))
+        assert worst <= 1.0 and worst_imag <= 1.0
 
     def test_report_serializes(self, free_kernel):
         report = audit_kernel(free_kernel)

@@ -117,11 +117,17 @@ class TestEvaluation:
 
 class TestSignals:
     def test_plane_wave_witness(self):
+        # |e^{i kappa z}| = e^{-Re kappa Im z - Im kappa Re z}: frequency
+        # Re kappa, rate |Im kappa|
         pw = plane_wave(3.0)
-        assert pw.growth.amplitude == 1.0
-        assert pw.growth.rate == 3.0
+        assert (pw.growth.amplitude, pw.growth.rate, pw.growth.freq) == (1.0, 0.0, 3.0)
         z = 0.3 + 0.2j
         assert abs(pw(z) - np.exp(3j * z)) < 1e-15
+        pw = plane_wave(2.0 - 0.5j)
+        assert (pw.growth.rate, pw.growth.freq) == (0.5, 2.0)
+        zs = np.concatenate([disk_samples(3.0), 40.0 * disk_samples(1.0)])
+        bound = np.exp(0.5 * np.abs(zs) - 2.0 * zs.imag)
+        assert np.all(np.abs(pw(zs)) <= bound * (1 + 1e-12))
 
     def test_plane_wave_imag_witness_real_kappa_only(self):
         plane_wave(2.0, witness_kind="imag")
@@ -153,7 +159,21 @@ class TestSignals:
         z = 0.4 - 0.1j
         assert abs(comb(z) - (2.0 * np.exp(1j * z) - 0.5j)) < 1e-15
         assert comb.growth.amplitude == pytest.approx(2.5)
-        assert comb.growth.rate == 1.0
+        # frequencies 1 and 0 at rate 0: centered at 1/2, rate 1/2
+        assert (comb.growth.rate, comb.growth.freq) == (0.5, 0.5)
+
+    def test_combined_witness_holds(self):
+        terms = [(1.5, plane_wave(2.0)), (2j, plane_wave(-1.0)), (0.3, plane_wave(0.5 + 0.7j))]
+        comb = combine_signals(terms)
+        w = comb.growth
+        # max(w_i + B_i) = 2, min(w_i - B_i) = -1
+        assert (w.rate, w.freq) == (1.5, 0.5)
+        zs = np.concatenate([disk_samples(3.0), 30.0 * disk_samples(1.0)])
+        bound = w.amplitude * np.exp(w.rate * np.abs(zs) - w.freq * zs.imag)
+        assert np.all(np.abs(comb(zs)) <= bound * (1 + 1e-12))
+        # without frequencies the witness is the plain triangle inequality
+        sup = combine_signals([(1.0, superosc_signal(4, 2.0)), (1.0, constant_signal())])
+        assert (sup.growth.rate, sup.growth.freq) == (2.0, 0.0)
 
 
 class TestMetric:
