@@ -66,7 +66,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 DEFAULTS = {
-    "quadrature": {"tol": 1e-9, "max_panels": 4000, "angle": None},
+    "quadrature": {"tol": 1e-9, "max_panels": 4000},
     "grid": {"t": [0.1, 0.5, 5], "x": [-2.0, 2.0, 9]},
     "verify": {
         "residual_threshold": 1e-3,
@@ -197,7 +197,12 @@ def _load_config(args) -> dict:
             raise _UsageError(f"config file not found: {args.config}")
         except json.JSONDecodeError as exc:
             raise _UsageError(f"config parse error at line {exc.lineno}: {exc.msg}")
+        if not isinstance(cfg, dict):
+            raise _UsageError(f"config must be a JSON object, got {cfg!r}")
     cfg = _merge(DEFAULTS, cfg)
+    for section in DEFAULTS:
+        if not isinstance(cfg[section], dict):
+            raise _UsageError(f"{section} must be an object, got {cfg[section]!r}")
     with _parsing("option"):
         if getattr(args, "potential", None):
             cfg["potential"] = _potential_from_inline(args.potential)
@@ -220,10 +225,14 @@ def _load_config(args) -> dict:
 
 
 def _check_quadrature(spec):
-    """quadrature.tol must be a positive number, max_panels a positive integer."""
-    if not isinstance(spec, dict):
-        raise _UsageError(f"quadrature must be an object, got {spec!r}")
-    tol, max_panels = spec.get("tol"), spec.get("max_panels")
+    """quadrature.tol must be a positive number, max_panels a positive
+    integer; other keys are refused, as ignoring them would change the run."""
+    unknown = sorted(set(spec) - set(DEFAULTS["quadrature"]))
+    if unknown:
+        raise _UsageError(
+            f"quadrature keys must be tol and max_panels, got {', '.join(map(repr, unknown))}"
+        )
+    tol, max_panels = spec["tol"], spec["max_panels"]
     if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0.0 < tol < np.inf:
         raise _UsageError(f"quadrature.tol must be a positive number, got {tol!r}")
     if isinstance(max_panels, bool) or not isinstance(max_panels, int) or max_panels < 1:
@@ -308,8 +317,7 @@ def _out_path(cfg: dict, suffix: str) -> str:
 def _build_kernel(cfg: dict):
     pot = _potential_from_config(cfg["potential"])
     t_max = max(2.0 * float(_grid_axis(cfg["grid"]["t"]).max()), 1.0)
-    angle = cfg["quadrature"].get("angle")
-    return make_kernel(pot, t_max=t_max, angle=angle)
+    return make_kernel(pot, t_max=t_max)
 
 
 def _grid(cfg: dict, kernel):

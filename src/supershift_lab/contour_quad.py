@@ -27,8 +27,6 @@ from numpy.polynomial.legendre import leggauss
 from .errors import EvaluationOverflow, PanelExhausted
 from .special_fn import SQRT_PI, erfcx
 
-# phase increment per seeded rotated panel; GL-15 resolves this to ~1e-12
-_PHASE_BUDGET = 18.0
 # quadratic phase per seeded real-line panel; K-61 and its G-30 estimate
 # are both converged there, so refinement stays rare (from 68 rad on, most
 # comparator calls at tol <= 1e-8 refine past 1.1x the seeded nodes)
@@ -423,26 +421,6 @@ def _cluster_edges(lo, hi, cluster, sigma, *extra):
     return edges[(edges >= lo) & (edges <= hi)]
 
 
-def _seed_edges(lo, hi, cluster, sigma, phase_rate):
-    """Initial breakpoints: geometric clustering plus equal-phase splitting.
-
-    cluster/sigma describe the Gaussian spike of the rotated integrand;
-    phase_rate(y) bounds |d(phase)/dy| so long panels with fast phase are
-    pre-split to the GL-15 budget.
-    """
-    edges = _cluster_edges(lo, hi, cluster, sigma)
-    a0, b0 = edges[:-1], edges[1:]
-    width = b0 - a0
-    dphi = np.abs(phase_rate(0.5 * (a0 + b0))) * width
-    extra = np.abs(phase_rate(a0)) + np.abs(phase_rate(b0))
-    dphi = np.maximum(dphi, 0.5 * extra * width)
-    n_sub = np.clip(np.ceil(dphi / _PHASE_BUDGET), 1, 100000).astype(int)
-    # np.linspace(a0, b0, n_sub + 1)[:-1] per interval: a0 + k (b0 - a0) / n_sub
-    k = np.arange(n_sub.sum()) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
-    out = k * np.repeat(width / n_sub, n_sub) + np.repeat(a0, n_sub)
-    return np.append(out, edges[-1])
-
-
 def _quadratic_phase_edges(lo, hi, y1, a, cluster, sigma, max_panels):
     """Equal-phase breakpoints of a (y - y1)^2 on [lo, hi], merged with a
     geometric cluster around the regularizer center.
@@ -487,14 +465,18 @@ def rotated_integral(f, plan: QuadraturePlan) -> QuadratureResult:
     witness of frequency w the shift y1 - w / (2a) does the same for the
     quadratic factor times e^{i w z}.
 
-    The error estimate combines the summed panel estimates with the
-    certified truncation tail.
+    The seed panels are the geometric cluster around u = 0 at the
+    Gaussian width 1 / sqrt(2 a sin(2 angle)) (``_cluster_edges``);
+    ``_adaptive_panels`` then bisects wherever a panel estimate misses its
+    share of tol, so any phase left along the line (another angle, a
+    shift off the stationary point) is resolved by refinement.  The error
+    estimate combines the summed panel estimates with the certified
+    truncation tail.
     """
-    witness = f.growth
     half_tol = 0.5 * plan.tol
     shift = plan.contour_shift
     radius = truncation_radius(
-        witness, plan.a, plan.angle, plan.y1, half_tol, shift=shift
+        f.growth, plan.a, plan.angle, plan.y1, half_tol, shift=shift
     )
     rot = complex(np.cos(plan.angle), np.sin(plan.angle))
     a, y1 = plan.a, plan.y1
@@ -503,19 +485,8 @@ def rotated_integral(f, plan: QuadraturePlan) -> QuadratureResult:
         z = shift + u * rot
         return np.exp(1j * a * (z - y1) ** 2) * _eval_signal(f, z)
 
-    c = a * np.sin(2.0 * plan.angle)
-    sigma = 1.0 / np.sqrt(2.0 * c)
-    cos2a = np.cos(2.0 * plan.angle)
-    cos_a = np.cos(plan.angle)
-    off = shift - y1
-    # the witness frequency turns with the quadratic phase; at the
-    # stationary point the two linear terms cancel
-    freq_rate = witness.freq * cos_a
-
-    def phase_rate(u):
-        return 2.0 * a * (u * cos2a + off * cos_a) + freq_rate
-
-    edges = _seed_edges(-radius, radius, 0.0, sigma, phase_rate)
+    sigma = 1.0 / np.sqrt(2.0 * a * np.sin(2.0 * plan.angle))
+    edges = _cluster_edges(-radius, radius, 0.0, sigma)
     try:
         value, err, n_panels, nodes, rounds = _adaptive_panels(
             g, edges, half_tol, plan.max_panels, _GL15_GL7

@@ -43,6 +43,9 @@ from .special_fn import (  # noqa: F401
 INV_SQRT_IPI = 1.0 / (np.sqrt(np.pi) * ROOT_I)
 _ODE_TOL = 1e-13  # coefficient solves of the field and oscillator kernels
 _POLE_MARGIN = 0.1  # least distance of a sech^2-well contour from the cosh zeros
+# contour half-angles of the sech^2 well and of the other kernels (make_kernel)
+_PT_SECTOR_ANGLE = np.pi / 8
+_SECTOR_ANGLE = np.pi / 4
 
 
 class Potential:
@@ -121,6 +124,8 @@ class GreensKernel:
                     (all four potentials admit one)
     freq            (t, x) -> w, the kernel's linear frequency: gtilde is
                     e^{i w z} times a bounded factor
+    sector_angle    contour half-angle, fixed per potential (``make_kernel``);
+                    the witnesses and ``check_contour`` hold on its sectors
     """
 
     potential: Potential
@@ -200,7 +205,7 @@ def _no_freq(t, x):
     return 0.0
 
 
-def _free_kernel(angle: float) -> GreensKernel:
+def _free_kernel() -> GreensKernel:
     def a(t):
         return 1.0 / (4.0 * t)
 
@@ -217,7 +222,7 @@ def _free_kernel(angle: float) -> GreensKernel:
         gtilde=gtilde,
         horizon=np.inf,
         formula_horizon=np.inf,
-        sector_angle=angle,
+        sector_angle=_SECTOR_ANGLE,
         pole_margin=0.0,
         growth=growth,
         growth_imag=growth,
@@ -225,7 +230,7 @@ def _free_kernel(angle: float) -> GreensKernel:
     )
 
 
-def _electric_kernel(potential: Electric, t_max: float, angle: float) -> GreensKernel:
+def _electric_kernel(potential: Electric, t_max: float) -> GreensKernel:
     coeffs = solve_electric(potential.lam, t_max, tol=_ODE_TOL)
 
     def a(t):
@@ -254,7 +259,7 @@ def _electric_kernel(potential: Electric, t_max: float, angle: float) -> GreensK
         gtilde=gtilde,
         horizon=t_max,
         formula_horizon=t_max,
-        sector_angle=angle,
+        sector_angle=_SECTOR_ANGLE,
         pole_margin=0.0,
         growth=growth,
         growth_imag=growth_imag,
@@ -263,7 +268,7 @@ def _electric_kernel(potential: Electric, t_max: float, angle: float) -> GreensK
     )
 
 
-def _harmonic_kernel(potential: Harmonic, t_max: float, angle: float) -> GreensKernel:
+def _harmonic_kernel(potential: Harmonic, t_max: float) -> GreensKernel:
     coeffs = solve_harmonic(potential.lam, t_max, tol=_ODE_TOL)
     # evolution needs a = beta/(4 alpha) > 0: stop at the first zero of
     # either coefficient; the kernel formula itself only needs alpha > 0
@@ -301,7 +306,7 @@ def _harmonic_kernel(potential: Harmonic, t_max: float, angle: float) -> GreensK
         gtilde=gtilde,
         horizon=horizon,
         formula_horizon=formula_horizon,
-        sector_angle=angle,
+        sector_angle=_SECTOR_ANGLE,
         pole_margin=0.0,
         growth=growth,
         growth_imag=growth_imag,
@@ -334,7 +339,7 @@ def _pt_sech_bound(angle: float) -> float:
     return 1.0 / np.sqrt(min(low, 0.25 * (1.0 - e2[-1]) ** 2))
 
 
-def _pt_kernel(potential: PoschlTeller, angle: float) -> GreensKernel:
+def _pt_kernel(potential: PoschlTeller) -> GreensKernel:
     """The sech^2-well kernel with witnesses derived from its closed form.
 
     gtilde = free part + sum_m c_m Q_l^m(x) Q_l^m(z) R_m(z - x)
@@ -357,9 +362,7 @@ def _pt_kernel(potential: PoschlTeller, angle: float) -> GreensKernel:
       the rate is l (b + 1) and the amplitude is tight on the real line.
     """
     l = potential.l
-    if angle > np.pi / 3:
-        raise ValueError("sech^2-well kernels keep the sector angle <= pi/3")
-    sech = _pt_sech_bound(angle)
+    sech = _pt_sech_bound(_PT_SECTOR_ANGLE)
     coeffs, weights = _pt_orders(l)
     orders = []
     for m in range(1, l + 1):
@@ -407,7 +410,7 @@ def _pt_kernel(potential: PoschlTeller, angle: float) -> GreensKernel:
         gtilde=gtilde,
         horizon=np.inf,
         formula_horizon=np.inf,
-        sector_angle=angle,
+        sector_angle=_PT_SECTOR_ANGLE,
         pole_margin=_POLE_MARGIN,
         growth=growth,
         growth_imag=growth_imag,
@@ -415,28 +418,22 @@ def _pt_kernel(potential: PoschlTeller, angle: float) -> GreensKernel:
     )
 
 
-def make_kernel(
-    potential: Potential,
-    *,
-    t_max: float = 10.0,
-    angle: float | None = None,
-) -> GreensKernel:
+def make_kernel(potential: Potential, *, t_max: float = 10.0) -> GreensKernel:
     """Construct the kernel bundle for one potential.
 
     t_max bounds the coefficient solves for the field and oscillator
-    potentials.  The sech^2 well defaults to a pi/8 sector so
-    shifted contours through every |x| <= 3.5 keep clear of the cosh
-    zeros; the others use pi/4.
+    potentials.  The contour angle is fixed per potential: pi/8 for the
+    sech^2 well, so contours through every |center| <= 3.53 keep clear of
+    the cosh zeros, and pi/4, the fastest Gaussian decay, for the others.
     """
     if isinstance(potential, PoschlTeller):
-        return _pt_kernel(potential, np.pi / 8 if angle is None else angle)
-    angle = np.pi / 4 if angle is None else angle
+        return _pt_kernel(potential)
     if isinstance(potential, Free):
-        return _free_kernel(angle)
+        return _free_kernel()
     if isinstance(potential, Electric):
-        return _electric_kernel(potential, t_max, angle)
+        return _electric_kernel(potential, t_max)
     if isinstance(potential, Harmonic):
-        return _harmonic_kernel(potential, t_max, angle)
+        return _harmonic_kernel(potential, t_max)
     raise TypeError(f"unsupported potential {potential!r}")
 
 

@@ -57,11 +57,32 @@ class TestExitCodes:
             ({"max_panels": 2.5}, "quadrature.max_panels"),
             ("abc", "quadrature"),
             (None, "quadrature"),
+            # the contour angle is fixed per potential; a config still
+            # setting it must not run at another angle unnoticed
+            ({"angle": 0.5}, "quadrature keys"),
         ],
     )
     def test_malformed_quadrature_is_usage_error(self, tmp_path, outdir, capsys, quadrature, field):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"potential": {"kind": "free"}, "quadrature": quadrature}))
+        assert run(["evolve", "--config", str(cfg), "--output", outdir]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {field} must be")
+
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ([1, 2], "config"),
+            ("abc", "config"),
+            ({"potential": {"kind": "free"}, "grid": "abc"}, "grid"),
+            ({"potential": {"kind": "free"}, "output": "abc"}, "output"),
+            ({"potential": {"kind": "free"}, "verify": "abc"}, "verify"),
+            ({"potential": {"kind": "free"}, "supershift": [3.0]}, "supershift"),
+        ],
+    )
+    def test_non_object_section_is_usage_error(self, tmp_path, outdir, capsys, doc, field):
+        # checked when the config is loaded, before any subcommand reads it
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
         assert run(["evolve", "--config", str(cfg), "--output", outdir]) == 1
         assert capsys.readouterr().err.startswith(f"error: {field} must be")
 
