@@ -116,6 +116,8 @@ _X15, _W15 = leggauss(15)
 _X7, _W7 = leggauss(7)
 # rotated route: GL-15 value, separate GL-7 estimate (22 nodes)
 _GL15_GL7 = _PanelRule(nodes=np.concatenate([_X15, _X7]), weights=_W15, embedded=_W7)
+# most seed panels of a rotated pass: one integrand call
+_SEED_PANELS = _BATCH_NODES // len(_GL15_GL7.nodes)
 # real-line comparators: K-61 value, G-30 estimate on the same 61 nodes
 # (the 31 Kronrod-only nodes first, then the Gauss nodes in ascending order)
 _GK61 = _PanelRule(
@@ -140,16 +142,24 @@ class GrowthWitness:
     freq is the integrand's net linear frequency: e^{i freq z} is bounded
     on the real line but grows like e^{-freq Im z} off it, and naming it
     keeps it out of the rate.  The default 0 is the plain envelope.
+
+    length is the length on which f varies along a contour, set by its
+    singularities (for the sech^2 well, ``greens._pt_seed_width``):
+    ``rotated_integral`` seeds no panel wider than that.  The default inf (an entire f) leaves the
+    seed to the Gaussian width alone.
     """
 
     amplitude: float
     rate: float
     kind: str = "modulus"
     freq: float = 0.0
+    length: float = np.inf
 
     def __post_init__(self):
         if self.amplitude < 0 or self.rate < 0:
             raise ValueError("growth witness requires amplitude, rate >= 0")
+        if not self.length > 0:
+            raise ValueError("growth witness requires length > 0")
         if self.kind not in ("modulus", "imag"):
             raise ValueError("witness kind must be 'modulus' or 'imag'")
 
@@ -308,9 +318,11 @@ def _panel_sums(g, lows, highs, rule):
     estimate mapped through the power law.  Each integrand call gets whole
     panels and at most ``_BATCH_NODES`` nodes: 67 K-61 panels or 186
     GL-15/GL-7 panels.  A rotated pass of up to 186 panels is therefore one
-    call; the largest measured on the benchmark grids is 50 panels
-    (1,100 nodes, ``plane-field``).  Panels are independent, so no value or
-    estimate depends on where a pass is split.
+    call, and ``rotated_integral`` keeps its seeded pass within that
+    (``_SEED_PANELS``); the largest measured on the benchmark grids is 46
+    panels (1,012 nodes, a sech^2-well seed on ``plane-field``).  Panels
+    are independent, so no value or estimate depends on where a pass is
+    split.
     """
     m = len(rule.nodes)
     n_hi, n_emb = len(rule.weights), len(rule.embedded)
@@ -421,6 +433,19 @@ def _cluster_edges(lo, hi, cluster, sigma, *extra):
     return edges[(edges >= lo) & (edges <= hi)]
 
 
+def _split_panels(edges, width):
+    """edges with each panel wider than width cut into the fewest equal
+    parts no wider than width."""
+    span = np.diff(edges)
+    parts = np.ceil(span / width)
+    if not (parts > 1.0).any():
+        return edges
+    k = parts.astype(int)
+    step = np.repeat(span / parts, k)
+    j = np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k)
+    return np.append(np.repeat(edges[:-1], k) + j * step, edges[-1])
+
+
 def _quadratic_phase_edges(lo, hi, y1, a, cluster, sigma, max_panels):
     """Equal-phase breakpoints of a (y - y1)^2 on [lo, hi], merged with a
     geometric cluster around the regularizer center.
@@ -466,7 +491,9 @@ def rotated_integral(f, plan: QuadraturePlan) -> QuadratureResult:
     quadratic factor times e^{i w z}.
 
     The seed panels are the geometric cluster around u = 0 at the
-    Gaussian width 1 / sqrt(2 a sin(2 angle)) (``_cluster_edges``);
+    Gaussian width 1 / sqrt(2 a sin(2 angle)) (``_cluster_edges``), with
+    every panel wider than the witness length cut into equal parts; the
+    seed stays one integrand call of at most ``_SEED_PANELS`` panels.
     ``_adaptive_panels`` then bisects wherever a panel estimate misses its
     share of tol, so any phase left along the line (another angle, a
     shift off the stationary point) is resolved by refinement.  The error
@@ -487,6 +514,9 @@ def rotated_integral(f, plan: QuadraturePlan) -> QuadratureResult:
 
     sigma = 1.0 / np.sqrt(2.0 * a * np.sin(2.0 * plan.angle))
     edges = _cluster_edges(-radius, radius, 0.0, sigma)
+    if f.growth.length < np.inf:
+        width = max(f.growth.length, 2.0 * radius / (_SEED_PANELS - len(edges)))
+        edges = _split_panels(edges, width)
     try:
         value, err, n_panels, nodes, rounds = _adaptive_panels(
             g, edges, half_tol, plan.max_panels, _GL15_GL7

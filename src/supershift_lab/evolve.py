@@ -41,7 +41,11 @@ def _integrand(kernel: GreensKernel, t: float, x: float, f: HolomorphicSignal):
     a0, b0 = kernel.growth(t, x)
     fw = f.growth
     witness = GrowthWitness(
-        a0 * fw.amplitude, b0 + fw.rate, "modulus", kernel.freq(t, x) + fw.freq
+        a0 * fw.amplitude,
+        b0 + fw.rate,
+        "modulus",
+        kernel.freq(t, x) + fw.freq,
+        min(kernel.length, fw.length),
     )
     return HolomorphicSignal(eval=ev, growth=witness, label="integrand")
 

@@ -82,12 +82,13 @@ def combine_signals(terms: list[tuple[complex, HolomorphicSignal]], label=None):
     e^{-w_i Im z} = e^{-(w_i - w) Im z} e^{-w Im z}.  The w minimizing the
     largest such rate is the midpoint of max(w_i + B_i) and
     min(w_i - B_i), and the rate is half their distance (max B_i with
-    w = 0 when every frequency is 0).
+    w = 0 when every frequency is 0).  The length is the shortest term's.
     """
     amp = sum(abs(c) * s.growth.amplitude for c, s in terms)
     hi = max(s.growth.freq + s.growth.rate for _, s in terms)
     lo = min(s.growth.freq - s.growth.rate for _, s in terms)
     kind = "imag" if all(s.growth.kind == "imag" for _, s in terms) else "modulus"
+    length = min(s.growth.length for _, s in terms)
 
     def ev(z):
         acc = None
@@ -98,7 +99,7 @@ def combine_signals(terms: list[tuple[complex, HolomorphicSignal]], label=None):
 
     return HolomorphicSignal(
         eval=ev,
-        growth=GrowthWitness(amp, 0.5 * (hi - lo), kind, 0.5 * (hi + lo)),
+        growth=GrowthWitness(amp, 0.5 * (hi - lo), kind, 0.5 * (hi + lo), length),
         label=label or "+".join(f"{c}*{s.label}" for c, s in terms),
     )
 

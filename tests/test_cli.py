@@ -3,11 +3,16 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from supershift_lab.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(args):
@@ -224,6 +229,50 @@ class TestEvolveOutputs:
         ]
         assert all("created" in a for a, _ in diff)  # timestamp isolated to one line
 
+    def test_pt_field_independent_of_blas_threads(self, tmp_path):
+        # the Faddeeva kernel forms its polynomial blocks as one BLAS
+        # product; a sech^2-well field must be byte-identical whatever
+        # thread count BLAS runs with
+        cfg = tmp_path / "pt.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "potential": {"kind": "poschl_teller", "l": 2},
+                    "initial": {"kind": "plane_wave", "k": 2.0},
+                    "grid": {"t": [0.1, 1.0, 4], "x": [-2.0, 2.0, 9]},
+                    "quadrature": {"tol": 1e-9},
+                }
+            )
+        )
+        fields = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            subprocess.run(
+                [sys.executable, "-m", "supershift_lab.cli", "evolve",
+                 "--config", str(cfg), "--output", str(out)],
+                env=_blas_env(threads), capture_output=True, check=True,
+            )
+            fields.append((out / "run_field.csv").read_bytes())
+        assert fields[0] == fields[1]
+
+    def test_erfcx_independent_of_blas_threads(self):
+        # a product large enough for BLAS to split it across threads
+        script = (
+            "import hashlib, numpy as np\n"
+            "from supershift_lab.special_fn import _BLOCK, erfcx\n"
+            "rng = np.random.default_rng(3)\n"
+            "z = rng.uniform(-6, 6, 2 * _BLOCK + 5) + 1j * rng.uniform(-6, 6, 2 * _BLOCK + 5)\n"
+            "print(hashlib.sha256(erfcx(z).tobytes()).hexdigest())\n"
+        )
+        digests = [
+            subprocess.run(
+                [sys.executable, "-c", script], env=_blas_env(threads),
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert digests[0] == digests[1]
+
     def test_single_point_grid(self, tmp_path, outdir):
         cfg = tmp_path / "one.json"
         cfg.write_text(
@@ -358,3 +407,10 @@ class TestInlineSpecs:
             )
         )
         assert run(["evolve", "--config", str(cfg), "--output", outdir]) == 0
+
+
+def _blas_env(threads: str) -> dict:
+    return dict(
+        os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads,
+        OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+    )

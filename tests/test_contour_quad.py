@@ -29,6 +29,7 @@ from supershift_lab.contour_quad import (
     QuadratureResult,
     _log_gaussian_tail,
     _quadratic_phase_edges,
+    _split_panels,
     epsilon_regularized_integral,
     rotated_integral,
     truncated_integral,
@@ -183,24 +184,49 @@ class TestSeedEdges:
             pytest.param("free_kernel", 0.3, 0.5, 3.0, 8, id="free_kernel-0.3-0.5-3.0-15"),
             pytest.param("free_kernel", 0.1, -2.0, 3.0, 8, id="free_kernel-0.1--2.0-3.0-13"),
             pytest.param("free_kernel", 0.9, 2.5, 1.5, 8, id="free_kernel-0.9-2.5-1.5-14"),
-            pytest.param("pt1_kernel", 0.3, 0.0, 1.0, 12, id="pt1_kernel-0.3-0.0-1.0-18"),
-            pytest.param("pt1_kernel", 0.7, 1.5, 2.0, 14, id="pt1_kernel-0.7-1.5-2.0-33"),
-            pytest.param("pt2_kernel", 0.2, -1.0, 2.0, 12, id="pt2_kernel-0.2--1.0-2.0-24"),
-            pytest.param("pt2_kernel", 1.0, 2.0, 1.0, 15, id="pt2_kernel-1.0-2.0-1.0-50"),
+            pytest.param("pt1_kernel", 0.3, 0.0, 1.0, 14, id="pt1_kernel-0.3-0.0-1.0-18"),
+            pytest.param("pt1_kernel", 0.7, 1.5, 2.0, 22, id="pt1_kernel-0.7-1.5-2.0-33"),
+            pytest.param("pt2_kernel", 0.2, -1.0, 2.0, 14, id="pt2_kernel-0.2--1.0-2.0-24"),
+            pytest.param("pt2_kernel", 1.0, 2.0, 1.0, 28, id="pt2_kernel-1.0-2.0-1.0-50"),
             pytest.param("electric_kernel", 0.5, 1.0, 2.0, 8, id="electric_kernel-0.5-1.0-2.0-8"),
             pytest.param("harmonic_kernel", 0.4, -1.0, 2.0, 8, id="harmonic_kernel-0.4--1.0-2.0-8"),
             # the stationary point -6 lies past the admitted |center| <= 3.53:
             # the contour runs through the clipped center -3.531
-            pytest.param("pt1_kernel", 1.0, 0.0, 3.0, 22, id="pt1_kernel-1.0-0.0-3.0-22"),
+            pytest.param("pt1_kernel", 1.0, 0.0, 3.0, 36, id="pt1_kernel-1.0-0.0-3.0-22"),
         ],
     )
     def test_panels_used_pinned(self, kernel, t, x, k, panels, request):
         # pinned on the contour through the stationary point x - w / (2a)
         # with the frequency witnesses: on the free, electric and harmonic
         # kernels the integrand is a pure Gaussian there, so the seeded
-        # geometric cluster needs no refinement
+        # geometric cluster needs no refinement.  On the sech^2 well the
+        # seed panels are cut at the kernel's length (~1)
         r = wavefunction_result(request.getfixturevalue(kernel), plane_wave(k), t, x, 1e-9)
         assert r.panels_used == panels
+
+
+class TestSplitPanels:
+    def test_wide_panels_cut_into_equal_parts(self):
+        edges = np.array([-3.0, -1.0, 0.0, 0.5, 3.0])
+        got = _split_panels(edges, 1.0)
+        assert np.allclose(got, [-3.0, -2.0, -1.0, 0.0, 0.5, 0.5 + 2.5 / 3, 0.5 + 5.0 / 3, 3.0])
+        assert got[-1] == 3.0 and np.all(np.diff(got) <= 1.0 + 1e-15)
+
+    def test_narrow_panels_and_single_point_unchanged(self):
+        edges = np.array([-1.0, 0.0, 0.7])
+        assert _split_panels(edges, 1.0) is edges
+        assert _split_panels(np.array([0.0]), 1.0).tolist() == [0.0]
+
+    def test_witness_length_splits_seed(self):
+        # a finite witness length cuts the Gaussian cluster's wide panels;
+        # the value stays the unsplit one
+        f = plane_wave(0.0)
+        plan = QuadraturePlan(a=1.0, tol=1e-10)
+        base = rotated_integral(f, plan)
+        cut = HolomorphicSignal(eval=f.eval, growth=GrowthWitness(1.0, 0.0, length=0.25), label="c")
+        split = rotated_integral(cut, plan)
+        assert split.panels_used > base.panels_used
+        assert abs(split.value - base.value) <= 1e-13
 
 
 def _kronrod_table_mp(n=30, dps=60):
@@ -593,3 +619,8 @@ class TestWitnessValidation:
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             GrowthWitness(1.0, 0.0, "bogus")
+
+    def test_rejects_nonpositive_length(self):
+        for length in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError):
+                GrowthWitness(1.0, 0.0, length=length)

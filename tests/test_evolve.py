@@ -359,6 +359,34 @@ class TestCalibration:
             assert np.all(err <= fld.quad_errors), (kernel.potential.label(), np.max(err / fld.quad_errors))
 
 
+class TestSeedLength:
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_pt_jost_grid_calls_per_point(self, l):
+        # seeded at the kernel's length, a sech^2-well point takes at most
+        # two integrand calls on average (the seed and one bisection round);
+        # seeded at the Gaussian width alone it took 3.0-3.1
+        from supershift_lab.contour_quad import GrowthWitness
+        from supershift_lab.greens import PoschlTeller
+        from supershift_lab.initial_data import HolomorphicSignal
+
+        kappa = 2.0
+
+        def jost(z):
+            if l == 2:
+                return jost2(kappa, z)
+            return (np.tanh(np.asarray(z, dtype=complex)) - 1j * kappa) * np.exp(1j * kappa * z)
+
+        # |tanh z| <= 2 on the pi/8 double sectors around |x| <= 2.5
+        amp = 3.0 * 4.0 + 3.0 * kappa * 2.0 + 1.0 + kappa**2 if l == 2 else 2.0 + kappa
+        f = HolomorphicSignal(eval=jost, growth=GrowthWitness(amp, kappa), label=f"jost:l={l}")
+        ts, xs = np.linspace(0.1, 1.0, 5), np.linspace(-2.0, 2.0, 9)
+        fld = wavefield(make_kernel(PoschlTeller(l)), f, ts, xs, tol=1e-9)
+        assert not fld.failures
+        exact = np.exp(-1j * kappa**2 * ts[:, None]) * jost(xs[None, :])
+        assert np.all(np.abs(fld.values - exact) <= fld.quad_errors)
+        assert np.mean(fld.rounds + 1) <= 2.0
+
+
 class TestResidualField:
     def test_free_plane_wave(self, free_kernel):
         h = 1e-3

@@ -231,11 +231,18 @@ class TestErfcx:
         assert np.max(np.abs(got.real - ref) / ref) <= 1e-15
 
     def test_blocks_match_scalar_calls(self, rng):
-        # an element must not depend on the length of the array it came in
+        # an element must not depend on the length of the array it came in,
+        # nor on where a block or the kernel's matrix product splits it
         n = special_fn._BLOCK + 37
         z = rng.uniform(-6, 6, n) + 1j * rng.uniform(-6, 6, n)
         out = erfcx(z)
         assert np.array_equal(out, [erfcx(complex(zz)) for zz in z])
+        for size in (special_fn._BLOCK - 1, special_fn._BLOCK, special_fn._BLOCK + 1):
+            assert np.array_equal(erfcx(z[:size]), out[:size])
+            assert np.array_equal(erfcx(z[n - size :]), out[n - size :])
+        for split in (1, 7, 8, 9, 1023, 4096):
+            parts = np.concatenate([erfcx(z[:split]), erfcx(z[split:])])
+            assert np.array_equal(parts, out)
 
     @pytest.mark.parametrize("fn", [erfcx, erf_complex])
     def test_scalar_and_array_shapes(self, fn):
