@@ -35,6 +35,7 @@ from .greens import (
     KernelAuditReport,
     PoschlTeller,
     Potential,
+    Quadratic,
     audit_kernel,
     greens_value,
     make_kernel,
@@ -55,8 +56,7 @@ from .initial_data import (
     weighted_sup_distance,
 )
 from .ode_coeff import (
-    ElectricCoeffs,
-    HarmonicCoeffs,
+    QuadraticCoeffs,
     solve_electric,
     solve_harmonic,
     wronskian_drift,

@@ -9,8 +9,12 @@ rotated line and dominates gtilde's linear-exponential growth.
 Kernels:
 
 * free particle            a = 1/(4t),   gtilde = 1/(2 sqrt(i pi t))
-* uniform electric field   a = 1/(4t),   gtilde = phase(alpha, beta) / (2 sqrt(i pi t))
-* harmonic oscillator      a = beta/(4 alpha), gtilde from the coefficient pair
+* quadratic V = lam2(t) x^2 + lam1(t) x: the uniform field (lam2 = 0), the
+  oscillator (lam1 = 0) and the driven oscillator.  G = e^{i S}/(2
+  sqrt(i pi alpha)) with S the classical action (``ode_coeff``):
+  a = beta/(4 alpha),
+  gtilde = e^{i [(alpha' - beta) x^2 + 2 (beta - 1) x z]/(4 alpha)
+           + i (p x + q z + r)} / (2 sqrt(i pi alpha))
 * sech^2 well (Poschl-Teller l)  a = 1/(4t), gtilde = free part + bound-state sum
 
 All evaluators accept numpy arrays in z and are pure; construction may
@@ -28,9 +32,15 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .errors import DomainMarginError, HorizonExceeded
-from .ode_coeff import ElectricCoeffs, HarmonicCoeffs, solve_electric, solve_harmonic
-# erfcx and assoc_legendre_tanh are not called here; bench/tracer.py
-# patches them under these names
+# solve_electric, solve_harmonic, erfcx and assoc_legendre_tanh are not
+# called here; bench/tracer.py patches them under these names
+from .ode_coeff import (  # noqa: F401
+    QuadraticCoeffs,
+    _zero,
+    solve_electric,
+    solve_harmonic,
+    solve_quadratic,
+)
 from .special_fn import (  # noqa: F401
     ROOT_I,
     _pt_orders,
@@ -41,7 +51,6 @@ from .special_fn import (  # noqa: F401
 )
 
 INV_SQRT_IPI = 1.0 / (np.sqrt(np.pi) * ROOT_I)
-_ODE_TOL = 1e-13  # coefficient solves of the field and oscillator kernels
 _POLE_MARGIN = 0.1  # least distance of a sech^2-well contour from the cosh zeros
 # contour half-angles of the sech^2 well and of the other kernels (make_kernel)
 _PT_SECTOR_ANGLE = np.pi / 8
@@ -70,31 +79,32 @@ class Free(Potential):
 
 
 @dataclass(frozen=True)
-class Electric(Potential):
-    """V(t, x) = lam(t) * x with continuous lam."""
+class Quadratic(Potential):
+    """V(t, x) = lam2(t) * x^2 + lam1(t) * x with continuous lam2, lam1."""
 
-    lam: Callable[[float], float]
-    lam_label: str = "lam"
-
-    def label(self) -> str:
-        return f"electric({self.lam_label})"
-
-    def value(self, t: float, x: float) -> float:
-        return float(self.lam(t)) * x
-
-
-@dataclass(frozen=True)
-class Harmonic(Potential):
-    """V(t, x) = lam(t) * x^2 with continuous lam."""
-
-    lam: Callable[[float], float]
-    lam_label: str = "lam"
+    lam2: Callable[[float], float]
+    lam1: Callable[[float], float]
+    name: str
 
     def label(self) -> str:
-        return f"harmonic({self.lam_label})"
+        return self.name
 
     def value(self, t: float, x: float) -> float:
-        return float(self.lam(t)) * x * x
+        return (float(self.lam2(t)) * x + float(self.lam1(t))) * x
+
+
+class Electric(Quadratic):
+    """V(t, x) = lam(t) * x: the uniform field."""
+
+    def __init__(self, lam: Callable[[float], float], lam_label: str = "lam"):
+        super().__init__(_zero, lam, f"electric({lam_label})")
+
+
+class Harmonic(Quadratic):
+    """V(t, x) = lam(t) * x^2: the oscillator."""
+
+    def __init__(self, lam: Callable[[float], float], lam_label: str = "lam"):
+        super().__init__(lam, _zero, f"harmonic({lam_label})")
 
 
 @dataclass(frozen=True)
@@ -142,7 +152,7 @@ class GreensKernel:
     growth: Callable[[float, float], tuple[float, float]]
     growth_imag: Callable[[float, float], tuple[float, float]]
     freq: Callable[[float, float], float]
-    coeffs: ElectricCoeffs | HarmonicCoeffs | None = None
+    coeffs: QuadraticCoeffs | None = None
     length: float = np.inf
 
     def check_time(self, t: float, *, evolution: bool = True):
@@ -235,75 +245,35 @@ def _free_kernel() -> GreensKernel:
     )
 
 
-def _electric_kernel(potential: Electric, t_max: float) -> GreensKernel:
-    coeffs = solve_electric(potential.lam, t_max, tol=_ODE_TOL)
-
-    def a(t):
-        return 1.0 / (4.0 * t)
-
-    def gtilde(t, x, z):
-        z = np.asarray(z, dtype=complex)
-        al, ap, be = coeffs.state(t)
-        phase = be + x * (t * ap) + z * al
-        return np.exp(1j * phase) / (2.0 * np.sqrt(np.pi * t) * ROOT_I)
-
-    # gtilde is e^{i alpha z} times a unimodular factor: the modulus
-    # witness is exact with rate 0 and frequency alpha
-    def growth(t, x):
-        return 1.0 / (2.0 * np.sqrt(np.pi * t)), 0.0
-
-    def growth_imag(t, x):
-        return 1.0 / (2.0 * np.sqrt(np.pi * t)), abs(coeffs.alpha(t))
-
-    def freq(t, x):
-        return coeffs.alpha(t)
-
-    return GreensKernel(
-        potential=potential,
-        a=a,
-        gtilde=gtilde,
-        horizon=t_max,
-        formula_horizon=t_max,
-        sector_angle=_SECTOR_ANGLE,
-        pole_margin=0.0,
-        growth=growth,
-        growth_imag=growth_imag,
-        freq=freq,
-        coeffs=coeffs,
-    )
-
-
-def _harmonic_kernel(potential: Harmonic, t_max: float) -> GreensKernel:
-    coeffs = solve_harmonic(potential.lam, t_max, tol=_ODE_TOL)
+def _quadratic_kernel(potential: Quadratic, t_max: float) -> GreensKernel:
+    coeffs = solve_quadratic(potential.lam2, potential.lam1, t_max)
     # evolution needs a = beta/(4 alpha) > 0: stop at the first zero of
     # either coefficient; the kernel formula itself only needs alpha > 0
     horizon = min(coeffs.horizon, coeffs.beta_horizon, t_max)
     formula_horizon = min(coeffs.horizon, t_max)
 
     def a(t):
-        al, _, be, _ = coeffs.state(t)
+        al, _, be = coeffs.state(t)[:3]
         return be / (4.0 * al)
 
     def gtilde(t, x, z):
         z = np.asarray(z, dtype=complex)
-        al, ap, be, _ = coeffs.state(t)
-        expo = ((be - ap) * x * x + 2.0 * x * z * (1.0 - be)) / (4j * al)
-        return np.exp(expo) / (2.0 * np.sqrt(np.pi * al) * ROOT_I)
+        al, ap, be = coeffs.state(t)[:3]
+        p, _, r = coeffs.phase(t)
+        phase = (ap - be) * x * x / (4.0 * al) + p * x + r
+        return np.exp(1j * (phase + freq(t, x) * z)) / (2.0 * np.sqrt(np.pi * al) * ROOT_I)
 
-    # the x^2 term of the exponent is imaginary: gtilde is e^{i w z},
-    # w = -x (1 - beta) / (2 alpha), times a factor of modulus
+    # the phase is real: gtilde is e^{i w z} times a factor of modulus
     # 1 / (2 sqrt(pi alpha)), so the modulus witness is exact with rate 0
     def growth(t, x):
-        al, _, _, _ = coeffs.state(t)
-        return 1.0 / (2.0 * np.sqrt(np.pi * al)), 0.0
+        return 1.0 / (2.0 * np.sqrt(np.pi * coeffs.alpha(t))), 0.0
 
     def growth_imag(t, x):
-        al, _, _, _ = coeffs.state(t)
-        return 1.0 / (2.0 * np.sqrt(np.pi * al)), abs(freq(t, x))
+        return growth(t, x)[0], abs(freq(t, x))
 
     def freq(t, x):
-        al, _, be, _ = coeffs.state(t)
-        return -x * (1.0 - be) / (2.0 * al)
+        al, _, be, _, xi = coeffs.state(t)[:5]
+        return (x * (be - 1.0) + xi) / (2.0 * al)
 
     return GreensKernel(
         potential=potential,
@@ -448,19 +418,17 @@ def _pt_kernel(potential: PoschlTeller) -> GreensKernel:
 def make_kernel(potential: Potential, *, t_max: float = 10.0) -> GreensKernel:
     """Construct the kernel bundle for one potential.
 
-    t_max bounds the coefficient solves for the field and oscillator
-    potentials.  The contour angle is fixed per potential: pi/8 for the
-    sech^2 well, so contours through every |center| <= 3.53 keep clear of
-    the cosh zeros, and pi/4, the fastest Gaussian decay, for the others.
+    t_max bounds the coefficient solve of the quadratic potentials.  The
+    contour angle is fixed per potential: pi/8 for the sech^2 well, so
+    contours through every |center| <= 3.53 keep clear of the cosh zeros,
+    and pi/4, the fastest Gaussian decay, for the others.
     """
     if isinstance(potential, PoschlTeller):
         return _pt_kernel(potential)
     if isinstance(potential, Free):
         return _free_kernel()
-    if isinstance(potential, Electric):
-        return _electric_kernel(potential, t_max)
-    if isinstance(potential, Harmonic):
-        return _harmonic_kernel(potential, t_max)
+    if isinstance(potential, Quadratic):
+        return _quadratic_kernel(potential, t_max)
     raise TypeError(f"unsupported potential {potential!r}")
 
 

@@ -1,20 +1,22 @@
-"""Coefficient ODEs behind the electric-field and oscillator propagators.
+"""Coefficient ODEs behind the propagator of V = lam2(t) x^2 + lam1(t) x.
 
-Both solves march Chebyshev panels of 24 Lobatto points over [0, t_max]
-(spectral integration: Greengard, SIAM J. Numer. Anal. 28 (1991)
-1071-1080).  J maps the values of f at the points of [-1, 1] to those of
-int_{-1}^x f, so on a panel of half-width h the integral from the panel
-start is h J f.
+The propagator is e^{i S}/sqrt(4 pi i alpha), S the classical action,
+which is quadratic in the end points (Feynman & Hibbs 1965, quadratic
+Lagrangians); its coefficients solve, from t = 0,
 
-* Oscillator pair alpha'' = c alpha, beta'' = c beta, c = -4 lam, from
-  alpha(0)=0, alpha'(0)=1, beta(0)=1, beta'(0)=0: w = y'' solves the
-  Volterra form w = c (y0 + y0' tau + h^2 J^2 w) on each panel, with
-  alpha and beta as two right-hand sides of one linear solve.
-* Field coefficients t alpha'' + 2 alpha' = -lam, beta' = -t^2 alpha'^2:
-  alpha'(t) = -int_0^1 s lam(t s) ds on the first panel (a fixed matrix
-  on the panel values of lam, so t alpha' has no u/t^2 cancellation near
-  0) and -u/t^2 with u(t) = int_0^t s lam(s) ds after it; alpha and beta
-  are the h J integrals of alpha' and -(t alpha')^2.
+* the oscillator pair alpha'' = -4 lam2 alpha, beta'' = -4 lam2 beta
+  with alpha(0)=0, alpha'(0)=1, beta(0)=1, beta'(0)=0;
+* the forced path xi'' = -4 lam2 xi - 2 lam1 with xi(0) = xi'(0) = 0;
+* W' = -2 lam1 alpha and V' = lam1 xi with W(0) = V(0) = 0.
+
+Every equation is regular at t = 0.  The solve marches Chebyshev panels
+of 24 Lobatto points over [0, t_max] (spectral integration: Greengard,
+SIAM J. Numer. Anal. 28 (1991) 1071-1080).  J maps the values of f at the
+points of [-1, 1] to those of int_{-1}^x f, so on a panel of half-width h
+the integral from the panel start is h J f.  For y = alpha, beta, xi,
+w = y'' solves the Volterra form w = c (y0 + y0' tau + h^2 J^2 w) + g,
+c = -4 lam2 (g = -2 lam1 for xi, 0 for the pair): three right-hand sides
+of one linear solve.  W and V are h J integrals.
 
 Certificate: a panel whose trailing Chebyshev coefficients are not below
 tol (or a few ulps) times the size of their component there is halved
@@ -31,24 +33,24 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
-from numpy.polynomial.legendre import leggauss
 
 _N = 24  # Lobatto points per panel
 _PANEL = 0.5  # length of the panels the march starts from
 _TAIL = 3  # trailing Chebyshev coefficients in the certificate
+_TOL = 1e-13  # default relative certificate of a panel
 _ROUNDOFF = 64 * np.finfo(float).eps  # tails below this are rounding noise
 # Lobatto points -cos(pi k / (N - 1)), ascending and exactly -1, 1 at the
 # ends, with their barycentric weights (-1)^k, halved at the ends
 _X = np.sin(np.pi * (2 * np.arange(_N) - (_N - 1)) / (2 * (_N - 1)))
 _W = (-1.0) ** np.arange(_N)
 _W[[0, -1]] *= 0.5
+# the state at t = 0: (alpha, alpha', beta, beta', xi, xi', W, V)
+_Y0 = (0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 @cache
 def _matrices():
-    """Values -> Chebyshev coefficients, J, J @ J, and the first-panel
-    average M: (M f)_k = int_0^1 s f(t_k s) ds for the interpolant f on a
-    panel starting at 0 (13-point Gauss-Legendre, exact for degree 24)."""
+    """Values -> Chebyshev coefficients, J and J @ J."""
     # T_j(_X[k]) = (-1)^j cos(pi j k / (N - 1)): the inverse is a DCT-I
     k = np.arange(_N)
     inv = (2.0 / (_N - 1)) * (-1.0) ** k[:, None] * np.cos(np.pi * np.outer(k, k) / (_N - 1))
@@ -57,10 +59,7 @@ def _matrices():
     integral = np.stack([cheb.chebint(e, lbnd=-1) for e in np.eye(_N)], axis=1)
     j = cheb.chebvander(_X, _N) @ integral @ inv
     j[0] = 0.0
-    gx, gw = leggauss(13)
-    s = 0.5 * (gx + 1.0)
-    at = cheb.chebvander((_X[:, None] + 1.0) * s[None, :] - 1.0, _N - 1) @ inv
-    return inv, j, j @ j, np.einsum("kil,i->kl", at, 0.5 * gw * s)
+    return inv, j, j @ j
 
 
 def _points(a: float, b: float) -> np.ndarray:
@@ -84,7 +83,9 @@ class ChebyshevPanels:
             raise ValueError(f"t={t} outside solved span [{edges[0]}, {edges[-1]}]")
         p = min(bisect_right(edges, t), len(edges) - 1) - 1
         a, b = edges[p], edges[p + 1]
-        d = ((t - a) - (b - t)) / (b - a) - _X
+        # t - a is exact near the panel start, which keeps the relative
+        # accuracy of a component vanishing there (alpha ~ t as t -> 0)
+        d = (2.0 * (t - a) - (b - a) * (1.0 + _X)) / (b - a)
         if not d.all():
             return self.values[p, np.argmin(np.abs(d))].copy()
         q = _W / d
@@ -110,8 +111,27 @@ class ChebyshevPanels:
         return float(0.5 * (a + b) + 0.5 * (b - a) * x)
 
 
-def _march(panel, lam, t_max: float, y0, tol: float) -> ChebyshevPanels:
-    """Solve panel by panel over [0, t_max] from the state y0 at 0, halving
+def _quadratic_panel(
+    lam2: np.ndarray, lam1: np.ndarray, t: np.ndarray, y0: np.ndarray
+) -> np.ndarray:
+    """(alpha, alpha', beta, beta', xi, xi', W, V) at the panel points t
+    from their values at t[0]."""
+    _, j, j2 = _matrices()
+    h = 0.5 * (t[-1] - t[0])
+    c = -4.0 * lam2[:, None]
+    base = y0[0:6:2] + np.outer(t - t[0], y0[1:6:2])
+    rhs = c * base
+    rhs[:, 2] -= 2.0 * lam1
+    w = np.linalg.solve(np.eye(_N) - (h * h) * c * j2, rhs)
+    y = np.empty((_N, 8))
+    y[:, 0:6:2] = base + (h * h) * (j2 @ w)
+    y[:, 1:6:2] = y0[1:6:2] + h * (j @ w)
+    y[:, 6:] = y0[6:] + h * (j @ np.column_stack([-2.0 * lam1 * y[:, 0], lam1 * y[:, 4]]))
+    return y
+
+
+def _march(lam2, lam1, t_max: float, tol: float) -> ChebyshevPanels:
+    """Solve panel by panel over [0, t_max] from the state at 0, halving
     a panel until its trailing coefficients meet the certificate."""
     if not t_max > 0.0:
         raise ValueError("coefficient solve needs t_max > 0")
@@ -119,11 +139,14 @@ def _march(panel, lam, t_max: float, y0, tol: float) -> ChebyshevPanels:
     tol = max(tol, _ROUNDOFF)
     pending = np.linspace(0.0, t_max, int(np.ceil(t_max / _PANEL)) + 1)[:0:-1].tolist()
     edges, values = [0.0], []
-    a, y = 0.0, np.asarray(y0, dtype=float)
+    a, y = 0.0, np.array(_Y0)
     while pending:
         b = pending[-1]
         t = _points(a, b)
-        vals = panel(np.array([float(lam(s)) for s in t.tolist()]), t, y)
+        ts = t.tolist()
+        vals = _quadratic_panel(
+            np.array([float(lam2(s)) for s in ts]), np.array([float(lam1(s)) for s in ts]), t, y
+        )
         tail = np.abs(inv[-_TAIL:] @ vals).max(axis=0)
         if np.all(tail <= tol * np.abs(vals).max(axis=0)):
             edges.append(pending.pop())
@@ -136,48 +159,34 @@ def _march(panel, lam, t_max: float, y0, tol: float) -> ChebyshevPanels:
     return ChebyshevPanels(edges, np.array(values))
 
 
-def _harmonic_panel(lam: np.ndarray, t: np.ndarray, y0: np.ndarray) -> np.ndarray:
-    """(alpha, alpha', beta, beta') at the panel points t from their values at t[0]."""
-    _, j, j2, _ = _matrices()
-    h = 0.5 * (t[-1] - t[0])
-    c = -4.0 * lam[:, None]
-    base = y0[0::2] + np.outer(t - t[0], y0[1::2])
-    w = np.linalg.solve(np.eye(_N) - (h * h) * c * j2, c * base)
-    y = np.empty((_N, 4))
-    y[:, 0::2] = base + (h * h) * (j2 @ w)
-    y[:, 1::2] = y0[1::2] + h * (j @ w)
-    return y
-
-
-def _electric_panel(lam: np.ndarray, t: np.ndarray, y0: np.ndarray) -> np.ndarray:
-    """(alpha, alpha', beta) at the panel points t from their values at t[0]."""
-    _, j, _, m = _matrices()
-    a, h = t[0], 0.5 * (t[-1] - t[0])
-    if a == 0.0:
-        ap = -(m @ lam)
-    else:
-        ap = (a * a * y0[1] - h * (j @ (t * lam))) / (t * t)
-        ap[0] = y0[1]
-    y = np.empty((_N, 3))
-    y[:, 1] = ap
-    y[:, 0::2] = y0[0::2] + h * (j @ np.column_stack([ap, -((t * ap) ** 2)]))
-    return y
-
-
 def _component(i: int):
     return lambda self, t: self.state(t)[i]
 
 
-class _Coefficients:
-    """Dense coefficients on [0, t_max]; ``state(t)`` returns every
-    component from one evaluation and caches the last t, so the kernel
-    calls of one time slice share it."""
+def _phase_part(i: int):
+    return lambda self, t: self.phase(t)[i]
 
-    def __init__(self, lam: Callable[[float], float], t_max: float, dense: ChebyshevPanels):
-        self.lam = lam
+
+class QuadraticCoeffs:
+    """Dense propagator coefficients of V = lam2 x^2 + lam1 x on [0, t_max].
+
+    ``state(t)`` is (alpha, alpha', beta, beta', xi, xi', W, V) from one
+    evaluation; it caches the last t, so the kernel calls of one time
+    slice share it.  alpha' beta - alpha beta' = 1 and W = alpha xi' -
+    alpha' xi.  ``horizon`` is the first positive zero of alpha,
+    ``beta_horizon`` that of beta (+inf when there is none on the solved
+    span).
+    """
+
+    alpha, alpha_prime, beta, xi = _component(0), _component(1), _component(2), _component(4)
+    p, q, r = _phase_part(0), _phase_part(1), _phase_part(2)
+
+    def __init__(self, t_max: float, dense: ChebyshevPanels):
         self.t_max = t_max
         self._dense = dense
         self._last = (None, ())
+        self.horizon = dense.first_zero(0)
+        self.beta_horizon = dense.first_zero(2)
 
     def state(self, t: float) -> tuple:
         last_t, y = self._last
@@ -186,57 +195,46 @@ class _Coefficients:
             self._last = (t, y)
         return y
 
-
-class ElectricCoeffs(_Coefficients):
-    """Phase coefficients of the uniform-field propagator.
-
-    alpha, beta solve t alpha'' + 2 alpha' = -lam, beta' = -t^2 alpha'^2
-    with alpha(0) = beta(0) = 0 and t alpha'(t) -> 0; ``state(t)`` is
-    (alpha, alpha', beta).  The kernel phase uses t alpha'(t).
-    """
-
-    alpha, alpha_prime, beta = _component(0), _component(1), _component(2)
-
-    def t_alpha_prime(self, t: float) -> float:
-        return t * self.state(t)[1]
+    def phase(self, t: float) -> tuple[float, float, float]:
+        """(p, q, r) of the kernel's linear phase p x + q z + r:
+        W/(2 alpha), xi/(2 alpha) and -xi W/(4 alpha) - V/2, with their
+        limit 0 at t = 0."""
+        if t == 0.0:
+            return 0.0, 0.0, 0.0
+        al, _, _, _, xi, _, w, v = self.state(t)
+        return w / (2.0 * al), xi / (2.0 * al), -xi * w / (4.0 * al) - 0.5 * v
 
 
-class HarmonicCoeffs(_Coefficients):
-    """Oscillator coefficient pair with Wronskian alpha' beta - alpha beta' = 1.
+def solve_quadratic(
+    lam2: Callable[[float], float], lam1: Callable[[float], float], t_max: float, tol: float = _TOL
+) -> QuadraticCoeffs:
+    """Coefficients and horizons on [0, t_max], certified to relative tol
+    per panel."""
+    return QuadraticCoeffs(t_max, _march(lam2, lam1, t_max, tol))
 
-    ``state(t)`` is (alpha, alpha', beta, beta').  ``horizon`` is the
-    first positive zero of alpha (+inf when alpha stays positive on the
-    solved span); ``beta_horizon`` the first zero of beta.
-    """
 
-    alpha, alpha_prime, beta = _component(0), _component(1), _component(2)
-
-    def __init__(self, lam, t_max, dense):
-        super().__init__(lam, t_max, dense)
-        self.horizon = dense.first_zero(0)
-        self.beta_horizon = dense.first_zero(2)
+def _zero(t: float) -> float:
+    return 0.0
 
 
 def solve_electric(
-    lam: Callable[[float], float], t_max: float, tol: float = 1e-12
-) -> ElectricCoeffs:
-    """Field coefficients on [0, t_max], certified to relative tol per panel."""
-    return ElectricCoeffs(lam, t_max, _march(_electric_panel, lam, t_max, [0.0, 0.0, 0.0], tol))
+    lam: Callable[[float], float], t_max: float, tol: float = _TOL
+) -> QuadraticCoeffs:
+    """The field case V = lam(t) x of ``solve_quadratic``."""
+    return solve_quadratic(_zero, lam, t_max, tol)
 
 
 def solve_harmonic(
-    lam: Callable[[float], float], t_max: float, tol: float = 1e-13
-) -> HarmonicCoeffs:
-    """Oscillator pair and horizons on [0, t_max], certified to relative
-    tol per panel."""
-    dense = _march(_harmonic_panel, lam, t_max, [0.0, 1.0, 1.0, 0.0], tol)
-    return HarmonicCoeffs(lam, t_max, dense)
+    lam: Callable[[float], float], t_max: float, tol: float = _TOL
+) -> QuadraticCoeffs:
+    """The oscillator case V = lam(t) x^2 of ``solve_quadratic``."""
+    return solve_quadratic(lam, _zero, t_max, tol)
 
 
-def wronskian_drift(coeffs: HarmonicCoeffs, grid) -> float:
+def wronskian_drift(coeffs: QuadraticCoeffs, grid) -> float:
     """max over the grid of |alpha' beta - alpha beta' - 1|."""
     worst = 0.0
     for t in grid:
-        al, ap, be, bp = coeffs.state(float(t))
+        al, ap, be, bp = coeffs.state(float(t))[:4]
         worst = max(worst, abs(ap * be - al * bp - 1.0))
     return worst

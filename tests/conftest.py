@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from supershift_lab.greens import Electric, Free, Harmonic, PoschlTeller, make_kernel
+from supershift_lab.greens import Electric, Free, Harmonic, PoschlTeller, Quadratic, make_kernel
 
 
 @pytest.fixture(scope="session")
@@ -18,6 +18,14 @@ def electric_kernel():
 def harmonic_kernel():
     # omega = 1: horizon pi/4 (first beta zero), formula valid to pi/2
     return make_kernel(Harmonic(lambda t: 1.0, "omega=1"), t_max=1.7)
+
+
+@pytest.fixture(scope="session")
+def driven_kernel():
+    # V = x^2 + 0.7 x: the omega = 1 oscillator about x = -0.35, shifted
+    # in energy by -0.7^2/4; horizon pi/4
+    driven = Quadratic(lambda t: 1.0, lambda t: 0.7, "driven(omega=1,E=0.7)")
+    return make_kernel(driven, t_max=1.7)
 
 
 @pytest.fixture(scope="session")

@@ -110,18 +110,19 @@ def test_criterion_04_coefficient_closed_forms():
     )
     dev_T = abs(h.horizon - np.pi / 2)
     drift = wronskian_drift(h, np.linspace(0.01, 1.55, 40))
-    # the stated -t^2/6, -t^5/45 pair solves the ramp forcing lam(t) = t
-    # (constant lam = 1 forces -t/2, -t^3/12; both checked)
+    # the stated -t^2/6, -t^5/45 pair, the field's phase coefficients q and
+    # r, solves the ramp forcing lam(t) = t (constant lam = 1 forces -t/2,
+    # -t^3/12; both checked)
     e = solve_electric(lambda t: t, t_max=1.0)
     ts2 = np.linspace(0.0, 1.0, 21)
     dev_e = max(
-        max(abs(e.alpha(t) + t * t / 6) for t in ts2),
-        max(abs(e.beta(t) + t**5 / 45) for t in ts2),
+        max(abs(e.q(t) + t * t / 6) for t in ts2),
+        max(abs(e.r(t) + t**5 / 45) for t in ts2),
     )
     ec = solve_electric(lambda t: 1.0, t_max=1.0)
     dev_ec = max(
-        max(abs(ec.alpha(t) + t / 2) for t in ts2),
-        max(abs(ec.beta(t) + t**3 / 12) for t in ts2),
+        max(abs(ec.q(t) + t / 2) for t in ts2),
+        max(abs(ec.r(t) + t**3 / 12) for t in ts2),
     )
     ok = dev_h <= 1e-10 and dev_T <= 1e-8 and dev_e <= 1e-10 and dev_ec <= 1e-10 and drift <= 1e-10
     _report(

@@ -62,6 +62,13 @@ def electric_plane(t, x, kappa):
     return np.exp(1j * (beta + x * t_ap) + 1j * (kappa + al) * x - 1j * (kappa + al) ** 2 * t)
 
 
+def driven_plane(t, x, kappa, e=0.7):
+    """V = x^2 + E x, the unit oscillator about -s, s = E/2, with the
+    energy shifted by -E^2/4."""
+    s = e / 2
+    return np.exp(1j * e * e * t / 4 - 1j * kappa * s) * harm_plane(t, x + s, kappa)
+
+
 def jost2(kappa, z):
     """Poschl-Teller l = 2 Jost solution (3 tanh^2 - 3 i kappa tanh - 1 - kappa^2) e^{i kappa z};
     its wave is e^{-i kappa^2 t} times it."""
@@ -315,6 +322,15 @@ class TestWavefield:
         T, X = np.meshgrid(ts, xs, indexing="ij")
         assert np.all(np.abs(fld.values - harm_plane(T, X, 2.0)) <= fld.quad_errors)
 
+    def test_driven_plane_wave(self, driven_kernel):
+        # the forced path moves the stationary point: below the pi/4 horizon
+        # the driven oscillator's grid meets its oracle like the harmonic one
+        ts, xs = np.linspace(0.1, 0.75, 8), np.linspace(-2.0, 2.0, 13)
+        fld = wavefield(driven_kernel, plane_wave(2.0), ts, xs, tol=1e-9)
+        assert not fld.failures
+        T, X = np.meshgrid(ts, xs, indexing="ij")
+        assert np.all(np.abs(fld.values - driven_plane(T, X, 2.0)) <= fld.quad_errors)
+
     def test_one_coefficient_evaluation_per_time_slice(self):
         # a, growth and gtilde share one dense coefficient evaluation per t
         kernel = make_kernel(Harmonic(lambda t: 1.0, "omega=1"), t_max=1.1)
@@ -329,12 +345,12 @@ class TestWavefield:
 
 class TestCalibration:
     """The error estimate bounds the true error on the plane-wave grids of
-    all four potentials (the Poschl-Teller l = 2 grid with its Jost datum),
-    from loose to tight tolerances."""
+    all four potentials and the driven oscillator (the Poschl-Teller l = 2
+    grid with its Jost datum), from loose to tight tolerances."""
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
     def test_estimate_bounds_true_error(
-        self, tol, free_kernel, electric_kernel, harmonic_kernel, pt2_kernel
+        self, tol, free_kernel, electric_kernel, harmonic_kernel, driven_kernel, pt2_kernel
     ):
         from supershift_lab.contour_quad import GrowthWitness
         from supershift_lab.initial_data import HolomorphicSignal
@@ -349,6 +365,7 @@ class TestCalibration:
             (free_kernel, plane_wave(3.0), 1.0, lambda t, x: free_plane(t, x, 3.0)),
             (electric_kernel, plane_wave(2.0), 1.0, lambda t, x: electric_plane(t, x, 2.0)),
             (harmonic_kernel, plane_wave(2.0), 0.75, lambda t, x: harm_plane(t, x, 2.0)),
+            (driven_kernel, plane_wave(2.0), 0.75, lambda t, x: driven_plane(t, x, 2.0)),
             (pt2_kernel, jost, 1.0, lambda t, x: np.exp(-4j * t) * jost2(2.0, x)),
         ]
         for kernel, f, t_hi, exact in cases:

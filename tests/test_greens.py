@@ -102,17 +102,17 @@ class TestElectricKernel:
         assert pde_residual(electric_kernel, 0.5, 0.0, 0.5) <= 1e-4
 
     def test_growth_witness_fields(self, electric_kernel):
-        # gtilde = e^{i alpha z} times a factor of modulus 1/(2 sqrt(pi t)):
+        # gtilde = e^{i q z} times a factor of modulus 1/(2 sqrt(pi t)):
         # the frequency witness is exact with rate 0
         a0, b0 = electric_kernel.growth(0.5, 0.3)
         assert a0 == pytest.approx(1.0 / (2.0 * np.sqrt(np.pi * 0.5)))
         assert b0 == 0.0
-        alpha = electric_kernel.coeffs.alpha(0.5)
-        assert electric_kernel.freq(0.5, 0.3) == alpha
-        assert electric_kernel.growth_imag(0.5, 0.3)[1] == pytest.approx(abs(alpha))
+        q = electric_kernel.coeffs.q(0.5)
+        assert electric_kernel.freq(0.5, 0.3) == q
+        assert electric_kernel.growth_imag(0.5, 0.3)[1] == pytest.approx(abs(q))
         z = np.array([3.0 + 2.0j, -20.0 - 15.0j])
         assert np.allclose(
-            np.abs(electric_kernel.gtilde(0.5, 0.3, z)), a0 * np.exp(-alpha * z.imag), rtol=1e-12
+            np.abs(electric_kernel.gtilde(0.5, 0.3, z)), a0 * np.exp(-q * z.imag), rtol=1e-12
         )
 
 
@@ -147,6 +147,24 @@ class TestHarmonicKernel:
     def test_horizon_is_beta_zero(self, harmonic_kernel):
         assert abs(harmonic_kernel.horizon - np.pi / 4) < 1e-8
         assert abs(harmonic_kernel.formula_horizon - np.pi / 2) < 1e-8
+
+
+class TestDrivenKernel:
+    """V = x^2 + E x = (x + s)^2 - E^2/4, s = E/2: the unit oscillator
+    about -s with the energy shifted by -E^2/4."""
+
+    def test_shifted_oscillator_identity(self, driven_kernel, harmonic_kernel, rng):
+        e = 0.7
+        s = e / 2
+        worst = 0.0
+        for _ in range(100):
+            t = rng.uniform(0.005, np.pi / 2 - 0.05)
+            x = rng.uniform(-2, 2)
+            z = rng.uniform(-2, 2) + 1j * rng.uniform(-1, 1)
+            mine = greens_value(driven_kernel, t, x, z)
+            ref = np.exp(1j * e * e * t / 4) * greens_value(harmonic_kernel, t, x + s, z + s)
+            worst = max(worst, abs(mine - ref) / abs(ref))
+        assert worst <= 1e-12
 
 
 class TestPoschlTellerKernel:
@@ -238,7 +256,10 @@ class TestPdeResidualAllPotentials:
 class TestAudit:
     @pytest.mark.parametrize(
         "fixture",
-        ["free_kernel", "electric_kernel", "harmonic_kernel", "pt1_kernel", "pt2_kernel"],
+        [
+            "free_kernel", "electric_kernel", "harmonic_kernel", "driven_kernel",
+            "pt1_kernel", "pt2_kernel",
+        ],
     )
     def test_audit_passes(self, fixture, request):
         kernel = request.getfixturevalue(fixture)
