@@ -2,7 +2,6 @@
 
 from .contour_quad import (
     GrowthWitness,
-    QuadraturePlan,
     QuadratureResult,
     epsilon_regularized_integral,
     rotated_integral,

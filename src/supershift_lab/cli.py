@@ -66,7 +66,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 DEFAULTS = {
-    "quadrature": {"tol": 1e-9, "max_panels": 4000},
+    "quadrature": {"tol": 1e-9},
     "grid": {"t": [0.1, 0.5, 5], "x": [-2.0, 2.0, 9]},
     "verify": {
         "residual_threshold": 1e-3,
@@ -78,19 +78,27 @@ DEFAULTS = {
 }
 
 
+def _finite(value) -> float:
+    """float(value); nan and the infinities are refused as malformed."""
+    v = float(value)
+    if not np.isfinite(v):
+        raise ValueError(f"{value!r} is not a finite number")
+    return v
+
+
 def _lambda_from_spec(spec) -> tuple:
     kind = spec.get("kind")
     if kind == "constant":
-        c = float(spec["c"])
+        c = _finite(spec["c"])
         return (lambda t: c), f"const:{c:g}"
     if kind == "sinusoid":
-        a, b, om = float(spec["a"]), float(spec["b"]), float(spec["omega"])
+        a, b, om = _finite(spec["a"]), _finite(spec["b"]), _finite(spec["omega"])
         return (lambda t: a + b * np.sin(om * t)), f"sin:{a:g},{b:g},{om:g}"
     if kind == "table":
         from scipy.interpolate import CubicSpline
 
-        ts = np.asarray(spec["t"], dtype=float)
-        vs = np.asarray(spec["values"], dtype=float)
+        ts = np.array([_finite(v) for v in spec["t"]])
+        vs = np.array([_finite(v) for v in spec["values"]])
         sp = CubicSpline(ts, vs)
         return (lambda t: float(sp(t))), f"table:{len(ts)}pts"
     raise _UsageError(f"unknown lambda kind {kind!r} (constant|sinusoid|table)")
@@ -106,7 +114,7 @@ def _potential_from_config(spec) -> object:
         return Electric(lam, lab)
     if kind == "harmonic":
         if "omega" in spec:
-            om = float(spec["omega"])
+            om = _finite(spec["omega"])
             return Harmonic(lambda t: om * om, f"omega={om:g}")
         lam, lab = _lambda_from_spec(spec.get("lambda", {"kind": "constant", "c": 1.0}))
         return Harmonic(lam, lab)
@@ -148,7 +156,7 @@ def _potential_from_inline(text: str) -> dict:
 
 def _plane_kappa(k):
     """A plane wave's frequency: a number, or [re, im] for a complex one."""
-    return complex(k[0], k[1]) if isinstance(k, (list, tuple)) else float(k)
+    return complex(_finite(k[0]), _finite(k[1])) if isinstance(k, (list, tuple)) else _finite(k)
 
 
 @_parsing("initial")
@@ -157,7 +165,7 @@ def _initial_from_config(spec):
     if kind == "plane_wave":
         return plane_wave(_plane_kappa(spec["k"]))
     if kind == "superosc":
-        return superosc_signal(int(spec["n"]), float(spec["k"]))
+        return superosc_signal(int(spec["n"]), _finite(spec["k"]))
     if kind == "linear_combination":
         terms = []
         for item in spec["terms"]:
@@ -225,25 +233,21 @@ def _load_config(args) -> dict:
 
 
 def _check_quadrature(spec):
-    """quadrature.tol must be a positive number, max_panels a positive
-    integer; other keys are refused, as ignoring them would change the run."""
+    """quadrature takes only tol, a positive number; other keys are
+    refused, as ignoring them would change the run."""
     unknown = sorted(set(spec) - set(DEFAULTS["quadrature"]))
     if unknown:
         raise _UsageError(
-            f"quadrature keys must be tol and max_panels, got {', '.join(map(repr, unknown))}"
+            f"quadrature keys must be tol only, got {', '.join(map(repr, unknown))}"
         )
-    tol, max_panels = spec["tol"], spec["max_panels"]
+    tol = spec["tol"]
     if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0.0 < tol < np.inf:
         raise _UsageError(f"quadrature.tol must be a positive number, got {tol!r}")
-    if isinstance(max_panels, bool) or not isinstance(max_panels, int) or max_panels < 1:
-        raise _UsageError(
-            f"quadrature.max_panels must be a positive integer, got {max_panels!r}"
-        )
 
 
 def _grid_axis(spec) -> np.ndarray:
     with _parsing(f"grid axis {spec!r} (expected [lo, hi, n >= 1])"):
-        lo, hi, n = float(spec[0]), float(spec[1]), int(spec[2])
+        lo, hi, n = _finite(spec[0]), _finite(spec[1]), int(spec[2])
         if n < 1:
             raise ValueError(f"{n} points")
     return np.linspace(lo, hi, n)
@@ -335,14 +339,7 @@ def run_evolve(cfg: dict) -> int:
     kernel = _build_kernel(cfg)
     signal = _initial_from_config(cfg.get("initial", {"kind": "plane_wave", "k": 3.0}))
     ts, xs = _grid(cfg, kernel)
-    field = wavefield(
-        kernel,
-        signal,
-        ts,
-        xs,
-        tol=cfg["quadrature"]["tol"],
-        max_panels=cfg["quadrature"]["max_panels"],
-    )
+    field = wavefield(kernel, signal, ts, xs, tol=cfg["quadrature"]["tol"])
     _atomic_write(_out_path(cfg, "field.csv"), field_csv(field))
     emit_plotdata(field, _out_path(cfg, "plot.dat"))
     _atomic_write(
@@ -357,10 +354,12 @@ def run_supershift(cfg: dict) -> int:
     kernel = _build_kernel(cfg)
     ss = cfg["supershift"]
     with _parsing("supershift"):
-        kappa = float(ss["kappa"])
+        kappa = _finite(ss["kappa"])
         n_values = [int(n) for n in ss["n_values"]]
-        c_weight = float(ss.get("weight_C") or default_weight(kappa))
-        samples = disk_samples(float(ss.get("sample_radius", 3.0)))
+        if any(n < 1 for n in n_values):
+            raise ValueError(f"orders must be >= 1, got {n_values}")
+        c_weight = _finite(ss.get("weight_C") or default_weight(kappa))
+        samples = disk_samples(_finite(ss.get("sample_radius", 3.0)))
     ts, xs = _grid(cfg, kernel)
     report = supershift_experiment(
         kernel, n_values, kappa, ts, xs, tol=cfg["quadrature"]["tol"]

@@ -39,6 +39,10 @@ _REAL_PHASE_BUDGET = 64.0
 # comparator run spends a fifth to a quarter of its CPU time in those page
 # faults; scan in CHANGES.md)
 _BATCH_NODES = 4096
+# panel budgets of one evaluation: the rotated route, and the real-line
+# comparators, whose equal-phase seeding alone can reach millions of panels
+_MAX_PANELS = 4000
+_REAL_MAX_PANELS = 4_000_000
 _TINY = np.finfo(float).tiny
 
 
@@ -165,40 +169,6 @@ class GrowthWitness:
 
 
 @dataclass(frozen=True)
-class QuadraturePlan:
-    """Parameters of one rotated-contour evaluation.
-
-    a       Gaussian rate of the quadratic phase (> 0)
-    y1      center of the quadratic phase
-    angle   contour angle in (0, pi/2); default pi/4 maximizes decay
-    center  real point the contour passes through; defaults to y1, which
-            turns the quadratic phase into a pure Gaussian along the line.
-            For an integrand of witness frequency w the stationary point
-            y1 - w / (2a) does the same for the quadratic phase times
-            e^{i w z}, and keeps the integrand modulus bounded for any a
-    """
-
-    a: float
-    y1: float = 0.0
-    angle: float = np.pi / 4
-    center: float | None = None
-    tol: float = 1e-10
-    max_panels: int = 4000
-
-    def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError("plan requires a > 0")
-        if not 0 < self.angle < np.pi / 2:
-            raise ValueError("plan requires angle in (0, pi/2)")
-        if self.tol <= 0:
-            raise ValueError("plan requires tol > 0")
-
-    @property
-    def contour_shift(self) -> float:
-        return self.y1 if self.center is None else self.center
-
-
-@dataclass(frozen=True)
 class QuadratureResult:
     """Value of one rotated-contour evaluation and what it cost.
 
@@ -276,12 +246,12 @@ def truncation_radius(
     angle: float,
     y1: float,
     tol: float,
-    shift: float | None = None,
+    shift: float,
 ) -> float:
     """Radius Y certifying that the rotated-contour tail is below tol.
 
-    On the contour z = shift + u e^{i angle} (shift defaults to the phase
-    center y1) the integrand modulus is bounded by
+    On the contour z = shift + u e^{i angle} the integrand modulus is
+    bounded by
 
         amplitude e^{rate |shift|} *
         e^{-a sin(2 angle) u^2 + (rate + |2 a (shift - y1) + freq| sin(angle)) |u|},
@@ -294,8 +264,6 @@ def truncation_radius(
     """
     if a <= 0 or not 0 < angle < np.pi / 2 or tol <= 0:
         raise ValueError("truncation_radius requires a > 0, angle in (0, pi/2), tol > 0")
-    if shift is None:
-        shift = y1
     c = a * np.sin(2.0 * angle)
     b = witness.rate + abs(2.0 * a * (shift - y1) + witness.freq) * np.sin(angle)
     log_amp = (
@@ -354,7 +322,7 @@ def _panel_sums(g, lows, highs, rule):
     return vals, err
 
 
-def _adaptive_panels(g, edges, tol, max_panels, rule):
+def _adaptive_panels(g, edges, tol, budget, rule):
     """Bisect offender panels per round until the summed estimate meets tol.
 
     Returns (value, error estimate, panels, integrand nodes, refinement
@@ -362,10 +330,9 @@ def _adaptive_panels(g, edges, tol, max_panels, rule):
     """
     edges = np.asarray(edges, dtype=float)
     lows, highs = edges[:-1].copy(), edges[1:].copy()
-    if len(lows) > max_panels:
+    if len(lows) > budget:
         raise PanelExhausted(
-            f"seeding already needs {len(lows)} panels > budget {max_panels}",
-            panels_used=len(lows),
+            f"seeding already needs {len(lows)} panels > budget {budget}"
         )
     vals, errs = _panel_sums(g, lows, highs, rule)
     nodes, rounds = len(lows) * len(rule.nodes), 0
@@ -386,18 +353,16 @@ def _adaptive_panels(g, edges, tol, max_panels, rule):
                 f"cancel by a factor {cancel:.1e} (sum |v_p| / |sum v_p|)",
                 value=complex(vals.sum()),
                 err_estimate=total_err,
-                panels_used=len(lows),
             )
         share = tol / len(lows)
         bad = errs > share
         if not bad.any():
             break
-        if len(lows) + int(bad.sum()) > max_panels:
+        if len(lows) + int(bad.sum()) > budget:
             raise PanelExhausted(
-                f"panel budget {max_panels} exhausted at error {total_err:.3e}",
+                f"panel budget {budget} exhausted at error {total_err:.3e}",
                 value=complex(vals.sum()),
                 err_estimate=total_err,
-                panels_used=len(lows),
             )
         mid = 0.5 * (lows[bad] + highs[bad])
         new_lo = np.concatenate([lows[bad], mid])
@@ -414,7 +379,6 @@ def _adaptive_panels(g, edges, tol, max_panels, rule):
             f"no convergence after 64 refinement rounds (err {float(errs.sum()):.3e})",
             value=complex(vals.sum()),
             err_estimate=float(errs.sum()),
-            panels_used=len(lows),
         )
     return complex(vals.sum()), float(errs.sum()), len(lows), nodes, rounds
 
@@ -446,7 +410,7 @@ def _split_panels(edges, width):
     return np.append(np.repeat(edges[:-1], k) + j * step, edges[-1])
 
 
-def _quadratic_phase_edges(lo, hi, y1, a, cluster, sigma, max_panels):
+def _quadratic_phase_edges(lo, hi, y1, a, cluster, sigma):
     """Equal-phase breakpoints of a (y - y1)^2 on [lo, hi], merged with a
     geometric cluster around the regularizer center.
 
@@ -455,16 +419,15 @@ def _quadratic_phase_edges(lo, hi, y1, a, cluster, sigma, max_panels):
     estimate are already converged, so little adaptive refinement is
     spent on the long oscillatory stretches.  Raises ``PanelExhausted``
     before allocating anything when the seeding alone would exceed
-    ``max_panels``.
+    ``_REAL_MAX_PANELS``.
     """
     pts = []
     k_right = a * max(hi - y1, 0.0) ** 2 / _REAL_PHASE_BUDGET
     k_left = a * max(y1 - lo, 0.0) ** 2 / _REAL_PHASE_BUDGET
-    if k_right + k_left > max_panels:
+    if k_right + k_left > _REAL_MAX_PANELS:
         raise PanelExhausted(
             f"equal-phase seeding would need ~{int(k_right + k_left)} panels "
-            f"> budget {max_panels}",
-            panels_used=0,
+            f"> budget {_REAL_MAX_PANELS}"
         )
     if k_right >= 1.0:
         ks = np.arange(1.0, np.floor(k_right) + 1.0)
@@ -475,20 +438,22 @@ def _quadratic_phase_edges(lo, hi, y1, a, cluster, sigma, max_panels):
     return _cluster_edges(lo, hi, cluster, sigma, [y1], *pts)
 
 
-def rotated_integral(f, plan: QuadraturePlan) -> QuadratureResult:
+def rotated_integral(
+    f, *, a: float, y1: float, center: float, angle: float, tol: float
+) -> QuadratureResult:
     """Contour evaluation of  int_R e^{i a (y - y1)^2} f(y) dy.
 
-    Integrates along the rotated line z = s + u e^{i angle} through the
-    real point s = plan.contour_shift; there the integrand decays like a
-    Gaussian of rate a sin(2 angle).  For holomorphic f with a valid
-    growth witness the value is independent of both the admissible angle
-    and the shift, so this equals
+    Integrates along the rotated line z = center + u e^{i angle}, angle in
+    (0, pi/2); there the integrand decays like a Gaussian of rate
+    a sin(2 angle).  For holomorphic f with a valid growth witness the
+    value is independent of both the admissible angle and the center, so
+    this equals
     e^{i angle} * int_R e^{i a (y e^{i angle} - y1)^2} f(y e^{i angle}) dy.
-    The default shift s = y1 makes the quadratic factor a pure Gaussian
-    along the line, avoiding the e^{a s^2 sin^2(angle) sin(2 angle)}
-    cancellation an origin-anchored parameterization would suffer; for a
-    witness of frequency w the shift y1 - w / (2a) does the same for the
-    quadratic factor times e^{i w z}.
+    The center y1 makes the quadratic factor a pure Gaussian along the
+    line, avoiding the e^{a s^2 sin^2(angle) sin(2 angle)} cancellation
+    an origin-anchored parameterization would suffer; for a witness of
+    frequency w the center y1 - w / (2a) does the same for the quadratic
+    factor times e^{i w z}.
 
     The seed panels are the geometric cluster around u = 0 at the
     Gaussian width 1 / sqrt(2 a sin(2 angle)) (``_cluster_edges``), with
@@ -500,26 +465,22 @@ def rotated_integral(f, plan: QuadraturePlan) -> QuadratureResult:
     estimate combines the summed panel estimates with the certified
     truncation tail.
     """
-    half_tol = 0.5 * plan.tol
-    shift = plan.contour_shift
-    radius = truncation_radius(
-        f.growth, plan.a, plan.angle, plan.y1, half_tol, shift=shift
-    )
-    rot = complex(np.cos(plan.angle), np.sin(plan.angle))
-    a, y1 = plan.a, plan.y1
+    half_tol = 0.5 * tol
+    radius = truncation_radius(f.growth, a, angle, y1, half_tol, center)
+    rot = complex(np.cos(angle), np.sin(angle))
 
     def g(u):
-        z = shift + u * rot
+        z = center + u * rot
         return np.exp(1j * a * (z - y1) ** 2) * _eval_signal(f, z)
 
-    sigma = 1.0 / np.sqrt(2.0 * a * np.sin(2.0 * plan.angle))
+    sigma = 1.0 / np.sqrt(2.0 * a * np.sin(2.0 * angle))
     edges = _cluster_edges(-radius, radius, 0.0, sigma)
     if f.growth.length < np.inf:
         width = max(f.growth.length, 2.0 * radius / (_SEED_PANELS - len(edges)))
         edges = _split_panels(edges, width)
     try:
         value, err, n_panels, nodes, rounds = _adaptive_panels(
-            g, edges, half_tol, plan.max_panels, _GL15_GL7
+            g, edges, half_tol, _MAX_PANELS, _GL15_GL7
         )
     except PanelExhausted as exc:
         if exc.value is not None:  # rotate the sum over u and add the tail
@@ -541,9 +502,7 @@ def epsilon_regularized_integral(
     y1: float,
     y0: float = 0.0,
     eps: float = 1e-4,
-    window: tuple[float, float] | None = None,
     tol: float = 1e-10,
-    max_panels: int = 4_000_000,
 ) -> complex:
     """Gaussian-regularized real-line integral
     int_R e^{-eps (y - y0)^2} e^{i a (y - y1)^2} f(y) dy.
@@ -555,15 +514,13 @@ def epsilon_regularized_integral(
     if eps <= 0:
         raise ValueError("eps must be positive")
     witness = f.growth
-    if window is None:
-        # imag-kind witnesses are flat on the real axis; modulus kind keeps
-        # its rate in the tail solve
-        rate = witness.rate if witness.kind == "modulus" else 0.0
-        log_amp = (
-            np.log(max(witness.amplitude, _TINY)) + rate * abs(y0)
-        )
-        hi = _tail_radius(log_amp, eps, rate, np.log(0.1 * tol), 1e9)
-        window = (y0 - hi, y0 + hi)
+    # imag-kind witnesses are flat on the real axis; modulus kind keeps its
+    # rate in the tail solve
+    rate = witness.rate if witness.kind == "modulus" else 0.0
+    log_amp = (
+        np.log(max(witness.amplitude, _TINY)) + rate * abs(y0)
+    )
+    hi = _tail_radius(log_amp, eps, rate, np.log(0.1 * tol), 1e9)
 
     def g(y):
         return (
@@ -572,8 +529,8 @@ def epsilon_regularized_integral(
         )
 
     sigma = 1.0 / np.sqrt(2.0 * eps)
-    edges = _quadratic_phase_edges(window[0], window[1], y1, a, y0, sigma, max_panels)
-    return _adaptive_panels(g, edges, tol, max_panels, _GK61)[0]
+    edges = _quadratic_phase_edges(y0 - hi, y0 + hi, y1, a, y0, sigma)
+    return _adaptive_panels(g, edges, tol, _REAL_MAX_PANELS, _GK61)[0]
 
 
 def truncated_integral(
@@ -583,7 +540,6 @@ def truncated_integral(
     r1: float,
     r2: float,
     tol: float = 1e-10,
-    max_panels: int = 4_000_000,
 ) -> complex:
     """Proper integral  int_{-r1}^{r2} e^{i a (y - y1)^2} f(y) dy.
 
@@ -608,6 +564,6 @@ def truncated_integral(
 
     span = r1 + r2
     edges = _quadratic_phase_edges(
-        -r1, r2, y1, a, min(max(y1, -r1), r2), span / 8.0, max_panels
+        -r1, r2, y1, a, min(max(y1, -r1), r2), span / 8.0
     )
-    return _adaptive_panels(g, edges, tol, max_panels, _GK61)[0]
+    return _adaptive_panels(g, edges, tol, _REAL_MAX_PANELS, _GK61)[0]

@@ -19,11 +19,10 @@ class PanelExhausted(SupershiftError):
     Carries the best value and error estimate obtained so far.
     """
 
-    def __init__(self, message, value=None, err_estimate=None, panels_used=0):
+    def __init__(self, message, value=None, err_estimate=None):
         super().__init__(message)
         self.value = value
         self.err_estimate = err_estimate
-        self.panels_used = panels_used
 
 
 class HorizonExceeded(SupershiftError):

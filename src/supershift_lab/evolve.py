@@ -2,7 +2,7 @@
 
 The wave value at (t, x) is the rotated-contour integral of
 G(t, x, z) F(z): with the kernel split G = e^{i a (z-x)^2} gtilde, the
-quadrature plan gets the Gaussian rate a(t), phase center x, and the
+quadrature gets the Gaussian rate a(t), phase center x, and the
 combined growth witness of gtilde * F, whose frequency w is the kernel's
 plus the datum's.  The contour passes through the real stationary point
 x - w / (2a) of the whole phase.  On top of the point evaluator sit
@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .contour_quad import GrowthWitness, QuadraturePlan, QuadratureResult, rotated_integral
+from .contour_quad import GrowthWitness, QuadratureResult, rotated_integral
 from .errors import SupershiftError
 from .greens import GreensKernel
 from .initial_data import (
@@ -56,7 +56,6 @@ def wavefunction_result(
     t: float,
     x: float,
     tol: float = 1e-10,
-    max_panels: int = 4000,
 ) -> QuadratureResult:
     """Propagator integral with full quadrature diagnostics.
 
@@ -70,15 +69,9 @@ def wavefunction_result(
     a = kernel.a(t)
     integrand = _integrand(kernel, t, x, f)
     center = kernel.contour_center(x, x - integrand.growth.freq / (2.0 * a))
-    plan = QuadraturePlan(
-        a=a,
-        y1=x,
-        angle=kernel.sector_angle,
-        center=center,
-        tol=tol,
-        max_panels=max_panels,
+    return rotated_integral(
+        integrand, a=a, y1=x, center=center, angle=kernel.sector_angle, tol=tol
     )
-    return rotated_integral(integrand, plan)
 
 
 def wavefunction(
@@ -87,10 +80,9 @@ def wavefunction(
     t: float,
     x: float,
     tol: float = 1e-10,
-    max_panels: int = 4000,
 ) -> complex:
     """Wave value Psi(t, x) for initial condition f."""
-    return wavefunction_result(kernel, f, t, x, tol, max_panels).value
+    return wavefunction_result(kernel, f, t, x, tol).value
 
 
 @dataclass
@@ -99,8 +91,7 @@ class WaveField:
 
     radius, nodes and rounds are the per-point ``QuadratureResult``
     fields (truncation radius, integrand nodes, refinement rounds); a
-    failed point reads nan, -1 and -1.  They are None on a field built
-    without quadrature.
+    failed point reads nan, -1 and -1.
     """
 
     ts: np.ndarray
@@ -110,10 +101,10 @@ class WaveField:
     potential: str
     initial: str
     tol: float
+    radius: np.ndarray
+    nodes: np.ndarray
+    rounds: np.ndarray
     failures: list = field(default_factory=list)
-    radius: np.ndarray | None = None
-    nodes: np.ndarray | None = None
-    rounds: np.ndarray | None = None
 
 
 def wavefield(
@@ -122,7 +113,6 @@ def wavefield(
     ts: Sequence[float],
     xs: Sequence[float],
     tol: float = 1e-10,
-    max_panels: int = 4000,
 ) -> WaveField:
     """Evaluate the wave on a rectangular grid.
 
@@ -144,7 +134,7 @@ def wavefield(
     for i, t in enumerate(ts):
         for j, x in enumerate(xs):
             try:
-                r = wavefunction_result(kernel, f, float(t), float(x), tol, max_panels)
+                r = wavefunction_result(kernel, f, float(t), float(x), tol)
                 values[i, j] = r.value
                 errors[i, j] = r.err_estimate
                 radius[i, j] = r.truncation_radius
@@ -359,17 +349,17 @@ def analyticity_probe(
     t: float,
     x: float,
     vertices: Sequence[complex],
-    nodes_per_edge: int = 64,
     tol: float = 1e-9,
 ) -> complex:
     """Closed triangle integral of kappa -> Psi(t, x; e^{i kappa .}).
 
     A numerically vanishing result certifies holomorphy in the frequency
-    parameter (Morera-type check); returns the raw contour value.
+    parameter (Morera-type check); returns the raw contour value, with
+    64 Gauss-Legendre nodes per edge.
     """
     if len(vertices) != 3:
         raise ValueError("analyticity_probe expects exactly 3 vertices")
-    nodes, weights = leggauss(nodes_per_edge)
+    nodes, weights = leggauss(64)
     total = 0j
     verts = [complex(v) for v in vertices]
     for v1, v2 in zip(verts, verts[1:] + verts[:1]):

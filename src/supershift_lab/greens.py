@@ -43,6 +43,7 @@ from .ode_coeff import (  # noqa: F401
 )
 from .special_fn import (  # noqa: F401
     ROOT_I,
+    _POLE_MARGIN,
     _pt_orders,
     assoc_legendre_tanh,
     erfcx,
@@ -51,7 +52,6 @@ from .special_fn import (  # noqa: F401
 )
 
 INV_SQRT_IPI = 1.0 / (np.sqrt(np.pi) * ROOT_I)
-_POLE_MARGIN = 0.1  # least distance of a sech^2-well contour from the cosh zeros
 # contour half-angles of the sech^2 well and of the other kernels (make_kernel)
 _PT_SECTOR_ANGLE = np.pi / 8
 _SECTOR_ANGLE = np.pi / 4
@@ -374,7 +374,7 @@ def _pt_kernel(potential: PoschlTeller) -> GreensKernel:
 
     def gtilde(t, x, z):
         free = 1.0 / (2.0 * np.sqrt(np.pi * t) * ROOT_I)
-        return free + np.asarray(pt_weighted_term(l, t, x, z, pole_margin=_POLE_MARGIN))
+        return free + np.asarray(pt_weighted_term(l, t, x, z))
 
     def bound_sum(t, x, imag):
         # c_m |Q_l^m(x)| e^{m|x|} = c_m |P_l^(m)(tanh x)| (2 / (1 + r^2))^m,

@@ -43,17 +43,12 @@ class HolomorphicSignal:
         return self.eval(z)
 
 
-def plane_wave(kappa: complex, witness_kind: str = "modulus") -> HolomorphicSignal:
+def plane_wave(kappa: complex) -> HolomorphicSignal:
     """e^{i kappa z}, with |e^{i kappa z}| = e^{-Re kappa Im z - Im kappa Re z}
     <= e^{|Im kappa| |z| - Re kappa Im z}: witness frequency Re kappa and
     rate |Im kappa|.
-
-    For real kappa the imag-kind witness (rate 0) can be requested for
-    real-line integration routes.
     """
     kappa = complex(kappa)
-    if witness_kind == "imag" and abs(kappa.imag) > 0:
-        raise ValueError("imag-kind witness is only valid for real kappa")
     k = kappa.real if kappa.imag == 0 else kappa
 
     def ev(z):
@@ -61,7 +56,7 @@ def plane_wave(kappa: complex, witness_kind: str = "modulus") -> HolomorphicSign
 
     return HolomorphicSignal(
         eval=ev,
-        growth=GrowthWitness(1.0, abs(kappa.imag), witness_kind, kappa.real),
+        growth=GrowthWitness(1.0, abs(kappa.imag), "modulus", kappa.real),
         label=f"plane:k={kappa.real:g}" + (f"{kappa.imag:+g}j" if kappa.imag else ""),
     )
 
@@ -74,7 +69,7 @@ def constant_signal(c: complex = 1.0) -> HolomorphicSignal:
     )
 
 
-def combine_signals(terms: list[tuple[complex, HolomorphicSignal]], label=None):
+def combine_signals(terms: list[tuple[complex, HolomorphicSignal]]):
     """Finite linear combination with the triangle-inequality witness.
 
     The terms' frequencies w_i differ in general; against one frequency w
@@ -100,7 +95,7 @@ def combine_signals(terms: list[tuple[complex, HolomorphicSignal]], label=None):
     return HolomorphicSignal(
         eval=ev,
         growth=GrowthWitness(amp, 0.5 * (hi - lo), kind, 0.5 * (hi + lo), length),
-        label=label or "+".join(f"{c}*{s.label}" for c, s in terms),
+        label="+".join(f"{c}*{s.label}" for c, s in terms),
     )
 
 
@@ -230,15 +225,16 @@ def weighted_sup_distance(
     return float(np.max(np.abs(fv - gv) * np.exp(-c_weight * np.abs(samples))))
 
 
-def disk_samples(radius: float, n_ring: int = 8, n_random: int = 40, seed: int = 1234):
-    """Deterministic sample cloud: concentric rings plus seeded uniform points."""
-    rng = np.random.default_rng(seed)
+def disk_samples(radius: float):
+    """Deterministic sample cloud: the center, four rings of 8 points and
+    40 seeded uniform points."""
+    rng = np.random.default_rng(1234)
     pts = [np.array([0.0 + 0.0j])]
     for r in np.linspace(radius / 4, radius, 4):
-        ang = np.linspace(0.0, 2 * np.pi, n_ring, endpoint=False)
+        ang = np.linspace(0.0, 2 * np.pi, 8, endpoint=False)
         pts.append(r * np.exp(1j * ang))
-    rr = radius * np.sqrt(rng.uniform(0, 1, n_random))
-    th = rng.uniform(0, 2 * np.pi, n_random)
+    rr = radius * np.sqrt(rng.uniform(0, 1, 40))
+    th = rng.uniform(0, 2 * np.pi, 40)
     pts.append(rr * np.exp(1j * th))
     return np.concatenate(pts)
 

@@ -35,6 +35,7 @@ from .errors import DomainMarginError, EvaluationOverflow
 
 SQRT_PI = float(np.sqrt(np.pi))
 ROOT_I = complex(np.cos(np.pi / 4), np.sin(np.pi / 4))  # principal sqrt(i)
+_POLE_MARGIN = 0.1  # least distance of a sech^2-well contour from the cosh zeros
 
 # log of the largest double; exponents beyond this overflow
 _EXP_LIMIT = 709.0
@@ -267,7 +268,7 @@ def pt_kernel_term_derivatives(t, z):
     return dz, dt
 
 
-def pt_weighted_term(l: int, t: float, x: float, z, *, pole_margin: float = 0.1):
+def pt_weighted_term(l: int, t: float, x: float, z):
     """Bound-state sum of the sech^2-well kernel, all orders in one pass:
 
         sum_{m=1}^{l} c_m Q_l^m(x) Q_l^m(z) R(m^2 t, m(z - x)),
@@ -299,13 +300,11 @@ def pt_weighted_term(l: int, t: float, x: float, z, *, pole_margin: float = 0.1)
     shape = z.shape
     z = z.reshape(-1)
     # the pole distance is at least |Re z|: only nodes inside that band can
-    # fail; for the real x the nearest poles are +-i pi/2
-    near = np.abs(z.real) <= pole_margin
-    if math.hypot(x, 0.5 * math.pi) <= pole_margin or (
-        near.any() and np.any(pole_set_distance(z[near]) <= pole_margin)
-    ):
+    # fail; the real x is pi/2 from the nearest poles, beyond the margin
+    near = np.abs(z.real) <= _POLE_MARGIN
+    if near.any() and np.any(pole_set_distance(z[near]) <= _POLE_MARGIN):
         raise DomainMarginError(
-            f"argument within margin {pole_margin} of a cosh zero"
+            f"argument within margin {_POLE_MARGIN} of a cosh zero"
         )
     coeffs, weights = _pt_orders(l)
     m = np.arange(1.0, l + 1.0)[:, None]
@@ -422,29 +421,29 @@ def pole_set_distance(z):
     return float(dist) if dist.ndim == 0 else dist
 
 
-def assoc_legendre_tanh(l: int, m: int, z, *, pole_margin: float = 0.1):
+def assoc_legendre_tanh(l: int, m: int, z):
     """Associated Legendre factor on the tanh line: P_l^m(tanh z).
 
     Uses the sech^m * (polynomial in tanh) form, which continues
     analytically off the real axis without square-root branch issues.
     Adopts the Condon-Shortley phase, so l = m = 1 gives -sech(z).
 
-    Raises DomainMarginError when z is within pole_margin of a zero of
-    cosh (the poles i pi (Z + 1/2)).
+    Raises DomainMarginError when z is within ``_POLE_MARGIN`` of a zero
+    of cosh (the poles i pi (Z + 1/2)).
     """
     if not (1 <= m <= l):
         raise ValueError("assoc_legendre_tanh requires 1 <= m <= l")
     z = np.asarray(z, dtype=complex)
-    if np.any(pole_set_distance(z) <= pole_margin):
+    if np.any(pole_set_distance(z) <= _POLE_MARGIN):
         raise DomainMarginError(
-            f"argument within margin {pole_margin} of a cosh zero"
+            f"argument within margin {_POLE_MARGIN} of a cosh zero"
         )
     acc = polyval(np.tanh(z), _legendre_deriv_coeffs(l, m))
     res = (-1.0) ** m * np.cosh(z) ** (-m) * acc
     return complex(res) if res.ndim == 0 else res
 
 
-def legendre_sum_residual(l: int, x, z, *, pole_margin: float = 0.1) -> float:
+def legendre_sum_residual(l: int, x, z) -> float:
     """Residual of the sinh-weighted product-sum identity.
 
     |sum_{m=1}^{l} m (l-m)!/(l+m)! Q_l^m(z) sinh(m(z-x)) Q_l^m(x)
@@ -460,9 +459,9 @@ def legendre_sum_residual(l: int, x, z, *, pole_margin: float = 0.1) -> float:
         w = m * factorial(l - m) / factorial(l + m)
         lhs += (
             w
-            * assoc_legendre_tanh(l, m, z, pole_margin=pole_margin)
+            * assoc_legendre_tanh(l, m, z)
             * np.sinh(m * (z - x))
-            * assoc_legendre_tanh(l, m, x, pole_margin=pole_margin)
+            * assoc_legendre_tanh(l, m, x)
         )
     rhs = l * (l + 1) / 4.0 * (np.tanh(z) - np.tanh(x))
     return abs(lhs - rhs)

@@ -13,7 +13,6 @@ import numpy as np
 
 from supershift_lab.contour_quad import (
     GrowthWitness,
-    QuadraturePlan,
     epsilon_regularized_integral,
     rotated_integral,
     truncated_integral,
@@ -57,9 +56,14 @@ def _sig(fn, amp, rate, kind="modulus"):
     return HolomorphicSignal(eval=fn, growth=GrowthWitness(amp, rate, kind), label="f")
 
 
+def _rotated(f):
+    """int_R e^{i y^2} f(y) dy on the pi/4 line through 0, at tol 1e-12."""
+    return rotated_integral(f, a=1.0, y1=0.0, center=0.0, angle=np.pi / 4, tol=1e-12)
+
+
 def test_criterion_01_fresnel_constant():
     one = _sig(lambda z: np.ones_like(np.asarray(z, dtype=complex)), 1.0, 0.0)
-    rot = rotated_integral(one, QuadraturePlan(a=1.0, tol=1e-12)).value
+    rot = _rotated(one).value
     worst = abs(rot - FRESNEL)
     for eps in (1e-1, 1e-2, 1e-3):
         v = epsilon_regularized_integral(one, 1.0, 0.0, 0.0, eps, tol=1e-12)
@@ -75,9 +79,7 @@ def test_criterion_02_representation_equivalence():
     }
     worst_eps, worst_trunc = 0.0, 0.0
     for fn, rate in fams.values():
-        rot = rotated_integral(
-            _sig(fn, 1.0, rate), QuadraturePlan(a=1.0, tol=1e-12)
-        ).value
+        rot = _rotated(_sig(fn, 1.0, rate)).value
         f_im = _sig(fn, 1.0, rate, "imag")
         v = epsilon_regularized_integral(f_im, 1.0, 0.0, 0.0, 1e-5, tol=3e-5)
         worst_eps = max(worst_eps, abs(v - rot))
@@ -272,8 +274,8 @@ def test_criterion_10_continuous_dependence(free_kernel):
 
 
 def test_criterion_11_analyticity_probe(free_kernel, harmonic_kernel):
-    v_free = abs(analyticity_probe(free_kernel, 0.4, 0.3, [0, 1, 1j], 64, tol=1e-9))
-    v_harm = abs(analyticity_probe(harmonic_kernel, 0.2, 0.5, [1, 2, 1 + 1j], 64, tol=1e-9))
+    v_free = abs(analyticity_probe(free_kernel, 0.4, 0.3, [0, 1, 1j], tol=1e-9))
+    v_harm = abs(analyticity_probe(harmonic_kernel, 0.2, 0.5, [1, 2, 1 + 1j], tol=1e-9))
     ok = v_free <= 1e-6 and v_harm <= 1e-5
     _report(
         11,

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from supershift_lab import cli
 from supershift_lab.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -57,9 +59,10 @@ class TestExitCodes:
             ({"tol": "abc"}, "quadrature.tol"),
             ({"tol": -1e-9}, "quadrature.tol"),
             ({"tol": 0}, "quadrature.tol"),
-            ({"max_panels": "many"}, "quadrature.max_panels"),
-            ({"max_panels": 0}, "quadrature.max_panels"),
-            ({"max_panels": 2.5}, "quadrature.max_panels"),
+            # the panel budget is fixed; a config still setting it is refused
+            ({"max_panels": 4000}, "quadrature keys"),
+            ({"tol": float("nan")}, "quadrature.tol"),
+            ({"tol": float("inf")}, "quadrature.tol"),
             ("abc", "quadrature"),
             (None, "quadrature"),
             # the contour angle is fixed per potential; a config still
@@ -70,8 +73,38 @@ class TestExitCodes:
     def test_malformed_quadrature_is_usage_error(self, tmp_path, outdir, capsys, quadrature, field):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"potential": {"kind": "free"}, "quadrature": quadrature}))
-        assert run(["evolve", "--config", str(cfg), "--output", outdir]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {field} must be")
+        for command in ("evolve", "supershift", "verify"):
+            assert run([command, "--config", str(cfg), "--output", outdir]) == 1
+            assert capsys.readouterr().err.startswith(f"error: {field} must be")
+
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["evolve", "--potential", "harmonic:omega=inf"], {}),
+            (["evolve", "--potential", "electric:lambda=nan"], {}),
+            (["evolve", "--initial", "plane:k=nan"], {}),
+            (["supershift", "--k", "nan"], {}),
+            (["evolve"], {"potential": {"kind": "harmonic", "omega": 1.0},
+                          "grid": {"t": [float("nan"), 0.5, 3]}}),
+            (["evolve"], {"grid": {"x": [float("-inf"), 1, 3]}}),
+            (["evolve"], {"initial": {"kind": "plane_wave", "k": [2.0, float("nan")]}}),
+            (["evolve"], {"initial": {"kind": "superosc", "n": 10, "k": float("inf")}}),
+            (["evolve"], {"potential": {"kind": "electric", "lambda": {
+                "kind": "sinusoid", "a": 1.0, "b": float("nan"), "omega": 1.0}}}),
+            (["evolve"], {"potential": {"kind": "harmonic", "lambda": {
+                "kind": "sinusoid", "a": 1.0, "b": 0.5, "omega": float("inf")}}}),
+            (["supershift"], {"supershift": {"kappa": float("inf")}}),
+            (["supershift"], {"supershift": {"weight_C": float("nan")}}),
+            (["supershift"], {"supershift": {"sample_radius": float("nan")}}),
+        ],
+    )
+    def test_non_finite_number_is_usage_error(self, tmp_path, outdir, capsys, argv, doc):
+        # refused while the config is parsed: no output is written
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"potential": {"kind": "free"}, **doc}))
+        assert run([*argv, "--config", str(cfg), "--output", outdir]) == 1
+        assert capsys.readouterr().err.startswith("error: invalid")
+        assert not os.path.exists(outdir)
 
     @pytest.mark.parametrize(
         "doc, field",
@@ -121,6 +154,8 @@ class TestExitCodes:
     def test_empty_order_is_usage_error(self, outdir, capsys):
         assert run(["supershift", "--potential", "free", "--n", "10,,20", "--output", outdir]) == 1
         assert capsys.readouterr().err.startswith("error: invalid option")
+        assert run(["supershift", "--potential", "free", "--n", "0,10", "--output", outdir]) == 1
+        assert capsys.readouterr().err.startswith("error: invalid supershift")
 
     def test_non_numeric_inline_option_is_usage_error(self, outdir, capsys):
         assert run(["evolve", "--potential", "harmonic:omega=abc", "--output", outdir]) == 1
@@ -407,6 +442,23 @@ class TestInlineSpecs:
             )
         )
         assert run(["evolve", "--config", str(cfg), "--output", outdir]) == 0
+
+    def test_readme_configs_load(self, tmp_path):
+        # every JSON block of README's "Config format" section is a config
+        # the runner accepts, so the documented keys cannot drift from it
+        text = (SRC.parent / "README.md").read_text(encoding="utf-8")
+        section = text.split("### Config format", 1)[1].split("\n## ", 1)[0]
+        blocks = re.findall(r"```json\n(.*?)```", section, re.S)
+        assert len(blocks) == 4
+        for i, block in enumerate(blocks):
+            path = tmp_path / f"readme{i}.json"
+            path.write_text(block)
+            command = json.loads(block)["experiment"]
+            cfg = cli._load_config(cli._build_parser().parse_args([command, "--config", str(path)]))
+            cli._potential_from_config(cfg["potential"])
+            cli._initial_from_config(cfg.get("initial", {"kind": "plane_wave", "k": 3.0}))
+            for axis in ("t", "x"):
+                cli._grid_axis(cfg["grid"][axis])
 
 
 def _blas_env(threads: str) -> dict:

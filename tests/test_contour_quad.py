@@ -25,7 +25,6 @@ from supershift_lab.contour_quad import (
     _GK61,
     _REAL_PHASE_BUDGET,
     GrowthWitness,
-    QuadraturePlan,
     QuadratureResult,
     _log_gaussian_tail,
     _quadratic_phase_edges,
@@ -45,6 +44,11 @@ FRESNEL = np.sqrt(np.pi) * np.exp(1j * np.pi / 4)
 
 def sig(fn, amp, rate, kind="modulus"):
     return HolomorphicSignal(eval=fn, growth=GrowthWitness(amp, rate, kind), label="test")
+
+
+def rotated(f, a=1.0, y1=0.0, angle=np.pi / 4, tol=1e-12):
+    """rotated_integral on the line through the phase center y1."""
+    return rotated_integral(f, a=a, y1=y1, center=y1, angle=angle, tol=tol)
 
 
 ONE = sig(lambda z: np.ones_like(np.asarray(z, dtype=complex)), 1.0, 0.0)
@@ -72,7 +76,7 @@ class TestTruncationRadius:
         # brute-force check that the certified tail really is below tol
         w = GrowthWitness(1.0, 0.0)
         tol = 1e-16
-        radius = truncation_radius(w, 1.0, np.pi / 4, 0.0, tol)
+        radius = truncation_radius(w, 1.0, np.pi / 4, 0.0, tol, 0.0)
         assert 5.5 <= radius <= 6.5
         y = np.linspace(radius, radius + 30, 400_000)
         tail = 2.0 * np.trapezoid(np.exp(-(y**2)), y)  # c = a sin(2a) = 1, b = 0
@@ -82,25 +86,25 @@ class TestTruncationRadius:
 
     def test_frozen_bisection_root(self):
         # mpmath bisection of the closed-form tail equation gave 5.9202361
-        radius = truncation_radius(GrowthWitness(1, 0), 1.0, np.pi / 4, 0.0, 1e-16)
+        radius = truncation_radius(GrowthWitness(1, 0), 1.0, np.pi / 4, 0.0, 1e-16, 0.0)
         assert abs(radius - 5.9202361183745687) < 1e-6
 
     def test_monotone_in_tol(self):
         w = GrowthWitness(1.0, 0.0)
-        r8 = truncation_radius(w, 1.0, np.pi / 4, 0.0, 1e-8)
-        r16 = truncation_radius(w, 1.0, np.pi / 4, 0.0, 1e-16)
+        r8 = truncation_radius(w, 1.0, np.pi / 4, 0.0, 1e-8, 0.0)
+        r16 = truncation_radius(w, 1.0, np.pi / 4, 0.0, 1e-16, 0.0)
         assert r8 < r16
 
     def test_gaussian_scaling(self):
         w = GrowthWitness(1.0, 0.0)
-        r1 = truncation_radius(w, 1.0, np.pi / 4, 0.0, 1e-16)
-        r2 = truncation_radius(w, 2.0, np.pi / 4, 0.0, 1e-16)
+        r1 = truncation_radius(w, 1.0, np.pi / 4, 0.0, 1e-16, 0.0)
+        r2 = truncation_radius(w, 2.0, np.pi / 4, 0.0, 1e-16, 0.0)
         assert abs(r1 / r2 - np.sqrt(2.0)) < 0.05
 
     def test_rate_and_amplitude_enlarge(self):
-        base = truncation_radius(GrowthWitness(1, 0), 1.0, np.pi / 4, 0.0, 1e-12)
-        with_rate = truncation_radius(GrowthWitness(1, 3), 1.0, np.pi / 4, 0.0, 1e-12)
-        with_amp = truncation_radius(GrowthWitness(1e6, 0), 1.0, np.pi / 4, 0.0, 1e-12)
+        base = truncation_radius(GrowthWitness(1, 0), 1.0, np.pi / 4, 0.0, 1e-12, 0.0)
+        with_rate = truncation_radius(GrowthWitness(1, 3), 1.0, np.pi / 4, 0.0, 1e-12, 0.0)
+        with_amp = truncation_radius(GrowthWitness(1e6, 0), 1.0, np.pi / 4, 0.0, 1e-12, 0.0)
         assert with_rate > base and with_amp > base
 
 
@@ -173,7 +177,7 @@ class TestNewtonRadius:
 
     def test_divergent_solve_raises(self):
         with pytest.raises(ValueError, match="diverged"):
-            truncation_radius(GrowthWitness(1e300, 0.0), 1e-30, np.pi / 4, 0.0, 1e-16)
+            truncation_radius(GrowthWitness(1e300, 0.0), 1e-30, np.pi / 4, 0.0, 1e-16, 0.0)
 
 
 class TestSeedEdges:
@@ -221,10 +225,9 @@ class TestSplitPanels:
         # a finite witness length cuts the Gaussian cluster's wide panels;
         # the value stays the unsplit one
         f = plane_wave(0.0)
-        plan = QuadraturePlan(a=1.0, tol=1e-10)
-        base = rotated_integral(f, plan)
+        base = rotated(f, tol=1e-10)
         cut = HolomorphicSignal(eval=f.eval, growth=GrowthWitness(1.0, 0.0, length=0.25), label="c")
-        split = rotated_integral(cut, plan)
+        split = rotated(cut, tol=1e-10)
         assert split.panels_used > base.panels_used
         assert abs(split.value - base.value) <= 1e-13
 
@@ -309,29 +312,29 @@ class TestPanelRules:
 
 class TestRotatedIntegral:
     def test_fresnel_constant(self):
-        r = rotated_integral(ONE, QuadraturePlan(a=1.0, tol=1e-12))
+        r = rotated(ONE)
         assert abs(r.value - FRESNEL) < 1e-10
         assert isinstance(r, QuadratureResult)
         assert r.err_estimate >= abs(r.value - FRESNEL)
 
     def test_scaling_and_translation(self):
         for a, y1 in ((2.5, 0.0), (0.3, 1.7), (2500.0, 1.3)):
-            r = rotated_integral(ONE, QuadraturePlan(a=a, y1=y1, tol=1e-12))
+            r = rotated(ONE, a=a, y1=y1)
             assert abs(r.value - np.sqrt(np.pi / a) * np.exp(1j * np.pi / 4)) < 1e-11
 
     def test_plane_wave_square_completion(self):
-        r = rotated_integral(PW2, QuadraturePlan(a=1.0, tol=1e-12))
+        r = rotated(PW2)
         assert abs(r.value - FRESNEL * np.exp(-1j)) < 1e-10
 
     def test_even_polynomial(self):
         poly = sig(lambda z: np.asarray(z, dtype=complex) ** 2, 2.0, 1.0)
-        r = rotated_integral(poly, QuadraturePlan(a=1.0, tol=1e-12))
+        r = rotated(poly)
         assert abs(r.value - 0.5j * FRESNEL) < 1e-10
 
     def test_angle_independence(self):
         for f in (ONE, PW2, COS):
             vals = [
-                rotated_integral(f, QuadraturePlan(a=1.0, angle=ang, tol=1e-12)).value
+                rotated(f, angle=ang).value
                 for ang in (np.pi / 6, np.pi / 4)
             ]
             assert abs(vals[0] - vals[1]) <= 10 * 1e-12
@@ -339,9 +342,8 @@ class TestRotatedIntegral:
     def test_linearity(self):
         comb = sig(lambda z: 2.0 * np.exp(1j * z) - 0.5j * np.cos(z), 2.5, 1.0)
         f1 = sig(lambda z: np.exp(1j * z), 1.0, 1.0)
-        plan = QuadraturePlan(a=1.0, tol=1e-12)
-        lhs = rotated_integral(comb, plan).value
-        rhs = 2.0 * rotated_integral(f1, plan).value - 0.5j * rotated_integral(COS, plan).value
+        lhs = rotated(comb).value
+        rhs = 2.0 * rotated(f1).value - 0.5j * rotated(COS).value
         assert abs(lhs - rhs) < 5e-13
 
     @pytest.mark.parametrize("f", [ONE, PW2, COS], ids=["one", "pw2", "cos"])
@@ -352,25 +354,26 @@ class TestRotatedIntegral:
         counted = sig(
             lambda z: sizes.append(np.size(z)) or f.eval(z), f.growth.amplitude, f.growth.rate
         )
-        r = rotated_integral(counted, QuadraturePlan(a=1.0, tol=1e-12))
+        r = rotated(counted)
         assert r.rounds > 0
         assert len(sizes) == r.rounds + 1
         assert sum(sizes) == r.nodes
         seeded = sizes[0] // 22
         assert r.nodes == 22 * seeded + 44 * (r.panels_used - seeded)
 
-    def test_panel_budget_raises(self):
+    def test_panel_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(contour_quad, "_MAX_PANELS", 4)
         wild = sig(lambda z: np.exp(1j * 200.0 * np.asarray(z) ** 2), 1.0, 0.0)
         with pytest.raises(PanelExhausted):
-            rotated_integral(wild, QuadraturePlan(a=1e-4, tol=1e-14, max_panels=4))
+            rotated(wild, a=1e-4, tol=1e-14)
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):
-            QuadraturePlan(a=-1.0)
+            rotated(ONE, a=-1.0)
         with pytest.raises(ValueError):
-            QuadraturePlan(a=1.0, angle=2.0)
+            rotated(ONE, angle=2.0)
         with pytest.raises(ValueError):
-            QuadraturePlan(a=1.0, tol=0.0)
+            rotated(ONE, tol=0.0)
 
 
 class TestEpsilonRegularized:
@@ -380,7 +383,7 @@ class TestEpsilonRegularized:
             assert abs(v - np.sqrt(np.pi / (eps - 1j))) < 1e-10
 
     def test_sequence_approaches_rotated(self):
-        rot = rotated_integral(ONE, QuadraturePlan(a=1.0, tol=1e-13)).value
+        rot = rotated(ONE, tol=1e-13).value
         diffs = [
             abs(epsilon_regularized_integral(ONE, 1.0, 0.0, 0.0, eps, tol=1e-11) - rot)
             for eps in (1e-1, 1e-2, 1e-3, 1e-4)
@@ -391,7 +394,7 @@ class TestEpsilonRegularized:
         # e^{z/2}: below eps ~ B^2/120 the cancellation e^{B^2/(4 eps)}
         # exceeds doubles, so the tested sequence stops at 4e-3
         grow = sig(lambda z: np.exp(0.5 * np.asarray(z, dtype=complex)), 1.0, 0.5)
-        rot = rotated_integral(grow, QuadraturePlan(a=1.0, tol=1e-13)).value
+        rot = rotated(grow, tol=1e-13).value
         diffs = [
             abs(epsilon_regularized_integral(grow, 1.0, 0.0, 0.0, eps, tol=1e-8) - rot)
             for eps in (1e-1, 1e-2, 4e-3)
@@ -448,21 +451,23 @@ class TestEpsilonRegularized:
         exact = g0 * np.sqrt(np.pi / A) * np.exp(B * B / (4 * A) + 1j * a * y1 * y1)
         assert abs(v - exact) <= tol
 
-    def test_panel_budget_applies_to_seeding(self):
-        # the caller's max_panels guards the equal-phase seeding itself,
-        # before any edge is allocated
-        with pytest.raises(PanelExhausted, match="seeding") as exc:
-            epsilon_regularized_integral(ONE_IM, 1.0, 0.0, 0.0, 1e-4, tol=1e-8, max_panels=100)
-        assert exc.value.panels_used == 0
+    def test_panel_budget_applies_to_seeding(self, monkeypatch):
+        # the comparators' panel budget guards the equal-phase seeding
+        # itself, before any edge is allocated
+        monkeypatch.setattr(contour_quad, "_REAL_MAX_PANELS", 100)
+        with pytest.raises(PanelExhausted, match="seeding"):
+            epsilon_regularized_integral(ONE_IM, 1.0, 0.0, 0.0, 1e-4, tol=1e-8)
         # a * 10^2 / _REAL_PHASE_BUDGET = 1000 panels on each side of y1
         a = 10.0 * _REAL_PHASE_BUDGET
         per_side = a * 10.0**2 / _REAL_PHASE_BUDGET
         assert per_side == 1000.0
         n = int(2 * per_side)
         args = (-10.0, 10.0, 0.0, a, 0.0, 1.0)
-        assert len(_quadratic_phase_edges(*args, max_panels=n)) > n
+        monkeypatch.setattr(contour_quad, "_REAL_MAX_PANELS", n)
+        assert len(_quadratic_phase_edges(*args)) > n
+        monkeypatch.setattr(contour_quad, "_REAL_MAX_PANELS", n - 1)
         with pytest.raises(PanelExhausted, match="seeding"):
-            _quadratic_phase_edges(*args, max_panels=n - 1)
+            _quadratic_phase_edges(*args)
 
     def test_crossrep_cost(self, free_kernel, pt1_kernel, monkeypatch):
         # both kernels of the cross-representation check: node count, largest
@@ -501,7 +506,7 @@ class TestTruncatedIntegral:
         assert truncated_integral(ONE_IM, 1.0, 0.0, 0.0, 0.0) == 0.0
 
     def test_oscillating_convergence_to_rotated(self):
-        rot = rotated_integral(ONE, QuadraturePlan(a=1.0, tol=1e-13)).value
+        rot = rotated(ONE, tol=1e-13).value
         diffs = [
             abs(truncated_integral(ONE_IM, 1.0, 0.0, r, r, tol=1e-11) - rot)
             for r in (5.0, 10.0, 20.0)
@@ -512,15 +517,13 @@ class TestTruncatedIntegral:
         assert diffs[-1] < diffs[0]
 
     def test_imag_bounded_at_r40(self):
-        rot = rotated_integral(
-            sig(lambda z: np.exp(1j * z), 1.0, 1.0), QuadraturePlan(a=1.0, tol=1e-13)
-        ).value
+        rot = rotated(sig(lambda z: np.exp(1j * z), 1.0, 1.0), tol=1e-13).value
         pw1 = sig(lambda z: np.exp(1j * z), 1.0, 1.0, "imag")
         v = truncated_integral(pw1, 1.0, 0.0, 40.0, 40.0, tol=1e-10)
         assert abs(v - rot) <= 5e-2
 
     def test_asymmetric_truncations_converge(self):
-        rot = rotated_integral(ONE, QuadraturePlan(a=1.0, tol=1e-13)).value
+        rot = rotated(ONE, tol=1e-13).value
         near = abs(truncated_integral(ONE_IM, 1.0, 0.0, 5.0, 8.0, tol=1e-11) - rot)
         far = abs(truncated_integral(ONE_IM, 1.0, 0.0, 30.0, 50.0, tol=1e-11) - rot)
         assert far < near

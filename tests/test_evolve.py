@@ -20,6 +20,7 @@ the grids below):
 import numpy as np
 import pytest
 
+from supershift_lab import contour_quad
 from supershift_lab.contour_quad import epsilon_regularized_integral
 from supershift_lab.errors import HorizonExceeded
 from supershift_lab.evolve import (
@@ -180,10 +181,9 @@ class TestWavefield:
         assert fld.quad_errors.max() <= 1e-10  # estimates within configured tol
         assert not fld.failures
 
-    def test_panel_exhaustion_collected_not_raised(self, free_kernel):
-        fld = wavefield(
-            free_kernel, plane_wave(3.0), [0.2], [0.5], tol=1e-12, max_panels=2
-        )
+    def test_panel_exhaustion_collected_not_raised(self, free_kernel, monkeypatch):
+        monkeypatch.setattr(contour_quad, "_MAX_PANELS", 2)
+        fld = wavefield(free_kernel, plane_wave(3.0), [0.2], [0.5], tol=1e-12)
         assert len(fld.failures) == 1
         assert fld.quad_errors[0, 0] > 1e-12
 
@@ -222,7 +222,7 @@ class TestWavefield:
         # pole line, but the line through x keeps clear of it: the contour
         # passes through the admitted center nearest -5, and the value
         # agrees with the line through x
-        from supershift_lab.contour_quad import QuadraturePlan, rotated_integral
+        from supershift_lab.contour_quad import rotated_integral
         from supershift_lab.errors import DomainMarginError
         from supershift_lab.evolve import _integrand
 
@@ -232,10 +232,10 @@ class TestWavefield:
         with pytest.raises(DomainMarginError):
             pt1_kernel.check_contour(center - 1e-3)
         rot = wavefunction_result(pt1_kernel, f, t, x, 1e-9)
-        plan = QuadraturePlan(
-            a=pt1_kernel.a(t), y1=x, angle=pt1_kernel.sector_angle, center=x, tol=1e-9
+        ref = rotated_integral(
+            _integrand(pt1_kernel, t, x, f),
+            a=pt1_kernel.a(t), y1=x, center=x, angle=pt1_kernel.sector_angle, tol=1e-9,
         )
-        ref = rotated_integral(_integrand(pt1_kernel, t, x, f), plan)
         assert abs(rot.value - ref.value) <= rot.err_estimate + ref.err_estimate
         # the CLI's default grid and supershift kappa: no point is refused
         fld = wavefield(pt1_kernel, f, np.linspace(0.1, 0.5, 5), np.linspace(-2, 2, 9), tol=1e-9)
@@ -272,7 +272,7 @@ class TestWavefield:
                     free_kernel, plane_wave(2.0), t, x, 1e-10
                 )
 
-    def test_failed_point_records_rotated_value(self, harmonic_kernel):
+    def test_failed_point_records_rotated_value(self, harmonic_kernel, monkeypatch):
         # near the pi/4 horizon no contour is stationary for both terms of
         # e^{2iz} + e^{-2iz}, so the point refines; a small panel budget
         # fails it, and the recorded value is still the rotated panel sum
@@ -280,7 +280,9 @@ class TestWavefield:
         t, x = 0.72, -2.0
         f = combine_signals([(1.0, plane_wave(2.0)), (1.0, plane_wave(-2.0))])
         ref = harm_plane(t, x, 2.0) + harm_plane(t, x, -2.0)
-        fld = wavefield(harmonic_kernel, f, [t], [x], tol=1e-9, max_panels=30)
+        with monkeypatch.context() as m:
+            m.setattr(contour_quad, "_MAX_PANELS", 30)
+            fld = wavefield(harmonic_kernel, f, [t], [x], tol=1e-9)
         [(_, _, reason)] = fld.failures
         assert reason.startswith("PanelExhausted") and "budget 30" in reason
         assert abs(fld.values[0, 0] - ref) <= fld.quad_errors[0, 0]
@@ -294,15 +296,14 @@ class TestWavefield:
         # frequency of kernel and data) while the value is O(1), and the
         # panel sums stagnate on that cancellation
         from supershift_lab import evolve
-        from supershift_lab.contour_quad import QuadraturePlan, rotated_integral
+        from supershift_lab.contour_quad import rotated_integral
         from supershift_lab.errors import PanelExhausted
 
         t, x, kappa = 0.72, -2.0, 2.0
         f = evolve._integrand(harmonic_kernel, t, x, plane_wave(kappa))
         a = harmonic_kernel.a(t)
-        plan = QuadraturePlan(a=a, y1=x, angle=harmonic_kernel.sector_angle, tol=1e-9)
         with pytest.raises(PanelExhausted, match="stagnated") as info:
-            rotated_integral(f, plan)
+            rotated_integral(f, a=a, y1=x, center=x, angle=harmonic_kernel.sector_angle, tol=1e-9)
         exc = info.value
         assert abs(exc.value - harm_plane(t, x, kappa)) <= exc.err_estimate
         al, be = np.sin(2 * t) / 2, np.cos(2 * t)
@@ -423,6 +424,9 @@ class TestResidualField:
             potential="free",
             initial="zero",
             tol=1e-10,
+            radius=np.zeros((3, 3)),
+            nodes=np.zeros((3, 3), dtype=int),
+            rounds=np.zeros((3, 3), dtype=int),
         )
         assert schrodinger_residual_field(fld, free_kernel) == 0.0
 
@@ -444,6 +448,9 @@ class TestResidualField:
             potential="free",
             initial="zero",
             tol=1e-10,
+            radius=np.zeros((3, 3)),
+            nodes=np.zeros((3, 3), dtype=int),
+            rounds=np.zeros((3, 3), dtype=int),
         )
         with pytest.raises(ValueError):
             schrodinger_residual_field(fld, free_kernel)
@@ -560,20 +567,20 @@ class TestSupershift:
 
 class TestAnalyticityProbe:
     def test_free_entire(self, free_kernel):
-        v = analyticity_probe(free_kernel, 0.4, 0.3, [0, 1, 1j], 64, tol=1e-9)
+        v = analyticity_probe(free_kernel, 0.4, 0.3, [0, 1, 1j], tol=1e-9)
         assert abs(v) <= 1e-8
 
     def test_degenerate_triangle(self, free_kernel):
-        v = analyticity_probe(free_kernel, 0.4, 0.3, [1.0, 1.0, 1.0], 16, tol=1e-9)
+        v = analyticity_probe(free_kernel, 0.4, 0.3, [1.0, 1.0, 1.0], tol=1e-9)
         assert v == 0j
 
     def test_harmonic(self, harmonic_kernel):
-        v = analyticity_probe(harmonic_kernel, 0.2, 0.5, [1, 2, 1 + 1j], 64, tol=1e-9)
+        v = analyticity_probe(harmonic_kernel, 0.2, 0.5, [1, 2, 1 + 1j], tol=1e-9)
         assert abs(v) <= 1e-6
 
     def test_vertex_count_checked(self, free_kernel):
         with pytest.raises(ValueError):
-            analyticity_probe(free_kernel, 0.4, 0.3, [0, 1], 8)
+            analyticity_probe(free_kernel, 0.4, 0.3, [0, 1])
 
 
 class TestContinuousDependence:
@@ -595,7 +602,7 @@ class TestContinuousDependence:
     def test_scaling_linearity(self, free_kernel):
         pw = plane_wave(3.0)
         fn = superosc_signal(8, 3.0)
-        f10 = combine_signals([(10.0, fn), (-9.0, pw)], label="10*F - 9*pw")
+        f10 = combine_signals([(10.0, fn), (-9.0, pw)])
         samples = disk_samples(2.0)
         t_grid, x_grid = [0.3], [0.0, 0.7]
         r1 = continuous_dependence_check(

@@ -14,7 +14,6 @@ import pytest
 from supershift_lab import greens, special_fn
 from supershift_lab.contour_quad import (
     GrowthWitness,
-    QuadraturePlan,
     epsilon_regularized_integral,
     rotated_integral,
 )
@@ -86,7 +85,9 @@ class TestFreeKernel:
                 growth=GrowthWitness(*free_kernel.growth(t, x)),
                 label="gtilde",
             )
-            r = rotated_integral(f, QuadraturePlan(a=free_kernel.a(t), y1=x, tol=1e-12))
+            r = rotated_integral(
+                f, a=free_kernel.a(t), y1=x, center=x, angle=np.pi / 4, tol=1e-12
+            )
             assert abs(r.value - 1.0) < 1e-10
 
 

@@ -371,9 +371,6 @@ class TestPtKernelTerm:
             pt_weighted_term(2, 0.3, 0.4, -0.08 + 1j * (np.pi / 2 + 0.02))
         # |Re z| > margin: the pole distance already exceeds the margin
         pt_weighted_term(2, 0.3, 0.4, np.array([0.11 + 1j * np.pi / 2, 0.05 + 0.3j]))
-        # x is checked too: Q_l^m(x) has the same poles
-        with pytest.raises(DomainMarginError):
-            pt_weighted_term(1, 0.3, 0.4, 5.0, pole_margin=2.0)
 
     @pytest.mark.parametrize("l", [1, 2, 3, 4])
     def test_dropped_reflected_term_is_below_rounding(self, l, rng, monkeypatch):
