@@ -18,6 +18,7 @@ spanning ~64 rad of quadratic phase.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -43,7 +44,7 @@ _BATCH_NODES = 4096
 # comparators, whose equal-phase seeding alone can reach millions of panels
 _MAX_PANELS = 4000
 _REAL_MAX_PANELS = 4_000_000
-_TINY = np.finfo(float).tiny
+_TINY = float(np.finfo(float).tiny)
 
 
 # Kronrod 61 / Gauss 30 in the layout of QUADPACK qk61 (Piessens et al.,
@@ -149,8 +150,8 @@ class GrowthWitness:
 
     length is the length on which f varies along a contour, set by its
     singularities (for the sech^2 well, ``greens._pt_seed_width``):
-    ``rotated_integral`` seeds no panel wider than that.  The default inf (an entire f) leaves the
-    seed to the Gaussian width alone.
+    ``rotated_integral`` seeds no panel wider than that.  The default inf
+    (an entire f) leaves the seed to the Gaussian width alone.
     """
 
     amplitude: float
@@ -198,15 +199,16 @@ def _log_gaussian_tail(log_amplitude: float, c: float, b: float, radius: float) 
 
 
 def _tail_terms(log_amplitude, c, b, radius):
-    """``_log_gaussian_tail`` together with the erfcx value behind it."""
-    root_c = np.sqrt(c)
+    """``_log_gaussian_tail`` together with the erfcx value behind it, on
+    Python floats: a numpy call on a scalar costs ~20 times a math one."""
+    root_c = math.sqrt(c)
     arg = root_c * radius - b / (2.0 * root_c)
-    base = log_amplitude + np.log(SQRT_PI / root_c)
+    base = log_amplitude + math.log(SQRT_PI / root_c)
     if arg < -25.0:
         # tail indistinguishable from the whole-line integral
-        return base + np.log(2.0) + b * b / (4.0 * c), np.inf
+        return base + math.log(2.0) + b * b / (4.0 * c), math.inf
     scaled = max(erfcx(arg).real, _TINY)
-    return base - c * radius * radius + b * radius + np.log(scaled), scaled
+    return base - c * radius * radius + b * radius + math.log(scaled), scaled
 
 
 def _tail_radius(log_amp: float, c: float, b: float, log_tol: float, limit: float) -> float:
@@ -218,23 +220,24 @@ def _tail_radius(log_amp: float, c: float, b: float, log_tol: float, limit: floa
     sqrt(pi) e / 2) lies right of it, and concavity makes the iterates fall
     monotonically to the root, each a certified radius.  Stops once a step
     is a few ulps; the final check is the certificate, and a radius that
-    rounding fails moves up by ulps.
+    rounding fails moves up by ulps.  A start beyond limit raises
+    ``EvaluationOverflow``, a per-point failure like any other overflow.
     """
-    root_c = np.sqrt(c)
+    root_c = math.sqrt(c)
     y = b / (2.0 * c)
     excess = _log_gaussian_tail(log_amp, c, b, y) - log_tol
     if excess <= 0.0:
         return y
-    y += min(np.sqrt(excess), 0.5 * SQRT_PI * excess) / root_c
+    y += min(math.sqrt(excess), 0.5 * SQRT_PI * excess) / root_c
     if not y <= limit:
-        raise ValueError(f"Gaussian tail radius solve diverged (start {y:.3g})")
+        raise EvaluationOverflow(f"Gaussian tail radius solve diverged (start {y:.3g})")
     for _ in range(50):
         log_tail, scaled = _tail_terms(log_amp, c, b, y)
         step = 0.5 * SQRT_PI * scaled * (log_tail - log_tol) / root_c
-        if not step < -4.0 * np.spacing(y):
+        if not step < -4.0 * math.ulp(y):
             break
         y += step
-    ulp = np.spacing(y)
+    ulp = math.ulp(y)
     while _log_gaussian_tail(log_amp, c, b, y) > log_tol:
         y, ulp = y + ulp, 2.0 * ulp
     return y
@@ -262,15 +265,13 @@ def truncation_radius(
     alone.  The imag-kind witness satisfies the same envelope, so the
     bound is valid (if slightly conservative) for both kinds.
     """
-    if a <= 0 or not 0 < angle < np.pi / 2 or tol <= 0:
+    if a <= 0 or not 0 < angle < math.pi / 2 or tol <= 0:
         raise ValueError("truncation_radius requires a > 0, angle in (0, pi/2), tol > 0")
-    c = a * np.sin(2.0 * angle)
-    b = witness.rate + abs(2.0 * a * (shift - y1) + witness.freq) * np.sin(angle)
-    log_amp = (
-        np.log(max(witness.amplitude, _TINY))
-        + witness.rate * abs(shift)
-    )
-    return _tail_radius(log_amp, c, b, np.log(tol), 1e12)
+    c = a * math.sin(2.0 * angle)
+    b = witness.rate + abs(2.0 * a * (shift - y1) + witness.freq) * math.sin(angle)
+    log_amp = math.log(max(witness.amplitude, _TINY)) + witness.rate * abs(shift)
+    # witnesses and kernels may hand in numpy scalars: the solve runs on floats
+    return _tail_radius(float(log_amp), float(c), float(b), math.log(tol), 1e12)
 
 
 def _eval_signal(f, z):
@@ -397,6 +398,19 @@ def _cluster_edges(lo, hi, cluster, sigma, *extra):
     return edges[(edges >= lo) & (edges <= hi)]
 
 
+def _symmetric_cluster(radius, sigma):
+    """``_cluster_edges(-radius, radius, 0, sigma)`` built in order on
+    Python floats, without the sort: 0, +-sigma 2^k below radius, +-radius."""
+    right = []
+    off = sigma
+    while off < radius:
+        right.append(off)
+        off *= 2.0
+    if radius > 0.0:
+        right.append(radius)
+    return np.array([-u for u in reversed(right)] + [0.0] + right)
+
+
 def _split_panels(edges, width):
     """edges with each panel wider than width cut into the fewest equal
     parts no wider than width."""
@@ -456,9 +470,9 @@ def rotated_integral(
     factor times e^{i w z}.
 
     The seed panels are the geometric cluster around u = 0 at the
-    Gaussian width 1 / sqrt(2 a sin(2 angle)) (``_cluster_edges``), with
-    every panel wider than the witness length cut into equal parts; the
-    seed stays one integrand call of at most ``_SEED_PANELS`` panels.
+    Gaussian width 1 / sqrt(2 a sin(2 angle)) (``_symmetric_cluster``),
+    with every panel wider than the witness length cut into equal parts;
+    the seed stays one integrand call of at most ``_SEED_PANELS`` panels.
     ``_adaptive_panels`` then bisects wherever a panel estimate misses its
     share of tol, so any phase left along the line (another angle, a
     shift off the stationary point) is resolved by refinement.  The error
@@ -467,14 +481,13 @@ def rotated_integral(
     """
     half_tol = 0.5 * tol
     radius = truncation_radius(f.growth, a, angle, y1, half_tol, center)
-    rot = complex(np.cos(angle), np.sin(angle))
+    rot = complex(math.cos(angle), math.sin(angle))
 
     def g(u):
         z = center + u * rot
         return np.exp(1j * a * (z - y1) ** 2) * _eval_signal(f, z)
 
-    sigma = 1.0 / np.sqrt(2.0 * a * np.sin(2.0 * angle))
-    edges = _cluster_edges(-radius, radius, 0.0, sigma)
+    edges = _symmetric_cluster(radius, 1.0 / math.sqrt(2.0 * a * math.sin(2.0 * angle)))
     if f.growth.length < np.inf:
         width = max(f.growth.length, 2.0 * radius / (_SEED_PANELS - len(edges)))
         edges = _split_panels(edges, width)

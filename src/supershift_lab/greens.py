@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .errors import DomainMarginError, HorizonExceeded
+from .errors import DomainMarginError, EvaluationOverflow, HorizonExceeded
 # solve_electric, solve_harmonic, erfcx and assoc_legendre_tanh are not
 # called here; bench/tracer.py patches them under these names
 from .ode_coeff import (  # noqa: F401
@@ -205,7 +205,7 @@ class GreensKernel:
 def _center_limit(angle: float, margin: float) -> float:
     """Largest |shift| whose contour at ``angle`` keeps the poles +-i pi/2
     (and their copies) at ``margin``."""
-    return ((np.pi / 2) * np.cos(angle) - margin) / np.sin(angle)
+    return ((math.pi / 2) * math.cos(angle) - margin) / math.sin(angle)
 
 
 def greens_value(kernel: GreensKernel, t: float, x: float, z):
@@ -390,7 +390,10 @@ def _pt_kernel(potential: PoschlTeller) -> GreensKernel:
             if imag:
                 total += qx * q_strip * (1.0 + rm * rm + 4.0 * rm)
             else:
-                hump = 2.0 * math.exp(0.5 * m * m * t) + 2.0
+                try:
+                    hump = 2.0 * math.exp(0.5 * m * m * t) + 2.0
+                except OverflowError:
+                    raise EvaluationOverflow(f"sech^2 witness overflows at t={t:g}") from None
                 total += qx * q_sector * (1.0 + rm * rm + hump * rm)
         return 1.0 / (2.0 * math.sqrt(math.pi * t)) + total
 

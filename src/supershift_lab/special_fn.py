@@ -413,11 +413,8 @@ def _pt_orders(l: int) -> tuple[np.ndarray, np.ndarray]:
 def pole_set_distance(z):
     """Distance from z to the cosh zero set {i pi (k + 1/2), k integer}."""
     z = np.asarray(z, dtype=complex)
-    k = np.round(z.imag / np.pi - 0.5)
-    dist = np.inf * np.ones(z.shape)
-    for kk in (k - 1, k, k + 1):
-        p = np.pi * (kk + 0.5)
-        dist = np.minimum(dist, np.hypot(z.real, z.imag - p))
+    # r = Im z mod pi lies in [0, pi); the nearest zeros sit |r - pi/2| away in Im
+    dist = np.hypot(z.real, np.abs(np.mod(z.imag, np.pi) - np.pi / 2))
     return float(dist) if dist.ndim == 0 else dist
 
 

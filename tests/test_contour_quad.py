@@ -26,15 +26,17 @@ from supershift_lab.contour_quad import (
     _REAL_PHASE_BUDGET,
     GrowthWitness,
     QuadratureResult,
+    _cluster_edges,
     _log_gaussian_tail,
     _quadratic_phase_edges,
     _split_panels,
+    _symmetric_cluster,
     epsilon_regularized_integral,
     rotated_integral,
     truncated_integral,
     truncation_radius,
 )
-from supershift_lab.errors import PanelExhausted
+from supershift_lab.errors import EvaluationOverflow, PanelExhausted
 from supershift_lab.evolve import wavefunction_result
 from supershift_lab.initial_data import HolomorphicSignal, plane_wave
 from supershift_lab.special_fn import SQRT_PI, erf_complex
@@ -145,8 +147,8 @@ class TestNewtonRadius:
                 below = radius * (1.0 - 1e-10)
                 assert _log_gaussian_tail(log_amp, c, b, below) > np.log(tol)
         assert above > 400
-        # every tail evaluation is one scalar erfcx call
-        assert worst_calls <= 30
+        # every tail evaluation is one scalar erfcx call; the sweep's worst is 9
+        assert worst_calls <= 10
 
     @pytest.mark.parametrize(
         "amp, rate, a, angle, offset, tol",
@@ -176,8 +178,33 @@ class TestNewtonRadius:
         assert radius == 4.0 / 2.0
 
     def test_divergent_solve_raises(self):
-        with pytest.raises(ValueError, match="diverged"):
+        # an overflow of the evaluation, which a grid records per point
+        with pytest.raises(EvaluationOverflow, match="diverged"):
             truncation_radius(GrowthWitness(1e300, 0.0), 1e-30, np.pi / 4, 0.0, 1e-16, 0.0)
+
+    def test_radius_is_a_python_float(self):
+        # numpy scalars in (amplitude, a) still give a float: the solve runs
+        # on the math module, not on numpy 0-d operations
+        for w, a, angle, y1, tol, shift in itertools.islice(_radius_sweep(), 0, None, 97):
+            w = GrowthWitness(np.float64(w.amplitude), np.float64(w.rate))
+            radius = truncation_radius(w, np.float64(a), angle, y1, tol, shift)
+            assert type(radius) is float
+
+
+class TestSymmetricCluster:
+    """The rotated route's seed against the sorted real-line construction."""
+
+    def test_equals_cluster_edges(self):
+        rng = np.random.default_rng(3)
+        cases = [(0.0, 1.0), (0.5, 1.0), (1.0, 1.0), (1e-3, 1e3)]
+        for sigma in np.geomspace(1e-3, 1e3, 25):
+            cases += [(sigma * 2.0**k, sigma) for k in range(0, 12)]  # sigma 2^k == R
+            cases += [(sigma * rng.uniform(0.01, 1.0), sigma)]  # R < sigma
+            cases += [(sigma * 10.0 ** rng.uniform(0.0, 6.0), sigma) for _ in range(8)]
+        for radius, sigma in cases:
+            got = _symmetric_cluster(radius, sigma)
+            want = _cluster_edges(-radius, radius, 0.0, sigma)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (radius, sigma)
 
 
 class TestSeedEdges:

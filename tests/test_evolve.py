@@ -187,6 +187,23 @@ class TestWavefield:
         assert len(fld.failures) == 1
         assert fld.quad_errors[0, 0] > 1e-12
 
+    def test_overflowing_witness_recorded_not_raised(self, pt2_kernel):
+        # past t ~ 355 the l = 2 sech^2 witness e^{m^2 t / 2} leaves the
+        # double range: that point fails, the rest of the grid is kept
+        fld = wavefield(pt2_kernel, plane_wave(1.0), [1.0, 400.0], [0.0], tol=1e-9)
+        one = wavefield(pt2_kernel, plane_wave(1.0), [1.0], [0.0], tol=1e-9)
+        assert fld.values[0, 0] == one.values[0, 0]
+        assert len(fld.failures) == 1
+        t, x, reason = fld.failures[0]
+        assert (t, x) == (400.0, 0.0) and reason.startswith("EvaluationOverflow")
+
+    def test_radius_is_a_python_float(
+        self, free_kernel, electric_kernel, harmonic_kernel, pt2_kernel
+    ):
+        for kernel in (free_kernel, electric_kernel, harmonic_kernel, pt2_kernel):
+            r = wavefunction_result(kernel, plane_wave(2.0), 0.4, 0.5, 1e-9)
+            assert type(r.truncation_radius) is float
+
     def test_pt_pole_margin_error_far_x(self, pt1_kernel):
         # the shifted line through x = 4.25 at the pi/8 sector angle passes
         # within the pole margin of i pi/2 scaled copies

@@ -432,6 +432,20 @@ class TestLegendreFactors:
         assert abs(pole_set_distance(0.0) - np.pi / 2) < 1e-14
         assert abs(pole_set_distance(3.0 + 1j * np.pi) - np.hypot(3.0, np.pi / 2)) < 1e-14
 
+    def test_pole_distance_matches_brute_force(self, rng):
+        k = np.arange(-50, 51)
+        poles = 1j * np.pi * (k + 0.5)
+        z = np.concatenate([
+            rng.uniform(-5, 5, 2000) + 1j * rng.uniform(-100, 100, 2000),
+            rng.uniform(-1, 1, 500) + 1j * rng.uniform(-3, 3, 500),
+            poles,
+            poles + rng.uniform(-1e-3, 1e-3, poles.size),
+        ])
+        brute = np.abs(z[:, None] - poles[None, :]).min(axis=1)
+        got = pole_set_distance(z)
+        assert np.all(np.abs(got - brute) <= 1e-15 * np.maximum(1.0, np.abs(z)))
+        assert type(pole_set_distance(0.3 + 2.0j)) is float
+
     def test_finite_away_from_poles(self, rng):
         z = rng.uniform(-4, 4, 50) + 1j * rng.uniform(-1.2, 1.2, 50)
         vals = assoc_legendre_tanh(3, 2, z)
