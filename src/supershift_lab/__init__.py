@@ -47,11 +47,7 @@ from .initial_data import (
     default_weight,
     disk_samples,
     plane_wave,
-    superosc_coefficients,
-    superosc_frequencies,
     superosc_signal,
-    superosc_value,
-    superosc_value_float64,
     weighted_sup_distance,
 )
 from .ode_coeff import (
@@ -64,10 +60,8 @@ from .special_fn import (
     assoc_legendre_tanh,
     erf_complex,
     erfcx,
-    legendre_sum_residual,
     pole_set_distance,
     pt_kernel_term,
-    pt_kernel_term_derivatives,
 )
 
 __version__ = "0.1.0"

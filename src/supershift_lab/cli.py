@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import hashlib
 import json
 import os
@@ -43,6 +44,7 @@ from .initial_data import (
     superosc_signal,
     weighted_sup_distance,
 )
+from .oracles import free_plane
 
 
 class _UsageError(Exception):
@@ -86,6 +88,16 @@ def _finite(value) -> float:
     return v
 
 
+def _count(value) -> int:
+    """An integer, or an integral float such as 5.0; booleans, fractions,
+    non-finite numbers and strings are refused as malformed."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
 def _lambda_from_spec(spec) -> tuple:
     kind = spec.get("kind")
     if kind == "constant":
@@ -119,7 +131,7 @@ def _potential_from_config(spec) -> object:
         lam, lab = _lambda_from_spec(spec.get("lambda", {"kind": "constant", "c": 1.0}))
         return Harmonic(lam, lab)
     if kind in ("poschl_teller", "poschl-teller"):
-        return PoschlTeller(int(spec["l"]))
+        return PoschlTeller(_count(spec["l"]))
     raise _UsageError(f"config field 'potential.kind' missing or unknown: {kind!r}")
 
 
@@ -154,8 +166,8 @@ def _potential_from_inline(text: str) -> dict:
     raise _UsageError(f"cannot parse potential {text!r}")
 
 
-def _plane_kappa(k):
-    """A plane wave's frequency: a number, or [re, im] for a complex one."""
+def _scalar(k):
+    """A finite number, or [re, im] for a complex one."""
     return complex(_finite(k[0]), _finite(k[1])) if isinstance(k, (list, tuple)) else _finite(k)
 
 
@@ -163,15 +175,16 @@ def _plane_kappa(k):
 def _initial_from_config(spec):
     kind = spec.get("kind")
     if kind == "plane_wave":
-        return plane_wave(_plane_kappa(spec["k"]))
+        return plane_wave(_scalar(spec["k"]))
     if kind == "superosc":
-        return superosc_signal(int(spec["n"]), _finite(spec["k"]))
+        return superosc_signal(_count(spec["n"]), _finite(spec["k"]))
     if kind == "linear_combination":
-        terms = []
-        for item in spec["terms"]:
-            c = item["coeff"]
-            coeff = complex(c[0], c[1]) if isinstance(c, (list, tuple)) else complex(c)
-            terms.append((coeff, _initial_from_config(item["signal"])))
+        terms = [
+            (complex(_scalar(item["coeff"])), _initial_from_config(item["signal"]))
+            for item in spec["terms"]
+        ]
+        if not terms:
+            raise ValueError("linear_combination needs at least one term")
         return combine_signals(terms)
     raise _UsageError(f"config field 'initial.kind' missing or unknown: {kind!r}")
 
@@ -207,7 +220,7 @@ def _load_config(args) -> dict:
             raise _UsageError(f"config parse error at line {exc.lineno}: {exc.msg}")
         if not isinstance(cfg, dict):
             raise _UsageError(f"config must be a JSON object, got {cfg!r}")
-    cfg = _merge(DEFAULTS, cfg)
+    cfg = _merge(copy.deepcopy(DEFAULTS), cfg)
     for section in DEFAULTS:
         if not isinstance(cfg[section], dict):
             raise _UsageError(f"{section} must be an object, got {cfg[section]!r}")
@@ -247,7 +260,7 @@ def _check_quadrature(spec):
 
 def _grid_axis(spec) -> np.ndarray:
     with _parsing(f"grid axis {spec!r} (expected [lo, hi, n >= 1])"):
-        lo, hi, n = _finite(spec[0]), _finite(spec[1]), int(spec[2])
+        lo, hi, n = _finite(spec[0]), _finite(spec[1]), _count(spec[2])
         if n < 1:
             raise ValueError(f"{n} points")
     return np.linspace(lo, hi, n)
@@ -355,10 +368,13 @@ def run_supershift(cfg: dict) -> int:
     ss = cfg["supershift"]
     with _parsing("supershift"):
         kappa = _finite(ss["kappa"])
-        n_values = [int(n) for n in ss["n_values"]]
+        n_values = [_count(n) for n in ss["n_values"]]
+        if not n_values:
+            raise ValueError("n_values needs at least one order")
         if any(n < 1 for n in n_values):
             raise ValueError(f"orders must be >= 1, got {n_values}")
-        c_weight = _finite(ss.get("weight_C") or default_weight(kappa))
+        weight = ss.get("weight_C")
+        c_weight = default_weight(kappa) if weight is None else _finite(weight)
         samples = disk_samples(_finite(ss.get("sample_radius", 3.0)))
     ts, xs = _grid(cfg, kernel)
     report = supershift_experiment(
@@ -383,6 +399,12 @@ def run_verify(cfg: dict) -> int:
     kernel = _build_kernel(cfg)
     signal = _initial_from_config(cfg.get("initial", {"kind": "plane_wave", "k": 3.0}))
     vf = cfg["verify"]
+    with _parsing("verify"):
+        res_threshold = _finite(vf["residual_threshold"])
+        limit_threshold = _finite(vf["initial_limit_threshold"])
+        t_sequence = [_finite(t) for t in vf["t_sequence"]]
+        if not t_sequence or min(t_sequence) <= 0:
+            raise ValueError(f"t_sequence must hold positive times, got {t_sequence}")
     tol = cfg["quadrature"]["tol"]
     checks = []
 
@@ -396,15 +418,14 @@ def run_verify(cfg: dict) -> int:
         {
             "name": "schrodinger_residual",
             "value": res,
-            "threshold": vf["residual_threshold"],
-            "pass": bool(res <= vf["residual_threshold"]),
+            "threshold": res_threshold,
+            "pass": bool(res <= res_threshold),
         }
     )
 
     x_win = np.linspace(-2.0, 2.0, 9)
     rep = initial_limit_check(
-        kernel, signal, x_win, vf["t_sequence"], tol=min(tol, 1e-8),
-        threshold=vf["initial_limit_threshold"],
+        kernel, signal, x_win, t_sequence, tol=min(tol, 1e-8), threshold=limit_threshold,
     )
     checks.append(
         {
@@ -412,16 +433,16 @@ def run_verify(cfg: dict) -> int:
             "value": rep.final_error,
             "errors": rep.errors,
             "failures": len(rep.failures),
-            "threshold": vf["initial_limit_threshold"],
+            "threshold": limit_threshold,
             "pass": bool(rep.passed),
         }
     )
 
     if cfg["potential"]["kind"] == "free" and cfg.get("initial", {}).get("kind") == "plane_wave":
-        kappa = _plane_kappa(cfg["initial"]["k"])
+        kappa = _scalar(cfg["initial"]["k"])
         ts, xs = np.meshgrid(np.linspace(0.1, 1.0, 5), np.linspace(-3.0, 3.0, 7), indexing="ij")
         fld = wavefield(kernel, signal, ts[:, 0], xs[0], tol=1e-10)
-        gap = fld.values - np.exp(1j * kappa * xs - 1j * kappa**2 * ts)
+        gap = fld.values - free_plane(ts, xs, kappa)
         worst = float(np.max(np.hypot(gap.real, gap.imag)))
         checks.append(
             {

@@ -29,7 +29,6 @@ from .greens import GreensKernel
 from .initial_data import (
     HolomorphicSignal,
     plane_wave,
-    superosc_coefficients,
     superosc_signal,
     weighted_sup_distance,
 )
@@ -313,35 +312,6 @@ def supershift_experiment(
         strictly_decreasing=dec,
         failures=failures,
     )
-
-
-def supershift_combination_direct(
-    kernel: GreensKernel,
-    n: int,
-    kappa: complex,
-    t: float,
-    x: float,
-    tol: float = 1e-10,
-) -> complex:
-    """Result-level combination sum_l C_l Psi(t, x; e^{i k_l .}).
-
-    Per-frequency wave values are computed in doubles and combined in
-    extended precision, so rounding is amplified by sum|C_l|; useful only
-    while n log(k) stays small.  Cross-checks the product form that
-    ``supershift_experiment`` integrates.
-    """
-    import mpmath as mp  # imported here: only this oracle path needs it
-
-    coeffs = superosc_coefficients(n, kappa)
-    vals = [
-        wavefunction(kernel, plane_wave(1.0 - 2.0 * l / n), t, x, tol)
-        for l in range(n + 1)
-    ]
-    with mp.workdps(int(n * np.log10(max(2.0, abs(complex(kappa)))) + 40)):
-        total = mp.mpf(0)
-        for c, v in zip(coeffs, vals):
-            total += c * mp.mpc(v.real, v.imag)
-        return complex(total)
 
 
 def analyticity_probe(

@@ -435,21 +435,14 @@ def make_kernel(potential: Potential, *, t_max: float = 10.0) -> GreensKernel:
     raise TypeError(f"unsupported potential {potential!r}")
 
 
-def pde_residual(
-    kernel: GreensKernel,
-    t: float,
-    x: float,
-    z: complex,
-    refine: bool = False,
-) -> float:
+def pde_residual(kernel: GreensKernel, t: float, x: float, z: complex) -> float:
     """Relative Schrodinger residual |i dG/dt + d2G/dx2 - V G| / max(|G|, 1e-12).
 
     Central differences in t and x at fixed z, steps 1e-4 (the t step at
-    most t/4); the result is dominated
-    by the O(h^2) stencil error when the kernel is exact.  ``refine``
-    adds a half-step evaluation and Richardson-extrapolates both
-    derivatives, which pays off where the kernel phase rotates fast
-    (small t or large |z - x|).
+    most t/4) and their halves, Richardson-extrapolated, so that the
+    stencil stays accurate where the kernel phase rotates fast (small t
+    or large |z - x|); the result measures the stencil's truncation and
+    rounding error when the kernel is exact.
     """
 
     def stencil(ht, hx):
@@ -461,10 +454,9 @@ def pde_residual(
 
     h_t, h_x = min(1e-4, 0.25 * t), 1e-4
     g0, dt, dxx = stencil(h_t, h_x)
-    if refine:
-        _, dt2, dxx2 = stencil(0.5 * h_t, 0.5 * h_x)
-        dt = (4.0 * dt2 - dt) / 3.0
-        dxx = (4.0 * dxx2 - dxx) / 3.0
+    _, dt2, dxx2 = stencil(0.5 * h_t, 0.5 * h_x)
+    dt = (4.0 * dt2 - dt) / 3.0
+    dxx = (4.0 * dxx2 - dxx) / 3.0
     v = kernel.potential.value(t, x)
     res = abs(1j * dt + dxx - v * g0)
     return float(res / max(abs(g0), 1e-12))
@@ -507,8 +499,8 @@ class KernelAuditReport:
             "pass": bool(self.passed),
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2)
 
 
 _AUDIT_T = (0.05, 0.2, 0.5)
@@ -561,7 +553,7 @@ def audit_kernel(kernel: GreensKernel) -> KernelAuditReport:
             continue
         for x in _AUDIT_X:
             for z in z_pde[:: max(1, len(z_pde) // 8)]:
-                r = pde_residual(kernel, t, x, complex(z), refine=True)
+                r = pde_residual(kernel, t, x, complex(z))
                 if r > worst:
                     worst, wpt = r, (t, x, complex(z))
     report.checks.append(

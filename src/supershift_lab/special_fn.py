@@ -244,30 +244,6 @@ def pt_kernel_term(t, z):
     return complex(res) if res.ndim == 0 else res
 
 
-def pt_kernel_term_derivatives(t, z):
-    """z- and t-derivatives of pt_kernel_term in closed form.
-
-    Returns the pair (d/dz, d/dt).  Both follow from differentiating the
-    defining expression and eliminating the erfcx derivatives:
-
-        d/dz = z R / (2it) - 2 sinh(z) / sqrt(i pi t)
-        d/dt = i (1 + z^2/(4 t^2)) R + z sinh(z) / (t sqrt(i pi t))
-               + 2 i cosh(z) / sqrt(i pi t)
-    """
-    z = np.asarray(z, dtype=complex)
-    r = pt_kernel_term(t, z)
-    root_ipt = np.sqrt(np.pi * t) * ROOT_I
-    dz = z * r / (2j * t) - 2.0 * np.sinh(z) / root_ipt
-    dt = (
-        1j * (1.0 + z * z / (4.0 * t * t)) * r
-        + z * np.sinh(z) / (t * root_ipt)
-        + 2j * np.cosh(z) / root_ipt
-    )
-    if np.ndim(dz) == 0:
-        return complex(dz), complex(dt)
-    return dz, dt
-
-
 def pt_weighted_term(l: int, t: float, x: float, z):
     """Bound-state sum of the sech^2-well kernel, all orders in one pass:
 
@@ -438,27 +414,3 @@ def assoc_legendre_tanh(l: int, m: int, z):
     acc = polyval(np.tanh(z), _legendre_deriv_coeffs(l, m))
     res = (-1.0) ** m * np.cosh(z) ** (-m) * acc
     return complex(res) if res.ndim == 0 else res
-
-
-def legendre_sum_residual(l: int, x, z) -> float:
-    """Residual of the sinh-weighted product-sum identity.
-
-    |sum_{m=1}^{l} m (l-m)!/(l+m)! Q_l^m(z) sinh(m(z-x)) Q_l^m(x)
-     - l(l+1)/4 (tanh z - tanh x)|
-
-    with Q_l^m = assoc_legendre_tanh; identically zero in exact
-    arithmetic, so the return value measures evaluation error only.
-    """
-    x = complex(x)
-    z = complex(z)
-    lhs = 0.0 + 0.0j
-    for m in range(1, l + 1):
-        w = m * factorial(l - m) / factorial(l + m)
-        lhs += (
-            w
-            * assoc_legendre_tanh(l, m, z)
-            * np.sinh(m * (z - x))
-            * assoc_legendre_tanh(l, m, x)
-        )
-    rhs = l * (l + 1) / 4.0 * (np.tanh(z) - np.tanh(x))
-    return abs(lhs - rhs)

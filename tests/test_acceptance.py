@@ -32,17 +32,16 @@ from supershift_lab.initial_data import (
     disk_samples,
     plane_wave,
     superosc_signal,
-    superosc_value,
-    superosc_value_float64,
     weighted_sup_distance,
 )
 from supershift_lab.ode_coeff import solve_electric, solve_harmonic, wronskian_drift
-from supershift_lab.special_fn import (
-    erfcx,
+from supershift_lab.oracles import (
     legendre_sum_residual,
-    pt_kernel_term,
     pt_kernel_term_derivatives,
+    superosc_value,
+    superosc_value_float64,
 )
+from supershift_lab.special_fn import erfcx, pt_kernel_term
 
 FRESNEL = np.sqrt(np.pi) * np.exp(1j * np.pi / 4)
 

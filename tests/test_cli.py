@@ -96,6 +96,23 @@ class TestExitCodes:
             (["supershift"], {"supershift": {"kappa": float("inf")}}),
             (["supershift"], {"supershift": {"weight_C": float("nan")}}),
             (["supershift"], {"supershift": {"sample_radius": float("nan")}}),
+            (["evolve"], {"initial": {"kind": "linear_combination", "terms": [
+                {"coeff": float("nan"), "signal": {"kind": "plane_wave", "k": 1.0}}]}}),
+            (["evolve"], {"initial": {"kind": "linear_combination", "terms": [
+                {"coeff": [1.0, float("inf")], "signal": {"kind": "plane_wave", "k": 1.0}}]}}),
+            (["evolve"], {"initial": {"kind": "linear_combination", "terms": []}}),
+            # counts, orders and well indices: integers or integral floats only
+            (["evolve"], {"initial": {"kind": "superosc", "n": 2.7, "k": 3.0}}),
+            (["evolve"], {"potential": {"kind": "poschl_teller", "l": 2.5}}),
+            (["evolve"], {"potential": {"kind": "poschl_teller", "l": True}}),
+            (["supershift"], {"supershift": {"n_values": [10.5, 20]}}),
+            (["supershift"], {"supershift": {"n_values": []}}),
+            (["evolve"], {"grid": {"t": [0.1, 0.5, 2.7]}}),
+            (["evolve"], {"grid": {"x": [-1.0, 1.0, True]}}),
+            (["verify"], {"verify": {"residual_threshold": "abc"}}),
+            (["verify"], {"verify": {"initial_limit_threshold": float("nan")}}),
+            (["verify"], {"verify": {"t_sequence": [1e-2, float("nan")]}}),
+            (["verify"], {"verify": {"t_sequence": []}}),
         ],
     )
     def test_non_finite_number_is_usage_error(self, tmp_path, outdir, capsys, argv, doc):
@@ -123,6 +140,36 @@ class TestExitCodes:
         cfg.write_text(json.dumps(doc))
         assert run(["evolve", "--config", str(cfg), "--output", outdir]) == 1
         assert capsys.readouterr().err.startswith(f"error: {field} must be")
+
+    def test_defaults_survive_a_run(self, outdir):
+        # flags write into the merged config; a run must not change the
+        # defaults that the next in-process run merges with
+        before = json.dumps(cli.DEFAULTS, sort_keys=True)
+        assert run(["supershift", "--potential", "free", "--k", "nan", "--tol", "1e-3",
+                    "--output", outdir]) == 1
+        assert json.dumps(cli.DEFAULTS, sort_keys=True) == before
+
+    def test_empty_combination_is_usage_error(self, tmp_path, outdir, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"potential": {"kind": "free"},
+                                   "initial": {"kind": "linear_combination", "terms": []}}))
+        assert run(["evolve", "--config", str(cfg), "--output", outdir]) == 1
+        assert "linear_combination needs at least one term" in capsys.readouterr().err
+
+    def test_integral_float_counts_accepted(self, tmp_path, outdir):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "potential": {"kind": "poschl_teller", "l": 1.0},
+                    "initial": {"kind": "superosc", "n": 10.0, "k": 2.0},
+                    "grid": {"t": [0.1, 0.5, 2.0], "x": [-1.0, 1.0, 3.0]},
+                }
+            )
+        )
+        assert run(["evolve", "--config", str(cfg), "--output", outdir]) == 0
+        with open(os.path.join(outdir, "run_field.csv")) as fh:
+            assert len(fh.read().splitlines()) == 1 + 2 * 3
 
     def test_missing_potential_kind_is_usage_error(self, tmp_path, outdir):
         cfg = tmp_path / "bad.json"
@@ -350,6 +397,22 @@ class TestSupershiftCommand:
         # frozen 30-digit closed-form oracle values for this grid
         assert abs(ds[0] - 10.394) < 2e-3
         assert abs(ds[2] - 9.0742) < 2e-3
+
+    def test_zero_weight_is_kept(self, tmp_path, outdir):
+        # an explicit weight C = 0 (the unweighted sup) is not the default
+        cfg = tmp_path / "ss.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "potential": {"kind": "free"},
+                    "grid": {"t": [0.3, 0.3, 1], "x": [0.0, 0.0, 1]},
+                    "supershift": {"kappa": 3.0, "n_values": [10], "weight_C": 0},
+                }
+            )
+        )
+        assert run(["supershift", "--config", str(cfg), "--output", outdir]) == 0
+        with open(os.path.join(outdir, "run_manifest.json")) as fh:
+            assert json.load(fh)["weight_C"] == 0.0
 
 
 class TestGreensAudit:

@@ -16,6 +16,7 @@ import numpy as np
 
 from supershift_lab.contour_quad import GrowthWitness, epsilon_regularized_integral
 from supershift_lab.initial_data import HolomorphicSignal
+from supershift_lab.oracles import jost_datum
 
 PEAK_MIB = 16.0
 
@@ -28,7 +29,7 @@ def test_pt_comparator_peak(pt1_kernel):
         # the l=1 Jost datum (tanh y - i kappa) e^{i kappa y}, at most
         # 1 + kappa on the real line
         y = np.asarray(y, dtype=complex)
-        return pt1_kernel.gtilde(t, x, y) * (np.tanh(y) - 1j * kappa) * np.exp(1j * kappa * y)
+        return pt1_kernel.gtilde(t, x, y) * jost_datum(1, kappa, y)
 
     f = HolomorphicSignal(
         eval=integrand,

@@ -2,14 +2,10 @@
 supershift and continuous-dependence experiments, analyticity probes.
 
 Strongest oracle: the free-particle plane wave, Psi(t, x; e^{i kappa .})
-= e^{i kappa x - i kappa^2 t}.  The oscillator plane-wave closed form
-
-    Psi(t, x; kappa) = beta^{-1/2} exp(i alpha' x^2/(4 alpha)
-                       - i alpha (kappa - x/(2 alpha))^2 / beta)
-
-(alpha = sin(2t)/2, beta = cos(2t) for unit frequency) follows by a
-Gaussian square completion and reduces to the free form as t -> 0; it is
-cross-validated here against the quadrature itself.
+= e^{i kappa x - i kappa^2 t}.  The plane waves of the unit field, the
+unit oscillator and the driven oscillator, and the Poschl-Teller Jost
+waves, come from ``supershift_lab.oracles``, which states each formula;
+tests/test_oracles.py checks that each solves its Schrodinger equation.
 
 Exact supershift distances (mpmath 60-digit closed-form combinations on
 the grids below):
@@ -28,7 +24,6 @@ from supershift_lab.evolve import (
     continuous_dependence_check,
     initial_limit_check,
     schrodinger_residual_field,
-    supershift_combination_direct,
     supershift_experiment,
     wavefield,
     wavefunction,
@@ -43,38 +38,18 @@ from supershift_lab.initial_data import (
     plane_wave,
     superosc_signal,
 )
+from supershift_lab.oracles import (
+    driven_plane,
+    electric_plane,
+    free_plane,
+    harmonic_plane,
+    jost_signal,
+    jost_wave,
+    supershift_combination_direct,
+)
 
 FREE_D = (10.394027, 6.805639, 2.924525)
 HARM_D = (2.910942, 1.448402, 0.657752)
-
-
-def free_plane(t, x, kappa):
-    return np.exp(1j * kappa * x - 1j * kappa * kappa * t)
-
-
-def harm_plane(t, x, kappa):
-    al, be, ap = np.sin(2 * t) / 2, np.cos(2 * t), np.cos(2 * t)
-    return np.exp(1j * ap * x * x / (4 * al) - 1j * al * (kappa - x / (2 * al)) ** 2 / be) / np.sqrt(be)
-
-
-def electric_plane(t, x, kappa):
-    """Constant unit field: alpha = -t/2, t alpha' = -t/2, beta = -t^3/12."""
-    al, t_ap, beta = -t / 2, -t / 2, -(t**3) / 12
-    return np.exp(1j * (beta + x * t_ap) + 1j * (kappa + al) * x - 1j * (kappa + al) ** 2 * t)
-
-
-def driven_plane(t, x, kappa, e=0.7):
-    """V = x^2 + E x, the unit oscillator about -s, s = E/2, with the
-    energy shifted by -E^2/4."""
-    s = e / 2
-    return np.exp(1j * e * e * t / 4 - 1j * kappa * s) * harm_plane(t, x + s, kappa)
-
-
-def jost2(kappa, z):
-    """Poschl-Teller l = 2 Jost solution (3 tanh^2 - 3 i kappa tanh - 1 - kappa^2) e^{i kappa z};
-    its wave is e^{-i kappa^2 t} times it."""
-    th = np.tanh(np.asarray(z, dtype=complex))
-    return (3.0 * th * th - 3j * kappa * th - 1.0 - kappa * kappa) * np.exp(1j * kappa * z)
 
 
 class TestWavefunction:
@@ -89,7 +64,7 @@ class TestWavefunction:
     def test_harmonic_plane_wave_closed_form(self, harmonic_kernel):
         for t, x, k in ((0.2, 0.0, 3.0), (0.3, 0.7, 2.0), (0.6, -1.0, 1.0)):
             v = wavefunction(harmonic_kernel, plane_wave(k), t, x, 1e-10)
-            assert abs(v - harm_plane(t, x, k)) < 1e-9
+            assert abs(v - harmonic_plane(t, x, k)) < 1e-9
 
     def test_electric_plane_wave_closed_form(self, electric_kernel):
         # for constant unit field the plane wave evolves as
@@ -296,7 +271,7 @@ class TestWavefield:
         # with the truncation tail in its estimate
         t, x = 0.72, -2.0
         f = combine_signals([(1.0, plane_wave(2.0)), (1.0, plane_wave(-2.0))])
-        ref = harm_plane(t, x, 2.0) + harm_plane(t, x, -2.0)
+        ref = harmonic_plane(t, x, 2.0) + harmonic_plane(t, x, -2.0)
         with monkeypatch.context() as m:
             m.setattr(contour_quad, "_MAX_PANELS", 30)
             fld = wavefield(harmonic_kernel, f, [t], [x], tol=1e-9)
@@ -322,7 +297,7 @@ class TestWavefield:
         with pytest.raises(PanelExhausted, match="stagnated") as info:
             rotated_integral(f, a=a, y1=x, center=x, angle=harmonic_kernel.sector_angle, tol=1e-9)
         exc = info.value
-        assert abs(exc.value - harm_plane(t, x, kappa)) <= exc.err_estimate
+        assert abs(exc.value - harmonic_plane(t, x, kappa)) <= exc.err_estimate
         al, be = np.sin(2 * t) / 2, np.cos(2 * t)
         w = kappa - x * (1.0 - be) / (2.0 * al)
         assert f.growth.freq == pytest.approx(w, rel=1e-12)
@@ -338,7 +313,7 @@ class TestWavefield:
         fld = wavefield(harmonic_kernel, plane_wave(2.0), ts, xs, tol=1e-9)
         assert not fld.failures
         T, X = np.meshgrid(ts, xs, indexing="ij")
-        assert np.all(np.abs(fld.values - harm_plane(T, X, 2.0)) <= fld.quad_errors)
+        assert np.all(np.abs(fld.values - harmonic_plane(T, X, 2.0)) <= fld.quad_errors)
 
     def test_driven_plane_wave(self, driven_kernel):
         # the forced path moves the stationary point: below the pi/4 horizon
@@ -347,7 +322,7 @@ class TestWavefield:
         fld = wavefield(driven_kernel, plane_wave(2.0), ts, xs, tol=1e-9)
         assert not fld.failures
         T, X = np.meshgrid(ts, xs, indexing="ij")
-        assert np.all(np.abs(fld.values - driven_plane(T, X, 2.0)) <= fld.quad_errors)
+        assert np.all(np.abs(fld.values - driven_plane(T, X, 2.0, 0.7)) <= fld.quad_errors)
 
     def test_one_coefficient_evaluation_per_time_slice(self):
         # a, growth and gtilde share one dense coefficient evaluation per t
@@ -370,21 +345,12 @@ class TestCalibration:
     def test_estimate_bounds_true_error(
         self, tol, free_kernel, electric_kernel, harmonic_kernel, driven_kernel, pt2_kernel
     ):
-        from supershift_lab.contour_quad import GrowthWitness
-        from supershift_lab.initial_data import HolomorphicSignal
-
-        # |tanh z| <= 2 on the pi/8 double sectors around |x| <= 2.5
-        jost = HolomorphicSignal(
-            eval=lambda z: jost2(2.0, z),
-            growth=GrowthWitness(3.0 * 4.0 + 3.0 * 2.0 * 2.0 + 1.0 + 4.0, 2.0),
-            label="jost:l=2,k=2",
-        )
         cases = [
             (free_kernel, plane_wave(3.0), 1.0, lambda t, x: free_plane(t, x, 3.0)),
             (electric_kernel, plane_wave(2.0), 1.0, lambda t, x: electric_plane(t, x, 2.0)),
-            (harmonic_kernel, plane_wave(2.0), 0.75, lambda t, x: harm_plane(t, x, 2.0)),
-            (driven_kernel, plane_wave(2.0), 0.75, lambda t, x: driven_plane(t, x, 2.0)),
-            (pt2_kernel, jost, 1.0, lambda t, x: np.exp(-4j * t) * jost2(2.0, x)),
+            (harmonic_kernel, plane_wave(2.0), 0.75, lambda t, x: harmonic_plane(t, x, 2.0)),
+            (driven_kernel, plane_wave(2.0), 0.75, lambda t, x: driven_plane(t, x, 2.0, 0.7)),
+            (pt2_kernel, jost_signal(2, 2.0), 1.0, lambda t, x: jost_wave(2, t, x, 2.0)),
         ]
         for kernel, f, t_hi, exact in cases:
             ts, xs = np.linspace(0.1, t_hi, 4), np.linspace(-2.0, 2.0, 5)
@@ -400,24 +366,13 @@ class TestSeedLength:
         # seeded at the kernel's length, a sech^2-well point takes at most
         # two integrand calls on average (the seed and one bisection round);
         # seeded at the Gaussian width alone it took 3.0-3.1
-        from supershift_lab.contour_quad import GrowthWitness
         from supershift_lab.greens import PoschlTeller
-        from supershift_lab.initial_data import HolomorphicSignal
 
         kappa = 2.0
-
-        def jost(z):
-            if l == 2:
-                return jost2(kappa, z)
-            return (np.tanh(np.asarray(z, dtype=complex)) - 1j * kappa) * np.exp(1j * kappa * z)
-
-        # |tanh z| <= 2 on the pi/8 double sectors around |x| <= 2.5
-        amp = 3.0 * 4.0 + 3.0 * kappa * 2.0 + 1.0 + kappa**2 if l == 2 else 2.0 + kappa
-        f = HolomorphicSignal(eval=jost, growth=GrowthWitness(amp, kappa), label=f"jost:l={l}")
         ts, xs = np.linspace(0.1, 1.0, 5), np.linspace(-2.0, 2.0, 9)
-        fld = wavefield(make_kernel(PoschlTeller(l)), f, ts, xs, tol=1e-9)
+        fld = wavefield(make_kernel(PoschlTeller(l)), jost_signal(l, kappa), ts, xs, tol=1e-9)
         assert not fld.failures
-        exact = np.exp(-1j * kappa**2 * ts[:, None]) * jost(xs[None, :])
+        exact = jost_wave(l, ts[:, None], xs[None, :], kappa)
         assert np.all(np.abs(fld.values - exact) <= fld.quad_errors)
         assert np.mean(fld.rounds + 1) <= 2.0
 

@@ -249,9 +249,9 @@ class TestPdeResidualAllPotentials:
         assert pde_residual(free_kernel, 0.5, 0.3, 1.0) <= 1e-5
 
     def test_refinement_helps_fast_phase(self, free_kernel):
-        raw = pde_residual(free_kernel, 0.2, 0.0, 2.0, refine=False)
-        refined = pde_residual(free_kernel, 0.2, 0.0, 2.0, refine=True)
-        assert refined <= raw
+        # the kernel phase rotates fast here: the plain step-1e-4 stencil
+        # reads 4.1e-5, its Richardson extrapolation 1.2e-7
+        assert pde_residual(free_kernel, 0.2, 0.0, 2.0) <= 1e-6
 
 
 class TestAudit:

@@ -3,18 +3,24 @@
 Importing ``scipy.special`` costs 0.3-0.4 s and ~25 MB, ``scipy.integrate``
 0.2-0.4 s and ~26 MB, and ``mpmath`` ~35 ms; each shows directly in the
 benchmark's ``setup_s`` and ``peak_rss_mb`` and in every CLI run.  This
-test pins that the import, the four kernel builds, one grid point per
-kernel, one real-line comparator call and one point each of the three
-grid experiments (supershift distances, continuous dependence with its
-initial-data metric, the initial-value limit) load none of them: scipy stays
-a lazy import of the CLI's ``table`` spline, and mpmath of the
-extended-precision oracles.
+test pins that the import (``supershift_lab.oracles`` included), the four
+kernel builds, one grid point per kernel, one real-line comparator call
+and one point each of the three grid experiments (supershift distances,
+continuous dependence with its initial-data metric, the initial-value
+limit) load none of them: scipy stays a lazy import of the CLI's
+``table`` spline, and mpmath one of the extended-precision sums in
+``oracles``, the only module that imports it.  ``initial_data`` and
+``oracles`` import each other, so each of the two, and ``evolve``, which
+``oracles`` uses, must also import cleanly when it comes first.
 """
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 HEAVY = ("scipy.integrate", "scipy.interpolate", "scipy.sparse", "scipy.linalg")
@@ -22,6 +28,7 @@ HEAVY = ("scipy.integrate", "scipy.interpolate", "scipy.sparse", "scipy.linalg")
 SCRIPT = """
 import sys
 import supershift_lab
+import supershift_lab.oracles
 from supershift_lab.contour_quad import epsilon_regularized_integral
 from supershift_lab.evolve import (
     continuous_dependence_check,
@@ -59,11 +66,15 @@ print(" ".join(sorted(sys.modules)))
 """
 
 
-def _loaded_modules():
+def _run(script: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run(
-        [sys.executable, "-c", SCRIPT], env=env, capture_output=True, text=True, check=True
-    ).stdout.split()
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
+def _loaded_modules():
+    return _run(SCRIPT).split()
 
 
 def test_kernel_builds_skip_heavy_scipy_subpackages():
@@ -72,3 +83,27 @@ def test_kernel_builds_skip_heavy_scipy_subpackages():
     assert [m for m in HEAVY if m in out] == []
     assert [m for m in out if m == "scipy" or m.startswith("scipy.")] == []
     assert [m for m in out if m == "mpmath" or m.startswith("mpmath.")] == []
+
+
+def _imports_mpmath(path: Path) -> bool:
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            continue
+        if any(n == "mpmath" or n.startswith("mpmath.") for n in names):
+            return True
+    return False
+
+
+def test_only_oracles_imports_mpmath():
+    modules = sorted((SRC / "supershift_lab").glob("*.py"))
+    assert [p.name for p in modules if _imports_mpmath(p)] == ["oracles.py"]
+
+
+@pytest.mark.parametrize("module", ["oracles", "initial_data", "evolve"])
+def test_module_imports_first(module):
+    out = _run(f"import supershift_lab.{module} as m; print(m.__name__)")
+    assert out.split() == [f"supershift_lab.{module}"]

@@ -16,12 +16,14 @@ from supershift_lab.initial_data import (
     default_weight,
     disk_samples,
     plane_wave,
+    superosc_signal,
+    weighted_sup_distance,
+)
+from supershift_lab.oracles import (
     superosc_coefficients,
     superosc_frequencies,
-    superosc_signal,
     superosc_value,
     superosc_value_float64,
-    weighted_sup_distance,
 )
 
 F60_AT_1 = -1.0578195745378955 + 0.1531844351179694j

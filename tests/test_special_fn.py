@@ -14,14 +14,13 @@ from numpy.polynomial import polynomial as P
 
 from supershift_lab import special_fn
 from supershift_lab.errors import DomainMarginError, EvaluationOverflow
+from supershift_lab.oracles import legendre_sum_residual, pt_kernel_term_derivatives
 from supershift_lab.special_fn import (
     assoc_legendre_tanh,
     erf_complex,
     erfcx,
-    legendre_sum_residual,
     pole_set_distance,
     pt_kernel_term,
-    pt_kernel_term_derivatives,
     pt_weighted_term,
 )
 
