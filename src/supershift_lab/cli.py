@@ -98,15 +98,30 @@ def _count(value) -> int:
     return value
 
 
+def _only(spec: dict, kind: str, *keys: str):
+    """Refuse the keys of a spec or inline option list that its kind does
+    not read: ignoring a mistyped key would run another experiment than
+    the one asked for."""
+    unknown = sorted(set(spec) - set(keys))
+    if unknown:
+        raise ValueError(
+            f"{kind} spec does not read {', '.join(map(repr, unknown))}; "
+            f"it reads {', '.join(keys) or 'nothing'}"
+        )
+
+
 def _lambda_from_spec(spec) -> tuple:
     kind = spec.get("kind")
     if kind == "constant":
+        _only(spec, kind, "kind", "c")
         c = _finite(spec["c"])
         return (lambda t: c), f"const:{c:g}"
     if kind == "sinusoid":
+        _only(spec, kind, "kind", "a", "b", "omega")
         a, b, om = _finite(spec["a"]), _finite(spec["b"]), _finite(spec["omega"])
         return (lambda t: a + b * np.sin(om * t)), f"sin:{a:g},{b:g},{om:g}"
     if kind == "table":
+        _only(spec, kind, "kind", "t", "values")
         from scipy.interpolate import CubicSpline
 
         ts = np.array([_finite(v) for v in spec["t"]])
@@ -120,17 +135,23 @@ def _lambda_from_spec(spec) -> tuple:
 def _potential_from_config(spec) -> object:
     kind = spec.get("kind")
     if kind == "free":
+        _only(spec, kind, "kind")
         return Free()
     if kind == "electric":
+        _only(spec, kind, "kind", "lambda")
         lam, lab = _lambda_from_spec(spec.get("lambda", {"kind": "constant", "c": 1.0}))
         return Electric(lam, lab)
     if kind == "harmonic":
+        _only(spec, kind, "kind", "omega", "lambda")
         if "omega" in spec:
+            if "lambda" in spec:
+                raise ValueError("harmonic takes omega or a lambda spec, not both")
             om = _finite(spec["omega"])
             return Harmonic(lambda t: om * om, f"omega={om:g}")
         lam, lab = _lambda_from_spec(spec.get("lambda", {"kind": "constant", "c": 1.0}))
         return Harmonic(lam, lab)
     if kind in ("poschl_teller", "poschl-teller"):
+        _only(spec, kind, "kind", "l")
         return PoschlTeller(_count(spec["l"]))
     raise _UsageError(f"config field 'potential.kind' missing or unknown: {kind!r}")
 
@@ -150,18 +171,24 @@ def _potential_from_inline(text: str) -> dict:
     head, opts = _inline(text)
     head = head.replace("_", "-")
     if head == "free":
+        _only(opts, head)
         return {"kind": "free"}
     if head == "electric":
+        _only(opts, head, "lambda")
         lam = float(opts.get("lambda", 1.0))
         return {"kind": "electric", "lambda": {"kind": "constant", "c": lam}}
     if head == "harmonic":
+        _only(opts, head, "omega", "lambda")
         if "omega" in opts:
+            if "lambda" in opts:
+                raise ValueError("harmonic takes omega or lambda, not both")
             return {"kind": "harmonic", "omega": float(opts["omega"])}
         return {
             "kind": "harmonic",
             "lambda": {"kind": "constant", "c": float(opts.get("lambda", 1.0))},
         }
     if head in ("poschl-teller", "poschlteller", "pt"):
+        _only(opts, head, "l")
         return {"kind": "poschl_teller", "l": int(opts.get("l", 1))}
     raise _UsageError(f"cannot parse potential {text!r}")
 
@@ -175,10 +202,15 @@ def _scalar(k):
 def _initial_from_config(spec):
     kind = spec.get("kind")
     if kind == "plane_wave":
+        _only(spec, kind, "kind", "k")
         return plane_wave(_scalar(spec["k"]))
     if kind == "superosc":
+        _only(spec, kind, "kind", "n", "k")
         return superosc_signal(_count(spec["n"]), _finite(spec["k"]))
     if kind == "linear_combination":
+        _only(spec, kind, "kind", "terms")
+        for item in spec["terms"]:
+            _only(item, "term", "coeff", "signal")
         terms = [
             (complex(_scalar(item["coeff"])), _initial_from_config(item["signal"]))
             for item in spec["terms"]
@@ -192,8 +224,10 @@ def _initial_from_config(spec):
 def _initial_from_inline(text: str) -> dict:
     head, opts = _inline(text)
     if head in ("plane", "plane_wave"):
+        _only(opts, head, "k")
         return {"kind": "plane_wave", "k": float(opts.get("k", 1.0))}
     if head == "superosc":
+        _only(opts, head, "n", "k")
         return {"kind": "superosc", "n": int(opts.get("n", 10)), "k": float(opts.get("k", 3.0))}
     raise _UsageError(f"cannot parse initial condition {text!r}")
 

@@ -35,16 +35,18 @@ from .initial_data import (
 
 
 def _integrand(kernel: GreensKernel, t: float, x: float, f: HolomorphicSignal):
+    """gtilde * f with the product of the kernel's witness and the datum's:
+    amplitudes multiply, rates and frequencies add, the shorter length
+    holds."""
     gt = kernel.gtilde
     ev = lambda z: gt(t, x, np.asarray(z, dtype=complex)) * f.eval(z)
-    a0, b0 = kernel.growth(t, x)
-    fw = f.growth
+    gw, fw = kernel.growth(t, x), f.growth
     witness = GrowthWitness(
-        a0 * fw.amplitude,
-        b0 + fw.rate,
+        gw.amplitude * fw.amplitude,
+        gw.rate + fw.rate,
         "modulus",
-        kernel.freq(t, x) + fw.freq,
-        min(kernel.length, fw.length),
+        gw.freq + fw.freq,
+        min(gw.length, fw.length),
     )
     return HolomorphicSignal(eval=ev, growth=witness, label="integrand")
 

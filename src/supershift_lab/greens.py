@@ -17,8 +17,12 @@ Kernels:
            + i (p x + q z + r)} / (2 sqrt(i pi alpha))
 * sech^2 well (Poschl-Teller l)  a = 1/(4t), gtilde = free part + bound-state sum
 
-All evaluators accept numpy arrays in z and are pure; construction may
-solve coefficient ODEs but the returned kernel is immutable.
+The method needs only an estimate of gtilde, not its closed form: each
+kernel states it as one modulus ``GrowthWitness`` per (t, x) (amplitude,
+rate, linear frequency and the length on which gtilde varies), the type
+every initial datum carries.  All evaluators accept numpy arrays in z and
+are pure; construction may solve coefficient ODEs but the returned
+kernel is immutable.
 """
 
 from __future__ import annotations
@@ -31,11 +35,11 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
+from .contour_quad import GrowthWitness
 from .errors import DomainMarginError, EvaluationOverflow, HorizonExceeded
 # solve_electric, solve_harmonic, erfcx and assoc_legendre_tanh are not
 # called here; bench/tracer.py patches them under these names
 from .ode_coeff import (  # noqa: F401
-    QuadraticCoeffs,
     _zero,
     solve_electric,
     solve_harmonic,
@@ -130,16 +134,15 @@ class GreensKernel:
 
     horizon         largest time usable for evolution (a(t) > 0 there)
     formula_horizon largest time where the kernel formula itself is valid
-    growth          (t, x) -> (A0, B0) modulus witness
-                    |gtilde| <= A0 e^{B0 |z| - w Im z}, w = freq(t, x)
+    sector_angle    contour half-angle, fixed per potential (``make_kernel``);
+                    the witnesses hold on the sectors ``contour_center`` admits
+    growth          (t, x) -> the modulus ``GrowthWitness`` of gtilde:
+                    |gtilde| <= A e^{B |z| - w Im z} with w the kernel's
+                    linear frequency (gtilde is e^{i w z} times a bounded
+                    factor), and the length on which gtilde varies along a
+                    contour (inf for the entire kernels)
     growth_imag     (t, x) -> (A0, B0) with |gtilde| <= A0 e^{B0 |Im z|}
                     (all four potentials admit one)
-    freq            (t, x) -> w, the kernel's linear frequency: gtilde is
-                    e^{i w z} times a bounded factor
-    sector_angle    contour half-angle, fixed per potential (``make_kernel``);
-                    the witnesses and ``check_contour`` hold on its sectors
-    length          the length on which gtilde varies along a contour (the
-                    witness ``length``); inf for the entire kernels
     """
 
     potential: Potential
@@ -149,11 +152,8 @@ class GreensKernel:
     formula_horizon: float
     sector_angle: float
     pole_margin: float
-    growth: Callable[[float, float], tuple[float, float]]
+    growth: Callable[[float, float], GrowthWitness]
     growth_imag: Callable[[float, float], tuple[float, float]]
-    freq: Callable[[float, float], float]
-    coeffs: QuadraticCoeffs | None = None
-    length: float = np.inf
 
     def check_time(self, t: float, *, evolution: bool = True):
         limit = self.horizon if evolution else self.formula_horizon
@@ -162,44 +162,34 @@ class GreensKernel:
                 f"t={t} outside (0, {limit}) for {self.potential.label()}"
             )
 
-    def check_contour(self, shift: float):
-        """Validate that the sector swept from the real axis to the line
-        through ``shift`` keeps the excluded poles at the margin.
-
-        The first pole +-i pi/2 enters the shifted double sector once
-        |shift| tan(angle) reaches pi/2; crossing it would silently add a
-        residue to the contour integral, so the clearance
-        (pi/2) cos(angle) - |shift| sin(angle) must stay >= pole_margin,
-        that is |shift| <= ``_center_limit``.
-        """
-        if self.pole_margin <= 0.0:
-            return
-        if abs(shift) > _center_limit(self.sector_angle, self.pole_margin):
-            clearance = (np.pi / 2) * np.cos(self.sector_angle) - abs(shift) * np.sin(
-                self.sector_angle
-            )
-            where = (f"comes within {clearance:.3f} of the pole set" if clearance >= 0.0
-                     else f"has the pole set {-clearance:.3f} inside its swept sector")
-            raise DomainMarginError(
-                f"contour through {shift:g} at angle {self.sector_angle:.3f} "
-                f"{where} (margin {self.pole_margin})"
-            )
-
     def contour_center(self, x: float, stationary: float) -> float:
         """The real point the contour for target x passes through.
 
-        That is ``stationary`` when ``check_contour`` admits it, else the
-        admitted point nearest it on the segment back to x (the line
-        through x is admitted wherever it was).  Raises DomainMarginError
-        when no point of the segment is admitted.
+        The first pole +-i pi/2 enters the double sector swept from the
+        real axis to the line through s once |s| tan(angle) reaches pi/2;
+        crossing it would silently add a residue to the contour integral,
+        so the clearance (pi/2) cos(angle) - |s| sin(angle) must stay >=
+        pole_margin, that is |s| <= ``_center_limit``.  The center is
+        ``stationary`` when it is admitted, else the admitted point
+        nearest it on the segment back to x (the line through x is
+        admitted wherever it was).  Raises DomainMarginError when no point
+        of the segment is admitted.
         """
-        if self.pole_margin > 0.0:
-            limit = _center_limit(self.sector_angle, self.pole_margin)
-            clipped = min(max(stationary, -limit), limit)
-            if min(x, stationary) <= clipped <= max(x, stationary):
-                stationary = clipped
-        self.check_contour(stationary)
-        return stationary
+        if self.pole_margin <= 0.0:
+            return stationary
+        limit = _center_limit(self.sector_angle, self.pole_margin)
+        clipped = min(max(stationary, -limit), limit)
+        if min(x, stationary) <= clipped <= max(x, stationary):
+            return clipped
+        clearance = (np.pi / 2) * np.cos(self.sector_angle) - abs(stationary) * np.sin(
+            self.sector_angle
+        )
+        where = (f"comes within {clearance:.3f} of the pole set" if clearance >= 0.0
+                 else f"has the pole set {-clearance:.3f} inside its swept sector")
+        raise DomainMarginError(
+            f"contour through {stationary:g} at angle {self.sector_angle:.3f} "
+            f"{where} (margin {self.pole_margin})"
+        )
 
 
 def _center_limit(angle: float, margin: float) -> float:
@@ -216,10 +206,6 @@ def greens_value(kernel: GreensKernel, t: float, x: float, z):
     return complex(val) if val.ndim == 0 else val
 
 
-def _no_freq(t, x):
-    return 0.0
-
-
 def _free_kernel() -> GreensKernel:
     def a(t):
         return 1.0 / (4.0 * t)
@@ -228,7 +214,7 @@ def _free_kernel() -> GreensKernel:
         z = np.asarray(z, dtype=complex)
         return np.full(z.shape, 1.0 / (2.0 * np.sqrt(np.pi * t) * ROOT_I))
 
-    def growth(t, x):
+    def growth_imag(t, x):
         return 1.0 / (2.0 * np.sqrt(np.pi * t)), 0.0
 
     return GreensKernel(
@@ -239,9 +225,8 @@ def _free_kernel() -> GreensKernel:
         formula_horizon=np.inf,
         sector_angle=_SECTOR_ANGLE,
         pole_margin=0.0,
-        growth=growth,
-        growth_imag=growth,
-        freq=_no_freq,
+        growth=lambda t, x: GrowthWitness(*growth_imag(t, x)),
+        growth_imag=growth_imag,
     )
 
 
@@ -263,17 +248,19 @@ def _quadratic_kernel(potential: Quadratic, t_max: float) -> GreensKernel:
         phase = (ap - be) * x * x / (4.0 * al) + p * x + r
         return np.exp(1j * (phase + freq(t, x) * z)) / (2.0 * np.sqrt(np.pi * al) * ROOT_I)
 
-    # the phase is real: gtilde is e^{i w z} times a factor of modulus
-    # 1 / (2 sqrt(pi alpha)), so the modulus witness is exact with rate 0
-    def growth(t, x):
-        return 1.0 / (2.0 * np.sqrt(np.pi * coeffs.alpha(t))), 0.0
-
-    def growth_imag(t, x):
-        return growth(t, x)[0], abs(freq(t, x))
-
     def freq(t, x):
         al, _, be, _, xi = coeffs.state(t)[:5]
         return (x * (be - 1.0) + xi) / (2.0 * al)
+
+    # the phase is real: gtilde is e^{i w z} times a factor of modulus
+    # 1 / (2 sqrt(pi alpha)), so the modulus witness is exact with rate 0
+    def growth(t, x):
+        amp = 1.0 / (2.0 * np.sqrt(np.pi * coeffs.alpha(t)))
+        return GrowthWitness(amp, 0.0, "modulus", freq(t, x))
+
+    def growth_imag(t, x):
+        g = growth(t, x)
+        return g.amplitude, abs(g.freq)
 
     return GreensKernel(
         potential=potential,
@@ -285,15 +272,13 @@ def _quadratic_kernel(potential: Quadratic, t_max: float) -> GreensKernel:
         pole_margin=0.0,
         growth=growth,
         growth_imag=growth_imag,
-        freq=freq,
-        coeffs=coeffs,
     )
 
 
 def _pt_sech_bound(angle: float) -> float:
     """Bound S on |2 / (1 + e^{-2 zeta z})| (zeta = sign Re z) and on
     |tanh z| over D = {|Im z| <= (|Re z| + s_max) tan(angle)}, the union of
-    the double sectors of every contour ``check_contour`` admits (s_max
+    the double sectors of every contour ``contour_center`` admits (s_max
     the largest admitted |center|).
 
     With z = X + iY the first is e^{|X|} / |cosh z|, and |tanh z| =
@@ -368,6 +353,7 @@ def _pt_kernel(potential: PoschlTeller) -> GreensKernel:
         q_strip = 2.0**m * float(abs_p.sum())
         orders.append((m, float(weights[m - 1]), poly_c, q_sector, q_strip))
     rate_imag = l * (4.0 / np.pi * np.log(sech) + 1.0)
+    length = _pt_seed_width(_PT_SECTOR_ANGLE)
 
     def a(t):
         return 1.0 / (4.0 * t)
@@ -398,7 +384,7 @@ def _pt_kernel(potential: PoschlTeller) -> GreensKernel:
         return 1.0 / (2.0 * math.sqrt(math.pi * t)) + total
 
     def growth(t, x):
-        return bound_sum(t, x, False), 0.0
+        return GrowthWitness(bound_sum(t, x, False), 0.0, length=length)
 
     def growth_imag(t, x):
         return bound_sum(t, x, True), rate_imag
@@ -413,8 +399,6 @@ def _pt_kernel(potential: PoschlTeller) -> GreensKernel:
         pole_margin=_POLE_MARGIN,
         growth=growth,
         growth_imag=growth_imag,
-        freq=_no_freq,
-        length=_pt_seed_width(_PT_SECTOR_ANGLE),
     )
 
 
@@ -479,28 +463,21 @@ class KernelAuditReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_json_dict(self) -> dict:
-        def scalar(v):
-            if isinstance(v, complex):
-                return str(v)
-            return float(v)
-
-        return {
-            "potential": self.potential,
-            "checks": [
-                {
-                    "name": c.name,
-                    "max_violation": float(c.max_violation),
-                    "witness_point": [scalar(v) for v in c.witness_point],
-                    "pass": bool(c.passed),
-                }
-                for c in self.checks
-            ],
-            "pass": bool(self.passed),
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        def scalar(v):
+            return str(v) if isinstance(v, complex) else float(v)
+
+        checks = [
+            {
+                "name": c.name,
+                "max_violation": float(c.max_violation),
+                "witness_point": [scalar(v) for v in c.witness_point],
+                "pass": bool(c.passed),
+            }
+            for c in self.checks
+        ]
+        doc = {"potential": self.potential, "checks": checks, "pass": bool(self.passed)}
+        return json.dumps(doc, indent=2)
 
 
 _AUDIT_T = (0.05, 0.2, 0.5)
@@ -574,11 +551,10 @@ def audit_kernel(kernel: GreensKernel) -> KernelAuditReport:
     z_far = _sector_samples(kernel, _AUDIT_RADII)
     for t in ts:
         for x in _AUDIT_X:
-            a0, b0 = kernel.growth(t, x)
-            w = kernel.freq(t, x)
+            g = kernel.growth(t, x)
             ratio = (
                 np.abs(kernel.gtilde(t, x, z_far))
-                * np.exp(w * z_far.imag - b0 * np.abs(z_far)) / a0
+                * np.exp(g.freq * z_far.imag - g.rate * np.abs(z_far)) / g.amplitude
             )
             i = int(np.argmax(ratio))
             if ratio[i] > worst:
@@ -620,8 +596,8 @@ def audit_kernel(kernel: GreensKernel) -> KernelAuditReport:
     chk_idx = np.where(held)[0]
     for t in ts:
         for x in _AUDIT_X:
-            _, b0 = kernel.growth(t, x)
-            b_grid = np.linspace(0.0, b0 + abs(kernel.freq(t, x)) + 3.0, 31)
+            g = kernel.growth(t, x)
+            b_grid = np.linspace(0.0, g.rate + abs(g.freq) + 3.0, 31)
             dx = (kernel.gtilde(t, x + h, zs) - kernel.gtilde(t, x - h, zs)) / (2 * h)
             dxx = (
                 kernel.gtilde(t, x + h, zs)

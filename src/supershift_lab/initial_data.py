@@ -59,11 +59,12 @@ def plane_wave(kappa: complex) -> HolomorphicSignal:
     )
 
 
-def constant_signal(c: complex = 1.0) -> HolomorphicSignal:
+def constant_signal() -> HolomorphicSignal:
+    """The constant 1."""
     return HolomorphicSignal(
-        eval=lambda z: np.full(np.shape(z), complex(c)),
-        growth=GrowthWitness(abs(c), 0.0, "imag"),
-        label=f"const:{c}",
+        eval=lambda z: np.full(np.shape(z), 1.0 + 0j),
+        growth=GrowthWitness(1.0, 0.0, "imag"),
+        label="const:1.0",
     )
 
 

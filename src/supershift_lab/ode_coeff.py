@@ -19,9 +19,9 @@ c = -4 lam2 (g = -2 lam1 for xi, 0 for the pair): three right-hand sides
 of one linear solve.  W and V are h J integrals.
 
 Certificate: a panel whose trailing Chebyshev coefficients are not below
-tol (or a few ulps) times the size of their component there is halved
-and solved again.  Dense output is barycentric within one panel, exact
-at the panel points, and raises ``ValueError`` outside [0, t_max];
+_TOL = 1e-13 (or a few ulps) times the size of their component there is
+halved and solved again.  Dense output is barycentric within one panel,
+exact at the panel points, and raises ``ValueError`` outside [0, t_max];
 horizons are roots of the panel interpolant.
 """
 
@@ -37,7 +37,7 @@ from numpy.polynomial import chebyshev as cheb
 _N = 24  # Lobatto points per panel
 _PANEL = 0.5  # length of the panels the march starts from
 _TAIL = 3  # trailing Chebyshev coefficients in the certificate
-_TOL = 1e-13  # default relative certificate of a panel
+_TOL = 1e-13  # relative certificate of a panel
 _ROUNDOFF = 64 * np.finfo(float).eps  # tails below this are rounding noise
 # Lobatto points -cos(pi k / (N - 1)), ascending and exactly -1, 1 at the
 # ends, with their barycentric weights (-1)^k, halved at the ends
@@ -206,29 +206,25 @@ class QuadraticCoeffs:
 
 
 def solve_quadratic(
-    lam2: Callable[[float], float], lam1: Callable[[float], float], t_max: float, tol: float = _TOL
+    lam2: Callable[[float], float], lam1: Callable[[float], float], t_max: float
 ) -> QuadraticCoeffs:
-    """Coefficients and horizons on [0, t_max], certified to relative tol
-    per panel."""
-    return QuadraticCoeffs(t_max, _march(lam2, lam1, t_max, tol))
+    """Coefficients and horizons on [0, t_max], certified to relative
+    _TOL per panel."""
+    return QuadraticCoeffs(t_max, _march(lam2, lam1, t_max, _TOL))
 
 
 def _zero(t: float) -> float:
     return 0.0
 
 
-def solve_electric(
-    lam: Callable[[float], float], t_max: float, tol: float = _TOL
-) -> QuadraticCoeffs:
+def solve_electric(lam: Callable[[float], float], t_max: float) -> QuadraticCoeffs:
     """The field case V = lam(t) x of ``solve_quadratic``."""
-    return solve_quadratic(_zero, lam, t_max, tol)
+    return solve_quadratic(_zero, lam, t_max)
 
 
-def solve_harmonic(
-    lam: Callable[[float], float], t_max: float, tol: float = _TOL
-) -> QuadraticCoeffs:
+def solve_harmonic(lam: Callable[[float], float], t_max: float) -> QuadraticCoeffs:
     """The oscillator case V = lam(t) x^2 of ``solve_quadratic``."""
-    return solve_quadratic(lam, _zero, t_max, tol)
+    return solve_quadratic(lam, _zero, t_max)
 
 
 def wronskian_drift(coeffs: QuadraticCoeffs, grid) -> float:

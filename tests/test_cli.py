@@ -113,6 +113,34 @@ class TestExitCodes:
             (["verify"], {"verify": {"initial_limit_threshold": float("nan")}}),
             (["verify"], {"verify": {"t_sequence": [1e-2, float("nan")]}}),
             (["verify"], {"verify": {"t_sequence": []}}),
+            # a key the spec's kind does not read is refused, not ignored
+            (["evolve"], {"potential": {"kind": "harmonic", "omgea": 2.0}}),
+            (["evolve"], {"potential": {"kind": "harmonic", "omega": 1.0,
+                                        "lambda": {"kind": "constant", "c": 1.0}}}),
+            (["evolve"], {"potential": {"kind": "free", "omega": 1.0}}),
+            (["evolve"], {"potential": {"kind": "electric", "lam": 2.0}}),
+            (["evolve"], {"potential": {"kind": "poschl_teller", "l": 2, "depth": 3}}),
+            (["evolve"], {"potential": {"kind": "electric", "lambda": {
+                "kind": "constant", "c": 1.0, "omega": 2.0}}}),
+            (["evolve"], {"potential": {"kind": "harmonic", "lambda": {
+                "kind": "sinusoid", "a": 1.0, "b": 0.5, "omega": 1.0, "phase": 0.3}}}),
+            (["evolve"], {"potential": {"kind": "electric", "lambda": {
+                "kind": "table", "t": [0.0, 1.0], "values": [1.0, 1.0], "order": 1}}}),
+            (["evolve"], {"initial": {"kind": "plane_wave", "k": 1.0, "kappa": 5.0}}),
+            (["evolve"], {"initial": {"kind": "superosc", "n": 10, "k": 3.0, "m": 2}}),
+            (["evolve"], {"initial": {"kind": "linear_combination", "scale": 2.0, "terms": [
+                {"coeff": 1.0, "signal": {"kind": "plane_wave", "k": 1.0}}]}}),
+            (["evolve"], {"initial": {"kind": "linear_combination", "terms": [
+                {"coeff": 1.0, "signal": {"kind": "plane_wave", "k": 1.0, "kapa": 2.0}}]}}),
+            (["evolve"], {"initial": {"kind": "linear_combination", "terms": [
+                {"coef": 1.0, "signal": {"kind": "plane_wave", "k": 1.0}}]}}),
+            (["evolve", "--potential", "harmonic:omgea=2"], {}),
+            (["evolve", "--potential", "harmonic:omega=1,lambda=2"], {}),
+            (["evolve", "--potential", "free:omega=1"], {}),
+            (["evolve", "--potential", "electric:lam=2"], {}),
+            (["evolve", "--potential", "pt:l=2,m=1"], {}),
+            (["evolve", "--initial", "plane:kappa=5"], {}),
+            (["evolve", "--initial", "superosc:n=10,kappa=3"], {}),
         ],
     )
     def test_non_finite_number_is_usage_error(self, tmp_path, outdir, capsys, argv, doc):
@@ -140,6 +168,30 @@ class TestExitCodes:
         cfg.write_text(json.dumps(doc))
         assert run(["evolve", "--config", str(cfg), "--output", outdir]) == 1
         assert capsys.readouterr().err.startswith(f"error: {field} must be")
+
+    @pytest.mark.parametrize(
+        "argv, doc, message",
+        [
+            ([], {"potential": {"kind": "electric", "lambda": {"kind": "ramp"}}},
+             "unknown lambda kind 'ramp'"),
+            (["--potential", "warp"], {}, "cannot parse potential 'warp'"),
+            (["--potential", "free", "--initial", "gauss:k=1"], {},
+             "cannot parse initial condition 'gauss:k=1'"),
+            ([], {"potential": {"kind": "free"}, "initial": {"kind": "gauss"}},
+             "config field 'initial.kind' missing or unknown: 'gauss'"),
+            ([], {}, "missing required field: potential"),
+            ([], None, "config file not found"),
+        ],
+    )
+    def test_unknown_or_missing_input_is_usage_error(self, tmp_path, outdir, capsys, argv, doc,
+                                                     message):
+        # doc None: the config path names no file
+        cfg = tmp_path / "cfg.json"
+        if doc is not None:
+            cfg.write_text(json.dumps(doc))
+        assert run(["evolve", *argv, "--config", str(cfg), "--output", outdir]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not os.path.exists(outdir)
 
     def test_defaults_survive_a_run(self, outdir):
         # flags write into the merged config; a run must not change the
@@ -440,6 +492,44 @@ class TestInlineSpecs:
             ]
         )
         assert code == 0
+
+    def test_prefix_names_the_outputs(self, outdir):
+        argv = ["evolve", "--potential", "free", "--initial", "plane:k=2", "--prefix", "mine"]
+        assert run([*argv, "--output", outdir]) == 0
+        assert sorted(os.listdir(outdir)) == ["mine_field.csv", "mine_manifest.json", "mine_plot.dat"]
+
+    def test_sinusoid_lambda_values(self):
+        lam, label = cli._lambda_from_spec({"kind": "sinusoid", "a": 1.0, "b": 0.5, "omega": 2.0})
+        assert label == "sin:1,0.5,2"
+        for t in (0.0, 0.3, 1.1, 2.5):
+            assert lam(t) == 1.0 + 0.5 * np.sin(2.0 * t)
+
+    @staticmethod
+    def _field_bytes(tmp_path, name, potential=None, argv=()):
+        doc = {"initial": {"kind": "plane_wave", "k": 2.0},
+               "grid": {"t": [0.2, 0.4, 2], "x": [-0.5, 0.5, 3]}}
+        if potential is not None:
+            doc["potential"] = potential
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / name
+        assert run(["evolve", "--config", str(cfg), *argv, "--output", str(out)]) == 0
+        return (out / "run_field.csv").read_bytes()
+
+    def test_flat_sinusoid_is_the_constant(self, tmp_path):
+        sinusoid = {"kind": "sinusoid", "a": 0.7, "b": 0.0, "omega": 3.0}
+        constant = {"kind": "constant", "c": 0.7}
+        assert self._field_bytes(
+            tmp_path, "sin", {"kind": "electric", "lambda": sinusoid}
+        ) == self._field_bytes(tmp_path, "const", {"kind": "electric", "lambda": constant})
+
+    def test_harmonic_lambda_specs_are_omega_one(self, tmp_path):
+        omega = self._field_bytes(tmp_path, "omega", {"kind": "harmonic", "omega": 1.0})
+        spec = {"kind": "harmonic", "lambda": {"kind": "constant", "c": 1.0}}
+        assert self._field_bytes(tmp_path, "spec", spec) == omega
+        assert self._field_bytes(
+            tmp_path, "inline", argv=("--potential", "harmonic:lambda=1")
+        ) == omega
 
     def test_lambda_table_config(self, tmp_path, outdir):
         cfg = tmp_path / "tbl.json"

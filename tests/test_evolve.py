@@ -16,7 +16,7 @@ the grids below):
 import numpy as np
 import pytest
 
-from supershift_lab import contour_quad
+from supershift_lab import contour_quad, ode_coeff
 from supershift_lab.contour_quad import epsilon_regularized_integral
 from supershift_lab.errors import HorizonExceeded
 from supershift_lab.evolve import (
@@ -222,7 +222,7 @@ class TestWavefield:
         center = pt1_kernel.contour_center(x, x - 2.0 * t * 3.0)
         assert -5.0 < center < x
         with pytest.raises(DomainMarginError):
-            pt1_kernel.check_contour(center - 1e-3)
+            pt1_kernel.contour_center(center - 1e-3, center - 1e-3)
         rot = wavefunction_result(pt1_kernel, f, t, x, 1e-9)
         ref = rotated_integral(
             _integrand(pt1_kernel, t, x, f),
@@ -324,12 +324,15 @@ class TestWavefield:
         T, X = np.meshgrid(ts, xs, indexing="ij")
         assert np.all(np.abs(fld.values - driven_plane(T, X, 2.0, 0.7)) <= fld.quad_errors)
 
-    def test_one_coefficient_evaluation_per_time_slice(self):
+    def test_one_coefficient_evaluation_per_time_slice(self, monkeypatch):
         # a, growth and gtilde share one dense coefficient evaluation per t
         kernel = make_kernel(Harmonic(lambda t: 1.0, "omega=1"), t_max=1.1)
         calls = []
-        dense = kernel.coeffs._dense
-        kernel.coeffs._dense = lambda t: (calls.append(t), dense(t))[1]
+        dense = ode_coeff.ChebyshevPanels.__call__
+        monkeypatch.setattr(
+            ode_coeff.ChebyshevPanels, "__call__",
+            lambda self, t: (calls.append(t), dense(self, t))[1],
+        )
         ts, xs = np.linspace(0.1, 0.55, 8), np.linspace(-2.0, 2.0, 25)
         fld = wavefield(kernel, plane_wave(2.0), ts, xs, tol=1e-9)
         assert not fld.failures

@@ -28,6 +28,7 @@ from supershift_lab.greens import (
     pde_residual,
 )
 from supershift_lab.initial_data import HolomorphicSignal
+from supershift_lab.ode_coeff import solve_electric
 
 PT1_VALUE = 0.3744261043465431 + 0.1877954493573352j  # G(0.5, 0, 1), l=1
 PT2_VALUE = 0.2036766716638412 + 0.4077634410054483j  # G(0.4, 0.3, 0.8), l=2
@@ -82,7 +83,7 @@ class TestFreeKernel:
             x = rng.uniform(-2, 2)
             f = HolomorphicSignal(
                 eval=lambda z, t=t, x=x: free_kernel.gtilde(t, x, np.asarray(z, dtype=complex)),
-                growth=GrowthWitness(*free_kernel.growth(t, x)),
+                growth=free_kernel.growth(t, x),
                 label="gtilde",
             )
             r = rotated_integral(
@@ -105,11 +106,12 @@ class TestElectricKernel:
     def test_growth_witness_fields(self, electric_kernel):
         # gtilde = e^{i q z} times a factor of modulus 1/(2 sqrt(pi t)):
         # the frequency witness is exact with rate 0
-        a0, b0 = electric_kernel.growth(0.5, 0.3)
+        g = electric_kernel.growth(0.5, 0.3)
+        a0 = g.amplitude
         assert a0 == pytest.approx(1.0 / (2.0 * np.sqrt(np.pi * 0.5)))
-        assert b0 == 0.0
-        q = electric_kernel.coeffs.q(0.5)
-        assert electric_kernel.freq(0.5, 0.3) == q
+        assert g.rate == 0.0
+        q = solve_electric(lambda t: 1.0, t_max=2.0).q(0.5)
+        assert g.freq == q
         assert electric_kernel.growth_imag(0.5, 0.3)[1] == pytest.approx(abs(q))
         z = np.array([3.0 + 2.0j, -20.0 - 15.0j])
         assert np.allclose(
@@ -198,10 +200,10 @@ class TestPoschlTellerKernel:
         from supershift_lab.errors import DomainMarginError
 
         with pytest.raises(DomainMarginError) as exc:
-            pt1_kernel.check_contour(4.25)
+            pt1_kernel.contour_center(4.25, 4.25)
         assert "has the pole set 0.175 inside its swept sector" in str(exc.value)
         with pytest.raises(DomainMarginError, match="comes within 0.074 of the pole set"):
-            pt1_kernel.check_contour(3.6)
+            pt1_kernel.contour_center(3.6, 3.6)
 
 
 class TestPtKernelCost:
@@ -278,7 +280,8 @@ class TestAudit:
 
     def test_pt_growth_bound_on_sector(self, pt2_kernel, rng):
         t, x = 0.3, 0.6
-        a0, b0 = pt2_kernel.growth(t, x)
+        g = pt2_kernel.growth(t, x)
+        a0, b0 = g.amplitude, g.rate
         ang = pt2_kernel.sector_angle
         r = rng.uniform(0, 6, 40)
         th = rng.uniform(-ang, ang, 40)
@@ -303,9 +306,9 @@ class TestAudit:
         for t in np.linspace(0.05, 1.05, 5):
             for x in np.linspace(-3.5, 3.5, 8):
                 vals = np.abs(kernel.gtilde(t, x, z))
-                a0, b0 = kernel.growth(t, x)
-                assert b0 == 0.0 and kernel.freq(t, x) == 0.0
-                worst = max(worst, vals.max() / a0)
+                g = kernel.growth(t, x)
+                assert g.rate == 0.0 and g.freq == 0.0
+                worst = max(worst, vals.max() / g.amplitude)
                 a_im, b_im = kernel.growth_imag(t, x)
                 worst_imag = max(worst_imag, np.max(vals / (a_im * np.exp(b_im * np.abs(z.imag)))))
         assert worst <= 1.0 and worst_imag <= 1.0
@@ -323,7 +326,7 @@ class TestAudit:
     def test_audit_catches_broken_witness(self, free_kernel):
         from dataclasses import replace
 
-        broken = replace(free_kernel, growth=lambda t, x: (1e-9, 0.0))
+        broken = replace(free_kernel, growth=lambda t, x: GrowthWitness(1e-9, 0.0))
         report = audit_kernel(broken)
         names = {c.name: c.passed for c in report.checks}
         assert not names["growth_witness"]

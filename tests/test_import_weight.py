@@ -11,7 +11,9 @@ limit) load none of them: scipy stays a lazy import of the CLI's
 ``table`` spline, and mpmath one of the extended-precision sums in
 ``oracles``, the only module that imports it.  ``initial_data`` and
 ``oracles`` import each other, so each of the two, and ``evolve``, which
-``oracles`` uses, must also import cleanly when it comes first.
+``oracles`` uses, must also import cleanly when it comes first; so must
+``greens``, which imports ``contour_quad`` for the ``GrowthWitness`` its
+kernels return.
 """
 
 import ast
@@ -103,7 +105,7 @@ def test_only_oracles_imports_mpmath():
     assert [p.name for p in modules if _imports_mpmath(p)] == ["oracles.py"]
 
 
-@pytest.mark.parametrize("module", ["oracles", "initial_data", "evolve"])
+@pytest.mark.parametrize("module", ["oracles", "initial_data", "evolve", "greens"])
 def test_module_imports_first(module):
     out = _run(f"import supershift_lab.{module} as m; print(m.__name__)")
     assert out.split() == [f"supershift_lab.{module}"]

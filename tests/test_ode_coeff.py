@@ -17,6 +17,9 @@ import pytest
 from numpy.polynomial import chebyshev as cheb
 
 from supershift_lab.ode_coeff import (
+    QuadraticCoeffs,
+    _march,
+    _zero,
     solve_electric,
     solve_harmonic,
     solve_quadratic,
@@ -66,8 +69,8 @@ class TestHarmonic:
         hi = min(h.horizon, h.t_max) * 0.99
         drift = wronskian_drift(h, np.linspace(0.01, hi, 37))
         assert drift <= 1e-10
-        # independent confirmation via a tighter solve
-        h2 = solve_harmonic(lambda t: 1.0 + 0.5 * np.sin(t), t_max=1.5, tol=1e-14)
+        # independent confirmation via a tighter march than the solvers' _TOL
+        h2 = QuadraticCoeffs(1.5, _march(lambda t: 1.0 + 0.5 * np.sin(t), _zero, 1.5, 1e-14))
         assert abs(h.alpha(1.0) - h2.alpha(1.0)) <= 1e-10
 
     def test_alpha_positive_inside_horizon(self):
@@ -115,7 +118,7 @@ class TestElectric:
     def test_ode_residual_reconstruction(self):
         # derivatives of the panel interpolants against the right-hand sides
         lam = lambda t: 1.0 + 0.3 * np.cos(t)
-        e = solve_electric(lam, t_max=1.2, tol=1e-12)
+        e = solve_electric(lam, t_max=1.2)
         for t in np.linspace(0.05, 1.15, 23):
             al, ap, _, _, xi, xp, _, _ = e.state(t)
             d = _spectral_derivative(e, t)
@@ -127,7 +130,7 @@ class TestElectric:
 
     def test_ode_residual_finite_differences(self):
         lam = lambda t: 1.0 + 0.3 * np.cos(t)
-        e = solve_electric(lam, t_max=1.2, tol=1e-12)
+        e = solve_electric(lam, t_max=1.2)
         h = 1e-5
         for t in (0.3, 0.7, 1.0):
             fd = (np.array(e.state(t + h)) - np.array(e.state(t - h))) / (2 * h)
