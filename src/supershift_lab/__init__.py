@@ -3,9 +3,7 @@
 from .contour_quad import (
     GrowthWitness,
     QuadratureResult,
-    epsilon_regularized_integral,
     rotated_integral,
-    truncated_integral,
     truncation_radius,
 )
 from .errors import (
@@ -18,7 +16,6 @@ from .errors import (
 )
 from .evolve import (
     WaveField,
-    analyticity_probe,
     continuous_dependence_check,
     initial_limit_check,
     schrodinger_residual_field,
@@ -54,11 +51,9 @@ from .ode_coeff import (
     QuadraticCoeffs,
     solve_electric,
     solve_harmonic,
-    wronskian_drift,
 )
 from .special_fn import (
     assoc_legendre_tanh,
-    erf_complex,
     erfcx,
     pole_set_distance,
     pt_kernel_term,

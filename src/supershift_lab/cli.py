@@ -189,7 +189,7 @@ def _potential_from_inline(text: str) -> dict:
         }
     if head in ("poschl-teller", "poschlteller", "pt"):
         _only(opts, head, "l")
-        return {"kind": "poschl_teller", "l": int(opts.get("l", 1))}
+        return {"kind": "poschl_teller", "l": _count(float(opts.get("l", 1)))}
     raise _UsageError(f"cannot parse potential {text!r}")
 
 
@@ -228,7 +228,8 @@ def _initial_from_inline(text: str) -> dict:
         return {"kind": "plane_wave", "k": float(opts.get("k", 1.0))}
     if head == "superosc":
         _only(opts, head, "n", "k")
-        return {"kind": "superosc", "n": int(opts.get("n", 10)), "k": float(opts.get("k", 3.0))}
+        n = _count(float(opts.get("n", 10)))
+        return {"kind": "superosc", "n": n, "k": float(opts.get("k", 3.0))}
     raise _UsageError(f"cannot parse initial condition {text!r}")
 
 
@@ -264,7 +265,7 @@ def _load_config(args) -> dict:
         if getattr(args, "initial", None):
             cfg["initial"] = _initial_from_inline(args.initial)
         if getattr(args, "n_values", None):
-            cfg["supershift"]["n_values"] = [int(v) for v in args.n_values.split(",")]
+            cfg["supershift"]["n_values"] = [_count(float(v)) for v in args.n_values.split(",")]
         if getattr(args, "kappa", None) is not None:
             cfg["supershift"]["kappa"] = float(args.kappa)
         if getattr(args, "tol", None) is not None:

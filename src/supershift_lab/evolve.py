@@ -7,8 +7,7 @@ combined growth witness of gtilde * F, whose frequency w is the kernel's
 plus the datum's.  The contour passes through the real stationary point
 x - w / (2a) of the whole phase.  On top of the point evaluator sit
 grid batching, finite-difference residual fields, initial-value and
-continuous-dependence checks, supershift experiments, and a Morera-type
-analyticity probe in the frequency parameter.
+continuous-dependence checks, and supershift experiments.
 
 No time stepping happens anywhere: every value is an independent
 quadrature, so grids are embarrassingly parallel and deterministic.
@@ -21,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .contour_quad import GrowthWitness, QuadratureResult, rotated_integral
 from .errors import SupershiftError
@@ -314,35 +312,6 @@ def supershift_experiment(
         strictly_decreasing=dec,
         failures=failures,
     )
-
-
-def analyticity_probe(
-    kernel: GreensKernel,
-    t: float,
-    x: float,
-    vertices: Sequence[complex],
-    tol: float = 1e-9,
-) -> complex:
-    """Closed triangle integral of kappa -> Psi(t, x; e^{i kappa .}).
-
-    A numerically vanishing result certifies holomorphy in the frequency
-    parameter (Morera-type check); returns the raw contour value, with
-    64 Gauss-Legendre nodes per edge.
-    """
-    if len(vertices) != 3:
-        raise ValueError("analyticity_probe expects exactly 3 vertices")
-    nodes, weights = leggauss(64)
-    total = 0j
-    verts = [complex(v) for v in vertices]
-    for v1, v2 in zip(verts, verts[1:] + verts[:1]):
-        if v2 == v1:
-            continue
-        half = 0.5 * (v2 - v1)
-        mid = 0.5 * (v1 + v2)
-        for u, w in zip(nodes, weights):
-            kap = mid + half * u
-            total += w * half * wavefunction(kernel, plane_wave(kap), t, x, tol)
-    return total
 
 
 @dataclass

@@ -225,12 +225,3 @@ def solve_electric(lam: Callable[[float], float], t_max: float) -> QuadraticCoef
 def solve_harmonic(lam: Callable[[float], float], t_max: float) -> QuadraticCoeffs:
     """The oscillator case V = lam(t) x^2 of ``solve_quadratic``."""
     return solve_quadratic(lam, _zero, t_max)
-
-
-def wronskian_drift(coeffs: QuadraticCoeffs, grid) -> float:
-    """max over the grid of |alpha' beta - alpha beta' - 1|."""
-    worst = 0.0
-    for t in grid:
-        al, ap, be, bp = coeffs.state(float(t))[:4]
-        worst = max(worst, abs(ap * be - al * bp - 1.0))
-    return worst

@@ -1,11 +1,11 @@
 """Complex error-function machinery and sech-well propagator factors.
 
-Provides the scaled complementary error function and complex erf, the
-two-sided exponential kernel term used by the reflectionless sech^2-well
+Provides the scaled complementary error function, the two-sided
+exponential kernel term used by the reflectionless sech^2-well
 propagator, and associated Legendre factors evaluated on tanh.  All
 functions accept scalars or numpy arrays and are pure.
 
-The error functions rest on one numpy kernel, Weideman's rational
+The scaled error function rests on one numpy kernel, Weideman's rational
 approximation of the Faddeeva function (J. A. C. Weideman, "Computation
 of the complex error function", SIAM J. Numer. Anal. 31 (1994)
 1497-1518), with N = 40 terms.  Its degree-39 polynomial is evaluated in
@@ -171,51 +171,6 @@ def erfcx(z):
         with np.errstate(over="ignore", invalid="ignore"):
             block[left] = 2.0 * np.exp(xl * xl) - block[left]
     return _finite(out.reshape(z.shape), "erfcx")
-
-
-# coefficients of the erf Maclaurin series 2/sqrt(pi) (-1)^n / (n! (2n+1)),
-# highest order first; 24 terms reach rounding for |z| <= 0.5
-_ERF_SERIES = tuple(
-    2.0 / SQRT_PI * (-1.0) ** n / (factorial(n) * (2 * n + 1)) for n in range(23, -1, -1)
-)
-
-
-def erf_complex(z):
-    """Error function on the complex plane.
-
-    Small arguments (|z| <= 0.5) use the Maclaurin series; elsewhere
-    erf(z) = 1 - e^{-z^2} erfcx(z) on Re z >= 0 and the odd reflection
-    for Re z < 0, with erfcx from the same Faddeeva kernel.  On the
-    imaginary axis erf is purely imaginary, and its real part is set to an
-    exact 0 there instead of the rounding left by 1 - e^{-z^2} erfcx(z).
-
-    Raises EvaluationOverflow where |erf z| leaves the double range.
-    """
-    z = np.asarray(z, dtype=complex)
-    flat = z.reshape(-1)
-    out = np.empty_like(flat)
-    small = np.abs(flat) <= 0.5
-    if small.any():
-        zs = flat[small]
-        z2 = zs * zs
-        acc = np.full_like(zs, _ERF_SERIES[0])
-        for c in _ERF_SERIES[1:]:
-            acc = acc * z2 + c
-        out[small] = acc * zs
-    big = ~small
-    if big.any():
-        zb = flat[big]
-        left = zb.real < 0.0
-        zb = np.where(left, -zb, zb)
-        # e^{-z^2} in two halves: e^{-z^2} itself overflows up to Re(-z^2)
-        # ~ 709 + log(|z| sqrt(pi)) before erfcx(z) ~ 1/(z sqrt(pi)) brings
-        # the product back into range; what still overflows is |erf z|
-        with np.errstate(over="ignore", invalid="ignore"):
-            h = np.exp(-0.5 * (zb * zb))
-            val = 1.0 - h * (h * erfcx(zb))
-        out[big] = np.where(left, -val, val)
-    out.real[flat.real == 0.0] = 0.0
-    return _finite(out.reshape(z.shape), "erf")
 
 
 def pt_kernel_term(t, z):

@@ -11,14 +11,14 @@ oracle-value assertions in test_evolve.py for the verified behavior.
 import mpmath as mp
 import numpy as np
 
-from supershift_lab.contour_quad import (
-    GrowthWitness,
+from supershift_lab.contour_quad import GrowthWitness, rotated_integral
+from supershift_lab.crosschecks import (
+    analyticity_probe,
     epsilon_regularized_integral,
-    rotated_integral,
     truncated_integral,
+    wronskian_drift,
 )
 from supershift_lab.evolve import (
-    analyticity_probe,
     continuous_dependence_check,
     initial_limit_check,
     schrodinger_residual_field,
@@ -34,7 +34,7 @@ from supershift_lab.initial_data import (
     superosc_signal,
     weighted_sup_distance,
 )
-from supershift_lab.ode_coeff import solve_electric, solve_harmonic, wronskian_drift
+from supershift_lab.ode_coeff import solve_electric, solve_harmonic
 from supershift_lab.oracles import (
     legendre_sum_residual,
     pt_kernel_term_derivatives,

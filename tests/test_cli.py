@@ -141,6 +141,11 @@ class TestExitCodes:
             (["evolve", "--potential", "pt:l=2,m=1"], {}),
             (["evolve", "--initial", "plane:kappa=5"], {}),
             (["evolve", "--initial", "superosc:n=10,kappa=3"], {}),
+            # inline counts follow the config's rule: integral floats only
+            (["evolve", "--potential", "pt:l=2.5"], {}),
+            (["evolve", "--initial", "superosc:n=10.5"], {}),
+            (["supershift", "--n", "10.5"], {}),
+            (["supershift", "--n", "10,nan"], {}),
         ],
     )
     def test_non_finite_number_is_usage_error(self, tmp_path, outdir, capsys, argv, doc):
@@ -222,6 +227,29 @@ class TestExitCodes:
         assert run(["evolve", "--config", str(cfg), "--output", outdir]) == 0
         with open(os.path.join(outdir, "run_field.csv")) as fh:
             assert len(fh.read().splitlines()) == 1 + 2 * 3
+
+    @pytest.mark.parametrize(
+        "argv, count",
+        [
+            (["greens-audit", "--potential", "pt:l={}"], "2"),
+            (["evolve", "--potential", "free", "--initial", "superosc:n={}"], "10"),
+            (["supershift", "--potential", "free", "--n", "{}"], "10"),
+        ],
+    )
+    def test_integral_float_inline_counts_accepted(self, tmp_path, argv, count):
+        # an inline count of 2.0 or 10.0 runs the experiment of 2 or 10:
+        # the same output bytes, and the same manifest but for its timestamp
+        # (both runs write to one directory, which the config digest covers)
+        out, outputs = tmp_path / "out", []
+        for text in (count, count + ".0"):
+            assert run([a.format(text) for a in argv] + ["--output", str(out)]) == 0
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            if "run_manifest.json" in files:
+                manifest = json.loads(files.pop("run_manifest.json"))
+                assert manifest.pop("created")
+                files["run_manifest.json"] = manifest
+            outputs.append(files)
+        assert len(outputs[0]) >= 1 and outputs[0] == outputs[1]
 
     def test_missing_potential_kind_is_usage_error(self, tmp_path, outdir):
         cfg = tmp_path / "bad.json"

@@ -14,7 +14,8 @@ import tracemalloc
 
 import numpy as np
 
-from supershift_lab.contour_quad import GrowthWitness, epsilon_regularized_integral
+from supershift_lab.contour_quad import GrowthWitness
+from supershift_lab.crosschecks import epsilon_regularized_integral
 from supershift_lab.initial_data import HolomorphicSignal
 from supershift_lab.oracles import jost_datum
 

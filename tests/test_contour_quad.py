@@ -20,26 +20,29 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from supershift_lab import contour_quad
+from supershift_lab import contour_quad, crosschecks
 from supershift_lab.contour_quad import (
-    _GK61,
-    _REAL_PHASE_BUDGET,
     GrowthWitness,
     QuadratureResult,
-    _cluster_edges,
     _log_gaussian_tail,
-    _quadratic_phase_edges,
     _split_panels,
     _symmetric_cluster,
-    epsilon_regularized_integral,
     rotated_integral,
-    truncated_integral,
     truncation_radius,
+)
+from supershift_lab.crosschecks import (
+    _GK61,
+    _REAL_PHASE_BUDGET,
+    _cluster_edges,
+    _quadratic_phase_edges,
+    epsilon_regularized_integral,
+    erf_complex,
+    truncated_integral,
 )
 from supershift_lab.errors import EvaluationOverflow, PanelExhausted
 from supershift_lab.evolve import wavefunction_result
 from supershift_lab.initial_data import HolomorphicSignal, plane_wave
-from supershift_lab.special_fn import SQRT_PI, erf_complex
+from supershift_lab.special_fn import SQRT_PI
 
 FRESNEL = np.sqrt(np.pi) * np.exp(1j * np.pi / 4)
 
@@ -331,10 +334,10 @@ class TestPanelRules:
         # the provenance of the hard-coded qk61 table: every entry is the
         # double nearest the 60-digit construction
         xgk, wgk, xg, wg = _kronrod_table_mp()
-        assert np.array_equal(contour_quad._XGK, [float(v) for v in xgk])
-        assert np.array_equal(contour_quad._XGK[1::2], [float(v) for v in xg])
-        assert np.array_equal(contour_quad._WGK, [float(v) for v in wgk])
-        assert np.array_equal(contour_quad._WG, [float(v) for v in wg])
+        assert np.array_equal(crosschecks._XGK, [float(v) for v in xgk])
+        assert np.array_equal(crosschecks._XGK[1::2], [float(v) for v in xg])
+        assert np.array_equal(crosschecks._WGK, [float(v) for v in wgk])
+        assert np.array_equal(crosschecks._WG, [float(v) for v in wg])
 
 
 class TestRotatedIntegral:
@@ -481,7 +484,7 @@ class TestEpsilonRegularized:
     def test_panel_budget_applies_to_seeding(self, monkeypatch):
         # the comparators' panel budget guards the equal-phase seeding
         # itself, before any edge is allocated
-        monkeypatch.setattr(contour_quad, "_REAL_MAX_PANELS", 100)
+        monkeypatch.setattr(crosschecks, "_REAL_MAX_PANELS", 100)
         with pytest.raises(PanelExhausted, match="seeding"):
             epsilon_regularized_integral(ONE_IM, 1.0, 0.0, 0.0, 1e-4, tol=1e-8)
         # a * 10^2 / _REAL_PHASE_BUDGET = 1000 panels on each side of y1
@@ -490,9 +493,9 @@ class TestEpsilonRegularized:
         assert per_side == 1000.0
         n = int(2 * per_side)
         args = (-10.0, 10.0, 0.0, a, 0.0, 1.0)
-        monkeypatch.setattr(contour_quad, "_REAL_MAX_PANELS", n)
+        monkeypatch.setattr(crosschecks, "_REAL_MAX_PANELS", n)
         assert len(_quadratic_phase_edges(*args)) > n
-        monkeypatch.setattr(contour_quad, "_REAL_MAX_PANELS", n - 1)
+        monkeypatch.setattr(crosschecks, "_REAL_MAX_PANELS", n - 1)
         with pytest.raises(PanelExhausted, match="seeding"):
             _quadratic_phase_edges(*args)
 
@@ -509,7 +512,7 @@ class TestEpsilonRegularized:
             calls.append((len(edges) - 1, out[3]))
             return out
 
-        monkeypatch.setattr(contour_quad, "_adaptive_panels", adaptive)
+        monkeypatch.setattr(crosschecks, "_adaptive_panels", adaptive)
         for kernel in (free_kernel, pt1_kernel):
             sizes = []
             calls.clear()
@@ -602,7 +605,10 @@ class TestBatchCap:
                 passes.append(adaptive_panels(counted, edges, *args))
                 return passes[-1]
 
+            # the rotated route looks the name up here, the real-line ones
+            # in crosschecks
             monkeypatch.setattr(contour_quad, "_adaptive_panels", adaptive)
+            monkeypatch.setattr(crosschecks, "_adaptive_panels", adaptive)
             result = run()
             out.append((passes, len(calls), result))
         return out

@@ -17,10 +17,13 @@ import numpy as np
 import pytest
 
 from supershift_lab import contour_quad, ode_coeff
-from supershift_lab.contour_quad import epsilon_regularized_integral
+from supershift_lab.crosschecks import (
+    analyticity_probe,
+    epsilon_regularized_integral,
+    truncated_integral,
+)
 from supershift_lab.errors import HorizonExceeded
 from supershift_lab.evolve import (
-    analyticity_probe,
     continuous_dependence_check,
     initial_limit_check,
     schrodinger_residual_field,
@@ -120,7 +123,7 @@ class TestWavefunction:
     def test_truncated_equivalence_free(self, free_kernel):
         # imag-bounded initial datum on the free particle: symmetric
         # truncations approach the rotated value
-        from supershift_lab.contour_quad import GrowthWitness, truncated_integral
+        from supershift_lab.contour_quad import GrowthWitness
         from supershift_lab.initial_data import HolomorphicSignal
 
         t, x = 0.4, 0.2

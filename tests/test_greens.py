@@ -12,11 +12,8 @@ import numpy as np
 import pytest
 
 from supershift_lab import greens, special_fn
-from supershift_lab.contour_quad import (
-    GrowthWitness,
-    epsilon_regularized_integral,
-    rotated_integral,
-)
+from supershift_lab.contour_quad import GrowthWitness, rotated_integral
+from supershift_lab.crosschecks import epsilon_regularized_integral
 from supershift_lab.errors import HorizonExceeded
 from supershift_lab.greens import (
     Electric,

@@ -5,15 +5,21 @@ Importing ``scipy.special`` costs 0.3-0.4 s and ~25 MB, ``scipy.integrate``
 benchmark's ``setup_s`` and ``peak_rss_mb`` and in every CLI run.  This
 test pins that the import (``supershift_lab.oracles`` included), the four
 kernel builds, one grid point per kernel, one real-line comparator call
-and one point each of the three grid experiments (supershift distances,
-continuous dependence with its initial-data metric, the initial-value
-limit) load none of them: scipy stays a lazy import of the CLI's
-``table`` spline, and mpmath one of the extended-precision sums in
-``oracles``, the only module that imports it.  ``initial_data`` and
-``oracles`` import each other, so each of the two, and ``evolve``, which
-``oracles`` uses, must also import cleanly when it comes first; so must
-``greens``, which imports ``contour_quad`` for the ``GrowthWitness`` its
-kernels return.
+(from ``supershift_lab.crosschecks``) and one point each of the three
+grid experiments (supershift distances, continuous dependence with its
+initial-data metric, the initial-value limit) load none of them: scipy
+stays a lazy import of the CLI's ``table`` spline, and mpmath one of the
+extended-precision sums in ``oracles``, the only module that imports it.
+``initial_data`` and ``oracles`` import each other, so each of the two,
+and ``evolve``, which ``oracles`` uses, must also import cleanly when it
+comes first; so must ``greens``, which imports ``contour_quad`` for the
+``GrowthWitness`` its kernels return, and ``crosschecks``, which imports
+the runtime modules.
+
+``crosschecks`` holds second routes and checks that the run path never
+calls, so neither the package import nor a CLI run loads it.
+``contour_quad`` still hands out its ε comparator by name, and nothing
+else of ``crosschecks``.
 """
 
 import ast
@@ -31,7 +37,7 @@ SCRIPT = """
 import sys
 import supershift_lab
 import supershift_lab.oracles
-from supershift_lab.contour_quad import epsilon_regularized_integral
+from supershift_lab.crosschecks import epsilon_regularized_integral
 from supershift_lab.evolve import (
     continuous_dependence_check,
     initial_limit_check,
@@ -105,7 +111,29 @@ def test_only_oracles_imports_mpmath():
     assert [p.name for p in modules if _imports_mpmath(p)] == ["oracles.py"]
 
 
-@pytest.mark.parametrize("module", ["oracles", "initial_data", "evolve", "greens"])
+@pytest.mark.parametrize("module", ["oracles", "initial_data", "evolve", "greens", "crosschecks"])
 def test_module_imports_first(module):
     out = _run(f"import supershift_lab.{module} as m; print(m.__name__)")
     assert out.split() == [f"supershift_lab.{module}"]
+
+
+def test_run_path_skips_crosschecks(tmp_path):
+    out = _run(
+        "import sys\n"
+        "import supershift_lab\n"
+        "from supershift_lab import cli\n"
+        "code = cli.main(['evolve', '--potential', 'free', '--initial', 'plane:k=3',\n"
+        f"                 '--output', {str(tmp_path / 'out')!r}])\n"
+        "assert code == 0, code\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    modules = out.split()
+    assert "supershift_lab.cli" in modules and "supershift_lab.evolve" in modules
+    assert "supershift_lab.crosschecks" not in modules
+
+
+def test_contour_quad_hands_out_only_the_comparator():
+    from supershift_lab import contour_quad, crosschecks
+
+    assert contour_quad.epsilon_regularized_integral is crosschecks.epsilon_regularized_integral
+    assert not hasattr(contour_quad, "truncated_integral")

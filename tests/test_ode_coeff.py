@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import chebyshev as cheb
 
+from supershift_lab.crosschecks import wronskian_drift
 from supershift_lab.ode_coeff import (
     QuadraticCoeffs,
     _march,
@@ -23,7 +24,6 @@ from supershift_lab.ode_coeff import (
     solve_electric,
     solve_harmonic,
     solve_quadratic,
-    wronskian_drift,
 )
 
 
