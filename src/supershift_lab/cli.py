@@ -56,7 +56,7 @@ def _parsing(what: str):
     """Report a malformed config or flag value as a usage error."""
     try:
         yield
-    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, IndexError, KeyError, OverflowError, TypeError, ValueError) as exc:
         raise _UsageError(f"invalid {what}: {exc!r}") from None
 
 
@@ -81,7 +81,10 @@ DEFAULTS = {
 
 
 def _finite(value) -> float:
-    """float(value); nan and the infinities are refused as malformed."""
+    """An int or a float, as a float; booleans, strings, nan and the
+    infinities are refused as malformed."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{value!r} is not a number")
     v = float(value)
     if not np.isfinite(v):
         raise ValueError(f"{value!r} is not a finite number")
@@ -99,9 +102,8 @@ def _count(value) -> int:
 
 
 def _only(spec: dict, kind: str, *keys: str):
-    """Refuse the keys of a spec or inline option list that its kind does
-    not read: ignoring a mistyped key would run another experiment than
-    the one asked for."""
+    """Refuse the keys of a spec that its kind does not read: ignoring a
+    mistyped key would run another experiment than the one asked for."""
     unknown = sorted(set(spec) - set(keys))
     if unknown:
         raise ValueError(
@@ -156,46 +158,12 @@ def _potential_from_config(spec) -> object:
     raise _UsageError(f"config field 'potential.kind' missing or unknown: {kind!r}")
 
 
-def _inline(text: str) -> tuple[str, dict]:
-    """Split 'head:key=val,...' into the lower-case head and its options."""
-    head, _, rest = text.partition(":")
-    opts = {}
-    for item in filter(None, rest.split(",")):
-        key, _, val = item.partition("=")
-        opts[key.strip()] = val.strip()
-    return head.strip().lower(), opts
-
-
-def _potential_from_inline(text: str) -> dict:
-    """Parse 'free', 'harmonic:omega=1', 'electric:lambda=1', 'poschl-teller:l=2'."""
-    head, opts = _inline(text)
-    head = head.replace("_", "-")
-    if head == "free":
-        _only(opts, head)
-        return {"kind": "free"}
-    if head == "electric":
-        _only(opts, head, "lambda")
-        lam = float(opts.get("lambda", 1.0))
-        return {"kind": "electric", "lambda": {"kind": "constant", "c": lam}}
-    if head == "harmonic":
-        _only(opts, head, "omega", "lambda")
-        if "omega" in opts:
-            if "lambda" in opts:
-                raise ValueError("harmonic takes omega or lambda, not both")
-            return {"kind": "harmonic", "omega": float(opts["omega"])}
-        return {
-            "kind": "harmonic",
-            "lambda": {"kind": "constant", "c": float(opts.get("lambda", 1.0))},
-        }
-    if head in ("poschl-teller", "poschlteller", "pt"):
-        _only(opts, head, "l")
-        return {"kind": "poschl_teller", "l": _count(float(opts.get("l", 1)))}
-    raise _UsageError(f"cannot parse potential {text!r}")
-
-
 def _scalar(k):
     """A finite number, or [re, im] for a complex one."""
-    return complex(_finite(k[0]), _finite(k[1])) if isinstance(k, (list, tuple)) else _finite(k)
+    if isinstance(k, list):
+        re, im = k
+        return complex(_finite(re), _finite(im))
+    return _finite(k)
 
 
 @_parsing("initial")
@@ -221,16 +189,47 @@ def _initial_from_config(spec):
     raise _UsageError(f"config field 'initial.kind' missing or unknown: {kind!r}")
 
 
-def _initial_from_inline(text: str) -> dict:
-    head, opts = _inline(text)
-    if head in ("plane", "plane_wave"):
-        _only(opts, head, "k")
-        return {"kind": "plane_wave", "k": float(opts.get("k", 1.0))}
-    if head == "superosc":
-        _only(opts, head, "n", "k")
-        n = _count(float(opts.get("n", 10)))
-        return {"kind": "superosc", "n": n, "k": float(opts.get("k", 3.0))}
-    raise _UsageError(f"cannot parse initial condition {text!r}")
+# The spec each inline head stands for, with the keys that the inline
+# form fills in when they are left out.  A number given for lambda is a
+# constant lambda(t), and a given omega drops harmonic's default lambda.
+_INLINE = {
+    "potential": {
+        "free": {"kind": "free"},
+        "electric": {"kind": "electric", "lambda": 1.0},
+        "harmonic": {"kind": "harmonic", "lambda": 1.0},
+        "poschl-teller": {"kind": "poschl_teller", "l": 1},
+        "poschl_teller": {"kind": "poschl_teller", "l": 1},
+        "poschlteller": {"kind": "poschl_teller", "l": 1},
+        "pt": {"kind": "poschl_teller", "l": 1},
+    },
+    "initial condition": {
+        "plane": {"kind": "plane_wave", "k": 1.0},
+        "plane_wave": {"kind": "plane_wave", "k": 1.0},
+        "superosc": {"kind": "superosc", "n": 10, "k": 3.0},
+    },
+}
+
+
+def _spec_from_inline(text: str, what: str) -> dict:
+    """The spec that 'head:key=val,...' stands for; the config reader
+    checks it as it checks a spec from the config."""
+    head, _, rest = text.partition(":")
+    spec = _INLINE[what].get(head.strip().lower())
+    if spec is None:
+        raise _UsageError(f"cannot parse {what} {text!r}")
+    spec, given = dict(spec), {}
+    for item in filter(None, rest.split(",")):
+        key, _, val = item.partition("=")
+        key = key.strip()
+        if key in given:
+            raise ValueError(f"{key!r} given twice")
+        given[key] = _count(float(val)) if key in ("l", "n") else float(val)
+    if "omega" in given:
+        spec.pop("lambda", None)
+    spec.update(given)
+    if "lambda" in spec:
+        spec["lambda"] = {"kind": "constant", "c": spec["lambda"]}
+    return spec
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -261,9 +260,9 @@ def _load_config(args) -> dict:
             raise _UsageError(f"{section} must be an object, got {cfg[section]!r}")
     with _parsing("option"):
         if getattr(args, "potential", None):
-            cfg["potential"] = _potential_from_inline(args.potential)
+            cfg["potential"] = _spec_from_inline(args.potential, "potential")
         if getattr(args, "initial", None):
-            cfg["initial"] = _initial_from_inline(args.initial)
+            cfg["initial"] = _spec_from_inline(args.initial, "initial condition")
         if getattr(args, "n_values", None):
             cfg["supershift"]["n_values"] = [_count(float(v)) for v in args.n_values.split(",")]
         if getattr(args, "kappa", None) is not None:
@@ -295,7 +294,8 @@ def _check_quadrature(spec):
 
 def _grid_axis(spec) -> np.ndarray:
     with _parsing(f"grid axis {spec!r} (expected [lo, hi, n >= 1])"):
-        lo, hi, n = _finite(spec[0]), _finite(spec[1]), _count(spec[2])
+        lo, hi, n = spec
+        lo, hi, n = _finite(lo), _finite(hi), _count(n)
         if n < 1:
             raise ValueError(f"{n} points")
     return np.linspace(lo, hi, n)
@@ -383,9 +383,15 @@ def _grid(cfg: dict, kernel):
     return ts, xs
 
 
+def _initial(cfg: dict):
+    """The initial signal; a config without one runs, and records, the
+    plane wave k = 3.0."""
+    return _initial_from_config(cfg.setdefault("initial", {"kind": "plane_wave", "k": 3.0}))
+
+
 def run_evolve(cfg: dict) -> int:
     kernel = _build_kernel(cfg)
-    signal = _initial_from_config(cfg.get("initial", {"kind": "plane_wave", "k": 3.0}))
+    signal = _initial(cfg)
     ts, xs = _grid(cfg, kernel)
     field = wavefield(kernel, signal, ts, xs, tol=cfg["quadrature"]["tol"])
     _atomic_write(_out_path(cfg, "field.csv"), field_csv(field))
@@ -432,7 +438,7 @@ def run_supershift(cfg: dict) -> int:
 
 def run_verify(cfg: dict) -> int:
     kernel = _build_kernel(cfg)
-    signal = _initial_from_config(cfg.get("initial", {"kind": "plane_wave", "k": 3.0}))
+    signal = _initial(cfg)
     vf = cfg["verify"]
     with _parsing("verify"):
         res_threshold = _finite(vf["residual_threshold"])
@@ -473,7 +479,7 @@ def run_verify(cfg: dict) -> int:
         }
     )
 
-    if cfg["potential"]["kind"] == "free" and cfg.get("initial", {}).get("kind") == "plane_wave":
+    if cfg["potential"]["kind"] == "free" and cfg["initial"]["kind"] == "plane_wave":
         kappa = _scalar(cfg["initial"]["k"])
         ts, xs = np.meshgrid(np.linspace(0.1, 1.0, 5), np.linspace(-3.0, 3.0, 7), indexing="ij")
         fld = wavefield(kernel, signal, ts[:, 0], xs[0], tol=1e-10)
@@ -516,7 +522,8 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config path")
         p.add_argument("--potential", help="inline potential, e.g. harmonic:omega=1")
-        p.add_argument("--initial", help="inline initial datum, e.g. plane:k=3")
+        if name in ("evolve", "verify"):
+            p.add_argument("--initial", help="inline initial datum, e.g. plane:k=3")
         p.add_argument("--tol", type=float, help="quadrature tolerance")
         p.add_argument("--output", help="output directory")
         p.add_argument("--prefix", help="output file prefix")

@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -28,14 +29,16 @@ def outdir(tmp_path):
 
 class TestExitCodes:
     def test_verify_free_plane_wave_passes(self, outdir):
-        code = run(
-            ["verify", "--potential", "free", "--initial", "plane:k=3", "--output", outdir]
-        )
-        assert code == 0
-        doc = json.loads(open(os.path.join(outdir, "run_verify.json")).read())
-        assert doc["pass"] is True
-        names = [c["name"] for c in doc["checks"]]
-        assert "free_plane_wave_closed_form" in names
+        # without a datum, verify runs the default plane wave k = 3 and
+        # compares it with its closed form as for an explicit one
+        for initial in (["--initial", "plane:k=3"], []):
+            code = run(["verify", "--potential", "free", *initial, "--output", outdir])
+            assert code == 0
+            doc = json.loads(open(os.path.join(outdir, "run_verify.json")).read())
+            assert doc["pass"] is True
+            assert doc["initial"] == "plane:k=3"
+            names = [c["name"] for c in doc["checks"]]
+            assert "free_plane_wave_closed_form" in names
 
     def test_verify_complex_plane_wave_passes(self, tmp_path, outdir):
         # k = [re, im]: the closed-form check compares with e^{i k x - i k^2 t}
@@ -146,6 +149,23 @@ class TestExitCodes:
             (["evolve", "--initial", "superosc:n=10.5"], {}),
             (["supershift", "--n", "10.5"], {}),
             (["supershift", "--n", "10,nan"], {}),
+            # a number is a JSON number: booleans and numeric strings are refused
+            (["evolve"], {"potential": {"kind": "harmonic", "omega": True}}),
+            (["evolve"], {"initial": {"kind": "plane_wave", "k": True}}),
+            (["evolve"], {"initial": {"kind": "plane_wave", "k": "2"}}),
+            (["supershift"], {"supershift": {"kappa": "2"}}),
+            (["evolve"], {"grid": {"t": ["0.2", 0.3, 2]}}),
+            (["evolve"], {"grid": {"t": [True, 0.3, 2]}}),
+            (["evolve"], {"potential": {"kind": "harmonic", "omega": 10**400}}),
+            # an axis has exactly 3 entries, a complex k exactly 2
+            (["evolve"], {"grid": {"t": [0.2, 0.3, 2, 99]}}),
+            (["evolve"], {"grid": {"x": [-1.0, 1.0]}}),
+            (["evolve"], {"initial": {"kind": "plane_wave", "k": [1, 2, 3]}}),
+            (["evolve"], {"initial": {"kind": "plane_wave", "k": [1]}}),
+            # an inline key given twice is refused, not overwritten
+            (["evolve", "--potential", "pt:l=2,l=3"], {}),
+            (["evolve", "--potential", "harmonic:lambda=1,lambda=2"], {}),
+            (["evolve", "--initial", "plane:k=1,k=2"], {}),
         ],
     )
     def test_non_finite_number_is_usage_error(self, tmp_path, outdir, capsys, argv, doc):
@@ -177,15 +197,20 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, doc, message",
         [
-            ([], {"potential": {"kind": "electric", "lambda": {"kind": "ramp"}}},
+            (["evolve"], {"potential": {"kind": "electric", "lambda": {"kind": "ramp"}}},
              "unknown lambda kind 'ramp'"),
-            (["--potential", "warp"], {}, "cannot parse potential 'warp'"),
-            (["--potential", "free", "--initial", "gauss:k=1"], {},
+            (["evolve", "--potential", "warp"], {}, "cannot parse potential 'warp'"),
+            (["evolve", "--potential", "free", "--initial", "gauss:k=1"], {},
              "cannot parse initial condition 'gauss:k=1'"),
-            ([], {"potential": {"kind": "free"}, "initial": {"kind": "gauss"}},
+            (["evolve"], {"potential": {"kind": "free"}, "initial": {"kind": "gauss"}},
              "config field 'initial.kind' missing or unknown: 'gauss'"),
-            ([], {}, "missing required field: potential"),
-            ([], None, "config file not found"),
+            (["evolve"], {}, "missing required field: potential"),
+            (["evolve"], None, "config file not found"),
+            # commands that read no initial datum take no --initial
+            (["supershift", "--initial", "plane:k=3"], {"potential": {"kind": "free"}},
+             "unrecognized arguments"),
+            (["greens-audit", "--initial", "plane:k=3"], {"potential": {"kind": "free"}},
+             "unrecognized arguments"),
         ],
     )
     def test_unknown_or_missing_input_is_usage_error(self, tmp_path, outdir, capsys, argv, doc,
@@ -194,7 +219,7 @@ class TestExitCodes:
         cfg = tmp_path / "cfg.json"
         if doc is not None:
             cfg.write_text(json.dumps(doc))
-        assert run(["evolve", *argv, "--config", str(cfg), "--output", outdir]) == 1
+        assert run([*argv, "--config", str(cfg), "--output", outdir]) == 1
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not os.path.exists(outdir)
 
@@ -243,13 +268,39 @@ class TestExitCodes:
         out, outputs = tmp_path / "out", []
         for text in (count, count + ".0"):
             assert run([a.format(text) for a in argv] + ["--output", str(out)]) == 0
-            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-            if "run_manifest.json" in files:
-                manifest = json.loads(files.pop("run_manifest.json"))
-                assert manifest.pop("created")
-                files["run_manifest.json"] = manifest
-            outputs.append(files)
+            outputs.append(_outputs(out))
         assert len(outputs[0]) >= 1 and outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize(
+        "flag, inline, spec",
+        [
+            ("--potential", "free", {"kind": "free"}),
+            ("--potential", "electric",
+             {"kind": "electric", "lambda": {"kind": "constant", "c": 1.0}}),
+            ("--potential", "harmonic:omega=1", {"kind": "harmonic", "omega": 1.0}),
+            ("--potential", "pt:l=2.0", {"kind": "poschl_teller", "l": 2}),
+            ("--initial", "superosc", {"kind": "superosc", "n": 10, "k": 3.0}),
+            ("--initial", "plane", {"kind": "plane_wave", "k": 1.0}),
+        ],
+    )
+    def test_inline_option_is_its_config_spec(self, tmp_path, flag, inline, spec):
+        # an inline option runs, and records, the spec it stands for: the
+        # same output bytes, and the same manifest but for its timestamp
+        key = flag.lstrip("-")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: spec}))
+        common = ["--output", str(tmp_path / "out")]
+        if key == "initial":
+            common += ["--potential", "free"]
+        assert run(["evolve", flag, inline, *common]) == 0
+        by_option = _outputs(tmp_path / "out")
+        assert run(["evolve", "--config", str(cfg), *common]) == 0
+        assert _outputs(tmp_path / "out") == by_option
+        manifest = json.loads((tmp_path / "out" / "run_manifest.json").read_text())
+        assert manifest[key] == spec
+        # a run without a datum records the plane wave k = 3 that it ran
+        if key == "potential":
+            assert manifest["initial"] == {"kind": "plane_wave", "k": 3.0}
 
     def test_missing_potential_kind_is_usage_error(self, tmp_path, outdir):
         cfg = tmp_path / "bad.json"
@@ -637,9 +688,36 @@ class TestInlineSpecs:
             command = json.loads(block)["experiment"]
             cfg = cli._load_config(cli._build_parser().parse_args([command, "--config", str(path)]))
             cli._potential_from_config(cfg["potential"])
-            cli._initial_from_config(cfg.get("initial", {"kind": "plane_wave", "k": 3.0}))
+            cli._initial(cfg)
             for axis in ("t", "x"):
                 cli._grid_axis(cfg["grid"][axis])
+
+    def test_readme_inline_examples_load(self):
+        # every inline example of README's CLI section parses and builds
+        # its specs, so the documented heads cannot drift from the table
+        text = (SRC.parent / "README.md").read_text(encoding="utf-8")
+        section = text.split("\n## CLI", 1)[1].split("\n## ", 1)[0]
+        [block] = re.findall(r"```bash\n(.*?)```", section, re.S)
+        lines = [line for line in block.splitlines() if "--config" not in line]
+        assert len(lines) >= 5
+        for line in lines:
+            prog, *argv = shlex.split(line)
+            assert prog == "supershift-lab"
+            cfg = cli._load_config(cli._build_parser().parse_args(argv))
+            cli._potential_from_config(cfg["potential"])
+            cli._initial(cfg)
+
+
+def _outputs(out: Path) -> dict:
+    """The bytes of an output directory's files; a manifest's lines but
+    its timestamp line."""
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    if "run_manifest.json" in files:
+        lines = files["run_manifest.json"].splitlines()
+        kept = [line for line in lines if not line.lstrip().startswith(b'"created"')]
+        assert len(kept) == len(lines) - 1
+        files["run_manifest.json"] = kept
+    return files
 
 
 def _blas_env(threads: str) -> dict:
