@@ -9,6 +9,10 @@ Gauss-Legendre panels with a 7-point Gauss-Legendre estimate converge
 quickly.  The real-line comparators that reproduce the same value live in
 ``crosschecks`` and share the panel layer (``_panel_sums``,
 ``_adaptive_panels``) with their own rule.
+
+A stack of signals with one growth witness (``initial_data.signal_stack``)
+integrates as one integrand whose values carry a leading signal axis: each
+signal gets its own value and estimate from the same panels.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from .special_fn import SQRT_PI, erfcx
 # threshold, so freeing them does not hand the heap top back to the OS to
 # be faulted in again by the next pass (with calls of 7k nodes and more, a
 # comparator run spends a fifth to a quarter of its CPU time in those page
-# faults; scan in CHANGES.md)
+# faults; scan in CHANGES.md).  The kernel of a stack's integrand is one such
+# row; its signal values are one row per signal.
 _BATCH_NODES = 4096
 # panel budget of one rotated evaluation
 _MAX_PANELS = 4000
@@ -51,9 +56,10 @@ class _PanelRule:
 
     def estimate(self, f, v, half):
         """Per-panel error estimates of the panel values v, from the
-        integrand values f (one row per panel) and the panel half-widths:
-        the raw difference |v - embedded value|."""
-        return np.abs(v - (f[:, -len(self.embedded) :] * self.embedded).sum(axis=1) * half)
+        integrand values f (one row per panel, after the leading signal
+        axis of a stack) and the panel half-widths: the raw difference
+        |v - embedded value|."""
+        return np.abs(v - (f[..., -len(self.embedded) :] * self.embedded).sum(axis=-1) * half)
 
 
 _X15, _W15 = leggauss(15)
@@ -100,13 +106,17 @@ class GrowthWitness:
 class QuadratureResult:
     """Value of one rotated-contour evaluation and what it cost.
 
+    value, err_estimate   one array entry per signal for a stack of signals
     nodes   integrand evaluations over all panel sums
     rounds  refinement rounds after the seeding pass; a pass of up to 186
             panels (``_BATCH_NODES`` // 22) is one integrand call
+
+    The radius, panels, nodes and rounds of a stack are shared by its
+    signals.
     """
 
-    value: complex
-    err_estimate: float
+    value: complex | np.ndarray
+    err_estimate: float | np.ndarray
     truncation_radius: float
     panels_used: int
     nodes: int
@@ -219,7 +229,8 @@ def _panel_sums(g, lows, highs, rule):
     (``_SEED_PANELS``); the largest measured on the benchmark grids is 46
     panels (1,012 nodes, a sech^2-well seed on ``plane-field``).  Panels
     are independent, so no value or estimate depends on where a pass is
-    split.
+    split.  The values and estimates of a stack keep its leading signal
+    axis.
     """
     m = len(rule.nodes)
     chunk = max(1, _BATCH_NODES // m)
@@ -232,20 +243,34 @@ def _panel_sums(g, lows, highs, rule):
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         x = mid[:, None] + half[:, None] * rule.nodes[None, :]
-        f = g(x.ravel()).reshape(x.shape)
-        v = (f[:, : len(rule.weights)] * rule.weights).sum(axis=1) * half
-        vals[s : s + chunk] = v
-        err[s : s + chunk] = rule.estimate(f, v, half)
+        f = g(x.ravel())
+        f = f.reshape(f.shape[:-1] + x.shape)
+        v = (f[..., : len(rule.weights)] * rule.weights).sum(axis=-1) * half
+        if v.ndim > vals.ndim:  # a stack: its signal axis before the panels
+            vals = np.empty(v.shape[:-1] + (n,), dtype=complex)
+            err = np.empty(vals.shape)
+        vals[..., s : s + chunk] = v
+        err[..., s : s + chunk] = rule.estimate(f, v, half)
     if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(err))):
         raise EvaluationOverflow("quadrature integrand produced non-finite values")
     return vals, err
 
 
+def _per_signal(total):
+    """A sum over the panels as returned: a Python number for one signal,
+    the array of one per signal for a stack."""
+    return total if total.ndim else total.item()
+
+
 def _adaptive_panels(g, edges, tol, budget, rule):
     """Bisect offender panels per round until the summed estimate meets tol.
 
-    Returns (value, error estimate, panels, integrand nodes, refinement
-    rounds); every round is one ``_panel_sums`` call after the seeding one.
+    For a stack every signal's summed estimate must meet tol: a panel is
+    bisected where any signal's estimate misses its share, and the
+    stagnation test watches the largest per-signal total.  Returns (value,
+    error estimate, panels, integrand nodes, refinement rounds), value and
+    estimate per signal (``_per_signal``); every round is one
+    ``_panel_sums`` call after the seeding one.
     """
     edges = np.asarray(edges, dtype=float)
     lows, highs = edges[:-1].copy(), edges[1:].copy()
@@ -258,7 +283,8 @@ def _adaptive_panels(g, edges, tol, budget, rule):
 
     err_history = []
     for _ in range(64):
-        total_err = float(errs.sum())
+        totals = errs.sum(axis=-1)
+        total_err = float(max(totals.flat))
         if total_err <= tol:
             break
         err_history.append(total_err)
@@ -266,40 +292,44 @@ def _adaptive_panels(g, edges, tol, budget, rule):
             # refinement no longer reduces the estimate: the panel sums are
             # rounding-limited.  sum |v_p| / |sum v_p| measures how much the
             # panel values of the last pass cancel, whatever the cause
-            cancel = float(np.abs(vals).sum()) / max(abs(vals.sum()), _TINY)
+            worst = vals.reshape(-1, len(lows))[int(np.argmax(totals))]
+            cancel = float(np.abs(worst).sum()) / max(abs(worst.sum()), _TINY)
             raise PanelExhausted(
                 f"error estimate stagnated at {total_err:.3e}: the panel values "
                 f"cancel by a factor {cancel:.1e} (sum |v_p| / |sum v_p|)",
-                value=complex(vals.sum()),
-                err_estimate=total_err,
+                value=_per_signal(vals.sum(axis=-1)),
+                err_estimate=_per_signal(totals),
             )
         share = tol / len(lows)
-        bad = errs > share
-        if not bad.any():
+        bad = (errs > share).reshape(-1, len(lows)).any(axis=0)
+        n_bad = np.count_nonzero(bad)
+        if not n_bad:
             break
-        if len(lows) + int(bad.sum()) > budget:
+        if len(lows) + n_bad > budget:
             raise PanelExhausted(
                 f"panel budget {budget} exhausted at error {total_err:.3e}",
-                value=complex(vals.sum()),
-                err_estimate=total_err,
+                value=_per_signal(vals.sum(axis=-1)),
+                err_estimate=_per_signal(totals),
             )
+        keep = ~bad
         mid = 0.5 * (lows[bad] + highs[bad])
         new_lo = np.concatenate([lows[bad], mid])
         new_hi = np.concatenate([mid, highs[bad]])
         new_vals, new_errs = _panel_sums(g, new_lo, new_hi, rule)
         nodes += len(new_lo) * len(rule.nodes)
         rounds += 1
-        lows = np.concatenate([lows[~bad], new_lo])
-        highs = np.concatenate([highs[~bad], new_hi])
-        vals = np.concatenate([vals[~bad], new_vals])
-        errs = np.concatenate([errs[~bad], new_errs])
+        lows = np.concatenate([lows[keep], new_lo])
+        highs = np.concatenate([highs[keep], new_hi])
+        vals = np.concatenate([vals[..., keep], new_vals], axis=-1)
+        errs = np.concatenate([errs[..., keep], new_errs], axis=-1)
     else:
+        totals = errs.sum(axis=-1)
         raise PanelExhausted(
-            f"no convergence after 64 refinement rounds (err {float(errs.sum()):.3e})",
-            value=complex(vals.sum()),
-            err_estimate=float(errs.sum()),
+            f"no convergence after 64 refinement rounds (err {float(max(totals.flat)):.3e})",
+            value=_per_signal(vals.sum(axis=-1)),
+            err_estimate=_per_signal(totals),
         )
-    return complex(vals.sum()), float(errs.sum()), len(lows), nodes, rounds
+    return _per_signal(vals.sum(axis=-1)), _per_signal(totals), len(lows), nodes, rounds
 
 
 def _symmetric_cluster(radius, sigma):
@@ -329,6 +359,15 @@ def _split_panels(edges, width):
     return np.append(np.repeat(edges[:-1], k) + j * step, edges[-1])
 
 
+def _rotate(rot, value):
+    """rot * value, signal by signal in Python's complex product: numpy's
+    array product fuses multiply-adds, so a stacked signal would round
+    unlike the same signal alone."""
+    if isinstance(value, complex):
+        return rot * value
+    return np.array([rot * v for v in value.tolist()])
+
+
 def rotated_integral(
     f, *, a: float, y1: float, center: float, angle: float, tol: float
 ) -> QuadratureResult:
@@ -354,7 +393,8 @@ def rotated_integral(
     share of tol, so any phase left along the line (another angle, a
     shift off the stationary point) is resolved by refinement.  The error
     estimate combines the summed panel estimates with the certified
-    truncation tail.
+    truncation tail.  For a stack f, value and estimate are per signal,
+    in the result and in a ``PanelExhausted``.
     """
     half_tol = 0.5 * tol
     radius = truncation_radius(f.growth, a, angle, y1, half_tol, center)
@@ -374,10 +414,10 @@ def rotated_integral(
         )
     except PanelExhausted as exc:
         if exc.value is not None:  # rotate the sum over u and add the tail
-            exc.value, exc.err_estimate = rot * exc.value, exc.err_estimate + half_tol
+            exc.value, exc.err_estimate = _rotate(rot, exc.value), exc.err_estimate + half_tol
         raise
     return QuadratureResult(
-        value=rot * value,
+        value=_rotate(rot, value),
         err_estimate=err + half_tol,
         truncation_radius=radius,
         panels_used=n_panels,

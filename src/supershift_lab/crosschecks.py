@@ -106,7 +106,7 @@ class _PowerLawRule(_PanelRule):
 
     def estimate(self, f, v, half):
         d = super().estimate(f, v, half)
-        sabs = (np.abs(f[:, : len(self.weights)]) * self.weights).sum(axis=1) * half
+        sabs = (np.abs(f[..., : len(self.weights)]) * self.weights).sum(axis=-1) * half
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(sabs > 0.0, 50.0 * d / np.maximum(sabs, 1e-300), 0.0)
         return np.where((sabs > 0.0) & (ratio < 1.0), sabs * ratio**1.5, d)

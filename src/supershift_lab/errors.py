@@ -16,7 +16,8 @@ class DomainMarginError(SupershiftError):
 class PanelExhausted(SupershiftError):
     """Adaptive quadrature hit the panel budget before reaching tolerance.
 
-    Carries the best value and error estimate obtained so far.
+    Carries the best value and error estimate obtained so far (arrays with
+    one entry per signal for a stack of signals).
     """
 
     def __init__(self, message, value=None, err_estimate=None):

@@ -27,6 +27,7 @@ from .greens import GreensKernel
 from .initial_data import (
     HolomorphicSignal,
     plane_wave,
+    signal_stack,
     superosc_signal,
     weighted_sup_distance,
 )
@@ -35,7 +36,8 @@ from .initial_data import (
 def _integrand(kernel: GreensKernel, t: float, x: float, f: HolomorphicSignal):
     """gtilde * f with the product of the kernel's witness and the datum's:
     amplitudes multiply, rates and frequencies add, the shorter length
-    holds."""
+    holds.  For a signal stack the one gtilde value per node multiplies
+    every row."""
     gt = kernel.gtilde
     ev = lambda z: gt(t, x, np.asarray(z, dtype=complex)) * f.eval(z)
     gw, fw = kernel.growth(t, x), f.growth
@@ -90,7 +92,9 @@ class WaveField:
 
     radius, nodes and rounds are the per-point ``QuadratureResult``
     fields (truncation radius, integrand nodes, refinement rounds); a
-    failed point reads nan, -1 and -1.
+    failed point reads nan, -1 and -1.  For a signal stack, values and
+    quad_errors hold one plane per signal along a leading axis; the other
+    fields are shared.
     """
 
     ts: np.ndarray
@@ -119,13 +123,16 @@ def wavefield(
     point that raises a ``SupershiftError`` is recorded in ``failures``
     as ``(t, x, reason)`` instead of aborting the grid, with its value and
     error estimate taken from the exception when it carries them (nan and
-    inf otherwise).
+    inf otherwise).  A signal stack (``signal_stack``) gets one value and
+    estimate plane per signal from one contour per point.
     """
     ts = np.asarray(ts, dtype=float)
     xs = np.asarray(xs, dtype=float)
     shape = (len(ts), len(xs))
-    values = np.empty(shape, dtype=complex)
-    errors = np.empty(shape)
+    # the leading axis of a stack's values, () for a lone signal
+    lead = np.shape(f(np.empty(0, dtype=complex)))[:-1]
+    values = np.empty(lead + shape, dtype=complex)
+    errors = np.empty(lead + shape)
     radius = np.full(shape, np.nan)
     nodes = np.full(shape, -1)
     rounds = np.full(shape, -1)
@@ -134,16 +141,16 @@ def wavefield(
         for j, x in enumerate(xs):
             try:
                 r = wavefunction_result(kernel, f, float(t), float(x), tol)
-                values[i, j] = r.value
-                errors[i, j] = r.err_estimate
+                values[..., i, j] = r.value
+                errors[..., i, j] = r.err_estimate
                 radius[i, j] = r.truncation_radius
                 nodes[i, j] = r.nodes
                 rounds[i, j] = r.rounds
             except SupershiftError as exc:
                 value = getattr(exc, "value", None)
                 err = getattr(exc, "err_estimate", None)
-                values[i, j] = value if value is not None else np.nan
-                errors[i, j] = err if err is not None else np.inf
+                values[..., i, j] = value if value is not None else np.nan
+                errors[..., i, j] = err if err is not None else np.inf
                 failures.append((float(t), float(x), f"{type(exc).__name__}: {exc}"))
 
     return WaveField(
@@ -248,17 +255,30 @@ def initial_limit_check(
 def _field_distances(kernel, target, signals, t_grid, x_grid, tol):
     """d_n = max |Psi(t, x; f_n) - Psi(t, x; target)| for each (n, f_n).
 
-    One ``wavefield`` for the target and one per signal; the max runs over
-    the cells where both evaluated (nan if none).  Failed points are
-    returned as ``(n, t, x, reason)``, n None for the target.
+    One ``wavefield`` for the target, and one for each set of signals with
+    equal growth witnesses, evaluated as their ``signal_stack``: at a
+    point they share one contour and one kernel value per node.  Every F_n
+    has the same witness, so a supershift experiment evaluates two
+    fields; ``combine_signals`` approximants differ in amplitude and keep
+    one each.  The max runs over the cells where both evaluated (nan if
+    none).  Failed points are returned as ``(n, t, x, reason)``, n None
+    for the target; a failed point of a stack is listed for every n in it.
     """
+    signals = list(signals)
     ref = wavefield(kernel, target, t_grid, x_grid, tol)
+    groups: dict = {}
+    for i, (_, fn) in enumerate(signals):
+        groups.setdefault(fn.growth, []).append(i)
+    rows = [None] * len(signals)
+    for members in groups.values():
+        fld = wavefield(kernel, signal_stack([signals[i][1] for i in members]), t_grid, x_grid, tol)
+        for values, i in zip(fld.values, members):
+            rows[i] = (values, fld)
     failures = [(None, *bad) for bad in ref.failures]
     dists = []
-    for n, fn in signals:
-        fld = wavefield(kernel, fn, t_grid, x_grid, tol)
+    for (n, _), (values, fld) in zip(signals, rows):
         failures += [(n, *bad) for bad in fld.failures]
-        dists.append(_max_gap(fld.values, ref.values, (fld.nodes >= 0) & (ref.nodes >= 0)))
+        dists.append(_max_gap(values, ref.values, (fld.nodes >= 0) & (ref.nodes >= 0)))
     return dists, failures
 
 
@@ -286,10 +306,13 @@ def supershift_experiment(
 
     d_n = max over the grid of |Psi(t, x; F_n) - Psi(t, x; e^{i kappa .})|
     where F_n combines plane waves at unit-bounded frequencies; it enters
-    the integrand in its product form (see ``superosc_signal``).  A failed
-    point goes to ``failures`` as ``(n, t, x, reason)`` (n None for the
-    target) and out of d_n (nan if none is left); any failure makes
-    ``strictly_decreasing`` False.
+    the integrand in its product form (see ``superosc_signal``).  The F_n
+    share one growth witness and run as one signal stack, each order
+    converged to tol on the stack's panels; the target plane wave runs as
+    its own field (``_field_distances``).  A failed point goes to
+    ``failures`` as ``(n, t, x, reason)`` (n None for the target; every
+    order at a failed point of the stack) and out of d_n (nan if none is
+    left); any failure makes ``strictly_decreasing`` False.
     """
     distances, failures = _field_distances(
         kernel,
@@ -342,9 +365,11 @@ def continuous_dependence_check(
     the sup grid distance of the wave fields; the evolution is continuous
     in the initial data when the distances are bounded by a stable
     multiple of the metrics: the check passes when the finite ratios
-    d/m agree within a factor 3.  A failed point goes to ``failures`` as
-    ``(n, t, x, reason)`` (n None for the target) and out of the
-    distances (nan if none is left); any failure fails the check.
+    d/m agree within a factor 3.  Approximants with equal growth
+    witnesses are evaluated as one signal stack, the others and the
+    target as a field each (``_field_distances``).  A failed point goes to
+    ``failures`` as ``(n, t, x, reason)`` (n None for the target) and out
+    of the distances (nan if none is left); any failure fails the check.
     """
     metrics = [weighted_sup_distance(fn, target, c_weight, metric_samples) for fn in approximants]
     dists, failures = _field_distances(

@@ -98,6 +98,30 @@ def combine_signals(terms: list[tuple[complex, HolomorphicSignal]]):
     )
 
 
+def signal_stack(signals: list[HolomorphicSignal]) -> HolomorphicSignal:
+    """Signals with one growth witness as one signal whose values carry a
+    leading axis, one row per signal.
+
+    The witness bounds every row, so the stack integrates as one signal:
+    one contour, and one kernel value per node for all rows
+    (``contour_quad.rotated_integral``).  Raises ``ValueError`` for no
+    signals or for signals whose witnesses differ.
+    """
+    signals = list(signals)
+    if not signals:
+        raise ValueError("a signal stack needs at least one signal")
+    witness = signals[0].growth
+    if any(s.growth != witness for s in signals):
+        raise ValueError("stacked signals must share one growth witness")
+
+    def ev(z):
+        return np.stack([np.asarray(s.eval(z), dtype=complex) for s in signals])
+
+    return HolomorphicSignal(
+        eval=ev, growth=witness, label=";".join(s.label for s in signals)
+    )
+
+
 def superosc_signal(n: int, k: complex) -> HolomorphicSignal:
     """F_n(.; k) as an integrable signal, in the product form
     (cos w + i k sin w)^n with w = z/n.

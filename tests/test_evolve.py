@@ -13,6 +13,8 @@ the grids below):
   harmonic, kappa=2, [0.1,0.4]x[-1,1] (4x9):    2.910942, 1.448402, 0.657752
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,7 @@ from supershift_lab.initial_data import (
     default_weight,
     disk_samples,
     plane_wave,
+    signal_stack,
     superosc_signal,
 )
 from supershift_lab.oracles import (
@@ -509,12 +512,14 @@ class TestSupershift:
 
     def test_gaps_equal_python_abs_over_wavefield_cells(self, free_kernel):
         # criterion-9 free column: kappa = 3, x = -1, t in [0.1, 0.5]; the
-        # experiments' array gaps must round like Python's complex abs
+        # experiments' array gaps must round like Python's complex abs over
+        # the fields they evaluate: the target's and the stack of the F_n
         ts, col = np.linspace(0.1, 0.5, 5), [-1.0]
         ref = wavefield(free_kernel, plane_wave(3.0), ts, col, tol=1e-8).values
         rep = supershift_experiment(free_kernel, [10, 20, 40], 3.0, ts, col, tol=1e-8)
-        for n, d in zip([10, 20, 40], rep.distances):
-            vals = wavefield(free_kernel, superosc_signal(n, 3.0), ts, col, tol=1e-8).values
+        stack = signal_stack([superosc_signal(n, 3.0) for n in (10, 20, 40)])
+        planes = wavefield(free_kernel, stack, ts, col, tol=1e-8).values
+        for vals, d in zip(planes, rep.distances):
             assert d == max(abs(complex(v) - complex(r)) for v, r in zip(vals.flat, ref.flat))
         pw = plane_wave(3.0)
         lim = initial_limit_check(free_kernel, pw, col, ts, tol=1e-8)
@@ -541,6 +546,102 @@ class TestSupershift:
         a = wavefunction(harmonic_kernel, superosc_signal(6, 2.0), 0.25, 0.4, 1e-10)
         b = supershift_combination_direct(harmonic_kernel, 6, 2.0, 0.25, 0.4, 1e-10)
         assert abs(a - b) <= 2.0**6 * 1e-9
+
+
+class TestSignalStack:
+    def test_stack_of_one_is_bit_identical(self, free_kernel, harmonic_kernel, pt2_kernel):
+        cases = [
+            (free_kernel, superosc_signal(20, 3.0), 0.3, -1.0),
+            (free_kernel, plane_wave(3.0), 0.5, 0.4),
+            (harmonic_kernel, superosc_signal(10, 2.0), 0.4, 0.7),
+            (pt2_kernel, jost_signal(2, 2.0), 0.6, -1.1),
+            (pt2_kernel, superosc_signal(40, 2.0), 0.5, 1.0),
+        ]
+        for kernel, f, t, x in cases:
+            one = wavefunction_result(kernel, f, t, x, 1e-9)
+            stacked = wavefunction_result(kernel, signal_stack([f]), t, x, 1e-9)
+            assert stacked.value.tolist() == [one.value]
+            assert stacked.err_estimate.tolist() == [one.err_estimate]
+            shared = ("truncation_radius", "panels_used", "nodes", "rounds")
+            assert [getattr(stacked, k) for k in shared] == [getattr(one, k) for k in shared]
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            ("free_kernel", 3.0, np.linspace(0.1, 0.5, 5)),
+            ("harmonic_kernel", 2.0, np.linspace(0.1, 0.4, 4)),
+            ("pt2_kernel", 2.0, np.linspace(0.1, 0.5, 5)),
+        ],
+        ids=["free", "harmonic", "pt2"],
+    )
+    def test_stacked_values_within_estimates_of_lone_ones(self, case, request):
+        # every order meets tol on the panels of the stack, which refine
+        # wherever any order needs it
+        name, kappa, ts = case
+        kernel, xs = request.getfixturevalue(name), np.linspace(-1.0, 1.0, 9)
+        fs = [superosc_signal(n, kappa) for n in (10, 20, 40)]
+        stacked = wavefield(kernel, signal_stack(fs), ts, xs, tol=1e-8)
+        assert not stacked.failures and stacked.values.shape == (3, len(ts), 9)
+        for f, vals, errs in zip(fs, stacked.values, stacked.quad_errors):
+            alone = wavefield(kernel, f, ts, xs, tol=1e-8)
+            assert not alone.failures
+            assert np.all(errs <= 1e-8)
+            assert np.all(np.abs(vals - alone.values) <= errs + alone.quad_errors)
+
+    def test_one_kernel_call_per_stacked_integrand_batch(self, pt2_kernel):
+        calls = []
+        gtilde = pt2_kernel.gtilde
+        counted = dataclasses.replace(
+            pt2_kernel, gtilde=lambda t, x, z: calls.append(np.size(z)) or gtilde(t, x, z)
+        )
+        ts, xs = np.linspace(0.1, 0.5, 5), np.linspace(-1.0, 1.0, 9)
+        stack = signal_stack([superosc_signal(n, 2.0) for n in (10, 20, 40)])
+        fld = wavefield(counted, stack, ts, xs, tol=1e-8)
+        assert not fld.failures
+        assert len(calls) == int((fld.rounds + 1).sum())
+        assert sum(calls) == int(fld.nodes.sum())
+        # target and stack: one contour each per point; per order it was 186
+        calls.clear()
+        rep = supershift_experiment(counted, [10, 20, 40], 2.0, ts, xs, tol=1e-8)
+        assert not rep.failures and len(calls) <= 100
+
+    def test_failed_stacked_point_lists_every_order(self, pt1_kernel):
+        rep = supershift_experiment(pt1_kernel, [10, 20], 2.0, [0.3], [0.0, 4.25], tol=1e-8)
+        assert [(n, t, x) for n, t, x, _ in rep.failures] == [(10, 0.3, 4.25), (20, 0.3, 4.25)]
+        assert all(r.startswith("DomainMarginError") for *_, r in rep.failures)
+        stack = signal_stack([superosc_signal(n, 2.0) for n in (10, 20)])
+        vals = wavefield(pt1_kernel, stack, [0.3], [0.0], tol=1e-8).values[:, 0, 0]
+        ref = wavefunction(pt1_kernel, plane_wave(2.0), 0.3, 0.0, 1e-8)
+        assert rep.distances == [abs(complex(v) - ref) for v in vals]
+        assert not rep.strictly_decreasing
+
+    def test_failed_stacked_point_records_each_order(self, free_kernel, monkeypatch):
+        # a panel budget below the point's need: each order keeps its own
+        # panel sum and estimate from the exception
+        fs = [superosc_signal(n, 3.0) for n in (10, 20)]
+        with monkeypatch.context() as m:
+            m.setattr(contour_quad, "_MAX_PANELS", 10)
+            fld = wavefield(free_kernel, signal_stack(fs), [0.3], [-1.0], tol=1e-12)
+        [(_, _, reason)] = fld.failures
+        assert reason.startswith("PanelExhausted") and "budget 10" in reason
+        assert fld.quad_errors[0, 0, 0] != fld.quad_errors[1, 0, 0]
+        for f, v, e in zip(fs, fld.values[:, 0, 0], fld.quad_errors[:, 0, 0]):
+            assert abs(v - wavefunction(free_kernel, f, 0.3, -1.0, 1e-12)) <= e
+
+    def test_combined_approximants_keep_their_fields(self, free_kernel):
+        # combinations differ in their witness amplitudes: each is its own
+        # field, bit for bit the field of that approximant alone
+        pw, fn = plane_wave(3.0), superosc_signal(8, 3.0)
+        approx = [combine_signals([(c, fn), (1.0 - c, pw)]) for c in (10.0, 5.0)]
+        assert approx[0].growth != approx[1].growth
+        ts, xs = [0.3], [0.0, 0.7]
+        rep = continuous_dependence_check(
+            free_kernel, pw, approx, [1, 2], 8.0, disk_samples(2.0), ts, xs, tol=1e-8
+        )
+        ref = wavefield(free_kernel, pw, ts, xs, tol=1e-8).values
+        for f, d in zip(approx, rep.field_distances):
+            vals = wavefield(free_kernel, f, ts, xs, tol=1e-8).values
+            assert d == max(abs(complex(v) - complex(r)) for v, r in zip(vals.flat, ref.flat))
 
 
 class TestAnalyticityProbe:

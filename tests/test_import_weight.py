@@ -6,8 +6,9 @@ benchmark's ``setup_s`` and ``peak_rss_mb`` and in every CLI run.  This
 test pins that the import (``supershift_lab.oracles`` included), the four
 kernel builds, one grid point per kernel, one real-line comparator call
 (from ``supershift_lab.crosschecks``) and one point each of the three
-grid experiments (supershift distances, continuous dependence with its
-initial-data metric, the initial-value limit) load none of them: scipy
+grid experiments (supershift distances, two orders stacked on one
+contour; continuous dependence with its initial-data metric; the
+initial-value limit) load none of them: scipy
 stays a lazy import of the CLI's ``table`` spline, and mpmath one of the
 extended-precision sums in ``oracles``, the only module that imports it.
 ``initial_data`` and ``oracles`` import each other, so each of the two,
@@ -64,7 +65,7 @@ for kernel in kernels:
     assert not field.failures, field.failures
 epsilon_regularized_integral(constant_signal(), 1.0, 0.0, eps=1e-3, tol=1e-8)
 free = kernels[0]
-assert not supershift_experiment(free, [10], 3.0, [0.3], [0.4]).failures
+assert not supershift_experiment(free, [10, 20], 3.0, [0.3], [0.4]).failures
 assert not continuous_dependence_check(
     free, plane_wave(3.0), [superosc_signal(10, 3.0)], [10], default_weight(3.0),
     disk_samples(3.0), [0.3], [0.4],

@@ -16,6 +16,7 @@ from supershift_lab.initial_data import (
     default_weight,
     disk_samples,
     plane_wave,
+    signal_stack,
     superosc_signal,
     weighted_sup_distance,
 )
@@ -171,6 +172,25 @@ class TestSignals:
         # without frequencies the witness is the plain triangle inequality
         sup = combine_signals([(1.0, superosc_signal(4, 2.0)), (1.0, constant_signal())])
         assert (sup.growth.rate, sup.growth.freq) == (2.0, 0.0)
+
+    def test_signal_stack_rows_and_witness(self):
+        fs = [superosc_signal(n, 3.0) for n in (10, 20, 40)]
+        stack = signal_stack(fs)
+        assert stack.growth == fs[0].growth
+        zs = disk_samples(3.0)
+        vals = stack(zs)
+        assert vals.shape == (3, zs.size)
+        for row, f in zip(vals, fs):
+            assert np.array_equal(row, f(zs))
+        assert signal_stack(fs[:1])(zs).shape == (1, zs.size)
+
+    def test_signal_stack_refuses_empty_and_mixed_witnesses(self):
+        with pytest.raises(ValueError, match="at least one"):
+            signal_stack([])
+        with pytest.raises(ValueError, match="one growth witness"):
+            signal_stack([superosc_signal(10, 3.0), plane_wave(3.0)])
+        with pytest.raises(ValueError, match="one growth witness"):
+            signal_stack([superosc_signal(10, 3.0), superosc_signal(10, 2.0)])
 
 
 class TestMetric:
