@@ -17,8 +17,9 @@ signal gets its own value and estimate from the same panels.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -45,21 +46,34 @@ class _PanelRule:
     """A panel rule on [-1, 1] with an embedded error estimate.
 
     The value uses the first len(weights) nodes, the estimate the last
-    len(embedded) nodes.  ``estimate`` turns the two into per-panel error
-    estimates: here the raw difference, which GL-15/GL-7 uses; the
-    comparators' K-61 rule overrides it (``crosschecks._PowerLawRule``).
+    len(embedded) nodes.  ``table`` holds both weight columns for the
+    panel sums' one real product (``_panel_sums``).  ``estimate`` turns the
+    raw difference of the two sums into per-panel error estimates: GL-15/GL-7
+    returns it as it is; the comparators' K-61 rule overrides it
+    (``crosschecks._PowerLawRule``).
     """
 
     nodes: np.ndarray
     weights: np.ndarray
     embedded: np.ndarray
+    table: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def estimate(self, f, v, half):
-        """Per-panel error estimates of the panel values v, from the
-        integrand values f (one row per panel, after the leading signal
-        axis of a stack) and the panel half-widths: the raw difference
-        |v - embedded value|."""
-        return np.abs(v - (f[..., -len(self.embedded) :] * self.embedded).sum(axis=-1) * half)
+    def __post_init__(self):
+        # kron([value weights | embedded weights], I_2): rows 2j, 2j + 1 act
+        # on the real and imaginary part of node j, so the integrand values
+        # viewed as floats times this table are Re/Im of both sums
+        cols = np.zeros((len(self.nodes), 2))
+        cols[: len(self.weights), 0] = self.weights
+        cols[len(self.nodes) - len(self.embedded) :, 1] = self.embedded
+        table = np.kron(cols, np.eye(2))
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
+
+    def estimate(self, f, d, half):
+        """Per-panel error estimates from the raw differences d = |value -
+        embedded value|, the integrand values f (one row per panel, after
+        the leading signal axis of a stack) and the panel half-widths."""
+        return d
 
 
 _X15, _W15 = leggauss(15)
@@ -219,8 +233,14 @@ def _eval_signal(f, z):
 def _panel_sums(g, lows, highs, rule):
     """Batched panel values of ``rule`` with per-panel error estimates.
 
-    The estimates are ``rule.estimate``: for the rotated route's GL-15 the
-    raw difference to its GL-7 value, for the real-line comparators' K-61
+    Both sums of a panel come from one real product: the integrand values
+    of a call, viewed as floats with one row per panel (and per signal of a
+    stack), times ``rule.table`` give Re/Im of the value sum and of the
+    embedded sum.  numpy hands a product of one row to BLAS's gemv, which
+    rounds unlike the gemm of several rows, so a lone row is doubled: no
+    panel's sums depend on the call it came in.  The estimates are
+    ``rule.estimate`` of the raw difference: for the rotated route's GL-15
+    that difference to its GL-7 value, for the real-line comparators' K-61
     (``crosschecks``) its embedded G-30 estimate mapped through a power
     law.  Each integrand call gets whole panels and at most
     ``_BATCH_NODES`` nodes: 67 K-61 panels or 186 GL-15/GL-7 panels.  A
@@ -230,7 +250,8 @@ def _panel_sums(g, lows, highs, rule):
     panels (1,012 nodes, a sech^2-well seed on ``plane-field``).  Panels
     are independent, so no value or estimate depends on where a pass is
     split.  The values and estimates of a stack keep its leading signal
-    axis.
+    axis.  A NaN or an infinity at any node makes the sums non-finite, so
+    the finiteness check runs on the summed values and estimates.
     """
     m = len(rule.nodes)
     chunk = max(1, _BATCH_NODES // m)
@@ -245,13 +266,16 @@ def _panel_sums(g, lows, highs, rule):
         x = mid[:, None] + half[:, None] * rule.nodes[None, :]
         f = g(x.ravel())
         f = f.reshape(f.shape[:-1] + x.shape)
-        v = (f[..., : len(rule.weights)] * rule.weights).sum(axis=-1) * half
+        rows = f.reshape(-1, m).view(float)
+        sums = (np.concatenate([rows, rows]) if len(rows) == 1 else rows) @ rule.table
+        sums = sums[: len(rows)].view(complex).reshape(f.shape[:-1] + (2,))
+        v = sums[..., 0] * half
         if v.ndim > vals.ndim:  # a stack: its signal axis before the panels
             vals = np.empty(v.shape[:-1] + (n,), dtype=complex)
             err = np.empty(vals.shape)
         vals[..., s : s + chunk] = v
-        err[..., s : s + chunk] = rule.estimate(f, v, half)
-    if not (np.all(np.isfinite(vals)) and np.all(np.isfinite(err))):
+        err[..., s : s + chunk] = rule.estimate(f, np.abs(sums[..., 0] - sums[..., 1]) * half, half)
+    if not (cmath.isfinite(vals.sum()) and math.isfinite(err.sum())):
         raise EvaluationOverflow("quadrature integrand produced non-finite values")
     return vals, err
 
@@ -348,15 +372,18 @@ def _symmetric_cluster(radius, sigma):
 
 def _split_panels(edges, width):
     """edges with each panel wider than width cut into the fewest equal
-    parts no wider than width."""
-    span = np.diff(edges)
-    parts = np.ceil(span / width)
-    if not (parts > 1.0).any():
+    parts no wider than width, on Python floats as ``_symmetric_cluster``;
+    edges itself when no panel is cut."""
+    pts = edges.tolist()
+    parts = [math.ceil((hi - lo) / width) for lo, hi in zip(pts, pts[1:])]
+    if max(parts, default=1) <= 1:
         return edges
-    k = parts.astype(int)
-    step = np.repeat(span / parts, k)
-    j = np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k)
-    return np.append(np.repeat(edges[:-1], k) + j * step, edges[-1])
+    out = []
+    for lo, hi, k in zip(pts, pts[1:], parts):
+        step = (hi - lo) / k
+        out += [lo + j * step for j in range(k)]
+    out.append(pts[-1])
+    return np.array(out)
 
 
 def _rotate(rot, value):

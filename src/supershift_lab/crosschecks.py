@@ -104,8 +104,7 @@ class _PowerLawRule(_PanelRule):
     which estimates the error of the higher-order rule instead of the
     lower one."""
 
-    def estimate(self, f, v, half):
-        d = super().estimate(f, v, half)
+    def estimate(self, f, d, half):
         sabs = (np.abs(f[..., : len(self.weights)]) * self.weights).sum(axis=-1) * half
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(sabs > 0.0, 50.0 * d / np.maximum(sabs, 1e-300), 0.0)

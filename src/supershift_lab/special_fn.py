@@ -17,7 +17,12 @@ relative error against 40-digit mpmath is at most 7.5e-16 on 400 random
 points with Re z <= 8, |Im z| <= 8, 2.9e-16 on 300 with |z| from 25 to
 1e6, and 1.1e-15 on a log-polar sweep with |z| from 1e-3 to 1e6 (plain
 Horner: 6.8e-16, 2.9e-16 and 1.1e-15; scipy's Faddeeva package: 1.3e-14,
-5.9e-15 and 8.3e-15 on the same kinds of points).
+5.9e-15 and 8.3e-15 on the same kinds of points).  It runs in blocks of
+_BLOCK points, which bounds its largest temporary, the power table.
+
+The sech^2-well sum ``pt_weighted_term`` takes both exponential factors of
+every order from the one e^{-2 zeta z} that its sech and tanh need, so its
+only exponentials over the nodes are that one and the erfcx passes.
 """
 
 from __future__ import annotations
@@ -63,10 +68,14 @@ _L = math.sqrt(_WEIDEMAN_N / math.sqrt(2.0))
 _P2_BLOCKS = (2.0 * _weideman_coeffs(_WEIDEMAN_N, _L)[::-1]).reshape(-1, 8)
 _P2_BLOCKS.flags.writeable = False
 _RSQRT_PI = np.complex128(1.0 / SQRT_PI)
-# points per pass, which bounds the power table and the Horner temporaries
-# (1,024-point passes cut the plane-field benchmark's peak RSS by 0.2 MB
-# but made crossrep-eps, whose calls reach 4,096 points, ~6% slower)
-_BLOCK = 8192
+# points per pass, which bounds the power table (8 rows: 256 KiB) and the
+# Horner temporaries.  At 8,192 points the comparator's 4,096-point calls
+# make a 512 KiB table, and in processes whose heap glibc then trims after
+# every call a crossrep-eps operation took 263k-316k minor page faults
+# (0.82-0.93 s) instead of ~2k (0.57-0.65 s).  2,048 points stayed at ~2k
+# in every heap layout tried, and run as fast where nothing is trimmed
+# (scan in CHANGES.md)
+_BLOCK = 2048
 # below this, e^{x^2} erfc(x) of a real x neither overflows (x > 0) nor
 # leaves erfc in subnormal range
 _REAL_DIRECT_MAX = 26.0
@@ -217,13 +226,22 @@ def pt_weighted_term(l: int, t: float, x: float, z):
     With w = m(z - x) taken on the side Re w >= 0 (w = m eta (z - x)),
     s = m sqrt(it) and u = w / (2s), order m contributes its polynomial
     factor times e^{e1} erfcx(u - s) - e^{e2} erfcx(u + s), where
-    e1 = w - m zeta z (= -m eta x where eta = zeta) and
-    e2 = -w - m zeta z.  The reflected term e^{e2} erfcx(u + s) is
-    evaluated only where it can change the result.  Where Re(u + s) >= 0,
-    |erfcx(u + s)| <= 1 (the Faddeeva function is bounded by 1 on the
-    closed upper half-plane), so wherever also
-    Re e2 < Re e1 + log|erfcx(u - s)| - 42 the term is below e^{-42} of
-    the kept one: under half an ulp.
+    e1 = w - m zeta z and e2 = -w - m zeta z.  u = eta (z - x) / (2 sqrt(it))
+    is the same for every order.  Where eta = zeta, e1 = -m zeta x and
+    e2 = -m zeta (2z - x); elsewhere the two swap.  So e^{e1} and e^{e2} are
+    always the pair
+
+        e^{-m zeta x}   and   q^m e^{m zeta x} = (q e^{zeta x})^m,
+        q = e^{-2 zeta z},
+
+    a real constant per order and side and a power of the q that sech and
+    tanh already use: no exponential of an order's exponent is formed, and
+    no exponent is the difference of two numbers of size m |z|.  The
+    reflected term e^{e2} erfcx(u + s) is evaluated only where it can
+    change the result.  Where Re(u + s) >= 0, |erfcx(u + s)| <= 1 (the
+    Faddeeva function is bounded by 1 on the closed upper half-plane), so
+    wherever also Re e2 < Re e1 + log|erfcx(u - s)| - 42 the term is below
+    e^{-42} of the kept one: under half an ulp.
     """
     if t <= 0:
         raise ValueError("pt_weighted_term requires t > 0")
@@ -258,35 +276,54 @@ def pt_weighted_term(l: int, t: float, x: float, z):
     np.negative(d, out=d, where=d_left)
     left = z.real < 0.0
     az = np.negative(z, out=z.copy(), where=left)
+    agree = d_left == left
+    # Re e1 <= m |x| everywhere, so only a far x can overflow; there Re e1
+    # is formed from its two terms where the sides disagree, and the check
+    # refuses the nodes whose rounded exponent passes the limit
+    if l * abs(x) > _EXP_LIMIT:
+        e1 = np.where(agree, m * np.where(d_left, x, -x), m * d.real - m * az.real)
+        if np.any(e1 > _EXP_LIMIT):
+            raise EvaluationOverflow("pt_weighted_term: residual exponent overflows")
     q = np.exp(-2.0 * az)
     sech_rest = 2.0 / (1.0 + q)
     tanh_z = (1.0 - q) * (0.5 * sech_rest)
     np.negative(tanh_z, out=tanh_z, where=left)
-    poly = polyval(tanh_z, (coeffs * (weights * qx)[:, None]).T)
-    w = m * d
-    s = m * (math.sqrt(t) * ROOT_I)
-    u = w / (2.0 * s)
+    # Horner in tanh z, one row per order (polyval's steps without its
+    # argument handling)
+    scaled = coeffs * (weights * qx)[:, None]
+    poly = scaled[:, -1:]
+    for k in range(l - 2, -1, -1):
+        poly = poly * tanh_z + scaled[:, k : k + 1]
+    root = math.sqrt(t) * ROOT_I
+    u = d / (2.0 * root)
+    s = m * root
     lam1 = erfcx(u - s)
-    maz = m * az
-    # where both flips agree (eta = zeta), e1 = m eta (z - x) - m eta z is
-    # exactly -m eta x; the difference of two numbers of size m |z| would
-    # carry a relative error ~eps m |z|.  Elsewhere |Re z| <= |x| and the
-    # two terms add.
-    e1 = np.where(d_left == left, m * np.where(d_left, x, -x), w - maz)
-    if np.any(e1.real > _EXP_LIMIT):
-        raise EvaluationOverflow("pt_weighted_term: residual exponent overflows")
-    terms = np.exp(e1) * lam1
-    # Re e2 - Re e1 = -2 Re w; the negated comparison keeps log 0 = -inf
+    # e^{-m zeta x} per order (rows) and side (columns zeta = +1, -1); an
+    # entry that overflows is one the exponent check above refused
+    with np.errstate(over="ignore"):
+        const = np.exp(m * np.array([-x, x]))
+    e_const = np.where(left, const[:, 1:], const[:, :1])
+    # (q e^{zeta x})^m, by repeated products; e^{|x|} alone overflows only
+    # for |x| > 709, where the product is formed by one exponential instead
+    e_pow = np.empty((l, len(z)), dtype=complex)
+    if abs(x) < _EXP_LIMIT:
+        np.multiply(q, np.where(left, math.exp(-x), math.exp(x)), out=e_pow[0])
+    else:
+        np.exp(np.where(left, -x, x) - 2.0 * az, out=e_pow[0])
+    for k in range(1, l):
+        np.multiply(e_pow[k - 1], e_pow[0], out=e_pow[k])
+    terms = np.where(agree, e_const, e_pow) * lam1
+    # Re e2 - Re e1 = -2 Re w = -2 m Re d; the negated comparison keeps
+    # log 0 = -inf
     with np.errstate(divide="ignore"):
         log_lam1 = np.log(np.abs(lam1))
-    keep = (u.real + s.real < 0.0) | ~(log_lam1 + 2.0 * w.real > _DROP_NATS)
+    keep = (u.real + s.real < 0.0) | ~(log_lam1 + (2.0 * m) * d.real > _DROP_NATS)
     if keep.all():
-        e2 = -w - maz
-        terms -= np.exp(np.maximum(e2.real, -745.0) + 1j * e2.imag) * erfcx(u + s)
+        terms -= np.where(agree, e_pow, e_const) * erfcx(u + s)
     elif keep.any():
-        e2 = -w[keep] - maz[keep]
-        lam2 = erfcx(u[keep] + np.broadcast_to(s, keep.shape)[keep])
-        terms[keep] -= np.exp(np.maximum(e2.real, -745.0) + 1j * e2.imag) * lam2
+        e2 = np.where(agree, e_pow, e_const)[keep]
+        lam2 = erfcx(np.broadcast_to(u, keep.shape)[keep] + np.broadcast_to(s, keep.shape)[keep])
+        terms[keep] -= e2 * lam2
     # sum over orders of acc_m sech_rest^m, by Horner in sech_rest
     acc = poly * terms
     res = acc[-1]

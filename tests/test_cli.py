@@ -469,13 +469,25 @@ class TestEvolveOutputs:
         assert fields[0] == fields[1]
 
     def test_erfcx_independent_of_blas_threads(self):
-        # a product large enough for BLAS to split it across threads
+        # products large enough for OpenBLAS to split them across threads:
+        # the Faddeeva kernel's (5 x 8)(8 x 2n) product is split from blocks
+        # of 16,384 points (above ``_BLOCK``, whose products run on one
+        # thread), and a panel product from ~8,000 rows (a stack of 48
+        # signals on 186 GL-15/GL-7 panels)
         script = (
             "import hashlib, numpy as np\n"
-            "from supershift_lab.special_fn import _BLOCK, erfcx\n"
+            "from supershift_lab import contour_quad, special_fn\n"
             "rng = np.random.default_rng(3)\n"
-            "z = rng.uniform(-6, 6, 2 * _BLOCK + 5) + 1j * rng.uniform(-6, 6, 2 * _BLOCK + 5)\n"
-            "print(hashlib.sha256(erfcx(z).tobytes()).hexdigest())\n"
+            "z = rng.uniform(-6, 6, 2 * 16384 + 5) + 1j * rng.uniform(-6, 6, 2 * 16384 + 5)\n"
+            "h = hashlib.sha256(special_fn.erfcx(z).tobytes())\n"
+            "special_fn._BLOCK = 16384\n"
+            "h.update(special_fn.erfcx(z).tobytes())\n"
+            "f = rng.normal(size=(48, 186 * 22)) + 1j * rng.normal(size=(48, 186 * 22))\n"
+            "edges = np.linspace(-1.0, 1.0, 187)\n"
+            "sums = contour_quad._panel_sums(lambda y: f, edges[:-1], edges[1:], contour_quad._GL15_GL7)\n"
+            "for a in sums:\n"
+            "    h.update(a.tobytes())\n"
+            "print(h.hexdigest())\n"
         )
         digests = [
             subprocess.run(

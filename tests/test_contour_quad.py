@@ -22,9 +22,11 @@ from numpy.polynomial.legendre import leggauss
 
 from supershift_lab import contour_quad, crosschecks
 from supershift_lab.contour_quad import (
+    _GL15_GL7,
     GrowthWitness,
     QuadratureResult,
     _log_gaussian_tail,
+    _panel_sums,
     _split_panels,
     _symmetric_cluster,
     rotated_integral,
@@ -40,8 +42,8 @@ from supershift_lab.crosschecks import (
     truncated_integral,
 )
 from supershift_lab.errors import EvaluationOverflow, PanelExhausted
-from supershift_lab.evolve import wavefunction_result
-from supershift_lab.initial_data import HolomorphicSignal, plane_wave
+from supershift_lab.evolve import wavefield, wavefunction_result
+from supershift_lab.initial_data import HolomorphicSignal, plane_wave, signal_stack
 from supershift_lab.special_fn import SQRT_PI
 
 FRESNEL = np.sqrt(np.pi) * np.exp(1j * np.pi / 4)
@@ -643,6 +645,104 @@ class TestBatchCap:
         assert split == full and split_res == full_res
         assert full_res.rounds > 0 and full_calls == full_res.rounds + 1
         assert split_calls > full_calls
+
+
+RULES = pytest.mark.parametrize("rule", [_GL15_GL7, _GK61], ids=["gl15-gl7", "k61-g30"])
+
+
+class TestPanelProduct:
+    """Both sums of every panel come from one real product (``_panel_sums``)."""
+
+    @staticmethod
+    def _pass(rule, rng, rows=(), panels=37):
+        # random integrand values spread over e^{+-5}: one call of each rule
+        edges = np.sort(rng.uniform(-5.0, 5.0, panels + 1))
+        shape = rows + (panels * len(rule.nodes),)
+        f = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * np.exp(rng.uniform(-5, 5, shape))
+        return edges[:-1], edges[1:], f
+
+    @RULES
+    @pytest.mark.parametrize("rows", [(), (3,)], ids=["lone", "stack"])
+    def test_within_rounding_of_explicit_weighted_sums(self, rule, rows, rng):
+        lows, highs, f = self._pass(rule, rng, rows)
+        vals, errs = _panel_sums(lambda y: f, lows, highs, rule)
+        half = 0.5 * (highs - lows)
+        fp = f.reshape(rows + (len(lows), len(rule.nodes)))
+        value = fp[..., : len(rule.weights)] * rule.weights
+        embedded = fp[..., -len(rule.embedded) :] * rule.embedded
+        v = value.sum(axis=-1) * half
+        d = np.abs(v - embedded.sum(axis=-1) * half)
+        eps = np.finfo(float).eps
+        assert vals.shape == errs.shape == rows + (len(lows),)
+        assert np.all(np.abs(vals - v) <= 4 * eps * np.abs(value).sum(axis=-1) * half)
+        # on random values the K-61 power law leaves d as it is (50 d > s)
+        scale = (np.abs(value).sum(axis=-1) + np.abs(embedded).sum(axis=-1)) * half
+        assert np.all(np.abs(errs - rule.estimate(fp, d, half)) <= 4 * eps * scale)
+
+    @RULES
+    def test_stack_rows_and_lone_panels_bit_identical(self, rule, rng):
+        # no panel's sums depend on the other rows of its product: not on
+        # the other signals of a stack, nor on the other panels of a call
+        # (a one-row product would go to BLAS's gemv)
+        lows, highs, f = self._pass(rule, rng, (3,))
+        vals, errs = _panel_sums(lambda y: f, lows, highs, rule)
+        m = len(rule.nodes)
+        for k in range(3):
+            alone = _panel_sums(lambda y: f[k], lows, highs, rule)
+            assert np.array_equal(alone[0], vals[k]) and np.array_equal(alone[1], errs[k])
+            for p in (0, 5, len(lows) - 1):
+                one = _panel_sums(lambda y: f[k, p * m : (p + 1) * m], lows[p : p + 1], highs[p : p + 1], rule)
+                assert one[0].tolist() == [vals[k, p]] and one[1].tolist() == [errs[k, p]]
+
+
+class TestNonFiniteIntegrand:
+    """A NaN or an infinity at any node makes a pass fail, as an
+    ``EvaluationOverflow``: a NaN at a value node, an infinity at a node of
+    the GL-7 estimate only, and +inf/-inf at two value nodes of a panel."""
+
+    CASES = {
+        "nan": [(5, np.nan)],
+        "inf": [(17, np.inf)],
+        "inf-minus-inf": [(5, np.inf), (9, -np.inf)],
+    }
+
+    @staticmethod
+    def _poisoned(bad):
+        # a plane wave whose first integrand call carries the bad values
+        wave = plane_wave(2.0)
+        left = [1]
+
+        def ev(z):
+            v = np.asarray(wave.eval(z))
+            if left[0] and v.size:
+                left[0] -= 1
+                for k, val in bad:
+                    v[k] = val
+            return v
+
+        return HolomorphicSignal(eval=ev, growth=wave.growth, label="poisoned")
+
+    def _signals(self, case, stacked):
+        f = self._poisoned(self.CASES[case])
+        return signal_stack([plane_wave(2.0), f, plane_wave(2.0)]) if stacked else f
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["lone", "stack"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_rotated_integral_raises(self, case, stacked):
+        f = self._signals(case, stacked)
+        with pytest.raises(EvaluationOverflow, match="non-finite"):
+            rotated(f, y1=-1.0, tol=1e-10)
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["lone", "stack"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_wavefield_records_point_and_finishes(self, case, stacked, free_kernel):
+        f = self._signals(case, stacked)
+        fld = wavefield(free_kernel, f, [0.2, 0.4], [-1.0, 0.0, 1.0], tol=1e-9)
+        assert [(t, x) for t, x, _ in fld.failures] == [(0.2, -1.0)]
+        assert fld.failures[0][2].startswith("EvaluationOverflow")
+        assert np.all(np.isnan(fld.values[..., 0, 0]))
+        assert np.all(np.isfinite(fld.values.reshape(fld.values.shape[:-2] + (-1,))[..., 1:]))
+        assert (fld.nodes > 0).sum() == 5
 
 
 class TestWitnessValidation:

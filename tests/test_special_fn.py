@@ -57,15 +57,20 @@ def _pt_coef(l, m):
     return m * factorial(l - m) / (2.0 * factorial(l + m))
 
 
-def _pt_sum_direct(l, t, x, z):
-    """sum_m c_m Q_l^m(x) Q_l^m(z) R(m^2 t, m(z - x)) from the per-order factors."""
-    return sum(
+def _pt_terms_direct(l, t, x, z):
+    """The orders c_m Q_l^m(x) Q_l^m(z) R(m^2 t, m(z - x)), from the per-order factors."""
+    return [
         _pt_coef(l, m)
         * assoc_legendre_tanh(l, m, x)
         * assoc_legendre_tanh(l, m, z)
         * pt_kernel_term(m * m * t, m * (z - x))
         for m in range(1, l + 1)
-    )
+    ]
+
+
+def _pt_sum_direct(l, t, x, z):
+    """sum_m c_m Q_l^m(x) Q_l^m(z) R(m^2 t, m(z - x)) from the per-order factors."""
+    return sum(_pt_terms_direct(l, t, x, z))
 
 
 def _pt_sum_oracle(l, t, x, z, dps=30):
@@ -239,7 +244,8 @@ class TestErfcx:
         for size in (special_fn._BLOCK - 1, special_fn._BLOCK, special_fn._BLOCK + 1):
             assert np.array_equal(erfcx(z[:size]), out[:size])
             assert np.array_equal(erfcx(z[n - size :]), out[n - size :])
-        for split in (1, 7, 8, 9, 1023, 4096):
+        block = special_fn._BLOCK
+        for split in (1, 7, 8, 9, 1023, block - 1, block, block + 1, 4096):
             parts = np.concatenate([erfcx(z[:split]), erfcx(z[split:])])
             assert np.array_equal(parts, out)
 
@@ -354,6 +360,58 @@ class TestPtKernelTerm:
                 oracle = np.array([_pt_sum_oracle(l, t, x, zz) for zz in far])
                 got = pt_weighted_term(l, t, x, far)
                 assert np.all(np.abs(got - oracle) <= 1e-14 * np.maximum(1.0, np.abs(oracle)))
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    def test_benchmark_contour_family(self, l, rng):
+        # the sech^2 grids' contours: t in [0.1, 1], |x| <= 2, lines through
+        # x at +-pi/8 out to |u| = 25.  For l >= 3 the orders cancel, and the
+        # direct sum carries the rounding of its largest order, so both are
+        # held to the sum of the order magnitudes
+        ray = np.exp(1j * np.pi / 8)
+        for _ in range(6):
+            t, x = rng.uniform(0.1, 1.0), rng.uniform(-2.0, 2.0)
+            u = rng.uniform(-25.0, 25.0, 30)
+            z = np.concatenate([x + u[:15] * ray, x + u[15:] * np.conj(ray)])
+            terms = np.array([_pt_terms_direct(l, t, x, zz) for zz in z])
+            got = pt_weighted_term(l, t, x, z)
+            assert np.all(np.abs(got - terms.sum(axis=1)) <= 1e-13 * np.abs(terms).sum(axis=1))
+        # far out, where the per-order factors leave the double range; the
+        # oracle needs no cancellation on these rays
+        r = rng.uniform(100.0, 1900.0, 2)
+        far = np.concatenate([x + r * ray, x - r * np.conj(ray), [r[0], -r[1]]])
+        oracle = np.array([_pt_sum_oracle(l, t, x, zz) for zz in far])
+        got = pt_weighted_term(l, t, x, far)
+        assert np.all(np.abs(got - oracle) <= 1e-13 * np.abs(oracle))
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 4])
+    def test_node_value_independent_of_its_array(self, l, rng):
+        # the CLI's byte-determinism rests on a node's value not depending on
+        # the length of the array it comes in, nor on its place there
+        t, x = rng.uniform(0.1, 1.0), rng.uniform(-2.0, 2.0)
+        n = 4096 + 7
+        u = rng.uniform(-25.0, 25.0, n)
+        ray = np.exp(1j * np.pi / 8 * np.where(rng.uniform(size=n) < 0.5, 1.0, -1.0))
+        z = x + rng.uniform(-1.0, 1.0) + u * ray
+        full = pt_weighted_term(l, t, x, z)
+        for size in (1, 22, 1012, 4096):
+            for off in (0, 1, 7):
+                assert np.array_equal(pt_weighted_term(l, t, x, z[off : off + size]), full[off : off + size])
+        assert pt_weighted_term(l, t, x, complex(z[3])) == full[3]
+
+    def test_far_x_raises_only_where_an_exponent_overflows(self):
+        # Re e1 <= m |x|, so only l |x| > 709 can overflow, and then only at
+        # nodes with Re z across 0 from x or between them
+        ray = np.exp(1j * np.pi / 8)
+        beyond = np.linspace(-5.0, 5.0, 7) * ray
+        assert np.all(np.isfinite(pt_weighted_term(3, 0.5, 300.0, 310.0 + beyond)))
+        assert np.isfinite(pt_weighted_term(3, 0.5, 300.0, 150.0 + 0.2j))  # e1 = 0
+        with pytest.raises(EvaluationOverflow):
+            pt_weighted_term(3, 0.5, 300.0, -5.0 + 0.2j)  # e1 = 900
+        # past |x| = 709 e^{|x|} alone overflows; Q_1^1(x) and the sum are 0
+        with np.errstate(over="ignore"):
+            assert np.all(pt_weighted_term(1, 0.5, 750.0, 760.0 + beyond) == 0.0)
+            with pytest.raises(EvaluationOverflow):
+                pt_weighted_term(1, 0.5, 750.0, 10.0 + 0.5j)
 
     def test_scalar_and_array_shapes(self):
         z = np.array([[0.5 + 0.2j, -3.0], [40.0, 2.0 - 0.7j]])
