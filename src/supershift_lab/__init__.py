@@ -47,16 +47,7 @@ from .initial_data import (
     superosc_signal,
     weighted_sup_distance,
 )
-from .ode_coeff import (
-    QuadraticCoeffs,
-    solve_electric,
-    solve_harmonic,
-)
-from .special_fn import (
-    assoc_legendre_tanh,
-    erfcx,
-    pole_set_distance,
-    pt_kernel_term,
-)
+from .ode_coeff import QuadraticCoeffs
+from .special_fn import erfcx, pole_set_distance
 
 __version__ = "0.1.0"

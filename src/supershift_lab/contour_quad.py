@@ -10,9 +10,10 @@ quickly.  The real-line comparators that reproduce the same value live in
 ``crosschecks`` and share the panel layer (``_panel_sums``,
 ``_adaptive_panels``) with their own rule.
 
-A stack of signals with one growth witness (``initial_data.signal_stack``)
-integrates as one integrand whose values carry a leading signal axis: each
-signal gets its own value and estimate from the same panels.
+A stack of signals under their common growth witness
+(``initial_data.signal_stack``) integrates as one integrand whose values
+carry a leading signal axis: each signal gets its own value and estimate
+from the same panels.
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ quadrature, so grids are embarrassingly parallel and deterministic.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -178,39 +177,31 @@ def _max_gap(values: np.ndarray, ref: np.ndarray, ok: np.ndarray) -> float:
 def schrodinger_residual_field(field: WaveField, kernel: GreensKernel) -> float:
     """max interior relative residual |i dPsi/dt + d2Psi/dx2 - V Psi|.
 
-    Central differences on the field's own (uniform) grid, relative to
-    |Psi| floored at 1e-12 of the field's largest modulus; warns when a
-    stride-2 residual suggests the grid is too coarse for the stencil to
-    have converged.
+    Central differences on the field's own (uniform) grid at steps h and
+    2h, Richardson-extrapolated as in ``greens.pde_residual``, at the
+    points at least two steps from the border; relative to |Psi| floored
+    at 1e-12 of the field's largest modulus.  The stencil's O(h^2) error
+    cancels, so the value measures the field, not the grid.
     """
     ts, xs, v = field.ts, field.xs, field.values
-    if len(ts) < 3 or len(xs) < 3:
-        raise ValueError("residual field needs at least a 3x3 grid")
+    if len(ts) < 5 or len(xs) < 5:
+        raise ValueError("residual field needs at least a 5x5 grid")
     ht = np.diff(ts)
     hx = np.diff(xs)
     if not (np.allclose(ht, ht[0], rtol=1e-9) and np.allclose(hx, hx[0], rtol=1e-9)):
         raise ValueError("residual field requires uniform grid spacing")
-
-    def residual(vv, tt, xx):
-        ht0 = tt[1] - tt[0]
-        hx0 = xx[1] - xx[0]
-        dt = (vv[2:, 1:-1] - vv[:-2, 1:-1]) / (2.0 * ht0)
-        dxx = (vv[1:-1, 2:] - 2.0 * vv[1:-1, 1:-1] + vv[1:-1, :-2]) / (hx0 * hx0)
-        pot = np.array([[kernel.potential.value(t, x) for x in xx[1:-1]] for t in tt[1:-1]])
-        res = np.abs(1j * dt + dxx - pot * vv[1:-1, 1:-1])
-        floor = max(1e-12 * np.max(np.abs(vv)), 1e-300)
-        return float(np.max(res / np.maximum(np.abs(vv[1:-1, 1:-1]), floor)))
-
-    r = residual(v, ts, xs)
-    if len(ts) >= 5 and len(xs) >= 5:
-        r2 = residual(v[::2, ::2], ts[::2], xs[::2])
-        if r2 < 2.0 * r:
-            warnings.warn(
-                "residual did not shrink ~4x under grid refinement; "
-                "the grid may be too coarse for the stencil",
-                stacklevel=2,
-            )
-    return r
+    ht, hx = ht[0], hx[0]
+    mid = v[2:-2, 2:-2]
+    dt1 = (v[3:-1, 2:-2] - v[1:-3, 2:-2]) / (2.0 * ht)
+    dt2 = (v[4:, 2:-2] - v[:-4, 2:-2]) / (4.0 * ht)
+    dxx1 = (v[2:-2, 3:-1] - 2.0 * mid + v[2:-2, 1:-3]) / (hx * hx)
+    dxx2 = (v[2:-2, 4:] - 2.0 * mid + v[2:-2, :-4]) / (4.0 * hx * hx)
+    dt = (4.0 * dt1 - dt2) / 3.0
+    dxx = (4.0 * dxx1 - dxx2) / 3.0
+    pot = np.array([[kernel.potential.value(t, x) for x in xs[2:-2]] for t in ts[2:-2]])
+    res = np.abs(1j * dt + dxx - pot * mid)
+    floor = max(1e-12 * np.max(np.abs(v)), 1e-300)
+    return float(np.max(res / np.maximum(np.abs(mid), floor)))
 
 
 @dataclass
@@ -255,31 +246,20 @@ def initial_limit_check(
 def _field_distances(kernel, target, signals, t_grid, x_grid, tol):
     """d_n = max |Psi(t, x; f_n) - Psi(t, x; target)| for each (n, f_n).
 
-    One ``wavefield`` for the target, and one for each set of signals with
-    equal growth witnesses, evaluated as their ``signal_stack``: at a
-    point they share one contour and one kernel value per node.  Every F_n
-    has the same witness, so a supershift experiment evaluates two
-    fields; ``combine_signals`` approximants differ in amplitude and keep
-    one each.  The max runs over the cells where both evaluated (nan if
-    none).  Failed points are returned as ``(n, t, x, reason)``, n None
-    for the target; a failed point of a stack is listed for every n in it.
+    One ``wavefield`` of ``signal_stack([target, f_1, ...])``: at a point
+    the target and every f_n share one contour, under their common
+    witness, and one kernel value per node.  The max runs over the cells
+    that evaluated (nan if none).  A failed point is returned as
+    ``(n, t, x, reason)`` for every n.
     """
     signals = list(signals)
-    ref = wavefield(kernel, target, t_grid, x_grid, tol)
-    groups: dict = {}
-    for i, (_, fn) in enumerate(signals):
-        groups.setdefault(fn.growth, []).append(i)
-    rows = [None] * len(signals)
-    for members in groups.values():
-        fld = wavefield(kernel, signal_stack([signals[i][1] for i in members]), t_grid, x_grid, tol)
-        for values, i in zip(fld.values, members):
-            rows[i] = (values, fld)
-    failures = [(None, *bad) for bad in ref.failures]
-    dists = []
-    for (n, _), (values, fld) in zip(signals, rows):
-        failures += [(n, *bad) for bad in fld.failures]
-        dists.append(_max_gap(values, ref.values, (fld.nodes >= 0) & (ref.nodes >= 0)))
-    return dists, failures
+    if not signals:
+        return [], []
+    stack = signal_stack([target] + [fn for _, fn in signals])
+    fld = wavefield(kernel, stack, t_grid, x_grid, tol)
+    ref, ok = fld.values[0], fld.nodes >= 0
+    dists = [_max_gap(values, ref, ok) for values in fld.values[1:]]
+    return dists, [(n, *bad) for n, _ in signals for bad in fld.failures]
 
 
 @dataclass
@@ -306,12 +286,11 @@ def supershift_experiment(
 
     d_n = max over the grid of |Psi(t, x; F_n) - Psi(t, x; e^{i kappa .})|
     where F_n combines plane waves at unit-bounded frequencies; it enters
-    the integrand in its product form (see ``superosc_signal``).  The F_n
-    share one growth witness and run as one signal stack, each order
-    converged to tol on the stack's panels; the target plane wave runs as
-    its own field (``_field_distances``).  A failed point goes to
-    ``failures`` as ``(n, t, x, reason)`` (n None for the target; every
-    order at a failed point of the stack) and out of d_n (nan if none is
+    the integrand in its product form (see ``superosc_signal``).  The
+    target and the F_n run as one signal stack under their common witness
+    (for real kappa the F_n's own), each converged to tol on the stack's
+    panels (``_field_distances``).  A failed point goes to ``failures`` as
+    ``(n, t, x, reason)`` for every order and out of d_n (nan if none is
     left); any failure makes ``strictly_decreasing`` False.
     """
     distances, failures = _field_distances(
@@ -365,11 +344,11 @@ def continuous_dependence_check(
     the sup grid distance of the wave fields; the evolution is continuous
     in the initial data when the distances are bounded by a stable
     multiple of the metrics: the check passes when the finite ratios
-    d/m agree within a factor 3.  Approximants with equal growth
-    witnesses are evaluated as one signal stack, the others and the
-    target as a field each (``_field_distances``).  A failed point goes to
-    ``failures`` as ``(n, t, x, reason)`` (n None for the target) and out
-    of the distances (nan if none is left); any failure fails the check.
+    d/m agree within a factor 3.  The target and the approximants are
+    evaluated as one signal stack under their common witness
+    (``_field_distances``).  A failed point goes to ``failures`` as
+    ``(n, t, x, reason)`` for every n and out of the distances (nan if
+    none is left); any failure fails the check.
     """
     metrics = [weighted_sup_distance(fn, target, c_weight, metric_samples) for fn in approximants]
     dists, failures = _field_distances(

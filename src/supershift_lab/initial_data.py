@@ -68,21 +68,32 @@ def constant_signal() -> HolomorphicSignal:
     )
 
 
-def combine_signals(terms: list[tuple[complex, HolomorphicSignal]]):
-    """Finite linear combination with the triangle-inequality witness.
+def _common_witness(witnesses, amplitude: float) -> GrowthWitness:
+    """One witness of the given amplitude whose envelope bounds each of
+    the witnesses' envelopes up to their own amplitudes.
 
-    The terms' frequencies w_i differ in general; against one frequency w
-    each term is bounded with rate B_i + |w_i - w|, as
+    The frequencies w_i differ in general; against one frequency w each
+    is bounded with rate B_i + |w_i - w|, as
     e^{-w_i Im z} = e^{-(w_i - w) Im z} e^{-w Im z}.  The w minimizing the
     largest such rate is the midpoint of max(w_i + B_i) and
-    min(w_i - B_i), and the rate is half their distance (max B_i with
-    w = 0 when every frequency is 0).  The length is the shortest term's.
+    min(w_i - B_i), and the rate is half their distance.  A witness whose
+    band w_i -+ B_i is that whole band is kept as it is: the midpoint
+    rounds (0.5 ((3 + 0.1) - (3 - 0.1)) is not 0.1), so equal witnesses
+    come back bit for bit.  The length is the shortest one; the kind is
+    "imag" only if every witness is.
     """
-    amp = sum(abs(c) * s.growth.amplitude for c, s in terms)
-    hi = max(s.growth.freq + s.growth.rate for _, s in terms)
-    lo = min(s.growth.freq - s.growth.rate for _, s in terms)
-    kind = "imag" if all(s.growth.kind == "imag" for _, s in terms) else "modulus"
-    length = min(s.growth.length for _, s in terms)
+    hi = max(w.freq + w.rate for w in witnesses)
+    lo = min(w.freq - w.rate for w in witnesses)
+    wide = [w for w in witnesses if (w.freq + w.rate, w.freq - w.rate) == (hi, lo)]
+    rate, freq = (wide[0].rate, wide[0].freq) if wide else (0.5 * (hi - lo), 0.5 * (hi + lo))
+    kind = "imag" if all(w.kind == "imag" for w in witnesses) else "modulus"
+    return GrowthWitness(amplitude, rate, kind, freq, min(w.length for w in witnesses))
+
+
+def combine_signals(terms: list[tuple[complex, HolomorphicSignal]]):
+    """Finite linear combination with the triangle-inequality witness: the
+    common witness of the terms (``_common_witness``) with amplitude
+    sum |c_i| A_i."""
 
     def ev(z):
         acc = None
@@ -93,32 +104,35 @@ def combine_signals(terms: list[tuple[complex, HolomorphicSignal]]):
 
     return HolomorphicSignal(
         eval=ev,
-        growth=GrowthWitness(amp, 0.5 * (hi - lo), kind, 0.5 * (hi + lo), length),
+        growth=_common_witness(
+            [s.growth for _, s in terms], sum(abs(c) * s.growth.amplitude for c, s in terms)
+        ),
         label="+".join(f"{c}*{s.label}" for c, s in terms),
     )
 
 
 def signal_stack(signals: list[HolomorphicSignal]) -> HolomorphicSignal:
-    """Signals with one growth witness as one signal whose values carry a
-    leading axis, one row per signal.
+    """Signals as one signal whose values carry a leading axis, one row
+    per signal.
 
-    The witness bounds every row, so the stack integrates as one signal:
-    one contour, and one kernel value per node for all rows
-    (``contour_quad.rotated_integral``).  Raises ``ValueError`` for no
-    signals or for signals whose witnesses differ.
+    The witness is the rows' common witness (``_common_witness``) with
+    amplitude max A_i, so it bounds every row and the stack integrates as
+    one signal: one contour, and one kernel value per node for all rows
+    (``contour_quad.rotated_integral``).  Equal witnesses keep theirs bit
+    for bit.  Raises ``ValueError`` for no signals.
     """
     signals = list(signals)
     if not signals:
         raise ValueError("a signal stack needs at least one signal")
-    witness = signals[0].growth
-    if any(s.growth != witness for s in signals):
-        raise ValueError("stacked signals must share one growth witness")
+    witnesses = [s.growth for s in signals]
 
     def ev(z):
         return np.stack([np.asarray(s.eval(z), dtype=complex) for s in signals])
 
     return HolomorphicSignal(
-        eval=ev, growth=witness, label=";".join(s.label for s in signals)
+        eval=ev,
+        growth=_common_witness(witnesses, max(w.amplitude for w in witnesses)),
+        label=";".join(s.label for s in signals),
     )
 
 

@@ -16,10 +16,10 @@ import numpy as np
 
 from . import evolve
 from .contour_quad import GrowthWitness
-from .errors import PrecisionExhausted
+from .errors import EvaluationOverflow, PrecisionExhausted
 from .greens import GreensKernel
 from .initial_data import HolomorphicSignal, plane_wave
-from .special_fn import ROOT_I, assoc_legendre_tanh, pt_kernel_term
+from .special_fn import _EXP_LIMIT, ROOT_I, assoc_legendre_tanh, erfcx
 
 _MAX_DPS = 20000
 
@@ -206,6 +206,32 @@ def supershift_combination_direct(
         for c, v in zip(coeffs, vals):
             total += c * mp.mpc(v.real, v.imag)
         return complex(total)
+
+
+def pt_kernel_term(t, z):
+    """Two-sided kernel factor of the sech^2-well propagator.
+
+    For t > 0 and complex z returns
+
+        e^{z} L(z/(2 sqrt(it)) - sqrt(it)) - e^{-z} L(z/(2 sqrt(it)) + sqrt(it))
+
+    with L the scaled complementary error function and sqrt(it) on the
+    principal branch.  Even in z; behaves like
+    4 sinh(z) sqrt(it) / (z sqrt(pi)) as t -> 0+.
+    """
+    if t <= 0:
+        raise ValueError("pt_kernel_term requires t > 0")
+    z = np.asarray(z, dtype=complex)
+    if np.any(np.abs(z.real) > _EXP_LIMIT):
+        raise EvaluationOverflow("pt_kernel_term: exp(+-z) overflows")
+    # the function is even in z; canonicalizing to Re z >= 0 keeps both
+    # erfcx arguments out of the regime where their reflection terms are
+    # astronomically large and cancel only in exact arithmetic
+    z = np.where(z.real < 0.0, -z, z)
+    s = np.sqrt(t) * ROOT_I
+    u = z / (2.0 * s)
+    res = np.exp(z) * erfcx(u - s) - np.exp(-z) * erfcx(u + s)
+    return complex(res) if res.ndim == 0 else res
 
 
 def pt_kernel_term_derivatives(t, z):

@@ -1,9 +1,9 @@
 """Complex error-function machinery and sech-well propagator factors.
 
-Provides the scaled complementary error function, the two-sided
-exponential kernel term used by the reflectionless sech^2-well
-propagator, and associated Legendre factors evaluated on tanh.  All
-functions accept scalars or numpy arrays and are pure.
+Provides the scaled complementary error function, the bound-state sum
+of the reflectionless sech^2-well propagator, and associated Legendre
+factors evaluated on tanh.  All functions accept scalars or numpy arrays
+and are pure.
 
 The scaled error function rests on one numpy kernel, Weideman's rational
 approximation of the Faddeeva function (J. A. C. Weideman, "Computation
@@ -182,46 +182,20 @@ def erfcx(z):
     return _finite(out.reshape(z.shape), "erfcx")
 
 
-def pt_kernel_term(t, z):
-    """Two-sided kernel factor of the sech^2-well propagator.
-
-    For t > 0 and complex z returns
-
-        e^{z} L(z/(2 sqrt(it)) - sqrt(it)) - e^{-z} L(z/(2 sqrt(it)) + sqrt(it))
-
-    with L the scaled complementary error function and sqrt(it) on the
-    principal branch.  Even in z; behaves like
-    4 sinh(z) sqrt(it) / (z sqrt(pi)) as t -> 0+.
-    """
-    if t <= 0:
-        raise ValueError("pt_kernel_term requires t > 0")
-    z = np.asarray(z, dtype=complex)
-    if np.any(np.abs(z.real) > _EXP_LIMIT):
-        raise EvaluationOverflow("pt_kernel_term: exp(+-z) overflows")
-    # the function is even in z; canonicalizing to Re z >= 0 keeps both
-    # erfcx arguments out of the regime where their reflection terms are
-    # astronomically large and cancel only in exact arithmetic
-    z = np.where(z.real < 0.0, -z, z)
-    s = np.sqrt(t) * ROOT_I
-    u = z / (2.0 * s)
-    res = np.exp(z) * erfcx(u - s) - np.exp(-z) * erfcx(u + s)
-    return complex(res) if res.ndim == 0 else res
-
-
 def pt_weighted_term(l: int, t: float, x: float, z):
     """Bound-state sum of the sech^2-well kernel, all orders in one pass:
 
         sum_{m=1}^{l} c_m Q_l^m(x) Q_l^m(z) R(m^2 t, m(z - x)),
         c_m = m (l-m)! / (2 (l+m)!),
 
-    with Q_l^m = assoc_legendre_tanh and R = pt_kernel_term; the orders
-    run along a leading axis.  R alone grows like e^{m |Re(z-x)|} and
-    overflows doubles on wide integration windows, while Q_l^m(z) decays
-    like e^{-m |Re z|}; combining the exponents keeps each product, which
-    is bounded by ~e^{m |x|} / |z|, representable everywhere.  Uses the
-    evenness of R and sech^m(z) = e^{-m zeta z} (2 / (1 + e^{-2 zeta z}))^m
-    on the decaying side zeta = sign(Re z); tanh z comes from the same
-    e^{-2 zeta z}.
+    with Q_l^m = assoc_legendre_tanh and R = ``oracles.pt_kernel_term``;
+    the orders run along a leading axis.  R alone grows like
+    e^{m |Re(z-x)|} and overflows doubles on wide integration windows,
+    while Q_l^m(z) decays like e^{-m |Re z|}; combining the exponents
+    keeps each product, which is bounded by ~e^{m |x|} / |z|,
+    representable everywhere.  Uses the evenness of R and
+    sech^m(z) = e^{-m zeta z} (2 / (1 + e^{-2 zeta z}))^m on the decaying
+    side zeta = sign(Re z); tanh z comes from the same e^{-2 zeta z}.
 
     With w = m(z - x) taken on the side Re w >= 0 (w = m eta (z - x)),
     s = m sqrt(it) and u = w / (2s), order m contributes its polynomial

@@ -37,11 +37,12 @@ from supershift_lab.initial_data import (
 from supershift_lab.ode_coeff import solve_electric, solve_harmonic
 from supershift_lab.oracles import (
     legendre_sum_residual,
+    pt_kernel_term,
     pt_kernel_term_derivatives,
     superosc_value,
     superosc_value_float64,
 )
-from supershift_lab.special_fn import erfcx, pt_kernel_term
+from supershift_lab.special_fn import erfcx
 
 FRESNEL = np.sqrt(np.pi) * np.exp(1j * np.pi / 4)
 

@@ -40,6 +40,22 @@ class TestExitCodes:
             names = [c["name"] for c in doc["checks"]]
             assert "free_plane_wave_closed_form" in names
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--potential", "harmonic"],
+            ["--potential", "harmonic:omega=2"],
+            ["--potential", "harmonic:omega=2", "--initial", "superosc"],
+        ],
+    )
+    def test_verify_harmonic_passes(self, args, outdir):
+        # the residual of a correct field is the field's, not the stencil's
+        # O(h^2) error, which alone exceeded 1e-3 on these patches
+        assert run(["verify", *args, "--output", outdir]) == 0
+        doc = json.loads(open(os.path.join(outdir, "run_verify.json")).read())
+        [check] = [c for c in doc["checks"] if c["name"] == "schrodinger_residual"]
+        assert check["value"] <= 1e-5
+
     def test_verify_complex_plane_wave_passes(self, tmp_path, outdir):
         # k = [re, im]: the closed-form check compares with e^{i k x - i k^2 t}
         cfg = tmp_path / "cfg.json"

@@ -695,6 +695,12 @@ class TestPanelProduct:
                 assert one[0].tolist() == [vals[k, p]] and one[1].tolist() == [errs[k, p]]
 
 
+# the poisoned nodes make numpy warn in the panel products and the
+# integrand; the warnings are expected here and nowhere else
+@pytest.mark.filterwarnings(
+    "ignore:invalid value encountered in matmul:RuntimeWarning",
+    "ignore:invalid value encountered in multiply:RuntimeWarning",
+)
 class TestNonFiniteIntegrand:
     """A NaN or an infinity at any node makes a pass fail, as an
     ``EvaluationOverflow``: a NaN at a value node, an infinity at a node of

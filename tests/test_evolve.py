@@ -26,6 +26,7 @@ from supershift_lab.crosschecks import (
 )
 from supershift_lab.errors import HorizonExceeded
 from supershift_lab.evolve import (
+    WaveField,
     continuous_dependence_check,
     initial_limit_check,
     schrodinger_residual_field,
@@ -56,6 +57,20 @@ from supershift_lab.oracles import (
 
 FREE_D = (10.394027, 6.805639, 2.924525)
 HARM_D = (2.910942, 1.448402, 0.657752)
+
+
+def _assert_gap_from_stack(kernel, target, fs, t, x, dists):
+    """dists are the gaps at (t, x) in the field of the stack of target
+    and fs, exactly, and within the summed estimates of the gaps between
+    lone fields."""
+    stacked = wavefunction_result(kernel, signal_stack([target] + fs), t, x, 1e-8)
+    ref, *vals = stacked.value.tolist()
+    assert dists == [abs(v - ref) for v in vals]
+    lone_ref = wavefunction_result(kernel, target, t, x, 1e-8)
+    for f, v, e, d in zip(fs, vals, stacked.err_estimate[1:], dists):
+        lone = wavefunction_result(kernel, f, t, x, 1e-8)
+        slack = e + stacked.err_estimate[0] + lone.err_estimate + lone_ref.err_estimate
+        assert abs(d - abs(lone.value - lone_ref.value)) <= slack
 
 
 class TestWavefunction:
@@ -394,21 +409,24 @@ class TestResidualField:
         fld = wavefield(free_kernel, plane_wave(2.0), ts, xs, tol=1e-10)
         assert schrodinger_residual_field(fld, free_kernel) <= 1e-4
 
-    def test_zero_field(self, free_kernel):
-        from supershift_lab.evolve import WaveField
-
-        fld = WaveField(
-            ts=np.linspace(0.1, 0.2, 3),
-            xs=np.linspace(0, 1, 3),
-            values=np.zeros((3, 3), dtype=complex),
-            quad_errors=np.zeros((3, 3)),
+    @staticmethod
+    def _zero_field(ts, xs):
+        shape = (len(ts), len(xs))
+        return WaveField(
+            ts=np.asarray(ts),
+            xs=np.asarray(xs),
+            values=np.zeros(shape, dtype=complex),
+            quad_errors=np.zeros(shape),
             potential="free",
             initial="zero",
             tol=1e-10,
-            radius=np.zeros((3, 3)),
-            nodes=np.zeros((3, 3), dtype=int),
-            rounds=np.zeros((3, 3), dtype=int),
+            radius=np.zeros(shape),
+            nodes=np.zeros(shape, dtype=int),
+            rounds=np.zeros(shape, dtype=int),
         )
+
+    def test_zero_field(self, free_kernel):
+        fld = self._zero_field(np.linspace(0.1, 0.2, 5), np.linspace(0, 1, 5))
         assert schrodinger_residual_field(fld, free_kernel) == 0.0
 
     def test_pt_patch(self, pt1_kernel):
@@ -419,22 +437,29 @@ class TestResidualField:
         assert schrodinger_residual_field(fld, pt1_kernel) <= 1e-3
 
     def test_nonuniform_grid_rejected(self, free_kernel):
-        from supershift_lab.evolve import WaveField
-
-        fld = WaveField(
-            ts=np.array([0.1, 0.2, 0.4]),
-            xs=np.linspace(0, 1, 3),
-            values=np.zeros((3, 3), dtype=complex),
-            quad_errors=np.zeros((3, 3)),
-            potential="free",
-            initial="zero",
-            tol=1e-10,
-            radius=np.zeros((3, 3)),
-            nodes=np.zeros((3, 3), dtype=int),
-            rounds=np.zeros((3, 3), dtype=int),
-        )
-        with pytest.raises(ValueError):
+        ts = np.array([0.1, 0.2, 0.3, 0.4, 0.6])
+        fld = self._zero_field(ts, np.linspace(0, 1, 5))
+        with pytest.raises(ValueError, match="uniform"):
             schrodinger_residual_field(fld, free_kernel)
+
+    def test_grid_below_5x5_rejected(self, free_kernel):
+        fld = self._zero_field(np.linspace(0.1, 0.2, 4), np.linspace(0, 1, 5))
+        with pytest.raises(ValueError, match="5x5"):
+            schrodinger_residual_field(fld, free_kernel)
+
+    def test_harmonic_patch_discriminates(self, free_kernel, harmonic_kernel):
+        # verify's patch at t = pi/8: the plain stencil's O(h^2) error read
+        # 3e-3 here; extrapolated, the correct field reads far below the
+        # 1e-3 threshold, and the wrong potential or one value off by 1e-6
+        # reads far above it
+        h = 2e-3
+        ts = np.pi / 8 + h * np.arange(5)
+        xs = 0.3 + h * np.arange(5)
+        fld = wavefield(harmonic_kernel, plane_wave(3.0), ts, xs, tol=1e-9)
+        assert schrodinger_residual_field(fld, harmonic_kernel) <= 1e-5
+        assert schrodinger_residual_field(fld, free_kernel) >= 1e-2
+        fld.values[2, 1] *= 1.0 + 1e-6
+        assert schrodinger_residual_field(fld, harmonic_kernel) >= 1e-2
 
 
 class TestInitialLimit:
@@ -499,26 +524,24 @@ class TestSupershift:
 
     def test_point_error_recorded_not_raised(self, pt1_kernel):
         # x = 4.25 puts a pole inside the sector swept to the line through
-        # it, where F_10 (frequency 0) is integrated; the plane wave's line
-        # through 4.25 - 2 t kappa = 3.05 keeps clear.  x = 0 still counts
+        # it, where F_10 (frequency 0) and with it the target are
+        # integrated.  x = 0 still counts
+        pw, fn = plane_wave(2.0), superosc_signal(10, 2.0)
         rep = supershift_experiment(pt1_kernel, [10], 2.0, [0.3], [0.0, 4.25], tol=1e-8)
         assert [(n, t, x) for n, t, x, _ in rep.failures] == [(10, 0.3, 4.25)]
         assert all(r.startswith("DomainMarginError") for *_, r in rep.failures)
-        gap = abs(
-            wavefunction(pt1_kernel, superosc_signal(10, 2.0), 0.3, 0.0, 1e-8)
-            - wavefunction(pt1_kernel, plane_wave(2.0), 0.3, 0.0, 1e-8)
-        )
-        assert rep.distances == [gap] and not rep.strictly_decreasing
+        [d] = rep.distances
+        _assert_gap_from_stack(pt1_kernel, pw, [fn], 0.3, 0.0, [d])
+        assert not rep.strictly_decreasing
 
     def test_gaps_equal_python_abs_over_wavefield_cells(self, free_kernel):
         # criterion-9 free column: kappa = 3, x = -1, t in [0.1, 0.5]; the
         # experiments' array gaps must round like Python's complex abs over
-        # the fields they evaluate: the target's and the stack of the F_n
+        # the field they evaluate: the stack of the target and the F_n
         ts, col = np.linspace(0.1, 0.5, 5), [-1.0]
-        ref = wavefield(free_kernel, plane_wave(3.0), ts, col, tol=1e-8).values
         rep = supershift_experiment(free_kernel, [10, 20, 40], 3.0, ts, col, tol=1e-8)
-        stack = signal_stack([superosc_signal(n, 3.0) for n in (10, 20, 40)])
-        planes = wavefield(free_kernel, stack, ts, col, tol=1e-8).values
+        stack = signal_stack([plane_wave(3.0)] + [superosc_signal(n, 3.0) for n in (10, 20, 40)])
+        ref, *planes = wavefield(free_kernel, stack, ts, col, tol=1e-8).values
         for vals, d in zip(planes, rep.distances):
             assert d == max(abs(complex(v) - complex(r)) for v, r in zip(vals.flat, ref.flat))
         pw = plane_wave(3.0)
@@ -595,24 +618,25 @@ class TestSignalStack:
             pt2_kernel, gtilde=lambda t, x, z: calls.append(np.size(z)) or gtilde(t, x, z)
         )
         ts, xs = np.linspace(0.1, 0.5, 5), np.linspace(-1.0, 1.0, 9)
-        stack = signal_stack([superosc_signal(n, 2.0) for n in (10, 20, 40)])
-        fld = wavefield(counted, stack, ts, xs, tol=1e-8)
+        fs = [superosc_signal(n, 2.0) for n in (10, 20, 40)]
+        fld = wavefield(counted, signal_stack(fs), ts, xs, tol=1e-8)
         assert not fld.failures
         assert len(calls) == int((fld.rounds + 1).sum())
         assert sum(calls) == int(fld.nodes.sum())
-        # target and stack: one contour each per point; per order it was 186
+        # the experiment is one field, the stack of the target and the
+        # F_n: one kernel call per point and round (45 here; 96 with the
+        # target as a field of its own, 186 with a field per order)
+        one = wavefield(pt2_kernel, signal_stack([plane_wave(2.0)] + fs), ts, xs, 1e-8)
         calls.clear()
         rep = supershift_experiment(counted, [10, 20, 40], 2.0, ts, xs, tol=1e-8)
-        assert not rep.failures and len(calls) <= 100
+        assert not rep.failures and len(calls) == int((one.rounds + 1).sum())
 
     def test_failed_stacked_point_lists_every_order(self, pt1_kernel):
         rep = supershift_experiment(pt1_kernel, [10, 20], 2.0, [0.3], [0.0, 4.25], tol=1e-8)
         assert [(n, t, x) for n, t, x, _ in rep.failures] == [(10, 0.3, 4.25), (20, 0.3, 4.25)]
         assert all(r.startswith("DomainMarginError") for *_, r in rep.failures)
-        stack = signal_stack([superosc_signal(n, 2.0) for n in (10, 20)])
-        vals = wavefield(pt1_kernel, stack, [0.3], [0.0], tol=1e-8).values[:, 0, 0]
-        ref = wavefunction(pt1_kernel, plane_wave(2.0), 0.3, 0.0, 1e-8)
-        assert rep.distances == [abs(complex(v) - ref) for v in vals]
+        fs = [superosc_signal(n, 2.0) for n in (10, 20)]
+        _assert_gap_from_stack(pt1_kernel, plane_wave(2.0), fs, 0.3, 0.0, rep.distances)
         assert not rep.strictly_decreasing
 
     def test_failed_stacked_point_records_each_order(self, free_kernel, monkeypatch):
@@ -628,9 +652,10 @@ class TestSignalStack:
         for f, v, e in zip(fs, fld.values[:, 0, 0], fld.quad_errors[:, 0, 0]):
             assert abs(v - wavefunction(free_kernel, f, 0.3, -1.0, 1e-12)) <= e
 
-    def test_combined_approximants_keep_their_fields(self, free_kernel):
-        # combinations differ in their witness amplitudes: each is its own
-        # field, bit for bit the field of that approximant alone
+    def test_combined_approximants_share_the_target_field(self, free_kernel):
+        # combinations differ in their witness amplitudes: they and the
+        # target are one field, under the largest amplitude, and each
+        # distance lies within the estimates of the approximant's lone field
         pw, fn = plane_wave(3.0), superosc_signal(8, 3.0)
         approx = [combine_signals([(c, fn), (1.0 - c, pw)]) for c in (10.0, 5.0)]
         assert approx[0].growth != approx[1].growth
@@ -638,10 +663,15 @@ class TestSignalStack:
         rep = continuous_dependence_check(
             free_kernel, pw, approx, [1, 2], 8.0, disk_samples(2.0), ts, xs, tol=1e-8
         )
-        ref = wavefield(free_kernel, pw, ts, xs, tol=1e-8).values
-        for f, d in zip(approx, rep.field_distances):
-            vals = wavefield(free_kernel, f, ts, xs, tol=1e-8).values
-            assert d == max(abs(complex(v) - complex(r)) for v, r in zip(vals.flat, ref.flat))
+        assert not rep.failures
+        fld = wavefield(free_kernel, signal_stack([pw] + approx), ts, xs, tol=1e-8)
+        ref, ref_err = wavefield(free_kernel, pw, ts, xs, tol=1e-8), fld.quad_errors[0]
+        for f, vals, errs, d in zip(approx, fld.values[1:], fld.quad_errors[1:], rep.field_distances):
+            assert d == max(abs(complex(v) - complex(r)) for v, r in zip(vals.flat, fld.values[0].flat))
+            alone = wavefield(free_kernel, f, ts, xs, tol=1e-8)
+            lone_d = np.max(np.abs(alone.values - ref.values))
+            slack = errs + ref_err + alone.quad_errors + ref.quad_errors
+            assert abs(d - lone_d) <= np.max(slack)
 
 
 class TestAnalyticityProbe:
@@ -716,16 +746,23 @@ class TestContinuousDependence:
 
     def test_point_error_recorded_not_raised(self, pt1_kernel):
         # x = 4.25 puts a pole inside the sector swept to the line through
-        # it, where F_10 is integrated; the plane wave's contour through its
-        # stationary point keeps clear.  x = 0 still counts
+        # it, where F_10 and with it the target are integrated.  x = 0
+        # still counts
         pw, fn = plane_wave(2.0), superosc_signal(10, 2.0)
         rep = continuous_dependence_check(
             pt1_kernel, pw, [fn], [10], 6.0, disk_samples(3.0), [0.3], [0.0, 4.25], tol=1e-8
         )
         assert [(n, t, x) for n, t, x, _ in rep.failures] == [(10, 0.3, 4.25)]
         assert all(r.startswith("DomainMarginError") for *_, r in rep.failures)
-        gap = abs(
-            wavefunction(pt1_kernel, fn, 0.3, 0.0, 1e-8)
-            - wavefunction(pt1_kernel, pw, 0.3, 0.0, 1e-8)
+        _assert_gap_from_stack(pt1_kernel, pw, [fn], 0.3, 0.0, rep.field_distances)
+        assert not rep.passed
+
+    def test_no_approximants_evaluate_nothing(self, free_kernel):
+        def gtilde(t, x, z):
+            raise AssertionError("no field to evaluate")
+
+        kernel = dataclasses.replace(free_kernel, gtilde=gtilde)
+        rep = continuous_dependence_check(
+            kernel, plane_wave(2.0), [], [], 6.0, disk_samples(3.0), [0.3], [0.0]
         )
-        assert rep.field_distances == [gap] and not rep.passed
+        assert (rep.field_distances, rep.failures, rep.passed) == ([], [], True)

@@ -184,13 +184,64 @@ class TestSignals:
             assert np.array_equal(row, f(zs))
         assert signal_stack(fs[:1])(zs).shape == (1, zs.size)
 
-    def test_signal_stack_refuses_empty_and_mixed_witnesses(self):
+    def test_signal_stack_refuses_empty_and_joins_mixed_witnesses(self):
         with pytest.raises(ValueError, match="at least one"):
             signal_stack([])
-        with pytest.raises(ValueError, match="one growth witness"):
-            signal_stack([superosc_signal(10, 3.0), plane_wave(3.0)])
-        with pytest.raises(ValueError, match="one growth witness"):
-            signal_stack([superosc_signal(10, 3.0), superosc_signal(10, 2.0)])
+        # the supershift experiment's stack: for real kappa the target
+        # e^{i kappa z} runs under the witness of the F_n, bit for bit
+        fs = [superosc_signal(n, 3.0) for n in (10, 20, 40)]
+        assert signal_stack([plane_wave(3.0)] + fs).growth == fs[0].growth
+        # orders of different kappa: the wider rate holds
+        mixed = signal_stack([superosc_signal(10, 3.0), superosc_signal(10, 2.0)])
+        assert mixed.growth == superosc_signal(10, 3.0).growth
+
+    @staticmethod
+    def _envelope(w, zs):
+        spread = np.abs(zs.imag) if w.kind == "imag" else np.abs(zs)
+        return w.amplitude * np.exp(w.rate * spread - w.freq * zs.imag)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # frequencies 2, -1, 0.5 -+ 0.7 and 0 at amplitudes 1 and 3,
+            # modulus and imag kinds
+            lambda: [
+                plane_wave(2.0),
+                combine_signals([(3.0, plane_wave(-1.0))]),
+                plane_wave(0.5 + 0.7j),
+                constant_signal(),
+                superosc_signal(6, 2.0),
+            ],
+            lambda: [plane_wave(2.5), combine_signals([(0.5j, plane_wave(-0.5 - 0.25j))])],
+            lambda: [constant_signal(), combine_signals([(2.0, constant_signal())])],
+        ],
+        ids=["five-mixed", "two-plane", "all-imag"],
+    )
+    def test_signal_stack_witness_bounds_every_row(self, rows):
+        rows = rows()
+        stack = signal_stack(rows)
+        w = stack.growth
+        assert w.amplitude == max(f.growth.amplitude for f in rows)
+        assert (w.kind == "imag") == all(f.growth.kind == "imag" for f in rows)
+        zs = np.concatenate([disk_samples(3.0), 30.0 * disk_samples(1.0)])
+        bound = self._envelope(w, zs)
+        for f, vals in zip(rows, stack(zs)):
+            assert np.all(self._envelope(f.growth, zs) <= bound * (1 + 1e-12))
+            assert np.all(np.abs(vals) <= bound * (1 + 1e-12))
+
+    def test_equal_witnesses_kept_bit_for_bit(self):
+        # the midpoint of the band 3 -+ 0.1 rounds: 0.5 (3.1 - 2.9) != 0.1
+        pw = plane_wave(3.0 + 0.1j)
+        assert 0.5 * ((3.0 + 0.1) - (3.0 - 0.1)) != 0.1
+        assert signal_stack([pw, pw, plane_wave(3.0 + 0.1j)]).growth == pw.growth
+        assert combine_signals([(1.0, pw)]).growth == pw.growth
+        fs = [superosc_signal(n, 3.0) for n in (10, 20, 40)]
+        assert signal_stack(fs).growth == fs[0].growth
+        zs = disk_samples(3.0)
+        for f in (pw, plane_wave(-2.0), constant_signal(), fs[1], combine_signals([(2j, pw)])):
+            one = signal_stack([f])
+            assert one.growth == f.growth
+            assert np.array_equal(one(zs)[0], f(zs))
 
 
 class TestMetric:

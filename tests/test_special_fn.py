@@ -15,12 +15,15 @@ from numpy.polynomial import polynomial as P
 from supershift_lab import special_fn
 from supershift_lab.crosschecks import erf_complex
 from supershift_lab.errors import DomainMarginError, EvaluationOverflow
-from supershift_lab.oracles import legendre_sum_residual, pt_kernel_term_derivatives
+from supershift_lab.oracles import (
+    legendre_sum_residual,
+    pt_kernel_term,
+    pt_kernel_term_derivatives,
+)
 from supershift_lab.special_fn import (
     assoc_legendre_tanh,
     erfcx,
     pole_set_distance,
-    pt_kernel_term,
     pt_weighted_term,
 )
 
