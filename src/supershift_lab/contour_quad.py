@@ -83,6 +83,13 @@ _X7, _W7 = leggauss(7)
 _GL15_GL7 = _PanelRule(nodes=np.concatenate([_X15, _X7]), weights=_W15, embedded=_W7)
 # most seed panels of a rotated pass: one integrand call
 _SEED_PANELS = _BATCH_NODES // len(_GL15_GL7.nodes)
+# seed panel width times the envelope's linear coefficient b at tol 1e-9: for
+# a function of exponential type b the GL-7 bound (e b h / 28)^14 is 2e-12 at
+# b h = 1.5.  It follows tol as (tol / 1e-9)^(1/30) (scan in CHANGES.md)
+_SEED_WIDTH = 3.0
+# the Bernstein parameter rho(tol) = (tol * _SEED_MARGIN)^(-1/14) of the
+# seed's grading toward a singular set: 10 at tol 1e-9, 6.1 at 1e-6
+_SEED_MARGIN = 1e-5
 
 
 @dataclass(frozen=True)
@@ -95,24 +102,16 @@ class GrowthWitness:
     freq is the integrand's net linear frequency: e^{i freq z} is bounded
     on the real line but grows like e^{-freq Im z} off it, and naming it
     keeps it out of the rate.  The default 0 is the plain envelope.
-
-    length is the length on which f varies along a contour, set by its
-    singularities (for the sech^2 well, ``greens._pt_seed_width``):
-    ``rotated_integral`` seeds no panel wider than that.  The default inf
-    (an entire f) leaves the seed to the Gaussian width alone.
     """
 
     amplitude: float
     rate: float
     kind: str = "modulus"
     freq: float = 0.0
-    length: float = np.inf
 
     def __post_init__(self):
         if self.amplitude < 0 or self.rate < 0:
             raise ValueError("growth witness requires amplitude, rate >= 0")
-        if not self.length > 0:
-            raise ValueError("growth witness requires length > 0")
         if self.kind not in ("modulus", "imag"):
             raise ValueError("witness kind must be 'modulus' or 'imag'")
 
@@ -195,6 +194,12 @@ def _tail_radius(log_amp: float, c: float, b: float, log_tol: float, limit: floa
     return y
 
 
+def _linear_rate(witness, a, angle, y1, shift):
+    """Linear coefficient of the envelope along z = shift + u e^{i angle}
+    (``truncation_radius``)."""
+    return witness.rate + abs(2.0 * a * (shift - y1) + witness.freq) * math.sin(angle)
+
+
 def truncation_radius(
     witness: GrowthWitness,
     a: float,
@@ -220,7 +225,7 @@ def truncation_radius(
     if a <= 0 or not 0 < angle < math.pi / 2 or tol <= 0:
         raise ValueError("truncation_radius requires a > 0, angle in (0, pi/2), tol > 0")
     c = a * math.sin(2.0 * angle)
-    b = witness.rate + abs(2.0 * a * (shift - y1) + witness.freq) * math.sin(angle)
+    b = _linear_rate(witness, a, angle, y1, shift)
     log_amp = math.log(max(witness.amplitude, _TINY)) + witness.rate * abs(shift)
     # witnesses and kernels may hand in numpy scalars: the solve runs on floats
     return _tail_radius(float(log_amp), float(c), float(b), math.log(tol), 1e12)
@@ -247,8 +252,8 @@ def _panel_sums(g, lows, highs, rule):
     ``_BATCH_NODES`` nodes: 67 K-61 panels or 186 GL-15/GL-7 panels.  A
     rotated pass of up to 186 panels is therefore one
     call, and ``rotated_integral`` keeps its seeded pass within that
-    (``_SEED_PANELS``); the largest measured on the benchmark grids is 46
-    panels (1,012 nodes, a sech^2-well seed on ``plane-field``).  Panels
+    (``_SEED_PANELS``); the largest measured on the benchmark grids is 47
+    panels (1,034 nodes, a sech^2-well seed on ``plane-field``).  Panels
     are independent, so no value or estimate depends on where a pass is
     split.  The values and estimates of a stack keep its leading signal
     axis.  A NaN or an infinity at any node makes the sums non-finite, so
@@ -371,20 +376,59 @@ def _symmetric_cluster(radius, sigma):
     return np.array([-u for u in reversed(right)] + [0.0] + right)
 
 
-def _split_panels(edges, width):
-    """edges with each panel wider than width cut into the fewest equal
-    parts no wider than width, on Python floats as ``_symmetric_cluster``;
-    edges itself when no panel is cut."""
-    pts = edges.tolist()
-    parts = [math.ceil((hi - lo) / width) for lo, hi in zip(pts, pts[1:])]
-    if max(parts, default=1) <= 1:
+def _seed_edges(radius, sigma, b, tol, poles, center, rot):
+    """Seed panel edges of a rotated pass on u in [-radius, radius].
+
+    The Gaussian cluster (``_symmetric_cluster``) with every panel wider
+    than ``_SEED_WIDTH`` / b cut into equal parts, each bisected until the
+    disk of radius half-width times reach = (rho + 1/rho) / 2 around its
+    midpoint, which holds its Bernstein ellipse at rho(tol), clears the
+    singular set (``poles``: the distance to it, None if there is none).
+    The distance is 1-Lipschitz, so a clear cluster panel passes its parts,
+    and a failed panel clear by (reach + 1) / 2 half-widths its halves,
+    unlooked.  The cut stays within half of ``_SEED_PANELS``, the
+    bisection within all of it: the seed is one integrand call.  The
+    cluster array itself when no panel is cut.
+    """
+    edges = _symmetric_cluster(radius, sigma)
+    width = _SEED_WIDTH / b * (tol * 1e9) ** (1.0 / 30.0) if b > 0.0 else math.inf
+    if poles is None and width >= radius:  # no cluster panel is wider
         return edges
-    out = []
-    for lo, hi, k in zip(pts, pts[1:], parts):
+    pts = edges.tolist()
+    room = _SEED_PANELS // 2 - len(pts)
+    width = max(width, 2.0 * radius / room) if room > 0 else math.inf
+    rho = (tol * _SEED_MARGIN) ** (-1.0 / 14.0)
+    reach = 0.5 * (rho + 1.0 / rho)
+    budget = _SEED_PANELS + 1 - len(pts)
+    out = [pts[0]]
+    for lo, hi in zip(pts, pts[1:]):
+        k = math.ceil((hi - lo) / width) if hi - lo > width else 1
         step = (hi - lo) / k
-        out += [lo + j * step for j in range(k)]
-    out.append(pts[-1])
-    return np.array(out)
+        budget -= k - 1
+        half = 0.5 * (hi - lo)
+        if poles is None or poles(center + (lo + half) * rot) >= half + (reach - 1.0) * step / 2:
+            out += [lo + j * step for j in range(1, k)]
+            out.append(hi)
+            continue
+        for j in range(1, k + 1):
+            # stack: the pending right edges; halves ending by sure pass
+            left, stack, sure = out[-1], [lo + j * step if j < k else hi], -math.inf
+            while stack:
+                right = stack[-1]
+                half = 0.5 * (right - left)
+                if right <= sure or budget <= 0:
+                    dist = math.inf
+                else:
+                    dist = poles(center + (left + half) * rot)
+                if dist < reach * half:
+                    stack.append(left + half)
+                    budget -= 1
+                    if dist >= (reach + 1.0) * 0.5 * half:
+                        sure = right
+                else:
+                    out.append(right)
+                    left = stack.pop()
+    return edges if len(out) == len(pts) else np.array(out)
 
 
 def _rotate(rot, value):
@@ -415,9 +459,13 @@ def rotated_integral(
 
     The seed panels are the geometric cluster around u = 0 at the
     Gaussian width 1 / sqrt(2 a sin(2 angle)) (``_symmetric_cluster``),
-    with every panel wider than the witness length cut into equal parts;
-    the seed stays one integrand call of at most ``_SEED_PANELS`` panels.
-    ``_adaptive_panels`` then bisects wherever a panel estimate misses its
+    cut to no wider than 3 / b at tol 1e-9 (b the envelope's linear
+    coefficient along the line, as in ``truncation_radius``) and graded
+    toward f's singular set (``f.poles``) at the Bernstein parameter
+    rho(tol) (``_seed_edges``); the seed stays one integrand call of at
+    most ``_SEED_PANELS`` panels.  Through a stationary point b is the
+    witness rate: the free, electric and harmonic plane waves keep the
+    cluster as it is.  ``_adaptive_panels`` then bisects wherever a panel estimate misses its
     share of tol, so any phase left along the line (another angle, a
     shift off the stationary point) is resolved by refinement.  The error
     estimate combines the summed panel estimates with the certified
@@ -432,10 +480,15 @@ def rotated_integral(
         z = center + u * rot
         return np.exp(1j * a * (z - y1) ** 2) * _eval_signal(f, z)
 
-    edges = _symmetric_cluster(radius, 1.0 / math.sqrt(2.0 * a * math.sin(2.0 * angle)))
-    if f.growth.length < np.inf:
-        width = max(f.growth.length, 2.0 * radius / (_SEED_PANELS - len(edges)))
-        edges = _split_panels(edges, width)
+    edges = _seed_edges(
+        radius,
+        1.0 / math.sqrt(2.0 * a * math.sin(2.0 * angle)),
+        _linear_rate(f.growth, a, angle, y1, center),
+        tol,
+        f.poles,
+        center,
+        rot,
+    )
     try:
         value, err, n_panels, nodes, rounds = _adaptive_panels(
             g, edges, half_tol, _MAX_PANELS, _GL15_GL7

@@ -19,10 +19,9 @@ Kernels:
 
 The method needs only an estimate of gtilde, not its closed form: each
 kernel states it as one modulus ``GrowthWitness`` per (t, x) (amplitude,
-rate, linear frequency and the length on which gtilde varies), the type
-every initial datum carries.  All evaluators accept numpy arrays in z and
-are pure; construction may solve coefficient ODEs but the returned
-kernel is immutable.
+rate and linear frequency), the type every initial datum carries.  All
+evaluators accept numpy arrays in z and are pure; construction may solve
+coefficient ODEs but the returned kernel is immutable.
 """
 
 from __future__ import annotations
@@ -59,8 +58,6 @@ INV_SQRT_IPI = 1.0 / (np.sqrt(np.pi) * ROOT_I)
 # contour half-angles of the sech^2 well and of the other kernels (make_kernel)
 _PT_SECTOR_ANGLE = np.pi / 8
 _SECTOR_ANGLE = np.pi / 4
-# Bernstein-ellipse parameter a sech^2-well seed panel reaches (_pt_seed_width)
-_PT_SEED_RHO = 6.0
 
 
 class Potential:
@@ -136,11 +133,13 @@ class GreensKernel:
     formula_horizon largest time where the kernel formula itself is valid
     sector_angle    contour half-angle, fixed per potential (``make_kernel``);
                     the witnesses hold on the sectors ``contour_center`` admits
+    pole_margin     least distance of a contour from the cosh zeros, the
+                    sech^2 well's singular set (``pole_set_distance``); 0 for
+                    the entire kernels, which have none
     growth          (t, x) -> the modulus ``GrowthWitness`` of gtilde:
                     |gtilde| <= A e^{B |z| - w Im z} with w the kernel's
                     linear frequency (gtilde is e^{i w z} times a bounded
-                    factor), and the length on which gtilde varies along a
-                    contour (inf for the entire kernels)
+                    factor)
     growth_imag     (t, x) -> (A0, B0) with |gtilde| <= A0 e^{B0 |Im z|}
                     (all four potentials admit one)
     """
@@ -299,27 +298,6 @@ def _pt_sech_bound(angle: float) -> float:
     return 1.0 / np.sqrt(min(low, 0.25 * (1.0 - e2[-1]) ** 2))
 
 
-def _pt_seed_width(angle: float) -> float:
-    """Widest seed panel of a sech^2-well contour at ``angle``.
-
-    The kernel's singularities, the cosh zeros i pi (k + 1/2), lie at least
-    d = (pi/2) cos(angle) from the line at that angle through 0.  A panel
-    of half-width h whose nearest singularity is d from its middle is
-    analytic inside the Bernstein ellipse of parameter
-    rho = d/h + sqrt(1 + (d/h)^2), so its GL-15 value converges like
-    rho^{-30} and the GL-7 estimate that decides refinement like
-    rho^{-14}.  At rho = 6 (h = 2d / (rho - 1/rho)) the estimate is
-    ~1e-11 times the panel's size, within its share of tol = 1e-9 over a
-    seed of a few dozen panels, and the value is converged far below
-    rounding: the width is 0.995 at pi/8.  Wider seeds are bisected more
-    often (width 1.25: 2.0 integrand calls per point on the benchmark's
-    l = 2 grid at tol 1e-9, against 1.7 at 0.995 and 3.1 unsplit);
-    narrower ones add nodes and save few calls.
-    """
-    d = (np.pi / 2) * np.cos(angle)
-    return 4.0 * d / (_PT_SEED_RHO - 1.0 / _PT_SEED_RHO)
-
-
 def _pt_kernel(potential: PoschlTeller) -> GreensKernel:
     """The sech^2-well kernel with witnesses derived from its closed form.
 
@@ -341,6 +319,9 @@ def _pt_kernel(potential: PoschlTeller) -> GreensKernel:
       b = (4/pi) log S.  So |Q_l^m(z)| e^{m |Re z|} <= 2^m sum_k |a_k|
       e^{b l |Im z|}, times (e^{m|x|} + e^{-m|x|} + 4) e^{m |Im z|}:
       the rate is l (b + 1) and the amplitude is tight on the real line.
+
+    Its singular set, the cosh zeros (``pole_set_distance``), goes with the
+    integrand to the rotated route, which grades its seed toward it.
     """
     l = potential.l
     sech = _pt_sech_bound(_PT_SECTOR_ANGLE)
@@ -353,7 +334,6 @@ def _pt_kernel(potential: PoschlTeller) -> GreensKernel:
         q_strip = 2.0**m * float(abs_p.sum())
         orders.append((m, float(weights[m - 1]), poly_c, q_sector, q_strip))
     rate_imag = l * (4.0 / np.pi * np.log(sech) + 1.0)
-    length = _pt_seed_width(_PT_SECTOR_ANGLE)
 
     def a(t):
         return 1.0 / (4.0 * t)
@@ -384,7 +364,7 @@ def _pt_kernel(potential: PoschlTeller) -> GreensKernel:
         return 1.0 / (2.0 * math.sqrt(math.pi * t)) + total
 
     def growth(t, x):
-        return GrowthWitness(bound_sum(t, x, False), 0.0, length=length)
+        return GrowthWitness(bound_sum(t, x, False), 0.0)
 
     def growth_imag(t, x):
         return bound_sum(t, x, True), rate_imag

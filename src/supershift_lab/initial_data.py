@@ -31,11 +31,16 @@ from .contour_quad import GrowthWitness
 
 @dataclass(frozen=True)
 class HolomorphicSignal:
-    """Entire (or sector-holomorphic) initial condition with a growth witness."""
+    """Entire (or sector-holomorphic) initial condition with a growth witness.
+
+    poles gives a point's distance to the signal's singular set (None: no
+    singularities); the rotated route's seed is graded toward it.
+    """
 
     eval: Callable
     growth: GrowthWitness
     label: str
+    poles: Callable | None = None
 
     def __call__(self, z):
         return self.eval(z)
@@ -79,15 +84,14 @@ def _common_witness(witnesses, amplitude: float) -> GrowthWitness:
     min(w_i - B_i), and the rate is half their distance.  A witness whose
     band w_i -+ B_i is that whole band is kept as it is: the midpoint
     rounds (0.5 ((3 + 0.1) - (3 - 0.1)) is not 0.1), so equal witnesses
-    come back bit for bit.  The length is the shortest one; the kind is
-    "imag" only if every witness is.
+    come back bit for bit.  The kind is "imag" only if every witness is.
     """
     hi = max(w.freq + w.rate for w in witnesses)
     lo = min(w.freq - w.rate for w in witnesses)
     wide = [w for w in witnesses if (w.freq + w.rate, w.freq - w.rate) == (hi, lo)]
     rate, freq = (wide[0].rate, wide[0].freq) if wide else (0.5 * (hi - lo), 0.5 * (hi + lo))
     kind = "imag" if all(w.kind == "imag" for w in witnesses) else "modulus"
-    return GrowthWitness(amplitude, rate, kind, freq, min(w.length for w in witnesses))
+    return GrowthWitness(amplitude, rate, kind, freq)
 
 
 def combine_signals(terms: list[tuple[complex, HolomorphicSignal]]):

@@ -354,6 +354,8 @@ def _pt_orders(l: int) -> tuple[np.ndarray, np.ndarray]:
 
 def pole_set_distance(z):
     """Distance from z to the cosh zero set {i pi (k + 1/2), k integer}."""
+    if type(z) is complex:  # one seed panel of the rotated route
+        return math.hypot(z.real, abs(z.imag % math.pi - math.pi / 2))
     z = np.asarray(z, dtype=complex)
     # r = Im z mod pi lies in [0, pi); the nearest zeros sit |r - pi/2| away in Im
     dist = np.hypot(z.real, np.abs(np.mod(z.imag, np.pi) - np.pi / 2))

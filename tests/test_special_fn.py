@@ -505,6 +505,9 @@ class TestLegendreFactors:
         got = pole_set_distance(z)
         assert np.all(np.abs(got - brute) <= 1e-15 * np.maximum(1.0, np.abs(z)))
         assert type(pole_set_distance(0.3 + 2.0j)) is float
+        # a Python complex takes the math module path: the same distances
+        one = np.array([pole_set_distance(complex(v)) for v in z])
+        assert np.all(np.abs(one - got) <= 4e-16 * np.maximum(1.0, got))
 
     def test_finite_away_from_poles(self, rng):
         z = rng.uniform(-4, 4, 50) + 1j * rng.uniform(-1.2, 1.2, 50)
