@@ -449,7 +449,8 @@ def run_verify(cfg: dict) -> int:
     tol = cfg["quadrature"]["tol"]
     checks = []
 
-    t_mid = min(0.5, 0.5 * kernel.horizon)
+    # near a focal time the stencil's t derivative, not the field, sets the residual
+    t_mid = min(0.5, 0.25 * kernel.horizon)
     h = 2e-3
     ts = t_mid + h * np.arange(5)
     xs = 0.3 + h * np.arange(5)

@@ -197,7 +197,7 @@ def _tail_radius(log_amp: float, c: float, b: float, log_tol: float, limit: floa
 def _linear_rate(witness, a, angle, y1, shift):
     """Linear coefficient of the envelope along z = shift + u e^{i angle}
     (``truncation_radius``)."""
-    return witness.rate + abs(2.0 * a * (shift - y1) + witness.freq) * math.sin(angle)
+    return witness.rate + abs(2.0 * a * (shift - y1) + witness.freq) * abs(math.sin(angle))
 
 
 def truncation_radius(
@@ -210,11 +210,12 @@ def truncation_radius(
 ) -> float:
     """Radius Y certifying that the rotated-contour tail is below tol.
 
-    On the contour z = shift + u e^{i angle} the integrand modulus is
+    The angle has the sign of a and |angle| < pi/2, so c = a sin(2 angle)
+    > 0; on the contour z = shift + u e^{i angle} the integrand modulus is
     bounded by
 
         amplitude e^{rate |shift|} *
-        e^{-a sin(2 angle) u^2 + (rate + |2 a (shift - y1) + freq| sin(angle)) |u|},
+        e^{-c u^2 + (rate + |2 a (shift - y1) + freq| |sin(angle)|) |u|},
 
     and Newton steps on the concave log tail (``_tail_radius``) give a Y
     certified by ``_log_gaussian_tail(Y) <= log tol``.  Through the
@@ -222,8 +223,9 @@ def truncation_radius(
     alone.  The imag-kind witness satisfies the same envelope, so the
     bound is valid (if slightly conservative) for both kinds.
     """
-    if a <= 0 or not 0 < angle < math.pi / 2 or tol <= 0:
-        raise ValueError("truncation_radius requires a > 0, angle in (0, pi/2), tol > 0")
+    same_sign = (a > 0.0 and angle > 0.0) or (a < 0.0 and angle < 0.0)
+    if not same_sign or not abs(angle) < math.pi / 2 or tol <= 0:
+        raise ValueError("truncation_radius requires a, angle of one sign, |angle| < pi/2, tol > 0")
     c = a * math.sin(2.0 * angle)
     b = _linear_rate(witness, a, angle, y1, shift)
     log_amp = math.log(max(witness.amplitude, _TINY)) + witness.rate * abs(shift)
@@ -236,6 +238,7 @@ def _eval_signal(f, z):
     return np.asarray(f.eval(z), dtype=complex)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _panel_sums(g, lows, highs, rule):
     """Batched panel values of ``rule`` with per-panel error estimates.
 
@@ -257,7 +260,8 @@ def _panel_sums(g, lows, highs, rule):
     are independent, so no value or estimate depends on where a pass is
     split.  The values and estimates of a stack keep its leading signal
     axis.  A NaN or an infinity at any node makes the sums non-finite, so
-    the finiteness check runs on the summed values and estimates.
+    the finiteness check runs on the summed values and estimates, with
+    numpy's overflow and invalid-value warnings off: it reports them.
     """
     m = len(rule.nodes)
     chunk = max(1, _BATCH_NODES // m)
@@ -445,11 +449,11 @@ def rotated_integral(
 ) -> QuadratureResult:
     """Contour evaluation of  int_R e^{i a (y - y1)^2} f(y) dy.
 
-    Integrates along the rotated line z = center + u e^{i angle}, angle in
-    (0, pi/2); there the integrand decays like a Gaussian of rate
-    a sin(2 angle).  For holomorphic f with a valid growth witness the
-    value is independent of both the admissible angle and the center, so
-    this equals
+    Integrates along the rotated line z = center + u e^{i angle}, angle of
+    the sign of a and |angle| < pi/2; there the integrand decays like a
+    Gaussian of rate a sin(2 angle) > 0.  For holomorphic f with a valid
+    growth witness the value is independent of both the admissible angle
+    and the center, so this equals
     e^{i angle} * int_R e^{i a (y e^{i angle} - y1)^2} f(y e^{i angle}) dy.
     The center y1 makes the quadratic factor a pure Gaussian along the
     line, avoiding the e^{a s^2 sin^2(angle) sin(2 angle)} cancellation

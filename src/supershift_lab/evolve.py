@@ -15,13 +15,14 @@ quadrature, so grids are embarrassingly parallel and deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .contour_quad import GrowthWitness, QuadratureResult, rotated_integral
-from .errors import SupershiftError
+from .errors import EvaluationOverflow, SupershiftError
 from .greens import GreensKernel
 from .initial_data import (
     HolomorphicSignal,
@@ -61,15 +62,17 @@ def wavefunction_result(
     integrand's witness: along that line the phase is stationary and the
     integrand a Gaussian times a bounded factor, so no cancellation is
     left for the panel sums.  Where the poles of a sech^2 well refuse that
-    line, ``kernel.contour_center`` moves it back toward x.
+    line, ``kernel.contour_center`` moves it back toward x.  The line turns
+    with the sign of a; at a focal time, a = 0, the point fails.
     """
     kernel.check_time(t)
     a = kernel.a(t)
+    if a == 0.0:
+        raise EvaluationOverflow(f"a(t) = 0: t={t:g} is a focal time of the kernel")
     integrand = _integrand(kernel, t, x, f)
     center = kernel.contour_center(x, x - integrand.growth.freq / (2.0 * a))
-    return rotated_integral(
-        integrand, a=a, y1=x, center=center, angle=kernel.sector_angle, tol=tol
-    )
+    angle = math.copysign(kernel.sector_angle, a)
+    return rotated_integral(integrand, a=a, y1=x, center=center, angle=angle, tol=tol)
 
 
 def wavefunction(

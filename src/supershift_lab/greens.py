@@ -1,10 +1,10 @@
 """Green's kernels for the four supported potentials.
 
 Each kernel is stored in the split form G = e^{i a(t) (z - x)^2} * gtilde,
-with a(t) > 0 blowing up as t -> 0+ and gtilde exponentially bounded in z.
-That split is what the rotated-contour evaluation of the propagator
-integral needs: the quadratic factor turns into a Gaussian along the
-rotated line and dominates gtilde's linear-exponential growth.
+with a(t) -> +inf as t -> 0+ and gtilde exponentially bounded in z.  That
+split is what the rotated-contour evaluation of the propagator integral
+needs: along the line turned by an angle of the sign of a(t) the quadratic
+factor is a Gaussian that dominates gtilde's linear-exponential growth.
 
 Kernels:
 
@@ -129,10 +129,12 @@ class PoschlTeller(Potential):
 class GreensKernel:
     """Immutable evaluator bundle realizing G = e^{i a (z-x)^2} gtilde.
 
-    horizon         largest time usable for evolution (a(t) > 0 there)
-    formula_horizon largest time where the kernel formula itself is valid
-    sector_angle    contour half-angle, fixed per potential (``make_kernel``);
-                    the witnesses hold on the sectors ``contour_center`` admits
+    horizon         largest time where the kernel formula is valid: the first
+                    zero of alpha for the quadratic kernels, where a(t) =
+                    beta/(4 alpha) changes sign at the zeros of beta
+    sector_angle    contour half-angle, fixed per potential (``make_kernel``),
+                    signed like a(t); the witnesses hold on the sectors
+                    ``contour_center`` admits
     pole_margin     least distance of a contour from the cosh zeros, the
                     sech^2 well's singular set (``pole_set_distance``); 0 for
                     the entire kernels, which have none
@@ -148,17 +150,15 @@ class GreensKernel:
     a: Callable[[float], float]
     gtilde: Callable[[float, float, np.ndarray], np.ndarray]
     horizon: float
-    formula_horizon: float
     sector_angle: float
     pole_margin: float
     growth: Callable[[float, float], GrowthWitness]
     growth_imag: Callable[[float, float], tuple[float, float]]
 
-    def check_time(self, t: float, *, evolution: bool = True):
-        limit = self.horizon if evolution else self.formula_horizon
-        if not 0.0 < t < limit:
+    def check_time(self, t: float):
+        if not 0.0 < t < self.horizon:
             raise HorizonExceeded(
-                f"t={t} outside (0, {limit}) for {self.potential.label()}"
+                f"t={t} outside (0, {self.horizon}) for {self.potential.label()}"
             )
 
     def contour_center(self, x: float, stationary: float) -> float:
@@ -199,7 +199,7 @@ def _center_limit(angle: float, margin: float) -> float:
 
 def greens_value(kernel: GreensKernel, t: float, x: float, z):
     """Full kernel value e^{i a(t) (z - x)^2} * gtilde(t, x, z)."""
-    kernel.check_time(t, evolution=False)
+    kernel.check_time(t)
     z = np.asarray(z, dtype=complex)
     val = np.exp(1j * kernel.a(t) * (z - x) ** 2) * kernel.gtilde(t, x, z)
     return complex(val) if val.ndim == 0 else val
@@ -221,7 +221,6 @@ def _free_kernel() -> GreensKernel:
         a=a,
         gtilde=gtilde,
         horizon=np.inf,
-        formula_horizon=np.inf,
         sector_angle=_SECTOR_ANGLE,
         pole_margin=0.0,
         growth=lambda t, x: GrowthWitness(*growth_imag(t, x)),
@@ -231,10 +230,6 @@ def _free_kernel() -> GreensKernel:
 
 def _quadratic_kernel(potential: Quadratic, t_max: float) -> GreensKernel:
     coeffs = solve_quadratic(potential.lam2, potential.lam1, t_max)
-    # evolution needs a = beta/(4 alpha) > 0: stop at the first zero of
-    # either coefficient; the kernel formula itself only needs alpha > 0
-    horizon = min(coeffs.horizon, coeffs.beta_horizon, t_max)
-    formula_horizon = min(coeffs.horizon, t_max)
 
     def a(t):
         al, _, be = coeffs.state(t)[:3]
@@ -265,8 +260,7 @@ def _quadratic_kernel(potential: Quadratic, t_max: float) -> GreensKernel:
         potential=potential,
         a=a,
         gtilde=gtilde,
-        horizon=horizon,
-        formula_horizon=formula_horizon,
+        horizon=min(coeffs.horizon, t_max),
         sector_angle=_SECTOR_ANGLE,
         pole_margin=0.0,
         growth=growth,
@@ -374,7 +368,6 @@ def _pt_kernel(potential: PoschlTeller) -> GreensKernel:
         a=a,
         gtilde=gtilde,
         horizon=np.inf,
-        formula_horizon=np.inf,
         sector_angle=_PT_SECTOR_ANGLE,
         pole_margin=_POLE_MARGIN,
         growth=growth,
@@ -484,8 +477,8 @@ def _sector_samples(kernel: GreensKernel, radii=_AUDIT_RADII[:4]) -> np.ndarray:
 def audit_kernel(kernel: GreensKernel) -> KernelAuditReport:
     """Numerical audit of the kernel contract on sampled points.
 
-    Checks, in order: the Schrodinger equation residual; positivity and
-    blow-up of a(t) toward t = 0; the growth witness on sector samples;
+    Checks, in order: the Schrodinger equation residual; the fall of a(t)
+    from its blow-up toward t = 0; the growth witness on sector samples;
     the small-time limit gtilde/sqrt(a) -> 1/sqrt(i pi); and exponential
     envelopes for the finite-difference derivatives of gtilde (fitted on
     half the samples, verified on the other half).  Envelope fitting is a
@@ -505,9 +498,7 @@ def audit_kernel(kernel: GreensKernel) -> KernelAuditReport:
     worst, wpt = 0.0, ()
     z_pde = zs[np.abs(zs) <= 2.0]
     for t in ts:
-        t = max(t, 0.15)
-        if t >= kernel.formula_horizon:
-            continue
+        t = max(t, min(0.15, t_hi))
         for x in _AUDIT_X:
             for z in z_pde[:: max(1, len(z_pde) // 8)]:
                 r = pde_residual(kernel, t, x, complex(z))
@@ -517,10 +508,10 @@ def audit_kernel(kernel: GreensKernel) -> KernelAuditReport:
         AuditCheck("pde_residual", worst, wpt, worst <= 1e-3)
     )
 
-    # (2) a(t) > 0 and a -> inf toward 0+
+    # (2) a(t) falls from +inf at 0+ (past a focal time it turns negative)
     t_log = np.geomspace(1e-6, t_hi, 25)
     a_vals = np.array([kernel.a(t) for t in t_log])
-    ok = bool(np.all(a_vals > 0.0) and np.all(np.diff(a_vals) < 0.0))
+    ok = bool(a_vals[0] > 0.0 and np.all(np.diff(a_vals) < 0.0))
     ok = ok and a_vals[0] > 100.0 * a_vals[-1]
     report.checks.append(
         AuditCheck("gaussian_rate_blowup", 0.0 if ok else 1.0, (float(t_log[0]),), ok)

@@ -173,9 +173,8 @@ class QuadraticCoeffs:
     ``state(t)`` is (alpha, alpha', beta, beta', xi, xi', W, V) from one
     evaluation; it caches the last t, so the kernel calls of one time
     slice share it.  alpha' beta - alpha beta' = 1 and W = alpha xi' -
-    alpha' xi.  ``horizon`` is the first positive zero of alpha,
-    ``beta_horizon`` that of beta (+inf when there is none on the solved
-    span).
+    alpha' xi.  ``horizon`` is the first positive zero of alpha (+inf when
+    there is none on the solved span).
     """
 
     alpha, alpha_prime, beta, xi = _component(0), _component(1), _component(2), _component(4)
@@ -186,7 +185,6 @@ class QuadraticCoeffs:
         self._dense = dense
         self._last = (None, ())
         self.horizon = dense.first_zero(0)
-        self.beta_horizon = dense.first_zero(2)
 
     def state(self, t: float) -> tuple:
         last_t, y = self._last
@@ -208,7 +206,7 @@ class QuadraticCoeffs:
 def solve_quadratic(
     lam2: Callable[[float], float], lam1: Callable[[float], float], t_max: float
 ) -> QuadraticCoeffs:
-    """Coefficients and horizons on [0, t_max], certified to relative
+    """Coefficients and horizon on [0, t_max], certified to relative
     _TOL per panel."""
     return QuadraticCoeffs(t_max, _march(lam2, lam1, t_max, _TOL))
 

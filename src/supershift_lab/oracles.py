@@ -43,20 +43,23 @@ def electric_plane(t, x, kappa):
 
 
 def harmonic_plane(t, x, kappa):
-    """Unit oscillator V = x^2, valid for t < pi/4:
+    """Unit oscillator V = x^2, valid for t < pi/2:
 
         beta^{-1/2} exp(i alpha' x^2/(4 alpha) - i alpha (kappa - x/(2 alpha))^2 / beta)
 
     with alpha = sin(2t)/2 and beta = alpha' = cos(2t), by a Gaussian
-    square completion; it reduces to the free form as t -> 0.
+    square completion; it reduces to the free form as t -> 0.  The square
+    root is complex: past the focal time pi/4, where beta < 0, beta^{-1/2}
+    carries the phase -i.
     """
     al, be, ap = np.sin(2 * t) / 2, np.cos(2 * t), np.cos(2 * t)
-    return np.exp(1j * ap * x * x / (4 * al) - 1j * al * (kappa - x / (2 * al)) ** 2 / be) / np.sqrt(be)
+    arg = 1j * ap * x * x / (4 * al) - 1j * al * (kappa - x / (2 * al)) ** 2 / be
+    return np.exp(arg) / np.sqrt(be + 0j)
 
 
 def driven_plane(t, x, kappa, e):
     """V = x^2 + E x, the unit oscillator about -s, s = E/2, with the
-    energy shifted by -E^2/4."""
+    energy shifted by -E^2/4; valid for t < pi/2 (``harmonic_plane``)."""
     s = e / 2
     return np.exp(1j * e * e * t / 4 - 1j * kappa * s) * harmonic_plane(t, x + s, kappa)
 

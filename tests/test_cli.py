@@ -34,7 +34,7 @@ class TestExitCodes:
         for initial in (["--initial", "plane:k=3"], []):
             code = run(["verify", "--potential", "free", *initial, "--output", outdir])
             assert code == 0
-            doc = json.loads(open(os.path.join(outdir, "run_verify.json")).read())
+            doc = json.loads(Path(outdir, "run_verify.json").read_text())
             assert doc["pass"] is True
             assert doc["initial"] == "plane:k=3"
             names = [c["name"] for c in doc["checks"]]
@@ -52,7 +52,7 @@ class TestExitCodes:
         # the residual of a correct field is the field's, not the stencil's
         # O(h^2) error, which alone exceeded 1e-3 on these patches
         assert run(["verify", *args, "--output", outdir]) == 0
-        doc = json.loads(open(os.path.join(outdir, "run_verify.json")).read())
+        doc = json.loads(Path(outdir, "run_verify.json").read_text())
         [check] = [c for c in doc["checks"] if c["name"] == "schrodinger_residual"]
         assert check["value"] <= 1e-5
 
@@ -68,7 +68,7 @@ class TestExitCodes:
             )
         )
         assert run(["verify", "--config", str(cfg), "--output", outdir]) == 0
-        doc = json.loads(open(os.path.join(outdir, "run_verify.json")).read())
+        doc = json.loads(Path(outdir, "run_verify.json").read_text())
         [check] = [c for c in doc["checks"] if c["name"] == "free_plane_wave_closed_form"]
         assert check["pass"] and check["value"] <= 1e-8
 
@@ -368,7 +368,7 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: invalid grid axis")
 
     def test_descending_time_axis_checked_against_horizon(self, tmp_path, outdir, capsys):
-        # t runs 2.0 -> 0.1; the harmonic horizon pi/4 lies inside the axis
+        # t runs 2.0 -> 0.1; the harmonic horizon pi/2 lies inside the axis
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
             json.dumps(
@@ -379,8 +379,32 @@ class TestExitCodes:
             )
         )
         assert run(["evolve", "--config", str(cfg), "--output", outdir]) == 1
-        assert "grid times must lie in (0, 0.785398)" in capsys.readouterr().err
+        assert "grid times must lie in (0, 1.5708)" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(outdir, "run_field.csv"))
+
+    def test_harmonic_grid_past_focal_time(self, tmp_path, outdir):
+        # t from 0.9 to 1.5 lies past the focal time pi/4 and inside the
+        # horizon pi/2: the field is written and meets its closed form
+        from supershift_lab.oracles import harmonic_plane
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "potential": {"kind": "harmonic", "omega": 1.0},
+                    "grid": {"t": [0.9, 1.5, 4], "x": [-1, 1, 3]},
+                }
+            )
+        )
+        assert run(["evolve", "--config", str(cfg), "--output", outdir]) == 0
+        with open(os.path.join(outdir, "run_field.csv"), newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 12
+        for row in rows:
+            psi = complex(float(row["re_psi"]), float(row["im_psi"]))
+            exact = harmonic_plane(float(row["t"]), float(row["x"]), 3.0)
+            assert abs(psi - exact) <= float(row["quad_err"])
+        assert json.loads(Path(outdir, "run_manifest.json").read_text())["failures"] == 0
 
     def test_verification_failure_exits_two(self, tmp_path, outdir):
         # an unreachable residual threshold forces the failure path
@@ -429,7 +453,7 @@ class TestEvolveOutputs:
 
     def test_gnuplot_blocks(self, cfg_path, outdir):
         run(["evolve", "--config", cfg_path, "--output", outdir])
-        text = open(os.path.join(outdir, "run_plot.dat")).read()
+        text = Path(outdir, "run_plot.dat").read_text()
         blocks = [b for b in text.split("\n\n") if b.strip()]
         assert len(blocks) == 3  # one per time slice
         assert blocks[0].startswith("# t = 0.2")
@@ -437,7 +461,7 @@ class TestEvolveOutputs:
 
     def test_manifest_fields(self, cfg_path, outdir):
         run(["evolve", "--config", cfg_path, "--output", outdir])
-        doc = json.loads(open(os.path.join(outdir, "run_manifest.json")).read())
+        doc = json.loads(Path(outdir, "run_manifest.json").read_text())
         assert doc["experiment"] == "evolve"
         assert doc["potential"]["kind"] == "free"
         assert doc["tol"] == 1e-10
@@ -446,13 +470,13 @@ class TestEvolveOutputs:
 
     def test_byte_determinism(self, cfg_path, outdir):
         run(["evolve", "--config", cfg_path, "--output", outdir])
-        first_field = open(os.path.join(outdir, "run_field.csv"), "rb").read()
-        first_plot = open(os.path.join(outdir, "run_plot.dat"), "rb").read()
-        first_manifest = open(os.path.join(outdir, "run_manifest.json")).readlines()
+        first_field = Path(outdir, "run_field.csv").read_bytes()
+        first_plot = Path(outdir, "run_plot.dat").read_bytes()
+        first_manifest = Path(outdir, "run_manifest.json").read_text().splitlines()
         run(["evolve", "--config", cfg_path, "--output", outdir])
-        assert open(os.path.join(outdir, "run_field.csv"), "rb").read() == first_field
-        assert open(os.path.join(outdir, "run_plot.dat"), "rb").read() == first_plot
-        second_manifest = open(os.path.join(outdir, "run_manifest.json")).readlines()
+        assert Path(outdir, "run_field.csv").read_bytes() == first_field
+        assert Path(outdir, "run_plot.dat").read_bytes() == first_plot
+        second_manifest = Path(outdir, "run_manifest.json").read_text().splitlines()
         diff = [
             (a, b) for a, b in zip(first_manifest, second_manifest) if a != b
         ]
@@ -526,7 +550,7 @@ class TestEvolveOutputs:
             )
         )
         assert run(["evolve", "--config", str(cfg), "--output", outdir]) == 0
-        rows = open(os.path.join(outdir, "run_field.csv")).read().strip().splitlines()
+        rows = Path(outdir, "run_field.csv").read_text().strip().splitlines()
         assert len(rows) == 2  # header + single data row
 
 
@@ -580,7 +604,7 @@ class TestGreensAudit:
             ["greens-audit", "--potential", "poschl-teller:l=1", "--output", outdir]
         )
         assert code == 0
-        doc = json.loads(open(os.path.join(outdir, "run_audit.json")).read())
+        doc = json.loads(Path(outdir, "run_audit.json").read_text())
         assert doc["pass"] is True
         assert doc["potential"].startswith("poschl_teller")
 

@@ -430,6 +430,64 @@ class TestRotatedIntegral:
             rotated(ONE, tol=0.0)
 
 
+def _mirror(f):
+    """f*(z) = conj f(conj z), real-line values conjugated, witness
+    frequency -w: the integral of e^{-i a (y - y1)^2} f* is the conjugate
+    of that of e^{i a (y - y1)^2} f."""
+    g = f.growth
+    return HolomorphicSignal(
+        eval=lambda z: np.conj(f.eval(np.conj(np.asarray(z, dtype=complex)))),
+        growth=GrowthWitness(g.amplitude, g.rate, g.kind, -g.freq),
+        label="mirror",
+    )
+
+
+class TestMirroredContour:
+    """Where a < 0 the line turns down: angle -pi/4 makes e^{i a (z - y1)^2}
+    the same Gaussian, and the problem is the conjugate mirror image of the
+    a > 0 one."""
+
+    def test_radius_is_mirror_image(self):
+        for w, a, angle, y1, tol, shift in itertools.islice(_radius_sweep(), 0, None, 7):
+            for freq in (0.0, 1.3, -4.0):
+                up = GrowthWitness(w.amplitude, w.rate, freq=freq)
+                down = GrowthWitness(w.amplitude, w.rate, freq=-freq)
+                assert truncation_radius(up, a, angle, y1, tol, shift) == truncation_radius(
+                    down, -a, -angle, y1, tol, shift
+                )
+
+    @pytest.mark.parametrize(
+        "a, angle",
+        [(1.0, -0.5), (-1.0, 0.5), (0.0, 0.5), (-0.0, -0.5), (1.0, 0.0), (-1.0, -0.0),
+         (1.0, np.pi / 2), (-1.0, -np.pi / 2), (-1.0, -2.0)],
+    )
+    def test_sign_mismatch_or_wide_angle_rejected(self, a, angle):
+        with pytest.raises(ValueError, match="one sign"):
+            truncation_radius(GrowthWitness(1.0, 0.0), a, angle, 0.0, 1e-9, 0.0)
+
+    def test_closed_forms(self):
+        # int e^{i a y^2} dy = sqrt(pi/|a|) e^{-i pi/4} and
+        # int e^{-i y^2 + 2 i y} dy = sqrt(pi) e^{-i pi/4} e^{i} for a < 0
+        for a in (-1.0, -0.3, -250.0):
+            r = rotated(ONE, a=a, angle=-np.pi / 4)
+            exact = np.sqrt(np.pi / -a) * np.exp(-1j * np.pi / 4)
+            assert abs(r.value - exact) <= r.err_estimate
+        r = rotated(PW2, a=-1.0, angle=-np.pi / 4)
+        assert abs(r.value - np.conj(FRESNEL) * np.exp(1j)) <= r.err_estimate
+
+    @pytest.mark.parametrize(
+        "f", [ONE, PW2, COS, plane_wave(2.0), superosc_signal(10, 2.0)],
+        ids=["one", "pw2", "cos", "plane2", "superosc10"],
+    )
+    def test_integral_is_conjugate_of_mirror(self, f):
+        for a, y1, center in ((-1.0, 0.0, 0.0), (-0.3, 1.7, 1.2), (-4.0, -0.5, -0.25)):
+            down = rotated_integral(f, a=a, y1=y1, center=center, angle=-np.pi / 4, tol=1e-10)
+            up = rotated_integral(
+                _mirror(f), a=-a, y1=y1, center=center, angle=np.pi / 4, tol=1e-10
+            )
+            assert abs(down.value - np.conj(up.value)) <= down.err_estimate + up.err_estimate
+
+
 class TestEpsilonRegularized:
     def test_gaussian_closed_form(self):
         for eps in (1e-1, 1e-2, 1e-3):

@@ -14,6 +14,7 @@ the grids below):
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,7 @@ from supershift_lab.oracles import (
     harmonic_plane,
     jost_signal,
     jost_wave,
+    superosc_coefficients,
     supershift_combination_direct,
 )
 
@@ -108,8 +110,20 @@ class TestWavefunction:
         assert abs(lhs - rhs) <= 10 * tol
 
     def test_horizon_enforced(self, harmonic_kernel):
+        # the horizon is the first zero of alpha, pi/2
         with pytest.raises(HorizonExceeded):
-            wavefunction(harmonic_kernel, plane_wave(1.0), np.pi / 4 + 0.05, 0.0)
+            wavefunction(harmonic_kernel, plane_wave(1.0), np.pi / 2 + 0.05, 0.0)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_focal_time_is_a_point_failure(self, harmonic_kernel, zero):
+        # an exact zero of a(t) has no contour: the point fails with a
+        # reason that names the time, and the grid goes on
+        kernel = dataclasses.replace(harmonic_kernel, a=lambda t: zero)
+        fld = wavefield(kernel, plane_wave(2.0), [0.5], [0.0, 1.0], tol=1e-9)
+        assert [(t, x) for t, x, _ in fld.failures] == [(0.5, 0.0), (0.5, 1.0)]
+        for *_, reason in fld.failures:
+            assert reason.startswith("EvaluationOverflow") and "a focal time" in reason
+            assert "t=0.5" in reason
 
     def test_cross_representation_all_potentials(
         self, free_kernel, electric_kernel, harmonic_kernel, pt1_kernel
@@ -337,6 +351,23 @@ class TestWavefield:
         T, X = np.meshgrid(ts, xs, indexing="ij")
         assert np.all(np.abs(fld.values - harmonic_plane(T, X, 2.0)) <= fld.quad_errors)
 
+    def test_grid_straddling_focal_time(self, harmonic_kernel):
+        # next to the focal time pi/4 the Gaussian rate a(t) nearly
+        # vanishes: the points that cannot be evaluated fail with their
+        # reasons, the grid finishes, and no numpy warning escapes
+        ts = [np.pi / 4 + s * e for e in (1e-6, 1e-3, 1e-2) for s in (-1.0, 1.0)]
+        xs = [-1.0, 0.0, 1.0]
+        T, X = np.meshgrid(ts, xs, indexing="ij")
+        for f in (plane_wave(2.0), superosc_signal(20, 3.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                fld = wavefield(harmonic_kernel, f, ts, xs, tol=1e-9)
+            assert fld.failures and all(reason for *_, reason in fld.failures)
+            failed = {(t, x) for t, x, n in zip(T.flat, X.flat, fld.nodes.flat) if n < 0}
+            assert {(t, x) for t, x, _ in fld.failures} == failed
+            assert len(failed) == len(fld.failures)
+            assert np.all(np.isfinite(fld.values[..., fld.nodes >= 0]))
+
     def test_driven_plane_wave(self, driven_kernel):
         # the forced path moves the stationary point: below the pi/4 horizon
         # the driven oscillator's grid meets its oracle like the harmonic one
@@ -375,6 +406,9 @@ class TestCalibration:
             (electric_kernel, plane_wave(2.0), 1.0, lambda t, x: electric_plane(t, x, 2.0)),
             (harmonic_kernel, plane_wave(2.0), 0.75, lambda t, x: harmonic_plane(t, x, 2.0)),
             (driven_kernel, plane_wave(2.0), 0.75, lambda t, x: driven_plane(t, x, 2.0, 0.7)),
+            # past the focal time pi/4, where a(t) < 0 and the contour turns down
+            (harmonic_kernel, plane_wave(2.0), 1.5, lambda t, x: harmonic_plane(t, x, 2.0)),
+            (driven_kernel, plane_wave(2.0), 1.5, lambda t, x: driven_plane(t, x, 2.0, 0.7)),
             (pt2_kernel, jost_signal(2, 2.0), 1.0, lambda t, x: jost_wave(2, t, x, 2.0)),
         ]
         for kernel, f, t_hi, exact in cases:
@@ -559,6 +593,27 @@ class TestSupershift:
         assert rep.strictly_decreasing
         for d, ref in zip(rep.distances, HARM_D):
             assert abs(d - ref) <= 1e-4
+
+    def test_harmonic_past_focal_time(self, harmonic_kernel):
+        # t in [0.9, 1.4], past the focal time pi/4: the supershift holds
+        # there too, with a larger constant
+        rep = supershift_experiment(
+            harmonic_kernel,
+            [10, 40, 160, 640],
+            2.0,
+            np.linspace(0.9, 1.4, 6),
+            np.linspace(-1, 1, 9),
+            tol=1e-9,
+        )
+        assert not rep.failures and rep.strictly_decreasing
+        assert rep.distances == pytest.approx([194.4430, 122.9114, 7.434986, 1.011062], rel=1e-5)
+        # F_10 against its plane-wave combination (coefficient mass 2^10)
+        t, x = 1.2, 0.5
+        ks = 1.0 - 2.0 * np.arange(11) / 10
+        cs = [float(c) for c in superosc_coefficients(10, 2.0)]
+        exact = sum(c * harmonic_plane(t, x, k) for c, k in zip(cs, ks))
+        r = wavefunction_result(harmonic_kernel, superosc_signal(10, 2.0), t, x, 1e-10)
+        assert abs(r.value - exact) <= r.err_estimate + 1024 * 1e-15 * abs(exact)
 
     def test_point_error_recorded_not_raised(self, pt1_kernel):
         # x = 4.25 puts a pole inside the sector swept to the line through

@@ -128,13 +128,18 @@ class TestHarmonicKernel:
             worst = max(worst, abs(mine - ref) / abs(ref))
         assert worst <= 1e-9
 
-    def test_kernel_valid_beyond_evolution_horizon(self, harmonic_kernel):
-        # beta < 0 on (pi/4, pi/2): plain values stay valid, evolution stops
+    def test_kernel_valid_past_focal_time(self, harmonic_kernel):
+        # beta < 0 on (pi/4, pi/2): the values stay valid up to the zero of
+        # alpha, the one horizon, and stop there
         t = np.pi / 4 + 0.2
         v = greens_value(harmonic_kernel, t, 0.3, 0.5)
         assert abs(v - harmonic_reduced(t, 0.3, 0.5)) < 1e-10
+        assert harmonic_kernel.a(t) < 0.0
+        harmonic_kernel.check_time(t)
         with pytest.raises(HorizonExceeded):
-            harmonic_kernel.check_time(t)
+            harmonic_kernel.check_time(np.pi / 2 + 0.01)
+        with pytest.raises(HorizonExceeded):
+            greens_value(harmonic_kernel, np.pi / 2 + 0.01, 0.3, 0.5)
 
     def test_inverted_oscillator_kernel(self):
         ki = make_kernel(Harmonic(lambda t: -1.0, "-1"), t_max=1.2)
@@ -144,9 +149,8 @@ class TestHarmonicKernel:
     def test_pde_residual(self, harmonic_kernel):
         assert pde_residual(harmonic_kernel, 0.3, 0.5, 0.4 + 0.2j) <= 1e-4
 
-    def test_horizon_is_beta_zero(self, harmonic_kernel):
-        assert abs(harmonic_kernel.horizon - np.pi / 4) < 1e-8
-        assert abs(harmonic_kernel.formula_horizon - np.pi / 2) < 1e-8
+    def test_horizon_is_alpha_zero(self, harmonic_kernel):
+        assert abs(harmonic_kernel.horizon - np.pi / 2) < 1e-8
 
 
 class TestDrivenKernel:
