@@ -48,9 +48,12 @@ class _PanelRule:
 
     The value uses the first len(weights) nodes, the estimate the last
     len(embedded) nodes.  ``table`` holds both weight columns for the
-    panel sums' one real product (``_panel_sums``).  ``estimate`` turns the
-    raw difference of the two sums into per-panel error estimates: GL-15/GL-7
-    returns it as it is; the comparators' K-61 rule overrides it
+    panel sums' one real product (``_panel_sums``), which asks for it
+    through the hook ``weigh``: a fixed rule has one table for every span,
+    a Filon rule one per span and a chirp factor per panel
+    (``crosschecks._FilonRule``).  ``estimate`` turns the raw difference
+    of the two sums into per-panel error estimates: GL-15/GL-7 returns it
+    as it is; the comparators' K-61 and Filon rules override it
     (``crosschecks._PowerLawRule``).
     """
 
@@ -69,6 +72,13 @@ class _PanelRule:
         table = np.kron(cols, np.eye(2))
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
+
+    def weigh(self, mid, half):
+        """The weights of the panels of one call, with midpoints mid and
+        half-widths half: (panels, table) pairs that cover them, and the
+        factor of each panel's sums.  Here one table for every panel, and
+        the half-widths."""
+        return ((slice(None), self.table),), half
 
     def estimate(self, f, d, half):
         """Per-panel error estimates from the raw differences d = |value -
@@ -238,23 +248,34 @@ def _eval_signal(f, z):
     return np.asarray(f.eval(z), dtype=complex)
 
 
+def _weighted_sums(f, table):
+    """Value and embedded sums of the panel rows f (after a stack's signal
+    axis) under one weight table, as the last axis of length 2."""
+    rows = f.reshape(-1, f.shape[-1]).view(float)
+    sums = (np.concatenate([rows, rows]) if len(rows) == 1 else rows) @ table
+    return sums[: len(rows)].view(complex).reshape(f.shape[:-1] + (2,))
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _panel_sums(g, lows, highs, rule):
     """Batched panel values of ``rule`` with per-panel error estimates.
 
     Both sums of a panel come from one real product: the integrand values
     of a call, viewed as floats with one row per panel (and per signal of a
-    stack), times ``rule.table`` give Re/Im of the value sum and of the
-    embedded sum.  numpy hands a product of one row to BLAS's gemv, which
-    rounds unlike the gemm of several rows, so a lone row is doubled: no
-    panel's sums depend on the call it came in.  The estimates are
-    ``rule.estimate`` of the raw difference: for the rotated route's GL-15
-    that difference to its GL-7 value, for the real-line comparators' K-61
-    (``crosschecks``) its embedded G-30 estimate mapped through a power
-    law.  Each integrand call gets whole panels and at most
-    ``_BATCH_NODES`` nodes: 67 K-61 panels or 186 GL-15/GL-7 panels.  A
-    rotated pass of up to 186 panels is therefore one
-    call, and ``rotated_integral`` keeps its seeded pass within that
+    stack), times the rule's table give Re/Im of the value sum and of the
+    embedded sum, which the panel's factor scales.  The rule hands out its
+    tables and factors (``rule.weigh``): the panels of a Filon rule take
+    one product per span among them.  numpy hands a product of one row to
+    BLAS's gemv, which rounds unlike the gemm of several rows, so a lone
+    row is doubled: no panel's sums depend on the call it came in.  The
+    estimates are ``rule.estimate`` of the raw difference: for the rotated
+    route's GL-15 that difference to its GL-7 value, for the real-line
+    comparators' K-61 and Filon rules (``crosschecks``) their embedded
+    estimate mapped through a power law.  Each integrand call gets whole
+    panels and at most ``_BATCH_NODES`` nodes: 67 K-61 panels, 63 Filon
+    panels of 65 nodes or 186 GL-15/GL-7 panels.  A rotated pass of up to
+    186 panels is therefore one call, and ``rotated_integral`` keeps its
+    seeded pass within that
     (``_SEED_PANELS``); the largest measured on the benchmark grids is 47
     panels (1,034 nodes, a sech^2-well seed on ``plane-field``).  Panels
     are independent, so no value or estimate depends on where a pass is
@@ -276,10 +297,14 @@ def _panel_sums(g, lows, highs, rule):
         x = mid[:, None] + half[:, None] * rule.nodes[None, :]
         f = g(x.ravel())
         f = f.reshape(f.shape[:-1] + x.shape)
-        rows = f.reshape(-1, m).view(float)
-        sums = (np.concatenate([rows, rows]) if len(rows) == 1 else rows) @ rule.table
-        sums = sums[: len(rows)].view(complex).reshape(f.shape[:-1] + (2,))
-        v = sums[..., 0] * half
+        groups, scale = rule.weigh(mid, half)
+        if len(groups) == 1:
+            sums = _weighted_sums(f, groups[0][1])
+        else:
+            sums = np.empty(f.shape[:-1] + (2,), dtype=complex)
+            for sel, table in groups:
+                sums[..., sel, :] = _weighted_sums(f[..., sel, :], table)
+        v = sums[..., 0] * scale
         if v.ndim > vals.ndim:  # a stack: its signal axis before the panels
             vals = np.empty(v.shape[:-1] + (n,), dtype=complex)
             err = np.empty(vals.shape)

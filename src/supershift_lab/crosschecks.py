@@ -13,14 +13,21 @@ tests and the benchmark's cross-representation workload:
 * ``analyticity_probe``     -- a Morera-type check of holomorphy in the
   frequency parameter.
 
-The two real-line comparators integrate long oscillatory stretches.  They
-share ``contour_quad``'s panel layer with the Gauss-Kronrod 30/61 pair,
-whose 61 nodes carry both the value and the embedded 30-point estimate,
-on panels spanning ~64 rad of quadratic phase.
+The two real-line comparators integrate long oscillatory stretches on
+``contour_quad``'s panel layer.  ``truncated_integral`` runs the
+Gauss-Kronrod 30/61 pair, whose 61 nodes carry both the value and the
+embedded 30-point estimate, on panels spanning 64 rad of quadratic phase.
+``epsilon_regularized_integral`` keeps that rule where the phase
+a (y - y1)^2 stays below ``_FAR_SPAN`` and integrates the rest in the
+phase variable: there a Filon-Clenshaw-Curtis rule takes the chirp
+e^{i phi} into its weights, so its nodes follow the smoothness of the
+integrand's envelope and not the phase.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import warnings
 from math import factorial
 from typing import Sequence
@@ -43,6 +50,12 @@ _REAL_PHASE_BUDGET = 64.0
 # panel budget of one comparator call, whose equal-phase seeding alone can
 # reach millions of panels
 _REAL_MAX_PANELS = 4_000_000
+# phase span of a seeded far panel of the eps comparator, where its near
+# stretch ends (a multiple of _REAL_PHASE_BUDGET: the near stretch ends on
+# an equal-phase edge), and the Chebyshev degree of its Filon rule, whose
+# embedded estimate takes every second point (scan in CHANGES.md)
+_FAR_SPAN = 4096.0
+_FAR_DEGREE = 64
 
 
 # Kronrod 61 / Gauss 30 in the layout of QUADPACK qk61 (Piessens et al.,
@@ -124,6 +137,112 @@ _GK61 = _PowerLawRule(
 )
 
 
+def _chebyshev_moments(n, omega):
+    """int_{-1}^{1} T_k(tau) e^{i omega tau} dtau for k = 0..n.
+
+    Composite Gauss-Legendre on pieces of at most 8 rad of phase: with
+    n/2 + 24 nodes a piece is exact to rounding for every k <= n, at any
+    omega (the three-term recurrence of these moments is unstable for
+    k > omega, which the bisected spans reach).
+    """
+    x, w = leggauss(n // 2 + 24)
+    pieces = max(1, math.ceil(abs(omega) / 4.0))
+    edges = np.linspace(-1.0, 1.0, pieces + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    tau = (0.5 * (edges[1:] + edges[:-1])[:, None] + half[:, None] * x).ravel()
+    weights = (half[:, None] * w).ravel() * np.exp(1j * omega * tau)
+    mu = np.empty(n + 1, dtype=complex)
+    prev, cur = np.ones_like(tau), tau
+    mu[0] = weights.sum()
+    mu[1] = cur @ weights
+    for k in range(2, n + 1):
+        prev, cur = cur, 2.0 * tau * cur - prev
+        mu[k] = cur @ weights
+    return mu
+
+
+def _fcc_weights(n, omega):
+    """Filon-Clenshaw-Curtis weights w_j = int_{-1}^{1} l_j(tau)
+    e^{i omega tau} dtau on the Chebyshev points tau_j = cos(pi j / n),
+    j = 0..n (n even), l_j their Lagrange basis.
+
+    The interpolant of values v_j is sum_k'' c_k T_k with c_k = (2/n)
+    sum_j'' v_j cos(pi j k / n) (primes halve the first and last terms),
+    so w = C mu with the moments mu of ``_chebyshev_moments``; the rule is
+    exact for T_k e^{i omega tau}, k <= n (Dominguez, Graham & Smyshlyaev,
+    IMA J. Numer. Anal. 31 (2011) 1253-1280).
+    """
+    j = np.arange(n + 1)
+    ends = np.ones(n + 1)
+    ends[[0, n]] = 0.5
+    cosines = (2.0 / n) * ends[:, None] * ends[None, :] * np.cos(np.pi * np.outer(j, j) / n)
+    return cosines @ _chebyshev_moments(n, omega)
+
+
+def _chebyshev_order(n):
+    """j = 0..n with the odd ones first: the points cos(pi j / n) in this
+    order end with those of degree n/2, as ``_PanelRule`` wants its
+    embedded nodes."""
+    return np.concatenate([np.arange(1, n, 2), np.arange(0, n + 1, 2)])
+
+
+@functools.lru_cache(maxsize=None)
+def _filon_table(n, omega):
+    """The real table of the Filon rule of degree n on spans of half-width
+    omega: the complex weights of the value (all points) and of the
+    embedded rule (the last n/2 + 1) in 2x2 real blocks, rows 2j and
+    2j + 1 acting on Re and Im of node j (Re(g w) = gr wr - gi wi,
+    Im(g w) = gr wi + gi wr).  Built once per span and kept."""
+    cols = np.zeros((n + 1, 2), dtype=complex)
+    cols[:, 0] = _fcc_weights(n, omega)[_chebyshev_order(n)]
+    cols[n // 2 :, 1] = _fcc_weights(n // 2, omega)
+    table = np.empty((2 * n + 2, 4))
+    table[0::2, 0::2] = cols.real
+    table[0::2, 1::2] = cols.imag
+    table[1::2, 0::2] = -cols.imag
+    table[1::2, 1::2] = cols.real
+    table.flags.writeable = False
+    return table
+
+
+class _FilonRule(_PowerLawRule):
+    """Filon-Clenshaw-Curtis panel rule for int e^{i phi} G(phi) dphi.
+
+    The integrand hands in G alone.  On a panel of midpoint mid and
+    half-width omega the integral is omega e^{i mid} int_{-1}^{1}
+    e^{i omega tau} G(mid + omega tau) dtau: ``weigh`` gives G the weights
+    w_j(omega) (``_filon_table``), which integrate the chirp exactly, and
+    each panel's sums the factor omega e^{i mid}.  The chirp is thus never
+    evaluated at a node, whose rounding at phi ~ 1e6 would shift its
+    phase by ~1e-10 rad.  Bisection only halves spans, so few tables are
+    ever built.  The fixed weights are the rule at omega = 0, Clenshaw-
+    Curtis: they give the absolute sum of the power-law estimate, which
+    turns the difference to the embedded rule of half the degree into an
+    estimate for the full one, as for K-61 (the error of Chebyshev
+    interpolation of an analytic G falls geometrically with the degree,
+    so the full rule's is about the square of the half one's).
+    """
+
+    def weigh(self, mid, half):
+        n = len(self.nodes) - 1
+        spans, which = np.unique(half, return_inverse=True)
+        tables = [_filon_table(n, float(span)) for span in spans]
+        if len(tables) == 1:
+            groups = ((slice(None), tables[0]),)
+        else:
+            groups = tuple((which == k, table) for k, table in enumerate(tables))
+        return groups, half * np.exp(1j * mid)
+
+
+# the eps comparator's far rule: the value on all _FAR_DEGREE + 1 Chebyshev
+# points, the embedded rule on every second one
+_FCC = _FilonRule(
+    nodes=np.cos(np.pi * _chebyshev_order(_FAR_DEGREE) / _FAR_DEGREE),
+    weights=_fcc_weights(_FAR_DEGREE, 0.0)[_chebyshev_order(_FAR_DEGREE)].real,
+    embedded=_fcc_weights(_FAR_DEGREE // 2, 0.0).real,
+)
+
+
 def _cluster_edges(lo, hi, cluster, sigma, *extra):
     """Sorted distinct points of [lo, hi] among lo, hi, cluster, the
     geometric cluster cluster +- sigma 2^k, and the arrays in extra."""
@@ -139,7 +258,7 @@ def _cluster_edges(lo, hi, cluster, sigma, *extra):
 
 
 def _quadratic_phase_edges(lo, hi, y1, a, cluster, sigma):
-    """Equal-phase breakpoints of a (y - y1)^2 on [lo, hi], merged with a
+    """Equal-phase breakpoints of |a| (y - y1)^2 on [lo, hi], merged with a
     geometric cluster around the regularizer center.
 
     With ~64 rad of quadratic phase per panel (``_REAL_PHASE_BUDGET``)
@@ -150,6 +269,7 @@ def _quadratic_phase_edges(lo, hi, y1, a, cluster, sigma):
     ``_REAL_MAX_PANELS``.
     """
     pts = []
+    a = abs(a)
     k_right = a * max(hi - y1, 0.0) ** 2 / _REAL_PHASE_BUDGET
     k_left = a * max(y1 - lo, 0.0) ** 2 / _REAL_PHASE_BUDGET
     if k_right + k_left > _REAL_MAX_PANELS:
@@ -166,6 +286,24 @@ def _quadratic_phase_edges(lo, hi, y1, a, cluster, sigma):
     return _cluster_edges(lo, hi, cluster, sigma, [y1], *pts)
 
 
+def _far_edges(inner, outer, a):
+    """Seed edges in phi = |a| (y - y1)^2 of one far stretch of the window,
+    whose points lie between the distances inner and outer from y1: spans
+    of ``_FAR_SPAN`` from the multiple of it at or below |a| inner^2
+    (at least one span) out to the one at or above |a| outer^2.  None
+    when the window does not pass the near stretch on this side."""
+    top = math.ceil(abs(a) * max(outer, 0.0) ** 2 / _FAR_SPAN)
+    if top <= 1:
+        return None
+    bottom = max(1, math.floor(abs(a) * inner * inner / _FAR_SPAN))
+    if top - bottom > _REAL_MAX_PANELS:
+        raise PanelExhausted(
+            f"far-stretch seeding would need {top - bottom} panels "
+            f"> budget {_REAL_MAX_PANELS}"
+        )
+    return _FAR_SPAN * np.arange(bottom, top + 1.0)
+
+
 def epsilon_regularized_integral(
     f,
     a: float,
@@ -180,6 +318,22 @@ def epsilon_regularized_integral(
     The integration window is chosen so the regularizer's tail falls
     below tol; as eps -> 0+ the values approach the rotated-contour
     evaluation for any modulus-bounded witness.
+
+    The window splits at the stationary point y1.  The near stretch,
+    where |a| (y - y1)^2 < ``_FAR_SPAN``, runs on K-61 equal-phase panels
+    (``_quadratic_phase_edges``).  Beyond it, on either side, the
+    integral is taken in phi = |a| (y - y1)^2, y = y1 +- sqrt(phi / |a|):
+
+        int e^{i phi} G(phi) dphi,
+        G = e^{-eps (y - y0)^2} f(y) / (2 sqrt(|a| phi))
+
+    (conjugated through for a < 0), on Filon-Clenshaw-Curtis panels of
+    span ``_FAR_SPAN`` (``_FCC``), the last of them ending past the
+    window, where the integrand is already below its tail bound.  Each stretch is
+    one ``_adaptive_panels`` call with the share of tol and of the panel
+    budget that its seeded panels take; a window inside the near stretch
+    is one K-61 call on the whole tol.  A ``PanelExhausted`` carries no
+    value: one stretch's partial sum is no estimate of the integral.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -190,17 +344,55 @@ def epsilon_regularized_integral(
     log_amp = (
         np.log(max(witness.amplitude, _TINY)) + rate * abs(y0)
     )
-    hi = _tail_radius(log_amp, eps, rate, np.log(0.1 * tol), 1e9)
+    radius = _tail_radius(log_amp, eps, rate, np.log(0.1 * tol), 1e9)
+    lo, hi = y0 - radius, y0 + radius
 
-    def g(y):
+    def near(y):
         return (
             np.exp(-eps * (y - y0) ** 2 + 1j * a * (y - y1) ** 2)
             * _eval_signal(f, y)
         )
 
-    sigma = 1.0 / np.sqrt(2.0 * eps)
-    edges = _quadratic_phase_edges(y0 - hi, y0 + hi, y1, a, y0, sigma)
-    return _adaptive_panels(g, edges, tol, _REAL_MAX_PANELS, _GK61)[0]
+    def far(side):
+        def g(phi):
+            r = np.sqrt(phi / abs(a))
+            y = y1 + side * r
+            envelope = np.exp(-eps * (y - y0) ** 2) * _eval_signal(f, y) / (2.0 * abs(a) * r)
+            return envelope if a > 0 else envelope.conj()
+
+        return g
+
+    reach = math.sqrt(_FAR_SPAN / abs(a)) if a else math.inf
+    stretches = []
+    if max(lo, y1 - reach) < min(hi, y1 + reach):
+        edges = _quadratic_phase_edges(
+            max(lo, y1 - reach), min(hi, y1 + reach), y1, a, y0, 1.0 / np.sqrt(2.0 * eps)
+        )
+        stretches.append((near, edges, _GK61))
+    for side, inner, outer in ((1.0, lo - y1, hi - y1), (-1.0, y1 - hi, y1 - lo)):
+        edges = _far_edges(max(inner, 0.0), outer, a)
+        if edges is not None:
+            stretches.append((far(side), edges, _FCC))
+    seeded = [len(edges) - 1 for _, edges, _ in stretches]
+    total = sum(seeded)
+    if total > _REAL_MAX_PANELS:
+        raise PanelExhausted(f"seeding already needs {total} panels > budget {_REAL_MAX_PANELS}")
+    parts, used = [], 0
+    try:
+        for k, (g, edges, rule) in enumerate(stretches):
+            part, _, panels, _, _ = _adaptive_panels(
+                g,
+                edges,
+                tol * (seeded[k] / total),
+                _REAL_MAX_PANELS - used - sum(seeded[k + 1 :]),
+                rule,
+            )
+            parts.append(part.conjugate() if rule is _FCC and a < 0 else part)
+            used += panels
+    except PanelExhausted as exc:
+        exc.value = exc.err_estimate = None
+        raise
+    return sum(parts[1:], parts[0]) if parts else 0j
 
 
 def truncated_integral(

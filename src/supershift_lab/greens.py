@@ -479,7 +479,8 @@ def audit_kernel(kernel: GreensKernel) -> KernelAuditReport:
 
     Checks, in order: the Schrodinger equation residual; the fall of a(t)
     from its blow-up toward t = 0; the growth witness on sector samples;
-    the small-time limit gtilde/sqrt(a) -> 1/sqrt(i pi); and exponential
+    the small-time limit gtilde/sqrt(a) -> 1/sqrt(i pi), followed down
+    from t = 1e-4 to 1e-6; and exponential
     envelopes for the finite-difference derivatives of gtilde (fitted on
     half the samples, verified on the other half).  Envelope fitting is a
     sampled stand-in for the locally-integrable bound the derivation
@@ -534,20 +535,26 @@ def audit_kernel(kernel: GreensKernel) -> KernelAuditReport:
         AuditCheck("growth_witness", worst, wpt, worst <= 1.0 + 1e-6)
     )
 
-    # (4) small-time limit of gtilde/sqrt(a)
-    t0 = 1e-4
+    # (4) small-time limit of gtilde/sqrt(a): the deviation is O(t) with a
+    # constant that grows with the potential, so the limit itself is
+    # checked: at most 1e-3 at t = 1e-6, and each decade from 1e-4 down at
+    # least 5 times lower unless it is at rounding (1e-12)
     z_small = zs[np.abs(zs) <= 3.0]
-    worst, wpt = 0.0, ()
-    for x in _AUDIT_X:
-        dev = np.abs(
-            kernel.gtilde(t0, x, z_small) / np.sqrt(kernel.a(t0)) - INV_SQRT_IPI
-        )
-        i = int(np.argmax(dev))
-        if dev[i] > worst:
-            worst, wpt = float(dev[i]), (t0, x, complex(z_small[i]))
-    report.checks.append(
-        AuditCheck("small_time_limit", worst, wpt, worst <= 1e-3)
+    devs = []
+    for t0 in (1e-4, 1e-5, 1e-6):
+        worst, wpt = 0.0, ()
+        for x in _AUDIT_X:
+            dev = np.abs(
+                kernel.gtilde(t0, x, z_small) / np.sqrt(kernel.a(t0)) - INV_SQRT_IPI
+            )
+            i = int(np.argmax(dev))
+            if dev[i] > worst:
+                worst, wpt = float(dev[i]), (t0, x, complex(z_small[i]))
+        devs.append(worst)
+    ok = worst <= 1e-3 and all(
+        later <= max(0.2 * earlier, 1e-12) for earlier, later in zip(devs, devs[1:])
     )
+    report.checks.append(AuditCheck("small_time_limit", worst, wpt, ok))
 
     # (5) derivative envelopes (sampled in place of integrable bounds):
     # per (t, x), fit A1 e^{B1 |z|} over all radii except one interior

@@ -33,9 +33,13 @@ from supershift_lab.contour_quad import (
     truncation_radius,
 )
 from supershift_lab.crosschecks import (
+    _FAR_DEGREE,
+    _FAR_SPAN,
+    _FCC,
     _GK61,
     _REAL_PHASE_BUDGET,
     _cluster_edges,
+    _fcc_weights,
     _quadratic_phase_edges,
     epsilon_regularized_integral,
     erf_complex,
@@ -364,6 +368,83 @@ class TestPanelRules:
         assert np.array_equal(crosschecks._WG, [float(v) for v in wg])
 
 
+def _chirp_moments_mp(n, omega):
+    """int_{-1}^{1} T_k(tau) e^{i omega tau} dtau for k = 0..n at 60 digits.
+
+    From T_k = (T'_{k+1} / (k+1) - T'_{k-1} / (k-1)) / 2 and one
+    integration by parts, with E = [T_k e^{i omega tau}]_{-1}^{1}, the
+    forward recurrence
+      mu_{k+1} = (k+1) / (i omega) [E (1/(k+1) - 1/(k-1)) + i omega mu_{k-1} / (k-1) - 2 mu_k];
+    it is stable for k <= omega, and 60 digits absorb its growth beyond.
+    """
+    with mp.workdps(60):
+        w = mp.mpf(omega)
+
+        def edge(k):
+            return mp.expj(w) - (-1) ** k * mp.expj(-w)
+
+        mu = [2 * mp.sin(w) / w]
+        mu.append((2 * mp.cos(w) - mu[0]) / (1j * w))
+        mu.append((edge(2) - 4 * mu[1]) / (1j * w))
+        for k in range(2, n):
+            mu.append(
+                (k + 1) / (1j * w) * (
+                    edge(k - 1) * (mp.mpf(1) / (k + 1) - mp.mpf(1) / (k - 1))
+                    + 1j * w * mu[k - 1] / (k - 1)
+                    - 2 * mu[k]
+                )
+            )
+        return [complex(v) for v in mu[: n + 1]]
+
+
+class TestFilonRule:
+    """The far rule of the eps comparator (``crosschecks._FCC``)."""
+
+    # half-widths of the seeded span and of three bisection levels
+    OMEGAS = [_FAR_SPAN / 2 ** (level + 1) for level in range(4)]
+
+    @pytest.mark.parametrize("omega", OMEGAS)
+    def test_weights_integrate_chirped_chebyshev(self, omega):
+        # the value rule is exact for T_k e^{i omega tau}, k <= n, its
+        # embedded rule for k <= n/2
+        ref = _chirp_moments_mp(_FAR_DEGREE, omega)
+        for n in (_FAR_DEGREE, _FAR_DEGREE // 2):
+            w = _fcc_weights(n, omega)
+            j = np.arange(n + 1)
+            for k in range(n + 1):
+                assert abs(w @ np.cos(np.pi * j * k / n) - ref[k]) <= 1e-13, (n, k)
+
+    def test_nodes_and_fixed_weights(self):
+        # Chebyshev points, the embedded rule's last; the fixed weights are
+        # the rule at omega = 0 (Clenshaw-Curtis), exact for even powers
+        n = _FAR_DEGREE
+        assert len(_FCC.nodes) == n + 1 and len(_FCC.embedded) == n // 2 + 1
+        assert np.allclose(np.sort(_FCC.nodes), np.cos(np.pi * np.arange(n, -1, -1) / n), rtol=0, atol=1e-15)
+        assert np.allclose(_FCC.nodes[-len(_FCC.embedded) :], np.cos(np.pi * np.arange(0, n + 1, 2) / n), rtol=0, atol=1e-15)
+        for k in range(0, n + 1, 2):
+            assert abs(_FCC.weights @ _FCC.nodes**k - 2.0 / (k + 1)) <= 1e-14
+            if k <= n // 2:
+                assert abs(_FCC.embedded @ _FCC.nodes[n // 2 :] ** k - 2.0 / (k + 1)) <= 1e-14
+
+    @pytest.mark.parametrize("k", [0, 1, 7, 32, _FAR_DEGREE])
+    def test_panel_sums_take_the_chirp_by_panel(self, k):
+        # int_lo^hi e^{i phi} T_k((phi - mid) / half) dphi = half e^{i mid} mu_k(half):
+        # the integrand hands in T_k alone, the panel's factor brings the chirp
+        lo, hi = 3.0 * _FAR_SPAN, 4.0 * _FAR_SPAN
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        with mp.workdps(30):
+            chirp = complex(mp.expj(mid))
+        exact = half * chirp * _chirp_moments_mp(k, half)[k]
+        coef = [0.0] * k + [1.0]
+        vals, errs = _panel_sums(
+            lambda phi: np.polynomial.chebyshev.chebval((phi - mid) / half, coef) + 0j,
+            np.array([lo]), np.array([hi]), _FCC,
+        )
+        assert abs(vals[0] - exact) <= 1e-12
+        if k <= _FAR_DEGREE // 2:  # the embedded rule is exact too
+            assert errs[0] <= 1e-12
+
+
 class TestRotatedIntegral:
     def test_fresnel_constant(self):
         r = rotated(ONE)
@@ -563,6 +644,59 @@ class TestEpsilonRegularized:
         exact = g0 * np.sqrt(np.pi / A) * np.exp(B * B / (4 * A) + 1j * a * y1 * y1)
         assert abs(v - exact) <= tol
 
+    @staticmethod
+    def _crossrep_signal(kernel, t, x, kappa):
+        # the plane-wave datum under the kernel's imag witness, as the
+        # cross-representation workload builds it
+        a0, _ = kernel.growth_imag(t, x)
+        return sig(
+            lambda y: kernel.gtilde(t, x, y) * np.exp(1j * kappa * np.asarray(y, dtype=complex)),
+            2.0 * a0,
+            0.0,
+            "imag",
+        )
+
+    def test_crossrep_point_matches_whole_window_k61(self, free_kernel, pt1_kernel):
+        # kappa=2, t=0.3, x=0.4, eps=1e-5, tol 1e-5: the values of K-61
+        # equal-phase panels over the whole window (2.88 M and 3.17 M nodes)
+        k61 = {
+            "free": 0.921052762715166 - 0.38942137627881246j,
+            "pt1": 1.0792749841782316 + 0.10673319821726775j,
+        }
+        t, x = 0.3, 0.4
+        for label, kernel in (("free", free_kernel), ("pt1", pt1_kernel)):
+            f = self._crossrep_signal(kernel, t, x, 2.0)
+            v = epsilon_regularized_integral(f, kernel.a(t), x, 0.0, 1e-5, tol=1e-5)
+            assert abs(v - k61[label]) <= 1e-10, label
+
+    def test_window_inside_near_stretch_keeps_k61_bits(self, pt1_kernel, monkeypatch):
+        # at eps = 1e-1 the window ends below _FAR_SPAN rad of phase: one
+        # K-61 call on the whole tol, bit for bit the whole-window K-61 value
+        rules = []
+        adaptive_panels = contour_quad._adaptive_panels
+
+        def adaptive(g, edges, tol, budget, rule):
+            rules.append(rule)
+            return adaptive_panels(g, edges, tol, budget, rule)
+
+        monkeypatch.setattr(crosschecks, "_adaptive_panels", adaptive)
+        v = epsilon_regularized_integral(ONE, 1.0, 0.0, 0.0, 1e-1, tol=1e-12)
+        assert v == 1.3109253038208215 + 1.1863710948158648j
+        f = self._crossrep_signal(pt1_kernel, 0.3, 0.4, 2.0)
+        v = epsilon_regularized_integral(f, pt1_kernel.a(0.3), 0.4, 0.0, 1e-1, tol=1e-8)
+        assert v == 1.005489642135774 + 0.05165066961305183j
+        assert rules == [_GK61, _GK61]
+
+    @pytest.mark.parametrize("a", [1.0, -1.0])
+    def test_negative_rate_is_the_conjugate_route(self, a):
+        # the closed form of the module docstring at kappa = 2, y1 = 0.5;
+        # the far stretch reaches 2.5e5 rad on either side
+        eps, y1 = 1e-4, 0.5
+        v = epsilon_regularized_integral(PW2_IM, a, y1, 0.0, eps, tol=1e-9)
+        big_a, big_b = eps - 1j * a, -2j * a * y1 + 2j
+        exact = np.sqrt(np.pi / big_a) * np.exp(big_b**2 / (4 * big_a) + 1j * a * y1**2)
+        assert abs(v - exact) <= 1e-9
+
     def test_panel_budget_applies_to_seeding(self, monkeypatch):
         # the comparators' panel budget guards the equal-phase seeding
         # itself, before any edge is allocated
@@ -583,15 +717,17 @@ class TestEpsilonRegularized:
 
     def test_crossrep_cost(self, free_kernel, pt1_kernel, monkeypatch):
         # both kernels of the cross-representation check: node count, largest
-        # integrand batch, and refinement beyond the equal-phase seeding
-        # (5.3 M and 6.1 M nodes with K-21 panels of 12 rad)
+        # integrand batch, and refinement beyond the seeding of each stretch
+        # (5.3 M and 6.1 M nodes with K-21 panels of 12 rad, 2.88 M and
+        # 3.17 M with K-61 panels of 64 rad on the whole window; 56,156 and
+        # 60,966 with the far stretches on Filon panels)
         t, x, kappa = 0.3, 0.4, 2.0
         calls = []
         adaptive_panels = contour_quad._adaptive_panels
 
-        def adaptive(g, edges, *args):
-            out = adaptive_panels(g, edges, *args)
-            calls.append((len(edges) - 1, out[3]))
+        def adaptive(g, edges, tol, budget, rule):
+            out = adaptive_panels(g, edges, tol, budget, rule)
+            calls.append((len(edges) - 1, out[3], len(rule.nodes)))
             return out
 
         monkeypatch.setattr(crosschecks, "_adaptive_panels", adaptive)
@@ -607,10 +743,12 @@ class TestEpsilonRegularized:
             a0, _ = kernel.growth_imag(t, x)
             f = sig(integrand, 2.0 * a0, 0.0, "imag")
             epsilon_regularized_integral(f, kernel.a(t), x, 0.0, 1e-5, tol=1e-5)
-            [(seeded, nodes)] = calls
-            assert nodes == sum(sizes) <= 3_500_000
+            # the near stretch on K-61, the far stretch on either side on FCC
+            assert [m for _, _, m in calls] == [len(_GK61.nodes)] + 2 * [len(_FCC.nodes)]
+            assert sum(nodes for _, nodes, _ in calls) == sum(sizes) <= 67_100
             assert max(sizes) <= 4096
-            assert nodes <= 1.1 * len(_GK61.nodes) * seeded
+            for seeded, nodes, m in calls:
+                assert nodes <= 1.1 * m * seeded
 
 
 class TestTruncatedIntegral:
@@ -760,11 +898,14 @@ class TestPanelProduct:
         scale = (np.abs(value).sum(axis=-1) + np.abs(embedded).sum(axis=-1)) * half
         assert np.all(np.abs(errs - rule.estimate(fp, d, half)) <= 4 * eps * scale)
 
-    @RULES
+    @pytest.mark.parametrize(
+        "rule", [_GL15_GL7, _GK61, _FCC], ids=["gl15-gl7", "k61-g30", "fcc"]
+    )
     def test_stack_rows_and_lone_panels_bit_identical(self, rule, rng):
         # no panel's sums depend on the other rows of its product: not on
         # the other signals of a stack, nor on the other panels of a call
-        # (a one-row product would go to BLAS's gemv)
+        # (a one-row product would go to BLAS's gemv); the random spans
+        # give the Filon rule one product per panel
         lows, highs, f = self._pass(rule, rng, (3,))
         vals, errs = _panel_sums(lambda y: f, lows, highs, rule)
         m = len(rule.nodes)
