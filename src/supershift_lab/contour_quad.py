@@ -180,9 +180,10 @@ def _tail_radius(log_amp: float, c: float, b: float, log_tol: float, limit: floa
     erfc(x) <= min(e^{-x^2}, e^{-2x/sqrt(pi)}), the start x = min(sqrt(e),
     sqrt(pi) e / 2) lies right of it, and concavity makes the iterates fall
     monotonically to the root, each a certified radius.  Stops once a step
-    is a few ulps; the final check is the certificate, and a radius that
-    rounding fails moves up by ulps.  A start beyond limit raises
-    ``EvaluationOverflow``, a per-point failure like any other overflow.
+    is a few ulps; the tail evaluated there, where y has not moved, is the
+    certificate, and a radius that rounding fails moves up by ulps.  A
+    start beyond limit raises ``EvaluationOverflow``, a per-point failure
+    like any other overflow.
     """
     root_c = math.sqrt(c)
     y = b / (2.0 * c)
@@ -198,9 +199,12 @@ def _tail_radius(log_amp: float, c: float, b: float, log_tol: float, limit: floa
         if not step < -4.0 * math.ulp(y):
             break
         y += step
+    else:
+        log_tail = _log_gaussian_tail(log_amp, c, b, y)
     ulp = math.ulp(y)
-    while _log_gaussian_tail(log_amp, c, b, y) > log_tol:
+    while log_tail > log_tol:
         y, ulp = y + ulp, 2.0 * ulp
+        log_tail = _log_gaussian_tail(log_amp, c, b, y)
     return y
 
 

@@ -21,7 +21,8 @@ embedded 30-point estimate, on panels spanning 64 rad of quadratic phase.
 a (y - y1)^2 stays below ``_FAR_SPAN`` and integrates the rest in the
 phase variable: there a Filon-Clenshaw-Curtis rule takes the chirp
 e^{i phi} into its weights, so its nodes follow the smoothness of the
-integrand's envelope and not the phase.
+integrand's envelope and not the phase, on spans that grow with the phase
+so that each covers about the same stretch of the real line.
 """
 
 from __future__ import annotations
@@ -50,10 +51,11 @@ _REAL_PHASE_BUDGET = 64.0
 # panel budget of one comparator call, whose equal-phase seeding alone can
 # reach millions of panels
 _REAL_MAX_PANELS = 4_000_000
-# phase span of a seeded far panel of the eps comparator, where its near
-# stretch ends (a multiple of _REAL_PHASE_BUDGET: the near stretch ends on
-# an equal-phase edge), and the Chebyshev degree of its Filon rule, whose
-# embedded estimate takes every second point (scan in CHANGES.md)
+# phase where the eps comparator's near stretch ends and span of its first
+# seeded far panel (a multiple of _REAL_PHASE_BUDGET: the near stretch ends
+# on an equal-phase edge; the far spans are dyadic multiples of it,
+# ``_far_edges``), and the Chebyshev degree of its Filon rule, whose
+# embedded estimate takes every second point (scans in CHANGES.md)
 _FAR_SPAN = 4096.0
 _FAR_DEGREE = 64
 
@@ -140,11 +142,37 @@ _GK61 = _PowerLawRule(
 def _chebyshev_moments(n, omega):
     """int_{-1}^{1} T_k(tau) e^{i omega tau} dtau for k = 0..n.
 
-    Composite Gauss-Legendre on pieces of at most 8 rad of phase: with
-    n/2 + 24 nodes a piece is exact to rounding for every k <= n, at any
-    omega (the three-term recurrence of these moments is unstable for
-    k > omega, which the bisected spans reach).
+    For |omega| >= n the forward three-term recurrence, O(n): from
+    T_k = (T'_{k+1} / (k+1) - T'_{k-1} / (k-1)) / 2 and one integration by
+    parts, with E_k = [T_k e^{i omega tau}]_{-1}^{1} (2i sin omega for even
+    k, 2 cos omega for odd k),
+
+        mu_{k+1} = (k+1)/(k-1) mu_{k-1} - 2 ((k+1) mu_k + E_{k+1}/(k-1)) / (i omega),
+
+    which is stable for k <= |omega| (Dominguez, Graham & Smyshlyaev,
+    IMA J. Numer. Anal. 31 (2011) 1253-1280).  Below, where it is not
+    (the deeply bisected spans), composite Gauss-Legendre on pieces of at
+    most 8 rad of phase: with n/2 + 24 nodes a piece is exact to rounding
+    for every k <= n.
     """
+    if abs(omega) < n:
+        return _quadrature_moments(n, omega)
+    sin, cos = math.sin(omega), math.cos(omega)
+    edge = (2j * sin, 2.0 * cos)
+    over = -1j / omega
+    mu = [2.0 * sin / omega]
+    mu.append((edge[1] - mu[0]) * over)
+    mu.append((edge[0] - 4.0 * mu[1]) * over)
+    for k in range(2, n):
+        mu.append(
+            (k + 1) / (k - 1) * mu[k - 1]
+            - 2.0 * ((k + 1) * mu[k] + edge[(k + 1) % 2] / (k - 1)) * over
+        )
+    return np.array(mu[: n + 1])
+
+
+def _quadrature_moments(n, omega):
+    """``_chebyshev_moments`` by composite Gauss-Legendre, O(n (n + |omega|))."""
     x, w = leggauss(n // 2 + 24)
     pieces = max(1, math.ceil(abs(omega) / 4.0))
     edges = np.linspace(-1.0, 1.0, pieces + 1)
@@ -214,9 +242,11 @@ class _FilonRule(_PowerLawRule):
     w_j(omega) (``_filon_table``), which integrate the chirp exactly, and
     each panel's sums the factor omega e^{i mid}.  The chirp is thus never
     evaluated at a node, whose rounding at phi ~ 1e6 would shift its
-    phase by ~1e-10 rad.  Bisection only halves spans, so few tables are
-    ever built.  The fixed weights are the rule at omega = 0, Clenshaw-
-    Curtis: they give the absolute sum of the power-law estimate, which
+    phase by ~1e-10 rad.  The seeded spans are dyadic multiples of
+    ``_FAR_SPAN`` and bisection halves them, so every table is of a
+    dyadic half-width and serves every call and kernel that reaches it
+    (five at the crossrep-eps point).  The fixed weights are the rule at
+    omega = 0, Clenshaw-Curtis: they give the absolute sum of the power-law estimate, which
     turns the difference to the embedded rule of half the degree into an
     estimate for the full one, as for K-61 (the error of Chebyshev
     interpolation of an analytic G falls geometrically with the degree,
@@ -288,20 +318,43 @@ def _quadratic_phase_edges(lo, hi, y1, a, cluster, sigma):
 
 def _far_edges(inner, outer, a):
     """Seed edges in phi = |a| (y - y1)^2 of one far stretch of the window,
-    whose points lie between the distances inner and outer from y1: spans
-    of ``_FAR_SPAN`` from the multiple of it at or below |a| inner^2
-    (at least one span) out to the one at or above |a| outer^2.  None
-    when the window does not pass the near stretch on this side."""
-    top = math.ceil(abs(a) * max(outer, 0.0) ** 2 / _FAR_SPAN)
-    if top <= 1:
+    whose points lie between the distances inner and outer from y1.
+
+    The spans grow with phi so that each covers about the same stretch of
+    y, dy = dphi / (2 sqrt(|a| phi)): ``_FAR_SPAN`` below phi = 8
+    ``_FAR_SPAN``, then ``_FAR_SPAN`` 2^j from phi = 2 4^j ``_FAR_SPAN``
+    on, so a span doubles each time phi has grown 4x; every level starts
+    on an edge of the one before, and all spans stay dyadic multiples of
+    ``_FAR_SPAN``.  Doubling from phi = 4 ``_FAR_SPAN`` on instead takes
+    12-15% fewer nodes at the crossrep-eps point, but refines a far
+    stretch up to 19% past its seed (scan in CHANGES.md).  The edges run
+    from the last one at or below max(|a| inner^2, ``_FAR_SPAN``) to the
+    first one at or above |a| outer^2.  None when the window does not
+    pass the near stretch on this side; the spans are counted against
+    ``_REAL_MAX_PANELS`` before any edge is allocated.
+    """
+    lo = max(abs(a) * inner * inner, _FAR_SPAN)
+    hi = abs(a) * max(outer, 0.0) ** 2
+    if not hi > _FAR_SPAN:
         return None
-    bottom = max(1, math.floor(abs(a) * inner * inner / _FAR_SPAN))
-    if top - bottom > _REAL_MAX_PANELS:
-        raise PanelExhausted(
-            f"far-stretch seeding would need {top - bottom} panels "
-            f"> budget {_REAL_MAX_PANELS}"
-        )
-    return _FAR_SPAN * np.arange(bottom, top + 1.0)
+    levels, count = [], 0
+    start, span = _FAR_SPAN, _FAR_SPAN
+    while start < hi:
+        end = 8.0 * span * span / _FAR_SPAN
+        if end > lo:
+            first = max(0, math.floor((lo - start) / span))
+            last = math.ceil((min(hi, end) - start) / span)
+            levels.append((start, span, first, last))
+            count += last - first
+            if count > _REAL_MAX_PANELS:
+                raise PanelExhausted(
+                    f"far-stretch seeding would need at least {count} panels "
+                    f"> budget {_REAL_MAX_PANELS}"
+                )
+        start, span = end, 2.0 * span
+    edges = [start + span * np.arange(first, last) for start, span, first, last in levels]
+    start, span, _, last = levels[-1]
+    return np.concatenate(edges + [[start + span * last]])
 
 
 def epsilon_regularized_integral(
@@ -327,10 +380,12 @@ def epsilon_regularized_integral(
         int e^{i phi} G(phi) dphi,
         G = e^{-eps (y - y0)^2} f(y) / (2 sqrt(|a| phi))
 
-    (conjugated through for a < 0), on Filon-Clenshaw-Curtis panels of
-    span ``_FAR_SPAN`` (``_FCC``), the last of them ending past the
-    window, where the integrand is already below its tail bound.  Each stretch is
-    one ``_adaptive_panels`` call with the share of tol and of the panel
+    (conjugated through for a < 0), on Filon-Clenshaw-Curtis panels
+    (``_FCC``) whose spans start at ``_FAR_SPAN`` and double each time phi
+    has grown 4x (``_far_edges``), so each covers about the same stretch
+    of y; the last of them ends past the window, where the integrand is
+    already below its tail bound.  Each stretch is one
+    ``_adaptive_panels`` call with the share of tol and of the panel
     budget that its seeded panels take; a window inside the near stretch
     is one K-61 call on the whole tol.  A ``PanelExhausted`` carries no
     value: one stretch's partial sum is no estimate of the integral.

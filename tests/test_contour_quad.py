@@ -13,6 +13,7 @@ Closed forms used as oracles:
 """
 
 import itertools
+import math
 import warnings
 
 import mpmath as mp
@@ -38,7 +39,9 @@ from supershift_lab.crosschecks import (
     _FCC,
     _GK61,
     _REAL_PHASE_BUDGET,
+    _chebyshev_moments,
     _cluster_edges,
+    _far_edges,
     _fcc_weights,
     _quadratic_phase_edges,
     epsilon_regularized_integral,
@@ -162,8 +165,9 @@ class TestNewtonRadius:
                 below = radius * (1.0 - 1e-10)
                 assert _log_gaussian_tail(log_amp, c, b, below) > np.log(tol)
         assert above > 400
-        # every tail evaluation is one scalar erfcx call; the sweep's worst is 9
-        assert worst_calls <= 10
+        # every tail evaluation is one scalar erfcx call; the sweep's worst is
+        # 8, the Newton loop's last evaluation being the certificate
+        assert worst_calls <= 9
 
     @pytest.mark.parametrize(
         "amp, rate, a, angle, offset, tol",
@@ -397,11 +401,30 @@ def _chirp_moments_mp(n, omega):
         return [complex(v) for v in mu[: n + 1]]
 
 
+def _record_omegas(monkeypatch, name, seen):
+    """Patch crosschecks.name(n, omega) to append each omega to seen;
+    returns the original."""
+    fn = getattr(crosschecks, name)
+    monkeypatch.setattr(crosschecks, name, lambda n, omega: seen.append(omega) or fn(n, omega))
+    return fn
+
+
 class TestFilonRule:
     """The far rule of the eps comparator (``crosschecks._FCC``)."""
 
-    # half-widths of the seeded span and of three bisection levels
-    OMEGAS = [_FAR_SPAN / 2 ** (level + 1) for level in range(4)]
+    # half-widths of the first seeded span and of three bisection levels, of
+    # the largest span seeded at the crossrep-eps point (8 _FAR_SPAN), and
+    # just below, at and above the degrees, where the moments change from
+    # Gauss-Legendre to the recurrence
+    OMEGAS = (
+        [_FAR_SPAN / 2 ** (level + 1) for level in range(4)]
+        + [4.0 * _FAR_SPAN]
+        + [
+            np.nextafter(float(n), side)
+            for n in (_FAR_DEGREE // 2, _FAR_DEGREE)
+            for side in (0.0, n, np.inf)
+        ]
+    )
 
     @pytest.mark.parametrize("omega", OMEGAS)
     def test_weights_integrate_chirped_chebyshev(self, omega):
@@ -409,10 +432,20 @@ class TestFilonRule:
         # embedded rule for k <= n/2
         ref = _chirp_moments_mp(_FAR_DEGREE, omega)
         for n in (_FAR_DEGREE, _FAR_DEGREE // 2):
+            assert np.abs(_chebyshev_moments(n, omega) - ref[: n + 1]).max() <= 1e-13, n
             w = _fcc_weights(n, omega)
             j = np.arange(n + 1)
             for k in range(n + 1):
                 assert abs(w @ np.cos(np.pi * j * k / n) - ref[k]) <= 1e-13, (n, k)
+
+    @pytest.mark.parametrize("n", [_FAR_DEGREE // 2, _FAR_DEGREE])
+    def test_moments_take_the_recurrence_from_omega_n(self, n, monkeypatch):
+        # the composite Gauss-Legendre pass only below |omega| = n
+        seen = []
+        _record_omegas(monkeypatch, "_quadrature_moments", seen)
+        for omega in (float(n), -float(n), 4.0 * _FAR_SPAN, np.nextafter(float(n), 0.0), -0.5 * n):
+            _chebyshev_moments(n, omega)
+        assert seen == [np.nextafter(float(n), 0.0), -0.5 * n]
 
     def test_nodes_and_fixed_weights(self):
         # Chebyshev points, the embedded rule's last; the fixed weights are
@@ -714,13 +747,36 @@ class TestEpsilonRegularized:
         monkeypatch.setattr(crosschecks, "_REAL_MAX_PANELS", n - 1)
         with pytest.raises(PanelExhausted, match="seeding"):
             _quadratic_phase_edges(*args)
+        # and the far stretch's spans, counted level by level: 7 + 12 + 24
+        # + 47 spans reach phi = 500 _FAR_SPAN
+        far = (0.0, np.sqrt(500.0 * _FAR_SPAN), 1.0)
+        monkeypatch.setattr(crosschecks, "_REAL_MAX_PANELS", 90)
+        assert len(_far_edges(*far)) == 91
+        monkeypatch.setattr(crosschecks, "_REAL_MAX_PANELS", 89)
+        with pytest.raises(PanelExhausted, match="seeding"):
+            _far_edges(*far)
+
+    def test_far_spans_double_every_fourfold_phase(self):
+        # spans _FAR_SPAN 2^j from phi = 2 4^j _FAR_SPAN on, in units of _FAR_SPAN
+        edges = _far_edges(0.0, np.sqrt(100.0 * _FAR_SPAN), 1.0) / _FAR_SPAN
+        assert edges.tolist() == (
+            list(range(1, 8)) + list(range(8, 32, 2)) + list(range(32, 101, 4))
+        )
+        # an inner distance starts on the last edge at or below it, an
+        # outer one ends on the first edge at or above it
+        edges = _far_edges(np.sqrt(9.0 * _FAR_SPAN), np.sqrt(33.0 * _FAR_SPAN), 1.0) / _FAR_SPAN
+        assert edges.tolist() == list(range(8, 32, 2)) + [32.0, 36.0]
+        # no far stretch where the window ends inside the near one
+        assert _far_edges(0.0, np.sqrt(_FAR_SPAN), 1.0) is None
+        assert _far_edges(0.0, -5.0, 1.0) is None
 
     def test_crossrep_cost(self, free_kernel, pt1_kernel, monkeypatch):
         # both kernels of the cross-representation check: node count, largest
         # integrand batch, and refinement beyond the seeding of each stretch
         # (5.3 M and 6.1 M nodes with K-21 panels of 12 rad, 2.88 M and
-        # 3.17 M with K-61 panels of 64 rad on the whole window; 56,156 and
-        # 60,966 with the far stretches on Filon panels)
+        # 3.17 M with K-61 panels of 64 rad on the whole window, 56,156 and
+        # 60,966 with the far stretches on Filon panels of span _FAR_SPAN;
+        # 17,871 and 18,391 with spans that double as phi grows 4x)
         t, x, kappa = 0.3, 0.4, 2.0
         calls = []
         adaptive_panels = contour_quad._adaptive_panels
@@ -745,10 +801,37 @@ class TestEpsilonRegularized:
             epsilon_regularized_integral(f, kernel.a(t), x, 0.0, 1e-5, tol=1e-5)
             # the near stretch on K-61, the far stretch on either side on FCC
             assert [m for _, _, m in calls] == [len(_GK61.nodes)] + 2 * [len(_FCC.nodes)]
-            assert sum(nodes for _, nodes, _ in calls) == sum(sizes) <= 67_100
+            assert sum(nodes for _, nodes, _ in calls) == sum(sizes) <= 20_200
             assert max(sizes) <= 4096
             for seeded, nodes, m in calls:
                 assert nodes <= 1.1 * m * seeded
+
+    def test_crossrep_far_spans_and_tables(self, free_kernel, pt1_kernel, monkeypatch):
+        # at the cross-representation point each far stretch seeds 74 (free)
+        # or 78 (Poschl-Teller) dyadic spans, up to 8 _FAR_SPAN; every table
+        # of a fresh cache is of a dyadic half-span, its moments from the
+        # recurrence
+        seeds, omegas, quadrature = [], [], []
+        adaptive_panels = contour_quad._adaptive_panels
+
+        def adaptive(g, edges, tol, budget, rule):
+            if rule is _FCC:
+                seeds.append(np.diff(edges) / _FAR_SPAN)
+            return adaptive_panels(g, edges, tol, budget, rule)
+
+        monkeypatch.setattr(crosschecks, "_adaptive_panels", adaptive)
+        filon_table = _record_omegas(monkeypatch, "_filon_table", omegas)
+        _record_omegas(monkeypatch, "_quadrature_moments", quadrature)
+        filon_table.cache_clear()
+        for kernel in (free_kernel, pt1_kernel):
+            f = self._crossrep_signal(kernel, 0.3, 0.4, 2.0)
+            epsilon_regularized_integral(f, kernel.a(0.3), 0.4, 0.0, 1e-5, tol=1e-5)
+        assert len(seeds) == 4 and max(len(spans) for spans in seeds) <= 80
+        for spans in seeds:
+            assert set(spans) == {1.0, 2.0, 4.0, 8.0} and (np.diff(spans) >= 0).all()
+        assert omegas and all(math.frexp(omega)[0] == 0.5 for omega in omegas)
+        assert max(omegas) == 4.0 * _FAR_SPAN
+        assert quadrature == [] and filon_table.cache_info().currsize <= 8
 
 
 class TestTruncatedIntegral:
