@@ -7,8 +7,10 @@ quadratic phase becomes a genuine Gaussian there, so a certified
 truncation radius exists for any growth witness, and 15-point
 Gauss-Legendre panels with a 7-point Gauss-Legendre estimate converge
 quickly.  The real-line comparators that reproduce the same value live in
-``crosschecks`` and share the panel layer (``_panel_sums``,
-``_adaptive_panels``) with their own rule.
+``crosschecks`` and share the panel layer with their own rules: the panel
+sums (``_panel_sums``, ``_adaptive_panels``), the one builder of the
+Gaussian cluster of seed edges (``_cluster_edges``) and the one builder
+of the rules' real weight tables (``_weight_table``).
 
 A stack of signals under their common growth witness
 (``initial_data.signal_stack``) integrates as one integrand whose values
@@ -20,7 +22,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -42,6 +45,19 @@ _MAX_PANELS = 4000
 _TINY = float(np.finfo(float).tiny)
 
 
+def _weight_table(m, weights, embedded):
+    """The real table of a rule of m nodes, value weights on the first and
+    embedded ones on the last nodes: a weight w = wr + i wi is the block
+    wr I + wi [[0, 1], [-1, 0]] on the rows of Re and Im of its node, so the
+    integrand values viewed as floats times it are Re/Im of both sums."""
+    cols = np.zeros((m, 2), dtype=complex)
+    cols[: len(weights), 0] = weights
+    cols[m - len(embedded) :, 1] = embedded
+    table = np.kron(cols.real, np.eye(2)) + np.kron(cols.imag, [[0.0, 1.0], [-1.0, 0.0]])
+    table.flags.writeable = False
+    return table
+
+
 @dataclass(frozen=True)
 class _PanelRule:
     """A panel rule on [-1, 1] with an embedded error estimate.
@@ -60,18 +76,10 @@ class _PanelRule:
     nodes: np.ndarray
     weights: np.ndarray
     embedded: np.ndarray
-    table: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        # kron([value weights | embedded weights], I_2): rows 2j, 2j + 1 act
-        # on the real and imaginary part of node j, so the integrand values
-        # viewed as floats times this table are Re/Im of both sums
-        cols = np.zeros((len(self.nodes), 2))
-        cols[: len(self.weights), 0] = self.weights
-        cols[len(self.nodes) - len(self.embedded) :, 1] = self.embedded
-        table = np.kron(cols, np.eye(2))
-        table.flags.writeable = False
-        object.__setattr__(self, "table", table)
+    @cached_property
+    def table(self):
+        return _weight_table(len(self.nodes), self.weights, self.embedded)
 
     def weigh(self, mid, half):
         """The weights of the panels of one call, with midpoints mid and
@@ -395,26 +403,49 @@ def _adaptive_panels(g, edges, tol, budget, rule):
     return _per_signal(vals.sum(axis=-1)), _per_signal(totals), len(lows), nodes, rounds
 
 
-def _symmetric_cluster(radius, sigma):
-    """``crosschecks._cluster_edges(-radius, radius, 0, sigma)`` built in
-    order on Python floats, without the sort: 0, +-sigma 2^k below radius,
-    +-radius."""
-    right = []
-    off = sigma
-    while off < radius:
-        right.append(off)
+def _cluster_edges(lo, hi, center, sigma, *extra):
+    """Sorted distinct points of [lo, hi] among lo, hi, center, the
+    geometric cluster center +- sigma 2^k, and the arrays in extra: listed
+    in order on Python floats (the rotated route's seed) when there are no
+    extra points, the center is in [lo, hi] and sigma > 4 ulp(center), so
+    that no two points round alike; else merged by ``_sorted_distinct``."""
+    below, above, off = [], [], sigma
+    while (u := center - off) > lo:
+        below.append(u)
         off *= 2.0
-    if radius > 0.0:
-        right.append(radius)
-    return np.array([-u for u in reversed(right)] + [0.0] + right)
+    off = sigma
+    while (v := center + off) < hi:
+        above.append(v)
+        off *= 2.0
+    if extra or not lo <= center <= hi or sigma <= 4.0 * math.ulp(center):
+        edges = np.concatenate([[lo, hi, center], below, above, *extra])
+        return _sorted_distinct(edges[(edges >= lo) & (edges <= hi)])
+    if lo < center:
+        below.append(lo)
+    if hi > center:
+        above.append(hi)
+    below.reverse()
+    below.append(center)
+    return np.array(below + above)
+
+
+def _sorted_distinct(x):
+    """``np.unique`` of a 1-d array without NaNs, whose first call imports
+    ``numpy.ma`` (~6 ms): a stable sort keeps the first of equal entries
+    (0.0, -0.0) as its hash table does, a neighbour mask drops the rest."""
+    x = np.sort(x, kind="stable")
+    keep = np.ones(len(x), dtype=bool)
+    keep[1:] = x[1:] != x[:-1]
+    return x[keep]
 
 
 def _seed_edges(radius, sigma, b, tol, poles, center, rot):
     """Seed panel edges of a rotated pass on u in [-radius, radius].
 
-    The Gaussian cluster (``_symmetric_cluster``) with every panel wider
-    than ``_SEED_WIDTH`` / b cut into equal parts, each bisected until the
-    disk of radius half-width times reach = (rho + 1/rho) / 2 around its
+    The Gaussian cluster around 0 (``_cluster_edges``, in order without a
+    sort) with every panel wider than ``_SEED_WIDTH`` / b cut into equal
+    parts, each bisected until the disk of radius half-width times
+    reach = (rho + 1/rho) / 2 around its
     midpoint, which holds its Bernstein ellipse at rho(tol), clears the
     singular set (``poles``: the distance to it, None if there is none).
     The distance is 1-Lipschitz, so a clear cluster panel passes its parts,
@@ -423,7 +454,7 @@ def _seed_edges(radius, sigma, b, tol, poles, center, rot):
     bisection within all of it: the seed is one integrand call.  The
     cluster array itself when no panel is cut.
     """
-    edges = _symmetric_cluster(radius, sigma)
+    edges = _cluster_edges(-radius, radius, 0.0, sigma)
     width = _SEED_WIDTH / b * (tol * 1e9) ** (1.0 / 30.0) if b > 0.0 else math.inf
     if poles is None and width >= radius:  # no cluster panel is wider
         return edges
@@ -491,7 +522,7 @@ def rotated_integral(
     factor times e^{i w z}.
 
     The seed panels are the geometric cluster around u = 0 at the
-    Gaussian width 1 / sqrt(2 a sin(2 angle)) (``_symmetric_cluster``),
+    Gaussian width 1 / sqrt(2 a sin(2 angle)) (``_cluster_edges``),
     cut to no wider than 3 / b at tol 1e-9 (b the envelope's linear
     coefficient along the line, as in ``truncation_radius``) and graded
     toward f's singular set (``f.poles``) at the Bernstein parameter

@@ -14,9 +14,12 @@ tests and the benchmark's cross-representation workload:
   frequency parameter.
 
 The two real-line comparators integrate long oscillatory stretches on
-``contour_quad``'s panel layer.  ``truncated_integral`` runs the
-Gauss-Kronrod 30/61 pair, whose 61 nodes carry both the value and the
-embedded 30-point estimate, on panels spanning 64 rad of quadratic phase.
+``contour_quad``'s panel layer, whose one cluster builder
+(``_cluster_edges``) also gives them their Gaussian cluster of edges and
+whose one table builder (``_weight_table``) their rules' weight tables.
+``truncated_integral`` runs the Gauss-Kronrod 30/61 pair, whose 61 nodes
+carry both the value and the embedded 30-point estimate, on panels
+spanning 64 rad of quadratic phase.
 ``epsilon_regularized_integral`` keeps that rule where the phase
 a (y - y1)^2 stays below ``_FAR_SPAN`` and integrates the rest in the
 phase variable: there a Filon-Clenshaw-Curtis rule takes the chirp
@@ -36,7 +39,16 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .contour_quad import _TINY, _PanelRule, _adaptive_panels, _eval_signal, _tail_radius
+from .contour_quad import (
+    _TINY,
+    _PanelRule,
+    _adaptive_panels,
+    _cluster_edges,
+    _eval_signal,
+    _sorted_distinct,
+    _tail_radius,
+    _weight_table,
+)
 from .errors import PanelExhausted
 from .evolve import wavefunction
 from .greens import GreensKernel
@@ -216,21 +228,13 @@ def _chebyshev_order(n):
 
 @functools.lru_cache(maxsize=None)
 def _filon_table(n, omega):
-    """The real table of the Filon rule of degree n on spans of half-width
-    omega: the complex weights of the value (all points) and of the
-    embedded rule (the last n/2 + 1) in 2x2 real blocks, rows 2j and
-    2j + 1 acting on Re and Im of node j (Re(g w) = gr wr - gi wi,
-    Im(g w) = gr wi + gi wr).  Built once per span and kept."""
-    cols = np.zeros((n + 1, 2), dtype=complex)
-    cols[:, 0] = _fcc_weights(n, omega)[_chebyshev_order(n)]
-    cols[n // 2 :, 1] = _fcc_weights(n // 2, omega)
-    table = np.empty((2 * n + 2, 4))
-    table[0::2, 0::2] = cols.real
-    table[0::2, 1::2] = cols.imag
-    table[1::2, 0::2] = -cols.imag
-    table[1::2, 1::2] = cols.real
-    table.flags.writeable = False
-    return table
+    """The real table (``_weight_table``) of the Filon rule of degree n on
+    spans of half-width omega: the complex weights of the value (all
+    points) and of the embedded rule (the last n/2 + 1).  Built once per
+    span and kept."""
+    return _weight_table(
+        n + 1, _fcc_weights(n, omega)[_chebyshev_order(n)], _fcc_weights(n // 2, omega)
+    )
 
 
 class _FilonRule(_PowerLawRule):
@@ -255,12 +259,7 @@ class _FilonRule(_PowerLawRule):
 
     def weigh(self, mid, half):
         n = len(self.nodes) - 1
-        spans, which = np.unique(half, return_inverse=True)
-        tables = [_filon_table(n, float(span)) for span in spans]
-        if len(tables) == 1:
-            groups = ((slice(None), tables[0]),)
-        else:
-            groups = tuple((which == k, table) for k, table in enumerate(tables))
+        groups = tuple((half == s, _filon_table(n, float(s))) for s in _sorted_distinct(half))
         return groups, half * np.exp(1j * mid)
 
 
@@ -271,20 +270,6 @@ _FCC = _FilonRule(
     weights=_fcc_weights(_FAR_DEGREE, 0.0)[_chebyshev_order(_FAR_DEGREE)].real,
     embedded=_fcc_weights(_FAR_DEGREE // 2, 0.0).real,
 )
-
-
-def _cluster_edges(lo, hi, cluster, sigma, *extra):
-    """Sorted distinct points of [lo, hi] among lo, hi, cluster, the
-    geometric cluster cluster +- sigma 2^k, and the arrays in extra."""
-    pts = [lo, hi, cluster]
-    off = sigma
-    while cluster - off > lo or cluster + off < hi:
-        pts += [cluster - off, cluster + off]
-        off *= 2.0
-        if off > 1e15:
-            break
-    edges = np.unique(np.concatenate([pts, *extra]))
-    return edges[(edges >= lo) & (edges <= hi)]
 
 
 def _quadratic_phase_edges(lo, hi, y1, a, cluster, sigma):

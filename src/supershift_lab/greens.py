@@ -34,7 +34,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.polynomial import polyval
 
-from .contour_quad import GrowthWitness
+from .contour_quad import GrowthWitness, _sorted_distinct
 from .errors import DomainMarginError, EvaluationOverflow, HorizonExceeded
 # solve_electric, solve_harmonic, erfcx and assoc_legendre_tanh are not
 # called here; bench/tracer.py patches them under these names
@@ -468,7 +468,7 @@ def _sector_samples(kernel: GreensKernel, radii=_AUDIT_RADII[:4]) -> np.ndarray:
         for s in (1.0, -1.0):
             pts.append(r * np.exp(1j * s * angs))
             pts.append(-r * np.exp(1j * s * angs))
-    z = np.unique(np.concatenate(pts))
+    z = _sorted_distinct(np.concatenate(pts))
     if kernel.pole_margin > 0.0:
         z = z[pole_set_distance(z) > kernel.pole_margin + 0.05]
     return z
@@ -562,14 +562,12 @@ def audit_kernel(kernel: GreensKernel) -> KernelAuditReport:
     h = 1e-5
     worst, wpt = 0.0, ()
     r_all = np.abs(zs)
-    order = np.argsort(np.round(np.angle(zs), 6) + 1e-9 * r_all)
     held = np.zeros(len(zs), dtype=bool)
-    angles = np.round(np.angle(zs[order]), 6)
-    for ang in np.unique(angles):
-        ray = order[angles == ang]
+    angles = np.round(np.angle(zs), 6)
+    for ang in _sorted_distinct(angles):
+        ray = np.flatnonzero(angles == ang)
         if len(ray) >= 3:
-            ray_sorted = ray[np.argsort(r_all[ray])]
-            held[ray_sorted[len(ray_sorted) // 2]] = True
+            held[ray[np.argsort(r_all[ray])[len(ray) // 2]]] = True
     fit_idx = np.where(~held)[0]
     chk_idx = np.where(held)[0]
     for t in ts:

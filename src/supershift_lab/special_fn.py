@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
@@ -308,31 +307,15 @@ def pt_weighted_term(l: int, t: float, x: float, z):
 
 
 @lru_cache(maxsize=None)
-def _legendre_poly_coeffs(l: int) -> tuple[Fraction, ...]:
-    """Coefficients (ascending) of the degree-l Legendre polynomial, exact."""
-    if l == 0:
-        return (Fraction(1),)
-    if l == 1:
-        return (Fraction(0), Fraction(1))
-    pm2 = _legendre_poly_coeffs(l - 2)
-    pm1 = _legendre_poly_coeffs(l - 1)
-    out = [Fraction(0)] * (l + 1)
-    for i, c in enumerate(pm1):
-        out[i + 1] += Fraction(2 * l - 1, l) * c
-    for i, c in enumerate(pm2):
-        out[i] -= Fraction(l - 1, l) * c
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _legendre_deriv_coeffs(l: int, m: int) -> tuple[float, ...]:
-    """m-th derivative of the Legendre polynomial, ascending coefficients."""
-    coeffs = list(_legendre_poly_coeffs(l))
-    for _ in range(m):
-        coeffs = [k * c for k, c in enumerate(coeffs)][1:]
-        if not coeffs:
-            coeffs = [Fraction(0)]
-    return tuple(float(c) for c in coeffs)
+    """Ascending coefficients of the m-th derivative of the Legendre
+    polynomial P_l(x) = 2^-l sum_k (-1)^k C(l, k) C(2l - 2k, l) x^(l - 2k),
+    in integers, each rounded once by its division by 2^l."""
+    out = [0] * (l - m + 1)
+    for k in range((l - m) // 2 + 1):
+        j = l - 2 * k
+        out[j - m] = (-1) ** k * math.comb(l, k) * math.comb(2 * (l - k), l) * math.perm(j, m)
+    return tuple(c / 2**l for c in out)
 
 
 @lru_cache(maxsize=None)

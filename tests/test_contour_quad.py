@@ -27,9 +27,10 @@ from supershift_lab.contour_quad import (
     _SEED_PANELS,
     GrowthWitness,
     QuadratureResult,
+    _cluster_edges,
     _log_gaussian_tail,
     _panel_sums,
-    _symmetric_cluster,
+    _sorted_distinct,
     rotated_integral,
     truncation_radius,
 )
@@ -40,7 +41,6 @@ from supershift_lab.crosschecks import (
     _GK61,
     _REAL_PHASE_BUDGET,
     _chebyshev_moments,
-    _cluster_edges,
     _far_edges,
     _fcc_weights,
     _quadratic_phase_edges,
@@ -210,10 +210,28 @@ class TestNewtonRadius:
             assert type(radius) is float
 
 
-class TestSymmetricCluster:
-    """The rotated route's seed against the sorted real-line construction."""
+def _cluster_set(lo, hi, center, sigma, *extra):
+    """The cluster as a sorted set: the points of [lo, hi] among lo, hi,
+    center, center +- sigma 2^k for every k that reaches past both ends,
+    and extra."""
+    reach = max(hi - center, center - lo, sigma)
+    offs = sigma * 2.0 ** np.arange(math.ceil(math.log2(reach / sigma)) + 2)
+    pts = np.concatenate([[lo, hi, center], center - offs, center + offs, *extra])
+    return np.unique(pts[(pts >= lo) & (pts <= hi)])
 
-    def test_equals_cluster_edges(self):
+
+class TestClusterEdges:
+    """The one Gaussian-cluster builder against a sorted set: the rotated
+    route's ordered build, and the merge of extra points and of centers at
+    or outside the window."""
+
+    @staticmethod
+    def _check(lo, hi, center, sigma, *extra):
+        got = _cluster_edges(lo, hi, center, sigma, *extra)
+        want = _cluster_set(lo, hi, center, sigma, *extra)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (lo, hi, center, sigma)
+
+    def test_symmetric_seed_equals_sorted_set(self):
         rng = np.random.default_rng(3)
         cases = [(0.0, 1.0), (0.5, 1.0), (1.0, 1.0), (1e-3, 1e3)]
         for sigma in np.geomspace(1e-3, 1e3, 25):
@@ -221,9 +239,41 @@ class TestSymmetricCluster:
             cases += [(sigma * rng.uniform(0.01, 1.0), sigma)]  # R < sigma
             cases += [(sigma * 10.0 ** rng.uniform(0.0, 6.0), sigma) for _ in range(8)]
         for radius, sigma in cases:
-            got = _symmetric_cluster(radius, sigma)
-            want = _cluster_edges(-radius, radius, 0.0, sigma)
-            assert got.dtype == want.dtype and np.array_equal(got, want), (radius, sigma)
+            self._check(-radius, radius, 0.0, sigma)
+
+    def test_centers_and_extra_points_equal_sorted_set(self):
+        # centers inside, at either end and outside the window, clusters
+        # finer than the rounding at the center, and extra points inside,
+        # outside and on the cluster
+        rng = np.random.default_rng(11)
+        for _ in range(4000):
+            lo = rng.uniform(-50.0, 50.0)
+            hi = lo + 10.0 ** rng.uniform(-3.0, 3.0)
+            center = rng.choice([lo, hi, rng.uniform(lo, hi), rng.uniform(lo - 100.0, hi + 100.0)])
+            center = rng.choice([center, 1e17 * np.sign(center)]) if rng.uniform() < 0.05 else center
+            sigma = (hi - lo) * 10.0 ** rng.uniform(-4.0, 1.0)
+            extra = []
+            if rng.uniform() < 0.5:
+                inside = rng.uniform(lo, hi, rng.integers(0, 6))
+                on = center + sigma * 2.0 ** rng.integers(0, 8, 2)
+                extra = [inside, rng.uniform(lo - 10.0, hi + 10.0, 3), on, [lo, center]]
+            self._check(lo, hi, center, sigma, *extra)
+        # a cluster below the spacing of the floats around its center
+        self._check(1e16, 1e16 + 64.0, 1e16 + 8.0, 0.5)
+        self._check(-1.0, 1.0, 0.0, 1e-300)
+
+    def test_sorted_distinct_is_unique_bit_for_bit(self):
+        # the same entries as np.unique, and of equal zeros the first one
+        rng = np.random.default_rng(5)
+        for x in (
+            np.array([0.0, -0.0, 1.0, 0.0]),
+            np.array([-0.0, 0.0, -1.0]),
+            rng.integers(-4, 5, 40).astype(float),
+            np.array([1 - 0j, 1 + 0j, -0.0 + 2j, 0.0 + 2j, 1j]),
+            np.array([-0.0 + 1j, 0.0 + 1j, 1 + 0j, 1 - 0j]),
+        ):
+            got, want = _sorted_distinct(x), np.unique(x)
+            assert got.dtype == want.dtype and got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 class TestSeedEdges:
@@ -980,6 +1030,23 @@ class TestPanelProduct:
         # on random values the K-61 power law leaves d as it is (50 d > s)
         scale = (np.abs(value).sum(axis=-1) + np.abs(embedded).sum(axis=-1)) * half
         assert np.all(np.abs(errs - rule.estimate(fp, d, half)) <= 4 * eps * scale)
+
+    def test_tables_are_real_blocks_of_the_weights(self):
+        # a real weight w is the block w I_2, bit for bit; a complex Filon
+        # weight the block [[wr, wi], [-wi, wr]]
+        for rule in (_GL15_GL7, _GK61):
+            cols = np.zeros((len(rule.nodes), 2))
+            cols[: len(rule.weights), 0] = rule.weights
+            cols[len(rule.nodes) - len(rule.embedded) :, 1] = rule.embedded
+            assert rule.table.tobytes() == np.kron(cols, np.eye(2)).tobytes()
+        n, omega = _FAR_DEGREE, _FAR_SPAN
+        cols = np.zeros((n + 1, 2), dtype=complex)
+        cols[:, 0] = _fcc_weights(n, omega)[crosschecks._chebyshev_order(n)]
+        cols[n // 2 :, 1] = _fcc_weights(n // 2, omega)
+        table = crosschecks._filon_table(n, omega)
+        assert table.shape == (2 * n + 2, 4) and not table.flags.writeable
+        assert np.array_equal(table[0::2, 0::2] + 1j * table[0::2, 1::2], cols)
+        assert np.array_equal(table[1::2, 1::2] - 1j * table[1::2, 0::2], cols)
 
     @pytest.mark.parametrize(
         "rule", [_GL15_GL7, _GK61, _FCC], ids=["gl15-gl7", "k61-g30", "fcc"]

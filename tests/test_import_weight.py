@@ -1,12 +1,13 @@
-"""Import-weight guard: the library's runtime path loads no scipy and no mpmath.
+"""Import-weight guard: the library loads no scipy, no mpmath and no numpy.ma.
 
 Importing ``scipy.special`` costs 0.3-0.4 s and ~25 MB, ``scipy.integrate``
-0.2-0.4 s and ~26 MB, and ``mpmath`` ~35 ms; each shows directly in the
-benchmark's ``setup_s`` and ``peak_rss_mb`` and in every CLI run.  This
+0.2-0.4 s and ~26 MB, ``mpmath`` ~35 ms and ``numpy.ma``, which the first
+``np.unique`` call imports, ~6 ms; each shows directly in the benchmark's
+``setup_s``, ``wall_s`` or ``peak_rss_mb`` and in every CLI run.  This
 test pins that the import (``supershift_lab.oracles`` included), the four
 kernel builds, one grid point per kernel, one real-line comparator call
-(from ``supershift_lab.crosschecks``) and one point each of the three
-grid experiments (supershift distances, two orders stacked on one
+(from ``supershift_lab.crosschecks``), one kernel audit and one point each
+of the three grid experiments (supershift distances, two orders stacked on one
 contour; continuous dependence with its initial-data metric; the
 initial-value limit) load none of them: scipy
 stays a lazy import of the CLI's ``table`` spline, and mpmath one of the
@@ -45,7 +46,7 @@ from supershift_lab.evolve import (
     supershift_experiment,
     wavefield,
 )
-from supershift_lab.greens import Electric, Free, Harmonic, PoschlTeller, make_kernel
+from supershift_lab.greens import Electric, Free, Harmonic, PoschlTeller, audit_kernel, make_kernel
 from supershift_lab.initial_data import (
     constant_signal,
     default_weight,
@@ -65,6 +66,7 @@ for kernel in kernels:
     assert not field.failures, field.failures
 epsilon_regularized_integral(constant_signal(), 1.0, 0.0, eps=1e-3, tol=1e-8)
 free = kernels[0]
+assert audit_kernel(free).passed
 assert not supershift_experiment(free, [10, 20], 3.0, [0.3], [0.4]).failures
 assert not continuous_dependence_check(
     free, plane_wave(3.0), [superosc_signal(10, 3.0)], [10], default_weight(3.0),
@@ -92,6 +94,8 @@ def test_kernel_builds_skip_heavy_scipy_subpackages():
     assert [m for m in HEAVY if m in out] == []
     assert [m for m in out if m == "scipy" or m.startswith("scipy.")] == []
     assert [m for m in out if m == "mpmath" or m.startswith("mpmath.")] == []
+    # np.unique's first call imports numpy.ma, ~6 ms
+    assert [m for m in out if m == "numpy.ma" or m.startswith("numpy.ma.")] == []
 
 
 def _imports_mpmath(path: Path) -> bool:

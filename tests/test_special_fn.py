@@ -4,6 +4,7 @@ Frozen reference values were produced with mpmath at 60 significant
 digits (see oracle helpers below); the library path never touches mpmath.
 """
 
+from fractions import Fraction
 from math import factorial
 
 import mpmath as mp
@@ -465,7 +466,32 @@ class TestPtKernelTerm:
         assert np.all(np.abs(fast - full) <= 4 * np.finfo(float).eps * kept)
 
 
+def _legendre_coeffs_exact(l):
+    """Ascending coefficients of the Legendre polynomial P_l by Bonnet's
+    recursion l P_l = (2l - 1) x P_{l-1} - (l - 1) P_{l-2}, in fractions."""
+    prev, cur = [Fraction(1)], [Fraction(0), Fraction(1)]
+    if l == 0:
+        return prev
+    for n in range(2, l + 1):
+        nxt = [Fraction(0)] + [Fraction(2 * n - 1, n) * c for c in cur]
+        for i, c in enumerate(prev):
+            nxt[i] -= Fraction(n - 1, n) * c
+        prev, cur = cur, nxt
+    return cur
+
+
 class TestLegendreFactors:
+    def test_derivative_coefficients_match_exact_recursion(self):
+        # the closed form's coefficients are the exact rationals rounded once
+        for l in range(40):
+            deriv = _legendre_coeffs_exact(l)
+            for m in range(l + 1):
+                want = [float(c) for c in deriv]
+                deriv = [k * c for k, c in enumerate(deriv)][1:]
+                got = special_fn._legendre_deriv_coeffs(l, m)
+                assert list(got) == want and all(type(c) is float for c in got), (l, m)
+                assert np.signbit(got).tolist() == np.signbit(want).tolist(), (l, m)
+
     def test_condon_shortley_values(self):
         assert abs(assoc_legendre_tanh(1, 1, 0.0) + 1.0) < 1e-15
         assert abs(assoc_legendre_tanh(2, 2, 0.0) - 3.0) < 1e-15
