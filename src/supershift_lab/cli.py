@@ -416,7 +416,12 @@ def run_supershift(cfg: dict) -> int:
             raise ValueError(f"orders must be >= 1, got {n_values}")
         weight = ss.get("weight_C")
         c_weight = default_weight(kappa) if weight is None else _finite(weight)
-        samples = disk_samples(_finite(ss.get("sample_radius", 3.0)))
+        if c_weight < 0.0:
+            raise ValueError(f"weight_C must be >= 0, got {c_weight:g}")
+        radius = _finite(ss.get("sample_radius", 3.0))
+        if radius <= 0.0:
+            raise ValueError(f"sample_radius must be > 0, got {radius:g}")
+        samples = disk_samples(radius)
     ts, xs = _grid(cfg, kernel)
     report = supershift_experiment(
         kernel, n_values, kappa, ts, xs, tol=cfg["quadrature"]["tol"]

@@ -8,9 +8,9 @@ truncation radius exists for any growth witness, and 15-point
 Gauss-Legendre panels with a 7-point Gauss-Legendre estimate converge
 quickly.  The real-line comparators that reproduce the same value live in
 ``crosschecks`` and share the panel layer with their own rules: the panel
-sums (``_panel_sums``, ``_adaptive_panels``), the one builder of the
-Gaussian cluster of seed edges (``_cluster_edges``) and the one builder
-of the rules' real weight tables (``_weight_table``).
+sums (``_panel_sums``, ``_adaptive_panels``) and the one builder of the
+rules' real weight tables (``_weight_table``).  The Gaussian cluster of
+seed edges (``_cluster_edges``) is the rotated route's alone.
 
 A stack of signals under their common growth witness
 (``initial_data.signal_stack``) integrates as one integrand whose values
@@ -45,14 +45,12 @@ _MAX_PANELS = 4000
 _TINY = float(np.finfo(float).tiny)
 
 
-def _weight_table(m, weights, embedded):
-    """The real table of a rule of m nodes, value weights on the first and
-    embedded ones on the last nodes: a weight w = wr + i wi is the block
-    wr I + wi [[0, 1], [-1, 0]] on the rows of Re and Im of its node, so the
-    integrand values viewed as floats times it are Re/Im of both sums."""
-    cols = np.zeros((m, 2), dtype=complex)
-    cols[: len(weights), 0] = weights
-    cols[m - len(embedded) :, 1] = embedded
+def _weight_table(weights, embedded):
+    """The real table of a rule's two weight columns, value and embedded:
+    a weight w = wr + i wi is the block wr I + wi [[0, 1], [-1, 0]] on the
+    rows of Re and Im of its node, so the integrand values viewed as floats
+    times it are Re/Im of both sums."""
+    cols = np.column_stack([weights, embedded])
     table = np.kron(cols.real, np.eye(2)) + np.kron(cols.imag, [[0.0, 1.0], [-1.0, 0.0]])
     table.flags.writeable = False
     return table
@@ -62,9 +60,9 @@ def _weight_table(m, weights, embedded):
 class _PanelRule:
     """A panel rule on [-1, 1] with an embedded error estimate.
 
-    The value uses the first len(weights) nodes, the estimate the last
-    len(embedded) nodes.  ``table`` holds both weight columns for the
-    panel sums' one real product (``_panel_sums``), which asks for it
+    Its nodes and two weight vectors of their length, value and embedded,
+    each 0 at the nodes its sum skips.  ``table`` holds both columns for
+    the panel sums' one real product (``_panel_sums``), which asks for it
     through the hook ``weigh``: a fixed rule has one table for every span,
     a Filon rule one per span and a chirp factor per panel
     (``crosschecks._FilonRule``).  ``estimate`` turns the raw difference
@@ -79,7 +77,7 @@ class _PanelRule:
 
     @cached_property
     def table(self):
-        return _weight_table(len(self.nodes), self.weights, self.embedded)
+        return _weight_table(self.weights, self.embedded)
 
     def weigh(self, mid, half):
         """The weights of the panels of one call, with midpoints mid and
@@ -98,7 +96,11 @@ class _PanelRule:
 _X15, _W15 = leggauss(15)
 _X7, _W7 = leggauss(7)
 # rotated route: GL-15 value, separate GL-7 estimate (22 nodes)
-_GL15_GL7 = _PanelRule(nodes=np.concatenate([_X15, _X7]), weights=_W15, embedded=_W7)
+_GL15_GL7 = _PanelRule(
+    nodes=np.concatenate([_X15, _X7]),
+    weights=np.concatenate([_W15, np.zeros(7)]),
+    embedded=np.concatenate([np.zeros(15), _W7]),
+)
 # most seed panels of a rotated pass: one integrand call
 _SEED_PANELS = _BATCH_NODES // len(_GL15_GL7.nodes)
 # seed panel width times the envelope's linear coefficient b at tol 1e-9: for
@@ -403,30 +405,16 @@ def _adaptive_panels(g, edges, tol, budget, rule):
     return _per_signal(vals.sum(axis=-1)), _per_signal(totals), len(lows), nodes, rounds
 
 
-def _cluster_edges(lo, hi, center, sigma, *extra):
-    """Sorted distinct points of [lo, hi] among lo, hi, center, the
-    geometric cluster center +- sigma 2^k, and the arrays in extra: listed
-    in order on Python floats (the rotated route's seed) when there are no
-    extra points, the center is in [lo, hi] and sigma > 4 ulp(center), so
-    that no two points round alike; else merged by ``_sorted_distinct``."""
-    below, above, off = [], [], sigma
-    while (u := center - off) > lo:
-        below.append(u)
-        off *= 2.0
-    off = sigma
-    while (v := center + off) < hi:
-        above.append(v)
-        off *= 2.0
-    if extra or not lo <= center <= hi or sigma <= 4.0 * math.ulp(center):
-        edges = np.concatenate([[lo, hi, center], below, above, *extra])
-        return _sorted_distinct(edges[(edges >= lo) & (edges <= hi)])
-    if lo < center:
-        below.append(lo)
-    if hi > center:
-        above.append(hi)
-    below.reverse()
-    below.append(center)
-    return np.array(below + above)
+def _cluster_edges(radius, sigma):
+    """The geometric cluster -radius, -sigma 2^k, 0, sigma 2^k, radius of
+    the points sigma 2^k < radius, in order on Python floats (0 alone for
+    radius 0)."""
+    offs = []
+    while sigma < radius:
+        offs.append(sigma)
+        sigma *= 2.0
+    pts = [-u for u in reversed(offs)] + [0.0] + offs
+    return np.array([-radius] + pts + [radius] if radius > 0.0 else pts)
 
 
 def _sorted_distinct(x):
@@ -442,19 +430,18 @@ def _sorted_distinct(x):
 def _seed_edges(radius, sigma, b, tol, poles, center, rot):
     """Seed panel edges of a rotated pass on u in [-radius, radius].
 
-    The Gaussian cluster around 0 (``_cluster_edges``, in order without a
-    sort) with every panel wider than ``_SEED_WIDTH`` / b cut into equal
-    parts, each bisected until the disk of radius half-width times
-    reach = (rho + 1/rho) / 2 around its
-    midpoint, which holds its Bernstein ellipse at rho(tol), clears the
-    singular set (``poles``: the distance to it, None if there is none).
-    The distance is 1-Lipschitz, so a clear cluster panel passes its parts,
-    and a failed panel clear by (reach + 1) / 2 half-widths its halves,
-    unlooked.  The cut stays within half of ``_SEED_PANELS``, the
+    The Gaussian cluster around 0 (``_cluster_edges``) with every panel
+    wider than ``_SEED_WIDTH`` / b cut into equal parts, each bisected
+    until the disk of radius half-width times reach = (rho + 1/rho) / 2
+    around its midpoint, which holds its Bernstein ellipse at rho(tol),
+    clears the singular set (``poles``: the distance to it, None if there
+    is none).  The distance is 1-Lipschitz, so a clear cluster panel
+    passes its parts, and a failed panel clear by (reach + 1) / 2
+    half-widths its halves, unlooked.  The cut stays within half of ``_SEED_PANELS``, the
     bisection within all of it: the seed is one integrand call.  The
     cluster array itself when no panel is cut.
     """
-    edges = _cluster_edges(-radius, radius, 0.0, sigma)
+    edges = _cluster_edges(radius, sigma)
     width = _SEED_WIDTH / b * (tol * 1e9) ** (1.0 / 30.0) if b > 0.0 else math.inf
     if poles is None and width >= radius:  # no cluster panel is wider
         return edges

@@ -14,12 +14,12 @@ tests and the benchmark's cross-representation workload:
   frequency parameter.
 
 The two real-line comparators integrate long oscillatory stretches on
-``contour_quad``'s panel layer, whose one cluster builder
-(``_cluster_edges``) also gives them their Gaussian cluster of edges and
-whose one table builder (``_weight_table``) their rules' weight tables.
-``truncated_integral`` runs the Gauss-Kronrod 30/61 pair, whose 61 nodes
-carry both the value and the embedded 30-point estimate, on panels
-spanning 64 rad of quadratic phase.
+``contour_quad``'s panel layer, whose one table builder (``_weight_table``)
+gives their rules' weight tables.  ``truncated_integral`` runs the
+Gauss-Kronrod 30/61 pair, whose 61 nodes carry both the value and the
+embedded 30-point estimate, on panels spanning 64 rad of quadratic phase,
+seeded from the window alone: its ends, the stationary point and the
+equal-phase points.
 ``epsilon_regularized_integral`` keeps that rule where the phase
 a (y - y1)^2 stays below ``_FAR_SPAN`` and integrates the rest in the
 phase variable: there a Filon-Clenshaw-Curtis rule takes the chirp
@@ -43,7 +43,6 @@ from .contour_quad import (
     _TINY,
     _PanelRule,
     _adaptive_panels,
-    _cluster_edges,
     _eval_signal,
     _sorted_distinct,
     _tail_radius,
@@ -132,22 +131,18 @@ class _PowerLawRule(_PanelRule):
     lower one."""
 
     def estimate(self, f, d, half):
-        sabs = (np.abs(f[..., : len(self.weights)]) * self.weights).sum(axis=-1) * half
+        sabs = (np.abs(f) * self.weights).sum(axis=-1) * half
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(sabs > 0.0, 50.0 * d / np.maximum(sabs, 1e-300), 0.0)
         return np.where((sabs > 0.0) & (ratio < 1.0), sabs * ratio**1.5, d)
 
 
-# K-61 value, G-30 estimate on the same 61 nodes (the 31 Kronrod-only nodes
-# first, then the Gauss nodes in ascending order)
+# K-61 value, G-30 estimate on the same 61 nodes in ascending order: the
+# Gauss nodes are every second one from the second on
 _GK61 = _PowerLawRule(
-    nodes=np.concatenate([
-        -_XGK[0::2], _XGK[-3::-2], -_XGK[1::2], _XGK[-2::-2]
-    ]),
-    weights=np.concatenate([
-        _WGK[0::2], _WGK[-3::-2], _WGK[1::2], _WGK[-2::-2]
-    ]),
-    embedded=np.concatenate([_WG, _WG[::-1]]),
+    nodes=np.concatenate([-_XGK, _XGK[-2::-1]]),
+    weights=np.concatenate([_WGK, _WGK[-2::-1]]),
+    embedded=np.insert(np.concatenate([_WG, _WG[::-1]]), np.arange(31), 0.0),
 )
 
 
@@ -219,22 +214,19 @@ def _fcc_weights(n, omega):
     return cosines @ _chebyshev_moments(n, omega)
 
 
-def _chebyshev_order(n):
-    """j = 0..n with the odd ones first: the points cos(pi j / n) in this
-    order end with those of degree n/2, as ``_PanelRule`` wants its
-    embedded nodes."""
-    return np.concatenate([np.arange(1, n, 2), np.arange(0, n + 1, 2)])
+def _on_even(w):
+    """The weights w of the n/2 + 1 points of degree n/2 as a column of the
+    rule of degree n: w on the even j, whose points they are, 0 on the odd."""
+    return np.insert(w, np.arange(1, len(w)), 0.0)
 
 
 @functools.lru_cache(maxsize=None)
 def _filon_table(n, omega):
     """The real table (``_weight_table``) of the Filon rule of degree n on
     spans of half-width omega: the complex weights of the value (all
-    points) and of the embedded rule (the last n/2 + 1).  Built once per
-    span and kept."""
-    return _weight_table(
-        n + 1, _fcc_weights(n, omega)[_chebyshev_order(n)], _fcc_weights(n // 2, omega)
-    )
+    points) and of the embedded rule (the even j).  Built once per span
+    and kept."""
+    return _weight_table(_fcc_weights(n, omega), _on_even(_fcc_weights(n // 2, omega)))
 
 
 class _FilonRule(_PowerLawRule):
@@ -266,15 +258,15 @@ class _FilonRule(_PowerLawRule):
 # the eps comparator's far rule: the value on all _FAR_DEGREE + 1 Chebyshev
 # points, the embedded rule on every second one
 _FCC = _FilonRule(
-    nodes=np.cos(np.pi * _chebyshev_order(_FAR_DEGREE) / _FAR_DEGREE),
-    weights=_fcc_weights(_FAR_DEGREE, 0.0)[_chebyshev_order(_FAR_DEGREE)].real,
-    embedded=_fcc_weights(_FAR_DEGREE // 2, 0.0).real,
+    nodes=np.cos(np.pi * np.arange(_FAR_DEGREE + 1) / _FAR_DEGREE),
+    weights=_fcc_weights(_FAR_DEGREE, 0.0).real,
+    embedded=_on_even(_fcc_weights(_FAR_DEGREE // 2, 0.0).real),
 )
 
 
-def _quadratic_phase_edges(lo, hi, y1, a, cluster, sigma):
-    """Equal-phase breakpoints of |a| (y - y1)^2 on [lo, hi], merged with a
-    geometric cluster around the regularizer center.
+def _quadratic_phase_edges(lo, hi, y1, a):
+    """Seed edges on [lo, hi]: its ends, y1 when it lies inside, and the
+    equal-phase points of |a| (y - y1)^2, sorted and distinct.
 
     With ~64 rad of quadratic phase per panel (``_REAL_PHASE_BUDGET``)
     both the Kronrod 61-point value and the embedded Gauss 30-point
@@ -283,7 +275,6 @@ def _quadratic_phase_edges(lo, hi, y1, a, cluster, sigma):
     before allocating anything when the seeding alone would exceed
     ``_REAL_MAX_PANELS``.
     """
-    pts = []
     a = abs(a)
     k_right = a * max(hi - y1, 0.0) ** 2 / _REAL_PHASE_BUDGET
     k_left = a * max(y1 - lo, 0.0) ** 2 / _REAL_PHASE_BUDGET
@@ -292,13 +283,10 @@ def _quadratic_phase_edges(lo, hi, y1, a, cluster, sigma):
             f"equal-phase seeding would need ~{int(k_right + k_left)} panels "
             f"> budget {_REAL_MAX_PANELS}"
         )
-    if k_right >= 1.0:
-        ks = np.arange(1.0, np.floor(k_right) + 1.0)
-        pts.append(y1 + np.sqrt(ks * _REAL_PHASE_BUDGET / a))
-    if k_left >= 1.0:
-        ks = np.arange(1.0, np.floor(k_left) + 1.0)
-        pts.append(y1 - np.sqrt(ks * _REAL_PHASE_BUDGET / a))
-    return _cluster_edges(lo, hi, cluster, sigma, [y1], *pts)
+    right = np.sqrt(np.arange(1.0, np.floor(k_right) + 1.0) * _REAL_PHASE_BUDGET / a)
+    left = np.sqrt(np.arange(1.0, np.floor(k_left) + 1.0) * _REAL_PHASE_BUDGET / a)
+    pts = np.concatenate([[lo, hi, y1], y1 + right, y1 - left])
+    return _sorted_distinct(pts[(pts >= lo) & (pts <= hi)])
 
 
 def _far_edges(inner, outer, a):
@@ -405,9 +393,7 @@ def epsilon_regularized_integral(
     reach = math.sqrt(_FAR_SPAN / abs(a)) if a else math.inf
     stretches = []
     if max(lo, y1 - reach) < min(hi, y1 + reach):
-        edges = _quadratic_phase_edges(
-            max(lo, y1 - reach), min(hi, y1 + reach), y1, a, y0, 1.0 / np.sqrt(2.0 * eps)
-        )
+        edges = _quadratic_phase_edges(max(lo, y1 - reach), min(hi, y1 + reach), y1, a)
         stretches.append((near, edges, _GK61))
     for side, inner, outer in ((1.0, lo - y1, hi - y1), (-1.0, y1 - hi, y1 - lo)):
         edges = _far_edges(max(inner, 0.0), outer, a)
@@ -415,8 +401,6 @@ def epsilon_regularized_integral(
             stretches.append((far(side), edges, _FCC))
     seeded = [len(edges) - 1 for _, edges, _ in stretches]
     total = sum(seeded)
-    if total > _REAL_MAX_PANELS:
-        raise PanelExhausted(f"seeding already needs {total} panels > budget {_REAL_MAX_PANELS}")
     parts, used = [], 0
     try:
         for k, (g, edges, rule) in enumerate(stretches):
@@ -463,10 +447,7 @@ def truncated_integral(
     def g(y):
         return np.exp(1j * a * (y - y1) ** 2) * _eval_signal(f, y)
 
-    span = r1 + r2
-    edges = _quadratic_phase_edges(
-        -r1, r2, y1, a, min(max(y1, -r1), r2), span / 8.0
-    )
+    edges = _quadratic_phase_edges(-r1, r2, y1, a)
     return _adaptive_panels(g, edges, tol, _REAL_MAX_PANELS, _GK61)[0]
 
 

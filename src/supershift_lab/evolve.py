@@ -31,22 +31,20 @@ from .initial_data import (
     superosc_signal,
     weighted_sup_distance,
 )
-from .special_fn import pole_set_distance
 
 
 def _integrand(kernel: GreensKernel, t: float, x: float, f: HolomorphicSignal):
     """gtilde * f with the product of the kernel's witness and the datum's:
     amplitudes multiply, rates and frequencies add.  Its singular set is
-    the kernel's cosh zeros where it keeps a pole margin.  For a signal
-    stack the one gtilde value per node multiplies every row."""
+    the kernel's (``kernel.poles``).  For a signal stack the one gtilde
+    value per node multiplies every row."""
     gt = kernel.gtilde
     ev = lambda z: gt(t, x, np.asarray(z, dtype=complex)) * f.eval(z)
     gw, fw = kernel.growth(t, x), f.growth
     witness = GrowthWitness(
         gw.amplitude * fw.amplitude, gw.rate + fw.rate, "modulus", gw.freq + fw.freq
     )
-    poles = pole_set_distance if kernel.pole_margin > 0.0 else None
-    return HolomorphicSignal(eval=ev, growth=witness, label="integrand", poles=poles)
+    return HolomorphicSignal(eval=ev, growth=witness, label="integrand", poles=kernel.poles)
 
 
 def wavefunction_result(

@@ -135,9 +135,9 @@ class GreensKernel:
     sector_angle    contour half-angle, fixed per potential (``make_kernel``),
                     signed like a(t); the witnesses hold on the sectors
                     ``contour_center`` admits
-    pole_margin     least distance of a contour from the cosh zeros, the
-                    sech^2 well's singular set (``pole_set_distance``); 0 for
-                    the entire kernels, which have none
+    poles           z -> the distance of z to the kernel's singular set, the
+                    sech^2 well's cosh zeros (``pole_set_distance``); None
+                    for the entire kernels, which have none
     growth          (t, x) -> the modulus ``GrowthWitness`` of gtilde:
                     |gtilde| <= A e^{B |z| - w Im z} with w the kernel's
                     linear frequency (gtilde is e^{i w z} times a bounded
@@ -151,7 +151,7 @@ class GreensKernel:
     gtilde: Callable[[float, float, np.ndarray], np.ndarray]
     horizon: float
     sector_angle: float
-    pole_margin: float
+    poles: Callable[[np.ndarray], np.ndarray] | None
     growth: Callable[[float, float], GrowthWitness]
     growth_imag: Callable[[float, float], tuple[float, float]]
 
@@ -168,15 +168,15 @@ class GreensKernel:
         real axis to the line through s once |s| tan(angle) reaches pi/2;
         crossing it would silently add a residue to the contour integral,
         so the clearance (pi/2) cos(angle) - |s| sin(angle) must stay >=
-        pole_margin, that is |s| <= ``_center_limit``.  The center is
+        ``_POLE_MARGIN``, that is |s| <= ``_center_limit``.  The center is
         ``stationary`` when it is admitted, else the admitted point
         nearest it on the segment back to x (the line through x is
         admitted wherever it was).  Raises DomainMarginError when no point
         of the segment is admitted.
         """
-        if self.pole_margin <= 0.0:
+        if self.poles is None:
             return stationary
-        limit = _center_limit(self.sector_angle, self.pole_margin)
+        limit = _center_limit(self.sector_angle)
         clipped = min(max(stationary, -limit), limit)
         if min(x, stationary) <= clipped <= max(x, stationary):
             return clipped
@@ -187,14 +187,14 @@ class GreensKernel:
                  else f"has the pole set {-clearance:.3f} inside its swept sector")
         raise DomainMarginError(
             f"contour through {stationary:g} at angle {self.sector_angle:.3f} "
-            f"{where} (margin {self.pole_margin})"
+            f"{where} (margin {_POLE_MARGIN})"
         )
 
 
-def _center_limit(angle: float, margin: float) -> float:
+def _center_limit(angle: float) -> float:
     """Largest |shift| whose contour at ``angle`` keeps the poles +-i pi/2
-    (and their copies) at ``margin``."""
-    return ((math.pi / 2) * math.cos(angle) - margin) / math.sin(angle)
+    (and their copies) at ``_POLE_MARGIN``."""
+    return ((math.pi / 2) * math.cos(angle) - _POLE_MARGIN) / math.sin(angle)
 
 
 def greens_value(kernel: GreensKernel, t: float, x: float, z):
@@ -222,7 +222,7 @@ def _free_kernel() -> GreensKernel:
         gtilde=gtilde,
         horizon=np.inf,
         sector_angle=_SECTOR_ANGLE,
-        pole_margin=0.0,
+        poles=None,
         growth=lambda t, x: GrowthWitness(*growth_imag(t, x)),
         growth_imag=growth_imag,
     )
@@ -262,7 +262,7 @@ def _quadratic_kernel(potential: Quadratic, t_max: float) -> GreensKernel:
         gtilde=gtilde,
         horizon=min(coeffs.horizon, t_max),
         sector_angle=_SECTOR_ANGLE,
-        pole_margin=0.0,
+        poles=None,
         growth=growth,
         growth_imag=growth_imag,
     )
@@ -284,12 +284,12 @@ def _pt_sech_bound(angle: float) -> float:
     the step bounds it.  S = 1 / sqrt(min L).
     """
     tan_a = np.tan(angle)
-    s_max = _center_limit(angle, _POLE_MARGIN)
+    s_max = _center_limit(angle)
     xs = np.linspace(0.0, (np.pi / 2) / tan_a - s_max, 4097)
     e2 = np.exp(-2.0 * xs)
     lows = 0.25 * (1.0 - e2) ** 2 + e2 * np.cos((xs + s_max) * tan_a) ** 2
     low = lows.min() - (2.25 + tan_a) * 0.5 * (xs[1] - xs[0])
-    return 1.0 / np.sqrt(min(low, 0.25 * (1.0 - e2[-1]) ** 2))
+    return 1.0 / math.sqrt(min(low, 0.25 * (1.0 - e2[-1]) ** 2))
 
 
 def _pt_kernel(potential: PoschlTeller) -> GreensKernel:
@@ -355,7 +355,10 @@ def _pt_kernel(potential: PoschlTeller) -> GreensKernel:
                 except OverflowError:
                     raise EvaluationOverflow(f"sech^2 witness overflows at t={t:g}") from None
                 total += qx * q_sector * (1.0 + rm * rm + hump * rm)
-        return 1.0 / (2.0 * math.sqrt(math.pi * t)) + total
+        bound = 1.0 / (2.0 * math.sqrt(math.pi * t)) + total
+        if not math.isfinite(bound):
+            raise EvaluationOverflow(f"sech^2 witness overflows at t={t:g}")
+        return bound
 
     def growth(t, x):
         return GrowthWitness(bound_sum(t, x, False), 0.0)
@@ -369,7 +372,7 @@ def _pt_kernel(potential: PoschlTeller) -> GreensKernel:
         gtilde=gtilde,
         horizon=np.inf,
         sector_angle=_PT_SECTOR_ANGLE,
-        pole_margin=_POLE_MARGIN,
+        poles=pole_set_distance,
         growth=growth,
         growth_imag=growth_imag,
     )
@@ -469,8 +472,8 @@ def _sector_samples(kernel: GreensKernel, radii=_AUDIT_RADII[:4]) -> np.ndarray:
             pts.append(r * np.exp(1j * s * angs))
             pts.append(-r * np.exp(1j * s * angs))
     z = _sorted_distinct(np.concatenate(pts))
-    if kernel.pole_margin > 0.0:
-        z = z[pole_set_distance(z) > kernel.pole_margin + 0.05]
+    if kernel.poles is not None:
+        z = z[kernel.poles(z) > _POLE_MARGIN + 0.05]
     return z
 
 
@@ -574,12 +577,9 @@ def audit_kernel(kernel: GreensKernel) -> KernelAuditReport:
         for x in _AUDIT_X:
             g = kernel.growth(t, x)
             b_grid = np.linspace(0.0, g.rate + abs(g.freq) + 3.0, 31)
-            dx = (kernel.gtilde(t, x + h, zs) - kernel.gtilde(t, x - h, zs)) / (2 * h)
-            dxx = (
-                kernel.gtilde(t, x + h, zs)
-                - 2 * kernel.gtilde(t, x, zs)
-                + kernel.gtilde(t, x - h, zs)
-            ) / (h * h)
+            right, left = kernel.gtilde(t, x + h, zs), kernel.gtilde(t, x - h, zs)
+            dx = (right - left) / (2 * h)
+            dxx = (right - 2 * kernel.gtilde(t, x, zs) + left) / (h * h)
             dt = (kernel.gtilde(t + h, x, zs) - kernel.gtilde(t - h, x, zs)) / (2 * h)
             for deriv in (dx, dxx, dt):
                 mags = np.abs(deriv)

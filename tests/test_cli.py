@@ -182,6 +182,10 @@ class TestExitCodes:
             (["evolve", "--potential", "pt:l=2,l=3"], {}),
             (["evolve", "--potential", "harmonic:lambda=1,lambda=2"], {}),
             (["evolve", "--initial", "plane:k=1,k=2"], {}),
+            # a metric over no disk, a mirrored one, or a negative weight
+            (["supershift"], {"supershift": {"sample_radius": 0}}),
+            (["supershift"], {"supershift": {"sample_radius": -3.0}}),
+            (["supershift"], {"supershift": {"weight_C": -1}}),
         ],
     )
     def test_non_finite_number_is_usage_error(self, tmp_path, outdir, capsys, argv, doc):
@@ -599,6 +603,14 @@ class TestSupershiftCommand:
 
 
 class TestGreensAudit:
+    def test_witness_overflow_is_an_error_exit(self, outdir, capsys):
+        # the sech^2 witness leaves the double range at l = 60: exit 1 with
+        # its reason, no numpy overflow warning, no report
+        assert run(["greens-audit", "--potential", "pt:l=60", "--output", outdir]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: sech^2 witness overflows at t=") and "Warning" not in err
+        assert not os.path.exists(outdir)
+
     def test_audit_report_written(self, outdir):
         code = run(
             ["greens-audit", "--potential", "poschl-teller:l=1", "--output", outdir]

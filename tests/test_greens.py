@@ -14,7 +14,7 @@ import pytest
 from supershift_lab import greens, special_fn
 from supershift_lab.contour_quad import GrowthWitness, rotated_integral
 from supershift_lab.crosschecks import epsilon_regularized_integral
-from supershift_lab.errors import HorizonExceeded
+from supershift_lab.errors import EvaluationOverflow, HorizonExceeded
 from supershift_lab.greens import (
     Electric,
     Harmonic,
@@ -24,7 +24,8 @@ from supershift_lab.greens import (
     make_kernel,
     pde_residual,
 )
-from supershift_lab.initial_data import HolomorphicSignal
+from supershift_lab.evolve import wavefield
+from supershift_lab.initial_data import HolomorphicSignal, plane_wave
 from supershift_lab.ode_coeff import solve_electric
 
 PT1_VALUE = 0.3744261043465431 + 0.1877954493573352j  # G(0.5, 0, 1), l=1
@@ -205,6 +206,24 @@ class TestPoschlTellerKernel:
         assert "has the pole set 0.175 inside its swept sector" in str(exc.value)
         with pytest.raises(DomainMarginError, match="comes within 0.074 of the pole set"):
             pt1_kernel.contour_center(3.6, 3.6)
+
+    @pytest.mark.parametrize("l, t", [(50, 0.5), (55, 0.4), (60, 0.35), (75, 0.2)])
+    def test_witness_overflow_raises(self, l, t):
+        # the bound sum leaves the double range: an EvaluationOverflow, not
+        # an infinite amplitude (under the suite's RuntimeWarning-as-error
+        # setting a numpy overflow would raise that warning instead)
+        kernel = make_kernel(PoschlTeller(l))
+        with pytest.raises(EvaluationOverflow, match="sech\\^2 witness overflows"):
+            kernel.growth(t, 0.0)
+        # a grid point under it fails with that reason
+        fld = wavefield(kernel, plane_wave(1.0), [t], [0.0], tol=1e-9)
+        assert [reason for _, _, reason in fld.failures] == [
+            f"EvaluationOverflow: sech^2 witness overflows at t={t:g}"
+        ]
+
+    def test_unsupported_potential_refused(self):
+        with pytest.raises(TypeError, match="unsupported potential"):
+            make_kernel(greens.Potential())
 
 
 class TestPtKernelCost:

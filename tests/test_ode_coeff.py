@@ -27,6 +27,12 @@ from supershift_lab.ode_coeff import (
 )
 
 
+@pytest.mark.parametrize("t_max", [0.0, -1.0])
+def test_solve_needs_positive_t_max(t_max):
+    with pytest.raises(ValueError, match="t_max > 0"):
+        solve_quadratic(_zero, _zero, t_max)
+
+
 class TestHarmonic:
     def test_unit_frequency_closed_forms(self):
         h = solve_harmonic(lambda t: 1.0, t_max=1.65)

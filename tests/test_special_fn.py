@@ -265,6 +265,11 @@ class TestErfcx:
 
 
 class TestPtKernelTerm:
+    @pytest.mark.parametrize("t", [0.0, -0.5])
+    def test_nonpositive_time_refused(self, t):
+        with pytest.raises(ValueError, match="t > 0"):
+            pt_weighted_term(1, t, 0.0, 0.5)
+
     def test_frozen_values(self):
         assert abs(pt_kernel_term(0.1, 1.0) - R_01_1) < 1e-13
         assert abs(pt_kernel_term(0.5, 1.0) - R_05_1) < 1e-13
@@ -506,6 +511,11 @@ class TestLegendreFactors:
                 qpp = (q(x + h) - 2 * q(x) + q(x - h)) / (h * h)
                 res = abs(qpp + (l * (l + 1) / np.cosh(x) ** 2 - m * m) * q(x))
                 assert res <= 1e-6
+
+    @pytest.mark.parametrize("l, m", [(2, 0), (2, 3), (1, -1)])
+    def test_order_outside_one_to_l_refused(self, l, m):
+        with pytest.raises(ValueError, match="1 <= m <= l"):
+            assoc_legendre_tanh(l, m, 0.3)
 
     def test_pole_margin_enforced(self):
         with pytest.raises(DomainMarginError):
