@@ -67,7 +67,7 @@ class _PanelRule:
     a Filon rule one per span and a chirp factor per panel
     (``crosschecks._FilonRule``).  ``estimate`` turns the raw difference
     of the two sums into per-panel error estimates: GL-15/GL-7 returns it
-    as it is; the comparators' K-61 and Filon rules override it
+    as it is; the comparators' Clenshaw-Curtis and Filon rules override it
     (``crosschecks._PowerLawRule``).
     """
 
@@ -86,10 +86,11 @@ class _PanelRule:
         the half-widths."""
         return ((slice(None), self.table),), half
 
-    def estimate(self, f, d, half):
+    def estimate(self, f, d, half, v):
         """Per-panel error estimates from the raw differences d = |value -
         embedded value|, the integrand values f (one row per panel, after
-        the leading signal axis of a stack) and the panel half-widths."""
+        the leading signal axis of a stack), the panel half-widths and the
+        panel values v."""
         return d
 
 
@@ -284,10 +285,11 @@ def _panel_sums(g, lows, highs, rule):
     row is doubled: no panel's sums depend on the call it came in.  The
     estimates are ``rule.estimate`` of the raw difference: for the rotated
     route's GL-15 that difference to its GL-7 value, for the real-line
-    comparators' K-61 and Filon rules (``crosschecks``) their embedded
-    estimate mapped through a power law.  Each integrand call gets whole
-    panels and at most ``_BATCH_NODES`` nodes: 67 K-61 panels, 63 Filon
-    panels of 65 nodes or 186 GL-15/GL-7 panels.  A rotated pass of up to
+    comparators' Clenshaw-Curtis and Filon rules (``crosschecks``) their
+    embedded estimate mapped through a power law, kept at or above the
+    rounding of the panel value.  Each integrand call gets whole panels
+    and at most ``_BATCH_NODES`` nodes: 63 panels of the comparators' 65
+    Chebyshev points or 186 GL-15/GL-7 panels.  A rotated pass of up to
     186 panels is therefore one call, and ``rotated_integral`` keeps its
     seeded pass within that
     (``_SEED_PANELS``); the largest measured on the benchmark grids is 47
@@ -323,7 +325,7 @@ def _panel_sums(g, lows, highs, rule):
             vals = np.empty(v.shape[:-1] + (n,), dtype=complex)
             err = np.empty(vals.shape)
         vals[..., s : s + chunk] = v
-        err[..., s : s + chunk] = rule.estimate(f, np.abs(sums[..., 0] - sums[..., 1]) * half, half)
+        err[..., s : s + chunk] = rule.estimate(f, np.abs(sums[..., 0] - sums[..., 1]) * half, half, v)
     if not (cmath.isfinite(vals.sum()) and math.isfinite(err.sum())):
         raise EvaluationOverflow("quadrature integrand produced non-finite values")
     return vals, err

@@ -108,6 +108,12 @@ class Harmonic(Quadratic):
         super().__init__(lam, _zero, f"harmonic({lam_label})")
 
 
+# the largest well index whose kernel builds: its order weights
+# m (l-m)! / (2 (l+m)!) (``special_fn._pt_orders``) take (2l)! as a double,
+# and 171! is past the double range
+_PT_MAX_L = 85
+
+
 @dataclass(frozen=True)
 class PoschlTeller(Potential):
     """V(x) = -l(l+1)/cosh^2(x), the reflectionless well of depth index l."""
@@ -117,6 +123,11 @@ class PoschlTeller(Potential):
     def __post_init__(self):
         if self.l < 1:
             raise ValueError("well index l must be a positive integer")
+        if self.l > _PT_MAX_L:
+            raise ValueError(
+                f"well index l={self.l} is above {_PT_MAX_L}, the largest whose kernel "
+                f"builds: its constants need (2l)! as a double"
+            )
 
     def label(self) -> str:
         return f"poschl_teller(l={self.l})"

@@ -611,6 +611,15 @@ class TestGreensAudit:
         assert err.startswith("error: sech^2 witness overflows at t=") and "Warning" not in err
         assert not os.path.exists(outdir)
 
+    def test_well_index_past_largest_is_an_error_exit(self, outdir, capsys):
+        # the sech^2 kernel builds up to l = 85: l = 86 is refused as a usage
+        # error that names that index, with no traceback and no report
+        assert run(["greens-audit", "--potential", "pt:l=86", "--output", outdir]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid potential") and "above 85" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(outdir)
+
     def test_audit_report_written(self, outdir):
         code = run(
             ["greens-audit", "--potential", "poschl-teller:l=1", "--output", outdir]

@@ -19,7 +19,6 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import leggauss
 
 from supershift_lab import contour_quad, crosschecks
 from supershift_lab.contour_quad import (
@@ -35,15 +34,14 @@ from supershift_lab.contour_quad import (
     truncation_radius,
 )
 from supershift_lab.crosschecks import (
-    _FAR_DEGREE,
+    _CC,
+    _DEGREE,
     _FAR_SPAN,
     _FCC,
-    _GK61,
-    _REAL_PHASE_BUDGET,
+    _NEAR_PHASE,
     _chebyshev_moments,
-    _far_edges,
     _fcc_weights,
-    _quadratic_phase_edges,
+    _phase_edges,
     epsilon_regularized_integral,
     erf_complex,
     truncated_integral,
@@ -287,59 +285,6 @@ class TestSeedEdges:
         assert r.panels_used == panels
 
 
-def _kronrod_table_mp(n=30, dps=60):
-    """QUADPACK's xgk/wgk/wg for the (2n+1)-point Kronrod extension of the
-    n-point Gauss rule (n even), built from scratch in mpmath.
-
-    The n + 1 Kronrod-only nodes are the zeros of the Stieltjes polynomial
-    E = P_{n+1} + sum_j c_j P_j (j odd, j < n), fixed by the orthogonality
-    int P_n P_k E = 0 for k <= n (only odd k are not zero by parity).  The
-    Kronrod weights solve the Legendre moment equations of the symmetric
-    rule; the Gauss weights are 2 / ((1 - x^2) P_n'(x)^2).
-    """
-    with mp.workdps(dps):
-        P = [[mp.mpf(1)], [mp.mpf(0), mp.mpf(1)]]
-        for k in range(1, n + 1):
-            up = [mp.mpf(0)] + [(2 * k + 1) * c for c in P[k]]
-            down = P[k - 1] + [mp.mpf(0)] * 2
-            P.append([(u - k * d) / (k + 1) for u, d in zip(up, down)])
-
-        def integral(*polys):
-            prod = [mp.mpf(1)]
-            for p in polys:
-                out = [mp.mpf(0)] * (len(prod) + len(p) - 1)
-                for i, u in enumerate(prod):
-                    for j, v in enumerate(p):
-                        out[i + j] += u * v
-                prod = out
-            return mp.fsum(2 * c / (m + 1) for m, c in enumerate(prod) if m % 2 == 0)
-
-        odd = range(1, n, 2)
-        c = mp.lu_solve(
-            mp.matrix([[integral(P[n], P[k], P[j]) for j in odd] for k in odd]),
-            mp.matrix([-integral(P[n], P[k], P[n + 1]) for k in odd]),
-        )
-        stieltjes = list(P[n + 1])
-        for cj, j in zip(c, odd):
-            for m, v in enumerate(P[j]):
-                stieltjes[m] += cj * v
-
-        def positive_roots(coeffs_in_x2):
-            ys = mp.polyroots(coeffs_in_x2[::-1], maxsteps=200, extraprec=400)
-            return [mp.sqrt(mp.re(y)) for y in ys]
-
-        # E = x Q(x^2) is odd, P_n = R(x^2) even
-        xg = sorted(positive_roots(P[n][0::2]), reverse=True)
-        xgk = sorted(positive_roots(stieltjes[1::2]) + xg, reverse=True) + [mp.mpf(0)]
-        moments = mp.matrix(
-            [[(2 if x else 1) * mp.legendre(2 * m, x) for x in xgk] for m in range(n + 1)]
-        )
-        wgk = mp.lu_solve(moments, mp.matrix([2] + [0] * n))
-        dp = [m * v for m, v in enumerate(P[n])][1:][::-1]
-        wg = [2 / ((1 - x * x) * mp.polyval(dp, x) ** 2) for x in xg]
-        return xgk, list(wgk), xg, wg
-
-
 class TestSeedBudget:
     """The seeded pass is one integrand call at the extremes of the seed:
     the caller can derive panels from 22 nodes per seeded panel and count
@@ -378,45 +323,17 @@ class TestSeedBudget:
         assert max(n for n, _ in seeds) > _SEED_PANELS // 2
 
 
-class TestPanelRules:
-    def test_kronrod_61_exact_to_degree_91(self):
-        for k in range(92):
-            exact = 0.0 if k % 2 else 2.0 / (k + 1)
-            assert abs((_GK61.weights * _GK61.nodes**k).sum() - exact) <= 1e-14
-
-    def test_embedded_gauss_30(self):
-        # ascending nodes, the Gauss ones every second from the second on;
-        # the embedded weights are 0 on the Kronrod-only nodes
-        x30, w30 = leggauss(30)
-        assert len(_GK61.nodes) == len(_GK61.weights) == len(_GK61.embedded) == 61
-        assert (np.diff(_GK61.nodes) > 0.0).all()
-        assert np.allclose(_GK61.nodes[1::2], x30, rtol=0.0, atol=1e-15)
-        assert not _GK61.embedded[0::2].any()
-        # leggauss(30)'s outermost weights are 2.4e-15 off the 60-digit values
-        # that test_table_matches_mpmath_construction pins; the rest agree to 1e-15
-        assert np.allclose(_GK61.embedded[1::2], w30, rtol=0.0, atol=3e-15)
-        assert np.allclose(_GK61.embedded[3:-3:2], w30[1:-1], rtol=0.0, atol=1e-15)
-
-    def test_table_matches_mpmath_construction(self):
-        # the provenance of the hard-coded qk61 table: every entry is the
-        # double nearest the 60-digit construction
-        xgk, wgk, xg, wg = _kronrod_table_mp()
-        assert np.array_equal(crosschecks._XGK, [float(v) for v in xgk])
-        assert np.array_equal(crosschecks._XGK[1::2], [float(v) for v in xg])
-        assert np.array_equal(crosschecks._WGK, [float(v) for v in wgk])
-        assert np.array_equal(crosschecks._WG, [float(v) for v in wg])
-
-
 def _chirp_moments_mp(n, omega):
-    """int_{-1}^{1} T_k(tau) e^{i omega tau} dtau for k = 0..n at 60 digits.
+    """int_{-1}^{1} T_k(tau) e^{i omega tau} dtau for k = 0..n at 120 digits.
 
     From T_k = (T'_{k+1} / (k+1) - T'_{k-1} / (k-1)) / 2 and one
     integration by parts, with E = [T_k e^{i omega tau}]_{-1}^{1}, the
     forward recurrence
       mu_{k+1} = (k+1) / (i omega) [E (1/(k+1) - 1/(k-1)) + i omega mu_{k-1} / (k-1) - 2 mu_k];
-    it is stable for k <= omega, and 60 digits absorb its growth beyond.
+    it is stable for k <= omega, and 120 digits absorb its growth beyond
+    (at omega = 8 and k = 64, 60 digits would leave an error of 1e-11).
     """
-    with mp.workdps(60):
+    with mp.workdps(120):
         w = mp.mpf(omega)
 
         def edge(k):
@@ -445,18 +362,20 @@ def _record_omegas(monkeypatch, name, seen):
 
 
 class TestFilonRule:
-    """The far rule of the eps comparator (``crosschecks._FCC``)."""
+    """The phase-span rule of the real-line engine (``crosschecks._FCC``)
+    and its Clenshaw-Curtis twin (``crosschecks._CC``)."""
 
-    # half-widths of the first seeded span and of three bisection levels, of
-    # the largest span seeded at the crossrep-eps point (8 _FAR_SPAN), and
-    # just below, at and above the degrees, where the moments change from
-    # Gauss-Legendre to the recurrence
+    # half-widths of the first seeded span (_NEAR_PHASE), of the span at
+    # _FAR_SPAN and three bisection levels, of the largest span seeded at the
+    # crossrep-eps point (8 _FAR_SPAN), and just below, at and above the
+    # degrees, where the moments change from Gauss-Legendre to the recurrence
     OMEGAS = (
-        [_FAR_SPAN / 2 ** (level + 1) for level in range(4)]
+        [_NEAR_PHASE / 2]
+        + [_FAR_SPAN / 2 ** (level + 1) for level in range(4)]
         + [4.0 * _FAR_SPAN]
         + [
             np.nextafter(float(n), side)
-            for n in (_FAR_DEGREE // 2, _FAR_DEGREE)
+            for n in (_DEGREE // 2, _DEGREE)
             for side in (0.0, n, np.inf)
         ]
     )
@@ -465,15 +384,15 @@ class TestFilonRule:
     def test_weights_integrate_chirped_chebyshev(self, omega):
         # the value rule is exact for T_k e^{i omega tau}, k <= n, its
         # embedded rule for k <= n/2
-        ref = _chirp_moments_mp(_FAR_DEGREE, omega)
-        for n in (_FAR_DEGREE, _FAR_DEGREE // 2):
+        ref = _chirp_moments_mp(_DEGREE, omega)
+        for n in (_DEGREE, _DEGREE // 2):
             assert np.abs(_chebyshev_moments(n, omega) - ref[: n + 1]).max() <= 1e-13, n
             w = _fcc_weights(n, omega)
             j = np.arange(n + 1)
             for k in range(n + 1):
                 assert abs(w @ np.cos(np.pi * j * k / n) - ref[k]) <= 1e-13, (n, k)
 
-    @pytest.mark.parametrize("n", [_FAR_DEGREE // 2, _FAR_DEGREE])
+    @pytest.mark.parametrize("n", [_DEGREE // 2, _DEGREE])
     def test_moments_take_the_recurrence_from_omega_n(self, n, monkeypatch):
         # the composite Gauss-Legendre pass only below |omega| = n
         seen = []
@@ -484,18 +403,22 @@ class TestFilonRule:
 
     def test_nodes_and_fixed_weights(self):
         # Chebyshev points j = 0..n, the embedded rule's the even j; the
-        # fixed weights are the rule at omega = 0 (Clenshaw-Curtis), exact
-        # for even powers
-        n = _FAR_DEGREE
-        assert len(_FCC.nodes) == len(_FCC.weights) == len(_FCC.embedded) == n + 1
-        assert np.array_equal(_FCC.nodes, np.cos(np.pi * np.arange(n + 1) / n))
-        assert not _FCC.embedded[1::2].any()
-        for k in range(0, n + 1, 2):
-            assert abs(_FCC.weights @ _FCC.nodes**k - 2.0 / (k + 1)) <= 1e-14
+        # fixed weights are the rule at omega = 0, Clenshaw-Curtis, exact for
+        # every power up to n (the embedded ones up to n/2), and the
+        # central panel's rule: one set of arrays for both
+        n = _DEGREE
+        assert len(_CC.nodes) == len(_CC.weights) == len(_CC.embedded) == n + 1
+        assert np.array_equal(_CC.nodes, np.cos(np.pi * np.arange(n + 1) / n))
+        assert not _CC.embedded[1::2].any()
+        for k in range(n + 1):
+            exact = 0.0 if k % 2 else 2.0 / (k + 1)
+            assert abs(_CC.weights @ _CC.nodes**k - exact) <= 1e-14
             if k <= n // 2:
-                assert abs(_FCC.embedded @ _FCC.nodes**k - 2.0 / (k + 1)) <= 1e-14
+                assert abs(_CC.embedded @ _CC.nodes**k - exact) <= 1e-14
+        for name in ("nodes", "weights", "embedded"):
+            assert getattr(_FCC, name) is getattr(_CC, name)
 
-    @pytest.mark.parametrize("k", [0, 1, 7, 32, _FAR_DEGREE])
+    @pytest.mark.parametrize("k", [0, 1, 7, 32, _DEGREE])
     def test_panel_sums_take_the_chirp_by_panel(self, k):
         # int_lo^hi e^{i phi} T_k((phi - mid) / half) dphi = half e^{i mid} mu_k(half):
         # the integrand hands in T_k alone, the panel's factor brings the chirp
@@ -510,7 +433,7 @@ class TestFilonRule:
             np.array([lo]), np.array([hi]), _FCC,
         )
         assert abs(vals[0] - exact) <= 1e-12
-        if k <= _FAR_DEGREE // 2:  # the embedded rule is exact too
+        if k <= _DEGREE // 2:  # the embedded rule is exact too
             assert errs[0] <= 1e-12
 
 
@@ -738,9 +661,9 @@ class TestEpsilonRegularized:
             v = epsilon_regularized_integral(f, kernel.a(t), x, 0.0, 1e-5, tol=1e-5)
             assert abs(v - k61[label]) <= 1e-10, label
 
-    def test_window_inside_near_stretch_keeps_k61_bits(self, pt1_kernel, monkeypatch):
-        # at eps = 1e-1 the window ends below _FAR_SPAN rad of phase: one
-        # K-61 call on the whole tol, bit for bit the whole-window K-61 value
+    def test_window_inside_central_panel_is_one_cc_call(self, monkeypatch):
+        # a window where |a| (y - y1)^2 stays below _NEAR_PHASE is one
+        # Clenshaw-Curtis call on the whole tol
         rules = []
         adaptive_panels = contour_quad._adaptive_panels
 
@@ -749,77 +672,87 @@ class TestEpsilonRegularized:
             return adaptive_panels(g, edges, tol, budget, rule)
 
         monkeypatch.setattr(crosschecks, "_adaptive_panels", adaptive)
-        v = epsilon_regularized_integral(ONE, 1.0, 0.0, 0.0, 1e-1, tol=1e-12)
-        assert v == 1.3109253038208217 + 1.1863710948158648j
-        f = self._crossrep_signal(pt1_kernel, 0.3, 0.4, 2.0)
-        v = epsilon_regularized_integral(f, pt1_kernel.a(0.3), 0.4, 0.0, 1e-1, tol=1e-8)
-        assert v == 1.0054896421357737 + 0.05165066961305216j
-        assert rules == [_GK61, _GK61]
+        v = epsilon_regularized_integral(ONE, 1.0, 0.0, 0.0, 4.0, tol=1e-12)
+        assert abs(v - np.sqrt(np.pi / (4.0 - 1j))) <= 1e-12
+        assert v == 0.8663562804298891 + 0.10665333191004572j
+        v = truncated_integral(ONE_IM, 1.0, 0.0, 3.0, 3.0, tol=1e-12)
+        c = np.sqrt(-1j)
+        assert abs(v - SQRT_PI / c * erf_complex(3.0 * c)) <= 1e-12
+        assert v == 1.4057271154605329 + 1.5471250537875356j
+        assert rules == [_CC, _CC]
 
     @pytest.mark.parametrize("a", [1.0, -1.0])
     def test_negative_rate_is_the_conjugate_route(self, a):
         # the closed form of the module docstring at kappa = 2, y1 = 0.5;
-        # the far stretch reaches 2.5e5 rad on either side
+        # the phase spans reach 2.5e5 rad on either side
         eps, y1 = 1e-4, 0.5
         v = epsilon_regularized_integral(PW2_IM, a, y1, 0.0, eps, tol=1e-9)
         big_a, big_b = eps - 1j * a, -2j * a * y1 + 2j
         exact = np.sqrt(np.pi / big_a) * np.exp(big_b**2 / (4 * big_a) + 1j * a * y1**2)
         assert abs(v - exact) <= 1e-9
 
+    def test_rounding_floor_meets_tol_or_refuses(self):
+        # e^{z/2} at eps = 3e-3 peaks at e^{1/(16 eps)} ~ 1e9 on the window:
+        # where the panel values cancel that far, the estimate is kept at
+        # their rounding, so the value meets tol or the call refuses
+        grow = sig(lambda z: np.exp(0.5 * np.asarray(z, dtype=complex)), 1.0, 0.5)
+        big_a = 3e-3 - 1j
+        exact = np.sqrt(np.pi / big_a) * np.exp(1.0 / (16.0 * big_a))
+        try:
+            v = epsilon_regularized_integral(grow, 1.0, 0.0, 0.0, 3e-3, tol=1e-8)
+        except PanelExhausted:
+            return
+        assert abs(v - exact) <= 1e-8
+
     def test_panel_budget_applies_to_seeding(self, monkeypatch):
-        # the comparators' panel budget guards the equal-phase seeding
-        # itself, before any edge is allocated
-        monkeypatch.setattr(crosschecks, "_REAL_MAX_PANELS", 100)
+        # the comparators' panel budget guards the phase seeding itself,
+        # before any edge is allocated: up to phi = 500 _FAR_SPAN one side
+        # takes 8 spans from _NEAR_PHASE to _FAR_SPAN, then 7 + 12 + 24 + 47
+        far = (0.0, np.sqrt(500.0 * _FAR_SPAN), 1.0)
+        monkeypatch.setattr(crosschecks, "_REAL_MAX_PANELS", 98)
+        assert len(_phase_edges(*far)) == 99
+        monkeypatch.setattr(crosschecks, "_REAL_MAX_PANELS", 97)
+        with pytest.raises(PanelExhausted, match="seeding"):
+            _phase_edges(*far)
+        # a comparator call shares the budget among its stretches: 34 spans
+        # on either side of y1 and the central panel take more than 60
+        monkeypatch.setattr(crosschecks, "_REAL_MAX_PANELS", 60)
         with pytest.raises(PanelExhausted, match="seeding"):
             epsilon_regularized_integral(ONE_IM, 1.0, 0.0, 0.0, 1e-4, tol=1e-8)
-        # a * 10^2 / _REAL_PHASE_BUDGET = 1000 panels on each side of y1
-        a = 10.0 * _REAL_PHASE_BUDGET
-        per_side = a * 10.0**2 / _REAL_PHASE_BUDGET
-        assert per_side == 1000.0
-        n = int(2 * per_side)
-        args = (-10.0, 10.0, 0.0, a)
-        monkeypatch.setattr(crosschecks, "_REAL_MAX_PANELS", n)
-        assert len(_quadratic_phase_edges(*args)) > n
-        monkeypatch.setattr(crosschecks, "_REAL_MAX_PANELS", n - 1)
-        with pytest.raises(PanelExhausted, match="seeding"):
-            _quadratic_phase_edges(*args)
-        # and the far stretch's spans, counted level by level: 7 + 12 + 24
-        # + 47 spans reach phi = 500 _FAR_SPAN
-        far = (0.0, np.sqrt(500.0 * _FAR_SPAN), 1.0)
-        monkeypatch.setattr(crosschecks, "_REAL_MAX_PANELS", 90)
-        assert len(_far_edges(*far)) == 91
-        monkeypatch.setattr(crosschecks, "_REAL_MAX_PANELS", 89)
-        with pytest.raises(PanelExhausted, match="seeding"):
-            _far_edges(*far)
 
     def test_far_spans_double_every_fourfold_phase(self):
-        # spans _FAR_SPAN 2^j from phi = 2 4^j _FAR_SPAN on, in units of _FAR_SPAN
-        edges = _far_edges(0.0, np.sqrt(100.0 * _FAR_SPAN), 1.0) / _FAR_SPAN
+        # in units of _FAR_SPAN: spans as wide as phi from _NEAR_PHASE on,
+        # then _FAR_SPAN 2^j from phi = 2 4^j _FAR_SPAN on
+        geometric = [_NEAR_PHASE * 2.0**k / _FAR_SPAN for k in range(8)]
+        assert geometric[-1] == 0.5
+        edges = _phase_edges(0.0, np.sqrt(100.0 * _FAR_SPAN), 1.0) / _FAR_SPAN
         assert edges.tolist() == (
-            list(range(1, 8)) + list(range(8, 32, 2)) + list(range(32, 101, 4))
+            geometric + list(range(1, 8)) + list(range(8, 32, 2)) + list(range(32, 101, 4))
         )
-        # an inner distance starts on the last edge at or below it, an
-        # outer one ends on the first edge at or above it
-        edges = _far_edges(np.sqrt(9.0 * _FAR_SPAN), np.sqrt(33.0 * _FAR_SPAN), 1.0) / _FAR_SPAN
-        assert edges.tolist() == list(range(8, 32, 2)) + [32.0, 36.0]
-        # no far stretch where the window ends inside the near one
-        assert _far_edges(0.0, np.sqrt(_FAR_SPAN), 1.0) is None
-        assert _far_edges(0.0, -5.0, 1.0) is None
+        # the grid is clipped to the window at both ends
+        edges = _phase_edges(np.sqrt(9.0 * _FAR_SPAN), np.sqrt(33.0 * _FAR_SPAN), 1.0) / _FAR_SPAN
+        assert edges.tolist() == [9.0] + list(range(10, 33, 2)) + [33.0]
+        edges = _phase_edges(0.0, 20.0, 4.0) / _FAR_SPAN
+        assert edges.tolist() == geometric[:-1] + [1600.0 / _FAR_SPAN]
+        # no phase spans where the window ends inside the central panel
+        assert _phase_edges(0.0, np.sqrt(_NEAR_PHASE), 1.0) is None
+        assert _phase_edges(0.0, -5.0, 1.0) is None
 
     def test_crossrep_cost(self, free_kernel, pt1_kernel, monkeypatch):
         # both kernels of the cross-representation check: node count, largest
         # integrand batch, and refinement beyond the seeding of each stretch
         # (5.3 M and 6.1 M nodes with K-21 panels of 12 rad, 2.88 M and
         # 3.17 M with K-61 panels of 64 rad on the whole window, 56,156 and
-        # 60,966 with the far stretches on Filon panels of span _FAR_SPAN;
-        # 17,871 and 18,391 with spans that double as phi grows 4x)
+        # 60,966 with K-61 to 4096 rad and Filon panels of span 4096 beyond;
+        # 17,932 and 18,452 with spans that double as phi grows 4x; 10,855
+        # and 11,375 with the phase spans from _NEAR_PHASE on)
         t, x, kappa = 0.3, 0.4, 2.0
         calls = []
         adaptive_panels = contour_quad._adaptive_panels
 
         def adaptive(g, edges, tol, budget, rule):
             out = adaptive_panels(g, edges, tol, budget, rule)
-            calls.append((len(edges) - 1, out[3], len(rule.nodes)))
+            calls.append((len(edges) - 1, out[3], rule))
             return out
 
         monkeypatch.setattr(crosschecks, "_adaptive_panels", adaptive)
@@ -835,24 +768,25 @@ class TestEpsilonRegularized:
             a0, _ = kernel.growth_imag(t, x)
             f = sig(integrand, 2.0 * a0, 0.0, "imag")
             epsilon_regularized_integral(f, kernel.a(t), x, 0.0, 1e-5, tol=1e-5)
-            # the near stretch on K-61, the far stretch on either side on FCC
-            assert [m for _, _, m in calls] == [len(_GK61.nodes)] + 2 * [len(_FCC.nodes)]
-            assert sum(nodes for _, nodes, _ in calls) == sum(sizes) <= 20_200
+            # the phase spans on either side on FCC, then the central panel on CC
+            assert [rule for _, _, rule in calls] == [_FCC, _FCC, _CC]
+            assert sum(nodes for _, nodes, _ in calls) == sum(sizes) <= 11_500
             assert max(sizes) <= 4096
-            for seeded, nodes, m in calls:
-                assert nodes <= 1.1 * m * seeded
+            for seeded, nodes, rule in calls:
+                assert nodes <= 1.1 * len(rule.nodes) * seeded
 
     def test_crossrep_far_spans_and_tables(self, free_kernel, pt1_kernel, monkeypatch):
-        # at the cross-representation point each far stretch seeds 74 (free)
-        # or 78 (Poschl-Teller) dyadic spans, up to 8 _FAR_SPAN; every table
-        # of a fresh cache is of a dyadic half-span, its moments from the
-        # recurrence
+        # at the cross-representation point each side seeds 82 (free) or 86
+        # (Poschl-Teller) spans of one dyadic grid, up to 8 _FAR_SPAN, the
+        # last one clipped to the window; the tables of a fresh cache are of
+        # a dyadic half-span or of a clipped last span, and only the spans
+        # below half-width _DEGREE take their moments by quadrature
         seeds, omegas, quadrature = [], [], []
         adaptive_panels = contour_quad._adaptive_panels
 
         def adaptive(g, edges, tol, budget, rule):
             if rule is _FCC:
-                seeds.append(np.diff(edges) / _FAR_SPAN)
+                seeds.append(np.diff(edges))
             return adaptive_panels(g, edges, tol, budget, rule)
 
         monkeypatch.setattr(crosschecks, "_adaptive_panels", adaptive)
@@ -862,12 +796,26 @@ class TestEpsilonRegularized:
         for kernel in (free_kernel, pt1_kernel):
             f = self._crossrep_signal(kernel, 0.3, 0.4, 2.0)
             epsilon_regularized_integral(f, kernel.a(0.3), 0.4, 0.0, 1e-5, tol=1e-5)
-        assert len(seeds) == 4 and max(len(spans) for spans in seeds) <= 80
+        dyadic = {_NEAR_PHASE * 2.0**k for k in range(8)} | {_FAR_SPAN * 2.0**k for k in range(4)}
+        assert len(seeds) == 4 and max(len(spans) for spans in seeds) <= 90
         for spans in seeds:
-            assert set(spans) == {1.0, 2.0, 4.0, 8.0} and (np.diff(spans) >= 0).all()
-        assert omegas and all(math.frexp(omega)[0] == 0.5 for omega in omegas)
+            assert set(spans[:-1]) == dyadic and (np.diff(spans[:-1]) >= 0).all()
+            assert spans[-1] <= spans[-2]
+        clipped = {0.5 * spans[-1] for spans in seeds}
+        assert {omega for omega in omegas if math.frexp(omega)[0] != 0.5} == clipped
         assert max(omegas) == 4.0 * _FAR_SPAN
-        assert quadrature == [] and filon_table.cache_info().currsize <= 8
+        assert set(quadrature) == {0.5 * span for span in dyadic if span < 2 * _DEGREE}
+        assert filon_table.cache_info().currsize <= 20
+
+    def test_filon_tables_stay_bounded_on_distinct_windows(self):
+        # a clipped end span has a half-width of its own, so every window
+        # brings tables of its own; the cache keeps a bounded number of them
+        filon_table = crosschecks._filon_table
+        filon_table.cache_clear()
+        for r in np.linspace(4.5, 5.5, 300):
+            truncated_integral(ONE_IM, 1.0, 0.0, 0.0, r, tol=1e-9)
+        info = filon_table.cache_info()
+        assert info.misses > info.maxsize >= info.currsize
 
 
 class TestTruncatedIntegral:
@@ -928,7 +876,8 @@ class TestTruncatedIntegral:
 
 class TestBatchCap:
     """No result depends on where ``_panel_sums`` splits a pass into
-    integrand calls: a cap of 7 panels gives bit-identical results."""
+    integrand calls: a cap of 7 rotated or 3 real-line panels gives
+    bit-identical results."""
 
     GROW = sig(lambda z: np.exp(0.5 * np.asarray(z, dtype=complex)), 1.0, 0.5)
 
@@ -971,12 +920,12 @@ class TestBatchCap:
             "truncated": lambda: truncated_integral(PW2_IM, 1.0, 0.0, 20.0, 20.0, tol=1e-10),
         }
         (full, full_calls, full_val), (split, split_calls, split_val) = self._at_caps(
-            monkeypatch, 7 * len(_GK61.nodes), runs[case]
+            monkeypatch, 3 * len(_CC.nodes), runs[case]
         )
         assert split == full and split_val == full_val
         assert split_calls > full_calls
         if case == "eps-refining":
-            assert full[0][4] > 0
+            assert any(rounds > 0 for *_, rounds in full)
 
     def test_rotated_pass(self, pt2_kernel, monkeypatch):
         # a sech^2-well point whose seed (31 panels) still takes a
@@ -990,7 +939,7 @@ class TestBatchCap:
         assert split_calls > full_calls
 
 
-RULES = pytest.mark.parametrize("rule", [_GL15_GL7, _GK61], ids=["gl15-gl7", "k61-g30"])
+RULES = pytest.mark.parametrize("rule", [_GL15_GL7, _CC], ids=["gl15-gl7", "cc"])
 
 
 class TestPanelProduct:
@@ -1019,8 +968,8 @@ class TestPanelProduct:
         assert vals.shape == errs.shape == rows + (len(lows),)
         assert np.all(np.abs(vals - v) <= 4 * eps * np.abs(value).sum(axis=-1) * half)
         # the rounding of d, times the slope of the estimate in d: 1 where it
-        # is d, 1.5 est / d where the K-61 power law acts (50 d < s)
-        est = rule.estimate(fp, d, half)
+        # is d, 1.5 est / d where the power law acts (50 d < s)
+        est = rule.estimate(fp, d, half, v)
         scale = (np.abs(value).sum(axis=-1) + np.abs(embedded).sum(axis=-1)) * half
         slope = np.maximum(1.0, 1.5 * est / d)
         assert np.all(np.abs(errs - est) <= 4 * eps * scale * slope)
@@ -1028,10 +977,10 @@ class TestPanelProduct:
     def test_tables_are_real_blocks_of_the_weights(self):
         # a real weight w is the block w I_2, bit for bit; a complex Filon
         # weight the block [[wr, wi], [-wi, wr]]
-        for rule in (_GL15_GL7, _GK61):
+        for rule in (_GL15_GL7, _CC):
             cols = np.column_stack([rule.weights, rule.embedded])
             assert rule.table.tobytes() == np.kron(cols, np.eye(2)).tobytes()
-        n, omega = _FAR_DEGREE, _FAR_SPAN
+        n, omega = _DEGREE, _FAR_SPAN
         cols = np.zeros((n + 1, 2), dtype=complex)
         cols[:, 0] = _fcc_weights(n, omega)
         cols[::2, 1] = _fcc_weights(n // 2, omega)
@@ -1041,7 +990,7 @@ class TestPanelProduct:
         assert np.array_equal(table[1::2, 1::2] - 1j * table[1::2, 0::2], cols)
 
     @pytest.mark.parametrize(
-        "rule", [_GL15_GL7, _GK61, _FCC], ids=["gl15-gl7", "k61-g30", "fcc"]
+        "rule", [_GL15_GL7, _CC, _FCC], ids=["gl15-gl7", "cc", "fcc"]
     )
     def test_stack_rows_and_lone_panels_bit_identical(self, rule, rng):
         # no panel's sums depend on the other rows of its product: not on
