@@ -9,8 +9,8 @@ Gauss-Legendre panels with a 7-point Gauss-Legendre estimate converge
 quickly.  The real-line comparators that reproduce the same value live in
 ``crosschecks`` and share the panel layer with their own rules: the panel
 sums (``_panel_sums``, ``_adaptive_panels``) and the one builder of the
-rules' real weight tables (``_weight_table``).  The Gaussian cluster of
-seed edges (``_cluster_edges``) is the rotated route's alone.
+rules' real weight tables (``_weight_table``).  The seed march
+(``_seed_edges``) is the rotated route's alone.
 
 A stack of signals under their common growth witness
 (``initial_data.signal_stack``) integrates as one integrand whose values
@@ -109,8 +109,9 @@ _SEED_PANELS = _BATCH_NODES // len(_GL15_GL7.nodes)
 # b h = 1.5.  It follows tol as (tol / 1e-9)^(1/30) (scan in CHANGES.md)
 _SEED_WIDTH = 3.0
 # the Bernstein parameter rho(tol) = (tol * _SEED_MARGIN)^(-1/14) of the
-# seed's grading toward a singular set: 10 at tol 1e-9, 6.1 at 1e-6
-_SEED_MARGIN = 1e-5
+# seed's clearance of a singular set: 11.8 at tol 1e-9, 7.2 at 1e-6, 19 at
+# 1e-12 (scan in CHANGES.md)
+_SEED_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -292,8 +293,8 @@ def _panel_sums(g, lows, highs, rule):
     Chebyshev points or 186 GL-15/GL-7 panels.  A rotated pass of up to
     186 panels is therefore one call, and ``rotated_integral`` keeps its
     seeded pass within that
-    (``_SEED_PANELS``); the largest measured on the benchmark grids is 47
-    panels (1,034 nodes, a sech^2-well seed on ``plane-field``).  Panels
+    (``_SEED_PANELS``); the largest measured on the benchmark grids is 44
+    panels (968 nodes, a sech^2-well seed on ``plane-field``).  Panels
     are independent, so no value or estimate depends on where a pass is
     split.  The values and estimates of a stack keep its leading signal
     axis.  A NaN or an infinity at any node makes the sums non-finite, so
@@ -407,18 +408,6 @@ def _adaptive_panels(g, edges, tol, budget, rule):
     return _per_signal(vals.sum(axis=-1)), _per_signal(totals), len(lows), nodes, rounds
 
 
-def _cluster_edges(radius, sigma):
-    """The geometric cluster -radius, -sigma 2^k, 0, sigma 2^k, radius of
-    the points sigma 2^k < radius, in order on Python floats (0 alone for
-    radius 0)."""
-    offs = []
-    while sigma < radius:
-        offs.append(sigma)
-        sigma *= 2.0
-    pts = [-u for u in reversed(offs)] + [0.0] + offs
-    return np.array([-radius] + pts + [radius] if radius > 0.0 else pts)
-
-
 def _sorted_distinct(x):
     """``np.unique`` of a 1-d array without NaNs, whose first call imports
     ``numpy.ma`` (~6 ms): a stable sort keeps the first of equal entries
@@ -432,56 +421,45 @@ def _sorted_distinct(x):
 def _seed_edges(radius, sigma, b, tol, poles, center, rot):
     """Seed panel edges of a rotated pass on u in [-radius, radius].
 
-    The Gaussian cluster around 0 (``_cluster_edges``) with every panel
-    wider than ``_SEED_WIDTH`` / b cut into equal parts, each bisected
-    until the disk of radius half-width times reach = (rho + 1/rho) / 2
-    around its midpoint, which holds its Bernstein ellipse at rho(tol),
-    clears the singular set (``poles``: the distance to it, None if there
-    is none).  The distance is 1-Lipschitz, so a clear cluster panel
-    passes its parts, and a failed panel clear by (reach + 1) / 2
-    half-widths its halves, unlooked.  The cut stays within half of ``_SEED_PANELS``, the
-    bisection within all of it: the seed is one integrand call.  The
-    cluster array itself when no panel is cut.
+    One march per side, outward from u = 0.  The panel starting at u is
+    min(max(u, sigma), part, 2 d(u) / (reach + 1)) wide and at least 2
+    radius / (``_SEED_PANELS`` - 2): at most half of ``_SEED_PANELS`` a
+    side, a remainder left by rounding included, so the seed is one
+    integrand call.
+
+      max(u, sigma)  the Gaussian cluster sigma 2^k
+      part           the rest of the side in equal parts no wider than
+                     ``_SEED_WIDTH`` / b at tol 1e-9 (b the envelope's
+                     linear coefficient)
+      d(u)           the distance of the line's point to the singular set
+                     (``poles``, None if there is none)
+
+    d is 1-Lipschitz, so the disk of reach = (rho + 1/rho) / 2 half-widths
+    around the panel's midpoint, which holds its Bernstein ellipse at
+    rho(tol), clears the singular set.  With no ``poles`` the left side
+    mirrors the right one; with b = 0 as well the march is the cluster.
     """
-    edges = _cluster_edges(radius, sigma)
-    width = _SEED_WIDTH / b * (tol * 1e9) ** (1.0 / 30.0) if b > 0.0 else math.inf
-    if poles is None and width >= radius:  # no cluster panel is wider
-        return edges
-    pts = edges.tolist()
-    room = _SEED_PANELS // 2 - len(pts)
-    width = max(width, 2.0 * radius / room) if room > 0 else math.inf
+    cap = _SEED_WIDTH / b * (tol * 1e9) ** (1.0 / 30.0) if b > 0.0 else math.inf
     rho = (tol * _SEED_MARGIN) ** (-1.0 / 14.0)
-    reach = 0.5 * (rho + 1.0 / rho)
-    budget = _SEED_PANELS + 1 - len(pts)
-    out = [pts[0]]
-    for lo, hi in zip(pts, pts[1:]):
-        k = math.ceil((hi - lo) / width) if hi - lo > width else 1
-        step = (hi - lo) / k
-        budget -= k - 1
-        half = 0.5 * (hi - lo)
-        if poles is None or poles(center + (lo + half) * rot) >= half + (reach - 1.0) * step / 2:
-            out += [lo + j * step for j in range(1, k)]
-            out.append(hi)
-            continue
-        for j in range(1, k + 1):
-            # stack: the pending right edges; halves ending by sure pass
-            left, stack, sure = out[-1], [lo + j * step if j < k else hi], -math.inf
-            while stack:
-                right = stack[-1]
-                half = 0.5 * (right - left)
-                if right <= sure or budget <= 0:
-                    dist = math.inf
-                else:
-                    dist = poles(center + (left + half) * rot)
-                if dist < reach * half:
-                    stack.append(left + half)
-                    budget -= 1
-                    if dist >= (reach + 1.0) * 0.5 * half:
-                        sure = right
-                else:
-                    out.append(right)
-                    left = stack.pop()
-    return edges if len(out) == len(pts) else np.array(out)
+    clear = 4.0 / (rho + 1.0 / rho + 2.0)
+    floor = 2.0 * radius / (_SEED_PANELS - 2)
+    sides = []
+    for sign in (1.0, -1.0) if poles is not None else (1.0,):
+        ray, u, pts = sign * rot, 0.0, []
+        while u < radius:
+            # builtin min/max calls cost several times these comparisons
+            rest = radius - u
+            w = u if u > sigma else sigma
+            part = rest / (math.ceil(rest / cap) or 1)  # whole with no cap
+            w = part if part < w else w
+            if poles is not None:
+                near = clear * poles(center + u * ray)
+                w = near if near < w else w
+            w = floor if w < floor else w
+            u = u + w if w < rest else radius
+            pts.append(u)
+        sides.append(pts)
+    return np.array([-u for u in reversed(sides[-1])] + [0.0] + sides[0])
 
 
 def _rotate(rot, value):
@@ -510,15 +488,15 @@ def rotated_integral(
     frequency w the center y1 - w / (2a) does the same for the quadratic
     factor times e^{i w z}.
 
-    The seed panels are the geometric cluster around u = 0 at the
-    Gaussian width 1 / sqrt(2 a sin(2 angle)) (``_cluster_edges``),
-    cut to no wider than 3 / b at tol 1e-9 (b the envelope's linear
-    coefficient along the line, as in ``truncation_radius``) and graded
-    toward f's singular set (``f.poles``) at the Bernstein parameter
-    rho(tol) (``_seed_edges``); the seed stays one integrand call of at
-    most ``_SEED_PANELS`` panels.  Through a stationary point b is the
-    witness rate: the free, electric and harmonic plane waves keep the
-    cluster as it is.  ``_adaptive_panels`` then bisects wherever a panel estimate misses its
+    The seed panels march outward from u = 0 (``_seed_edges``): the
+    geometric cluster at the Gaussian width 1 / sqrt(2 a sin(2 angle)),
+    no wider than 3 / b at tol 1e-9 (b the envelope's linear coefficient
+    along the line, as in ``truncation_radius``), and clear of f's
+    singular set (``f.poles``) at the Bernstein parameter rho(tol); the
+    seed stays one integrand call of at most ``_SEED_PANELS`` panels.
+    Through a stationary point b is the witness rate: the free, electric
+    and harmonic plane waves keep the cluster as it is.
+    ``_adaptive_panels`` then bisects wherever a panel estimate misses its
     share of tol, so any phase left along the line (another angle, a
     shift off the stationary point) is resolved by refinement.  The error
     estimate combines the summed panel estimates with the certified

@@ -33,8 +33,11 @@ from .contour_quad import GrowthWitness
 class HolomorphicSignal:
     """Entire (or sector-holomorphic) initial condition with a growth witness.
 
-    poles gives a point's distance to the signal's singular set (None: no
-    singularities); the rotated route's seed is graded toward it.
+    poles gives a point's distance to the integrand's singular set (None:
+    none), which the rotated route's seed panels keep clear of.  Only the
+    integrand that ``evolve`` builds sets it, from the kernel
+    (``GreensKernel.poles``): a datum's own field is never read, and
+    ``signal_stack`` and ``combine_signals`` drop it.
     """
 
     eval: Callable

@@ -26,9 +26,9 @@ from supershift_lab.contour_quad import (
     _SEED_PANELS,
     GrowthWitness,
     QuadratureResult,
-    _cluster_edges,
     _log_gaussian_tail,
     _panel_sums,
+    _seed_edges,
     _sorted_distinct,
     rotated_integral,
     truncation_radius,
@@ -228,17 +228,23 @@ def _cluster_set(radius, sigma):
 
 
 class TestClusterEdges:
-    """The rotated route's Gaussian-cluster builder against a sorted set."""
+    """The rotated seed with no cap and no singular set is the Gaussian
+    cluster: checked against a sorted set."""
 
     def test_symmetric_seed_equals_sorted_set(self):
+        # up to R = ((_SEED_PANELS - 2) / 2) sigma the floor 2R / (_SEED_PANELS
+        # - 2) is at most sigma, the narrowest cluster panel, so it cannot bind
+        top = 0.5 * (_SEED_PANELS - 2)
         rng = np.random.default_rng(3)
-        cases = [(0.0, 1.0), (0.5, 1.0), (1.0, 1.0), (1e-3, 1e3)]
+        cases = [(0.0, 1.0), (0.5, 1.0), (1.0, 1.0), (1e-3, 1e3), (top, 1.0)]
         for sigma in np.geomspace(1e-3, 1e3, 25):
-            cases += [(sigma * 2.0**k, sigma) for k in range(0, 12)]  # sigma 2^k == R
+            cases += [(sigma * 2.0**k, sigma) for k in range(0, 7)]  # sigma 2^k == R
             cases += [(sigma * rng.uniform(0.01, 1.0), sigma)]  # R < sigma
-            cases += [(sigma * 10.0 ** rng.uniform(0.0, 6.0), sigma) for _ in range(8)]
+            cases += [(sigma * 10.0 ** rng.uniform(0.0, math.log10(top)), sigma) for _ in range(8)]
         for radius, sigma in cases:
-            got, want = _cluster_edges(radius, sigma), _cluster_set(radius, sigma)
+            assert radius <= top * sigma
+            got = _seed_edges(radius, sigma, 0.0, 1e-9, None, 0.0, 1.0)
+            want = _cluster_set(radius, sigma)
             assert got.dtype == want.dtype and np.array_equal(got, want), (radius, sigma)
 
     def test_sorted_distinct_is_unique_bit_for_bit(self):
@@ -256,22 +262,23 @@ class TestClusterEdges:
 
 
 class TestSeedEdges:
-    # the ids are fixed test names; the asserted count is the last value
+    # the ids are fixed test names and keep older counts: the asserted
+    # count is the ``panels`` value
     @pytest.mark.parametrize(
         "kernel, t, x, k, panels",
         [
             pytest.param("free_kernel", 0.3, 0.5, 3.0, 8, id="free_kernel-0.3-0.5-3.0-15"),
             pytest.param("free_kernel", 0.1, -2.0, 3.0, 8, id="free_kernel-0.1--2.0-3.0-13"),
             pytest.param("free_kernel", 0.9, 2.5, 1.5, 8, id="free_kernel-0.9-2.5-1.5-14"),
-            pytest.param("pt1_kernel", 0.3, 0.0, 1.0, 17, id="pt1_kernel-0.3-0.0-1.0-18"),
+            pytest.param("pt1_kernel", 0.3, 0.0, 1.0, 19, id="pt1_kernel-0.3-0.0-1.0-18"),
             pytest.param("pt1_kernel", 0.7, 1.5, 2.0, 24, id="pt1_kernel-0.7-1.5-2.0-33"),
-            pytest.param("pt2_kernel", 0.2, -1.0, 2.0, 22, id="pt2_kernel-0.2--1.0-2.0-24"),
-            pytest.param("pt2_kernel", 1.0, 2.0, 1.0, 24, id="pt2_kernel-1.0-2.0-1.0-50"),
+            pytest.param("pt2_kernel", 0.2, -1.0, 2.0, 20, id="pt2_kernel-0.2--1.0-2.0-24"),
+            pytest.param("pt2_kernel", 1.0, 2.0, 1.0, 26, id="pt2_kernel-1.0-2.0-1.0-50"),
             pytest.param("electric_kernel", 0.5, 1.0, 2.0, 8, id="electric_kernel-0.5-1.0-2.0-8"),
             pytest.param("harmonic_kernel", 0.4, -1.0, 2.0, 8, id="harmonic_kernel-0.4--1.0-2.0-8"),
             # the stationary point -6 lies past the admitted |center| <= 3.53:
             # the contour runs through the clipped center -3.531
-            pytest.param("pt1_kernel", 1.0, 0.0, 3.0, 42, id="pt1_kernel-1.0-0.0-3.0-22"),
+            pytest.param("pt1_kernel", 1.0, 0.0, 3.0, 34, id="pt1_kernel-1.0-0.0-3.0-22"),
         ],
     )
     def test_panels_used_pinned(self, kernel, t, x, k, panels, request):
@@ -279,8 +286,9 @@ class TestSeedEdges:
         # with the frequency witnesses: on the free, electric and harmonic
         # kernels the integrand is a pure Gaussian there, so the seeded
         # geometric cluster needs no refinement.  On the sech^2 well the
-        # seed panels are no wider than 3 / b (b the envelope's linear
-        # coefficient) and graded toward the cosh zeros at rho(tol)
+        # march also keeps each seed panel no wider than 3 / b (b the
+        # envelope's linear coefficient) and clear of the cosh zeros at
+        # rho(tol)
         r = wavefunction_result(request.getfixturevalue(kernel), plane_wave(k), t, x, 1e-9)
         assert r.panels_used == panels
 
@@ -321,6 +329,42 @@ class TestSeedBudget:
         assert all(n <= _SEED_PANELS and first == 22 * n for n, first in seeds), seeds
         # the width cap and the grading reach past half the budget here
         assert max(n for n, _ in seeds) > _SEED_PANELS // 2
+
+
+class TestSeedMarch:
+    """Graded sech^2 seeds keep the march's guarantees panel by panel."""
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+    def test_panels_clear_poles_or_sit_at_floor(self, tol, pt1_kernel, pt2_kernel, monkeypatch):
+        seeds = []  # (arguments, edges)
+        seed_edges = contour_quad._seed_edges
+
+        def recording(*args):
+            seeds.append((args, seed_edges(*args)))
+            return seeds[-1][1]
+
+        monkeypatch.setattr(contour_quad, "_seed_edges", recording)
+        ts, xs = np.linspace(0.1, 1.0, 5), np.linspace(-2.0, 2.0, 9)
+        for kernel, l in ((pt1_kernel, 1), (pt2_kernel, 2)):
+            wavefield(kernel, jost_signal(l, 2.0), ts, xs, tol=tol)
+            # the clipped center -3.531: the line passes 0.1 from a cosh zero
+            wavefield(kernel, plane_wave(3.0), [1.0], [0.0], tol=tol)
+        assert len(seeds) == 92
+        rho = (tol * contour_quad._SEED_MARGIN) ** (-1.0 / 14.0)
+        reach = 0.5 * (rho + 1.0 / rho)
+        graded = 0
+        for (radius, sigma, b, tol_, poles, center, rot), edges in seeds:
+            assert tol_ == tol and poles is not None and b > 0.0
+            cap = contour_quad._SEED_WIDTH / b * (tol * 1e9) ** (1.0 / 30.0)
+            floor = 2.0 * radius / (_SEED_PANELS - 2)
+            mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+            clear = poles(center + mid * rot) >= reach * half
+            assert len(half) <= _SEED_PANELS and edges[0] == -radius and edges[-1] == radius
+            assert np.all(half > 0.0) and np.all(2.0 * half <= cap * (1.0 + 1e-12))
+            assert np.all(clear | (2.0 * half <= floor * (1.0 + 1e-12)))
+            graded += not np.array_equal(edges, _seed_edges(radius, sigma, b, tol, None, center, rot))
+        # the singular set, not only the cluster and the cap, sets widths here
+        assert graded > len(seeds) // 2
 
 
 def _chirp_moments_mp(n, omega):
@@ -928,9 +972,9 @@ class TestBatchCap:
             assert any(rounds > 0 for *_, rounds in full)
 
     def test_rotated_pass(self, pt2_kernel, monkeypatch):
-        # a sech^2-well point whose seed (31 panels) still takes a
-        # refinement round at tol 1e-10 (at 1e-9 the seed alone converges)
-        run = lambda: wavefunction_result(pt2_kernel, plane_wave(2.0), 1.0, 2.0, 1e-10)
+        # a sech^2-well point whose seed still takes two refinement rounds
+        # at tol 1e-10 (at x = 2 the seed alone converges)
+        run = lambda: wavefunction_result(pt2_kernel, plane_wave(2.0), 1.0, 0.0, 1e-10)
         (full, full_calls, full_res), (split, split_calls, split_res) = self._at_caps(
             monkeypatch, 7 * 22, run
         )
