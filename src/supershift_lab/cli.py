@@ -129,6 +129,9 @@ def _lambda_from_spec(spec) -> tuple:
         ts = np.array([_finite(v) for v in spec["t"]])
         vs = np.array([_finite(v) for v in spec["values"]])
         sp = CubicSpline(ts, vs)
+        if ts[0] > 0.0:
+            # the coefficient solve starts at t = 0
+            raise ValueError(f"table starts at t = {ts[0]:g} > 0: lambda would be extrapolated")
         return (lambda t: float(sp(t))), f"table:{len(ts)}pts"
     raise _UsageError(f"unknown lambda kind {kind!r} (constant|sinusoid|table)")
 
@@ -367,9 +370,17 @@ def _out_path(cfg: dict, suffix: str) -> str:
 
 
 def _build_kernel(cfg: dict):
+    """The kernel of the config's potential, its coefficients solved on
+    [0, max(2 t, 1)] for the grid's last time t.  A ``table`` lambda must
+    cover the grid's times: past its last knot the spline extrapolates."""
     pot = _potential_from_config(cfg["potential"])
-    t_max = max(2.0 * float(_grid_axis(cfg["grid"]["t"]).max()), 1.0)
-    return make_kernel(pot, t_max=t_max)
+    t_hi = float(_grid_axis(cfg["grid"]["t"]).max())
+    lam = cfg["potential"].get("lambda")
+    if isinstance(lam, dict) and lam.get("kind") == "table" and t_hi > lam["t"][-1]:
+        raise _UsageError(
+            f"grid time {t_hi:g} lies past the lambda table's last knot {lam['t'][-1]:g}"
+        )
+    return make_kernel(pot, t_max=max(2.0 * t_hi, 1.0))
 
 
 def _grid(cfg: dict, kernel):

@@ -162,61 +162,51 @@ class QuadratureResult:
 def _log_gaussian_tail(log_amplitude: float, c: float, b: float, radius: float) -> float:
     """log of the two-sided bound  amp * int_{|y|>radius} e^{-c y^2 + b |y|} dy.
 
-    Closed form through the scaled complementary error function, kept in
-    log space so huge amplitudes and saturated tails cannot overflow;
-    valid for c > 0 and any b >= 0.  In x = sqrt(c) radius - b/(2 sqrt(c))
-    it is a constant plus log erfc(x), so it is concave and decreasing in
-    the radius, with slope -2 sqrt(c) / (sqrt(pi) erfcx(x)).
+    Closed form through erfcx, kept in log space so huge amplitudes and
+    saturated tails cannot overflow; valid for c > 0 and any b >= 0.  The
+    tests' check of ``_tail_radius``, which calls no ``erfcx``.
     """
-    return _tail_terms(log_amplitude, c, b, radius)[0]
-
-
-def _tail_terms(log_amplitude, c, b, radius):
-    """``_log_gaussian_tail`` together with the erfcx value behind it, on
-    Python floats: a numpy call on a scalar costs ~20 times a math one."""
     root_c = math.sqrt(c)
     arg = root_c * radius - b / (2.0 * root_c)
     base = log_amplitude + math.log(SQRT_PI / root_c)
     if arg < -25.0:
         # tail indistinguishable from the whole-line integral
-        return base + math.log(2.0) + b * b / (4.0 * c), math.inf
+        return base + math.log(2.0) + b * b / (4.0 * c)
     scaled = max(erfcx(arg).real, _TINY)
-    return base - c * radius * radius + b * radius + math.log(scaled), scaled
+    return base - c * radius * radius + b * radius + math.log(scaled)
 
 
 def _tail_radius(log_amp: float, c: float, b: float, log_tol: float, limit: float) -> float:
-    """Smallest radius >= b/(2c) with ``_log_gaussian_tail <= log_tol``.
+    """A radius >= b/(2c) with ``_log_gaussian_tail <= log_tol``, in closed form.
 
-    Safeguarded Newton in log space.  With e the excess over log_tol at the
-    envelope maximum b/(2c) (x = 0), the root solves log erfc(x) = -e; as
-    erfc(x) <= min(e^{-x^2}, e^{-2x/sqrt(pi)}), the start x = min(sqrt(e),
-    sqrt(pi) e / 2) lies right of it, and concavity makes the iterates fall
-    monotonically to the root, each a certified radius.  Stops once a step
-    is a few ulps; the tail evaluated there, where y has not moved, is the
-    certificate, and a radius that rounding fails moves up by ulps.  A
-    start beyond limit raises ``EvaluationOverflow``, a per-point failure
-    like any other overflow.
+    The tail is amp sqrt(pi/c) e^{b^2/(4c)} erfc(x) at x = sqrt(c) radius -
+    b/(2 sqrt(c)); with e its excess over log_tol at the peak b/(2c) (x = 0)
+    the radius needs log erfc(x) <= -e.  The least x of three is taken,
+    each certified by a classical bound (A&S 7.1.13):
+      sqrt(e)           erfc(x) <= e^{-x^2}
+      sqrt(pi) e / 2    log erfc is concave, of slope -2/sqrt(pi) at 0
+      x2 = g(g(sqrt(e))), g(x) = sqrt(e - log(x sqrt(pi)))
+                        erfc(x) <= e^{-x^2} / (x sqrt(pi)), used where
+                        x2^2 + log(x2 sqrt(pi)) >= e: g falls and its fixed
+                        point is that bound's root, so x2 passes for e >= 1/pi
+    e and the tail at the radius each round by a few ulps of their largest
+    term, so e carries 1e-13 (1 + the terms' size) on top.  A radius beyond
+    limit, or not finite, raises ``EvaluationOverflow``, a per-point failure.
     """
     root_c = math.sqrt(c)
     y = b / (2.0 * c)
-    excess = _log_gaussian_tail(log_amp, c, b, y) - log_tol
-    if excess <= 0.0:
+    terms = (log_amp, math.log(SQRT_PI / root_c), b * y / 2.0, -log_tol)
+    e = sum(terms) + 1e-13 * (1.0 + sum(map(abs, terms)))
+    if e <= 0.0:
         return y
-    y += min(math.sqrt(excess), 0.5 * SQRT_PI * excess) / root_c
+    x = min(math.sqrt(e), 0.5 * SQRT_PI * e)
+    s = e - 0.5 * math.log(math.pi * e)  # g(sqrt(e))^2, > 0 for any e > 0
+    s = e - 0.5 * math.log(math.pi * s)  # x2^2
+    if s > 0.0 and s + 0.5 * math.log(math.pi * s) >= e:
+        x = min(x, math.sqrt(s))
+    y += x / root_c
     if not y <= limit:
-        raise EvaluationOverflow(f"Gaussian tail radius solve diverged (start {y:.3g})")
-    for _ in range(50):
-        log_tail, scaled = _tail_terms(log_amp, c, b, y)
-        step = 0.5 * SQRT_PI * scaled * (log_tail - log_tol) / root_c
-        if not step < -4.0 * math.ulp(y):
-            break
-        y += step
-    else:
-        log_tail = _log_gaussian_tail(log_amp, c, b, y)
-    ulp = math.ulp(y)
-    while log_tail > log_tol:
-        y, ulp = y + ulp, 2.0 * ulp
-        log_tail = _log_gaussian_tail(log_amp, c, b, y)
+        raise EvaluationOverflow(f"Gaussian tail radius {y:.3g} beyond {limit:.3g}")
     return y
 
 
@@ -243,8 +233,8 @@ def truncation_radius(
         amplitude e^{rate |shift|} *
         e^{-c u^2 + (rate + |2 a (shift - y1) + freq| |sin(angle)|) |u|},
 
-    and Newton steps on the concave log tail (``_tail_radius``) give a Y
-    certified by ``_log_gaussian_tail(Y) <= log tol``.  Through the
+    and the closed form of ``_tail_radius`` gives a Y certified by
+    ``_log_gaussian_tail(Y) <= log tol``.  Through the
     stationary point shift = y1 - freq / (2a) the linear term is the rate
     alone.  The imag-kind witness satisfies the same envelope, so the
     bound is valid (if slightly conservative) for both kinds.

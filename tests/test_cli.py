@@ -349,6 +349,35 @@ class TestExitCodes:
         )
         assert run(["evolve", "--config", str(cfg), "--output", outdir]) == 1
 
+    @staticmethod
+    def _table_run(tmp_path, outdir, knots, grid_t):
+        cfg = tmp_path / "tbl.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "potential": {"kind": "harmonic", "lambda": {
+                        "kind": "table", "t": knots, "values": [1.0, 1.2, 0.9]}},
+                    "initial": {"kind": "plane_wave", "k": 1.0},
+                    "grid": {"t": grid_t, "x": [-1.0, 1.0, 3]},
+                }
+            )
+        )
+        return run(["evolve", "--config", str(cfg), "--output", outdir])
+
+    def test_grid_past_lambda_table_is_usage_error(self, tmp_path, outdir, capsys):
+        # the spline would extrapolate lambda forward past its last knot
+        assert self._table_run(tmp_path, outdir, [0.0, 0.2, 0.4], [0.3, 1.2, 3]) == 1
+        assert "past the lambda table's last knot 0.4" in capsys.readouterr().err
+        assert not os.path.exists(outdir)
+
+    def test_lambda_table_after_zero_is_usage_error(self, tmp_path, outdir, capsys):
+        # the coefficient solve starts at t = 0: lambda on [0, 0.5) would be
+        # extrapolated backward
+        assert self._table_run(tmp_path, outdir, [0.5, 1.0, 1.5], [0.1, 0.4, 3]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid potential") and "table starts at t = 0.5" in err
+        assert not os.path.exists(outdir)
+
     def test_empty_order_is_usage_error(self, outdir, capsys):
         assert run(["supershift", "--potential", "free", "--n", "10,,20", "--output", outdir]) == 1
         assert capsys.readouterr().err.startswith("error: invalid option")

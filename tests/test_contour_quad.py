@@ -48,6 +48,7 @@ from supershift_lab.crosschecks import (
 )
 from supershift_lab.errors import EvaluationOverflow, PanelExhausted
 from supershift_lab.evolve import wavefield, wavefunction_result
+from supershift_lab.greens import Harmonic, make_kernel
 from supershift_lab.initial_data import (
     HolomorphicSignal,
     plane_wave,
@@ -98,14 +99,16 @@ class TestTruncationRadius:
         assert 5.5 <= radius <= 6.5
         y = np.linspace(radius, radius + 30, 400_000)
         tail = 2.0 * np.trapezoid(np.exp(-(y**2)), y)  # c = a sin(2a) = 1, b = 0
-        # the bisection root sits exactly on tail == tol; allow the
-        # trapezoid oracle its own discretization slack
+        # the radius sits at or just above the root of tail == tol; allow
+        # the trapezoid oracle its own discretization slack
         assert tail <= tol * (1.0 + 1e-6)
 
     def test_frozen_bisection_root(self):
-        # mpmath bisection of the closed-form tail equation gave 5.9202361
+        # mpmath bisection of the closed-form tail equation gave 5.9202361;
+        # the closed-form radius lies above it, by 2.0e-4 (relative) here
         radius = truncation_radius(GrowthWitness(1, 0), 1.0, np.pi / 4, 0.0, 1e-16, 0.0)
-        assert abs(radius - 5.9202361183745687) < 1e-6
+        root = 5.9202361183745687
+        assert root <= radius <= root * (1.0 + 3e-4)
 
     def test_monotone_in_tol(self):
         w = GrowthWitness(1.0, 0.0)
@@ -144,28 +147,56 @@ def _radius_sweep():
         yield GrowthWitness(amp, rate), a, rng.uniform(0.1, 1.4), y1, tol, shift
 
 
-class TestNewtonRadius:
-    """The Newton solve behind truncation_radius, over a parameter sweep."""
+def _mpmath_root(log_amp, c, b, log_tol):
+    """The radius where the tail bound equals tol, to 30 digits: amp e^{rate
+    |shift|} sqrt(pi/c) e^{b^2/4c} erfc(x) = tol at x = sqrt(c) R - b/(2
+    sqrt(c))."""
+    with mp.workdps(30):
+        c_, b_ = mp.mpf(c), mp.mpf(b)
+        rhs = mp.mpf(log_tol) - log_amp - mp.log(mp.sqrt(mp.pi / c_)) - b_**2 / (4 * c_)
+        x = mp.findroot(lambda x: mp.log(mp.erfc(x)) - rhs, mp.sqrt(-rhs))
+        return float((x + b_ / (2 * mp.sqrt(c_))) / mp.sqrt(c_))
 
-    def test_certified_minimal_and_cheap(self, monkeypatch):
+
+class TestNewtonRadius:
+    """The closed-form radius behind truncation_radius, over parameter
+    sweeps (the class keeps the name of the Newton solve it replaced, so
+    the suite's test ids stay stable)."""
+
+    def test_certified_without_erfcx(self, monkeypatch):
         calls = []
         erfcx = contour_quad.erfcx
         monkeypatch.setattr(contour_quad, "erfcx", lambda z: calls.append(z) or erfcx(z))
-        worst_calls = above = 0
+        above = 0
         for w, a, angle, y1, tol, shift in _radius_sweep():
             calls.clear()
             radius = truncation_radius(w, a, angle, y1, tol, shift=shift)
-            worst_calls = max(worst_calls, len(calls))
+            assert calls == []
             log_amp, c, b = _envelope(w, a, angle, y1, shift)
             assert _log_gaussian_tail(log_amp, c, b, radius) <= np.log(tol)
-            if radius > b / (2.0 * c):
-                above += 1
-                below = radius * (1.0 - 1e-10)
-                assert _log_gaussian_tail(log_amp, c, b, below) > np.log(tol)
+            above += radius > b / (2.0 * c)
         assert above > 400
-        # every tail evaluation is one scalar erfcx call; the sweep's worst is
-        # 8, the Newton loop's last evaluation being the certificate
-        assert worst_calls <= 9
+
+    def test_certified_on_random_sweep(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20_000):
+            log_amp, c = rng.uniform(-30.0, 60.0), 10.0 ** rng.uniform(-3.0, 3.0)
+            b, log_tol = rng.uniform(0.0, 100.0), math.log(10.0 ** rng.uniform(-15.0, -2.0))
+            radius = contour_quad._tail_radius(log_amp, c, b, log_tol, 1e12)
+            assert _log_gaussian_tail(log_amp, c, b, radius) <= log_tol
+
+    def test_small_excess_keeps_its_rounding_margin(self):
+        # an excess of 1e-16 to 1e-4 at the peak, under peak terms up to
+        # b^2/(4c) ~ 3e6: without the margin on the excess, the radius of
+        # about one case in six rounds to a tail above tol
+        rng = np.random.default_rng(12)
+        log_tol = math.log(1e-9)
+        for _ in range(5000):
+            c, b = 10.0 ** rng.uniform(-3.0, 0.0), rng.uniform(0.0, 100.0)
+            peak = b * b / (4.0 * c) + math.log(math.sqrt(math.pi / c))
+            log_amp = log_tol - peak + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-16.0, -4.0)
+            radius = contour_quad._tail_radius(log_amp, c, b, log_tol, 1e12)
+            assert _log_gaussian_tail(log_amp, c, b, radius) <= log_tol
 
     @pytest.mark.parametrize(
         "amp, rate, a, angle, offset, tol",
@@ -177,16 +208,43 @@ class TestNewtonRadius:
         ],
     )
     def test_matches_mpmath_root(self, amp, rate, a, angle, offset, tol):
+        # the closed form lies above the root, by 2.0e-4, 2.7e-13, 6.8e-6
+        # and 1.9e-7 (relative) in these cases
+        slack = {1.0: 3e-4, 1e300: 1e-12, 1e-20: 1e-5, 7.3: 3e-7}[amp]
         w = GrowthWitness(amp, rate)
         radius = truncation_radius(w, a, angle, 0.0, tol, shift=offset)
-        log_amp, c, b = _envelope(w, a, angle, 0.0, offset)
-        with mp.workdps(30):
-            c_, b_ = mp.mpf(c), mp.mpf(b)
-            # log of amp e^{rate |shift|} sqrt(pi/c) e^{b^2/4c} erfc(x) = log tol
-            rhs = mp.log(tol) - log_amp - mp.log(mp.sqrt(mp.pi / c_)) - b_**2 / (4 * c_)
-            x = mp.findroot(lambda x: mp.log(mp.erfc(x)) - rhs, mp.sqrt(-rhs))
-            root = (x + b_ / (2 * mp.sqrt(c_))) / mp.sqrt(c_)
-        assert abs(radius - float(root)) <= 1e-12 * float(root)
+        root = _mpmath_root(*_envelope(w, a, angle, 0.0, offset), math.log(tol))
+        assert root <= radius <= root * (1.0 + slack)
+
+    def test_within_a_thousandth_of_the_root_on_plane_fields(
+        self, monkeypatch, free_kernel, electric_kernel, pt2_kernel
+    ):
+        # the nominal plane-wave grids of the benchmark at tol 1e-9: every
+        # radius a rotated evaluation takes lies above its root by < 0.1%
+        # (6.5e-4 at most, on the entire kernels)
+        solves = {}
+        tail_radius = contour_quad._tail_radius
+
+        def spy(log_amp, c, b, log_tol, limit):
+            radius = tail_radius(log_amp, c, b, log_tol, limit)
+            solves[log_amp, c, b, log_tol] = radius
+            return radius
+
+        monkeypatch.setattr(contour_quad, "_tail_radius", spy)
+        harmonic = make_kernel(Harmonic(lambda t: 1.0, "omega=1"), t_max=1.1)
+        grids = [
+            (free_kernel, plane_wave(3.0), 1.0, 3.0),
+            (electric_kernel, plane_wave(2.0), 1.0, 2.0),
+            (harmonic, plane_wave(2.0), 0.55, 2.0),
+            (pt2_kernel, jost_signal(2, 2.0), 1.0, 2.0),
+        ]
+        for kernel, signal, t_hi, x_hi in grids:
+            ts, xs = np.linspace(0.1, t_hi, 8), np.linspace(-x_hi, x_hi, 25)
+            wavefield(kernel, signal, ts, xs, tol=1e-9)
+        assert len(solves) > 150
+        for (log_amp, c, b, log_tol), radius in solves.items():
+            root = _mpmath_root(log_amp, c, b, log_tol)
+            assert root <= radius <= root * (1.0 + 1e-3)
 
     def test_tail_below_tol_at_envelope_maximum(self):
         # the tail is already certified where the envelope peaks
@@ -207,7 +265,7 @@ class TestNewtonRadius:
 
     def test_divergent_solve_raises(self):
         # an overflow of the evaluation, which a grid records per point
-        with pytest.raises(EvaluationOverflow, match="diverged"):
+        with pytest.raises(EvaluationOverflow, match="beyond"):
             truncation_radius(GrowthWitness(1e300, 0.0), 1e-30, np.pi / 4, 0.0, 1e-16, 0.0)
 
     def test_radius_is_a_python_float(self):
@@ -718,7 +776,7 @@ class TestEpsilonRegularized:
         monkeypatch.setattr(crosschecks, "_adaptive_panels", adaptive)
         v = epsilon_regularized_integral(ONE, 1.0, 0.0, 0.0, 4.0, tol=1e-12)
         assert abs(v - np.sqrt(np.pi / (4.0 - 1j))) <= 1e-12
-        assert v == 0.8663562804298891 + 0.10665333191004572j
+        assert v == 0.8663562804298907 + 0.10665333191004676j
         v = truncated_integral(ONE_IM, 1.0, 0.0, 3.0, 3.0, tol=1e-12)
         c = np.sqrt(-1j)
         assert abs(v - SQRT_PI / c * erf_complex(3.0 * c)) <= 1e-12
