@@ -27,8 +27,8 @@ class PanelExhausted(SupershiftError):
 
 
 class HorizonExceeded(SupershiftError):
-    """A time outside the kernel's validity interval was requested."""
+    """A time outside the kernel's solved span was requested."""
 
 
 class PrecisionExhausted(SupershiftError):
-    """The extended-precision budget cannot absorb the cancellation."""
+    """The working precision cannot absorb the cancellation."""

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .contour_quad import GrowthWitness, QuadratureResult, rotated_integral
-from .errors import EvaluationOverflow, SupershiftError
+from .errors import EvaluationOverflow, PrecisionExhausted, SupershiftError
 from .greens import GreensKernel
 from .initial_data import (
     HolomorphicSignal,
@@ -61,9 +61,16 @@ def wavefunction_result(
     integrand a Gaussian times a bounded factor, so no cancellation is
     left for the panel sums.  Where the poles of a sech^2 well refuse that
     line, ``kernel.contour_center`` moves it back toward x.  The line turns
-    with the sign of a; at a focal time, a = 0, the point fails.
+    with the sign of a; at a focal time, a = 0, the point fails.  So does
+    a point next to a caustic, a zero of alpha, where the kernel's error
+    from its coefficients (``kernel.coeff_error``), which the estimate
+    does not count, can exceed its share of tol: tol/2, as the panel sums.
     """
     kernel.check_time(t)
+    rel = kernel.coeff_error(t, x) if kernel.coeff_error else 0.0
+    if not rel <= 0.5 * tol:
+        raise PrecisionExhausted(f"t={t:g} is at a caustic of the kernel: its coefficient "
+                                 f"error over |alpha| reaches {rel:.1e}, above tol/2")
     a = kernel.a(t)
     if a == 0.0:
         raise EvaluationOverflow(f"a(t) = 0: t={t:g} is a focal time of the kernel")

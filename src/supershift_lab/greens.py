@@ -11,10 +11,12 @@ Kernels:
 * free particle            a = 1/(4t),   gtilde = 1/(2 sqrt(i pi t))
 * quadratic V = lam2(t) x^2 + lam1(t) x: the uniform field (lam2 = 0), the
   oscillator (lam1 = 0) and the driven oscillator.  G = e^{i S}/(2
-  sqrt(i pi alpha)) with S the classical action (``ode_coeff``):
+  sqrt(i pi alpha)) with S the classical action (``ode_coeff``), the root
+  continued past each zero of alpha, a caustic, by a factor i:
   a = beta/(4 alpha),
   gtilde = e^{i [(alpha' - beta) x^2 + 2 (beta - 1) x z]/(4 alpha)
-           + i (p x + q z + r)} / (2 sqrt(i pi alpha))
+           + i (p x + q z + r)} (-i)^m / (2 sqrt(i pi |alpha|))
+  with m the zeros of alpha in (0, t), for every t of the solved span
 * sech^2 well (Poschl-Teller l)  a = 1/(4t), gtilde = free part + bound-state sum
 
 The method needs only an estimate of gtilde, not its closed form: each
@@ -35,7 +37,7 @@ import numpy as np
 from numpy.polynomial.polynomial import polyval
 
 from .contour_quad import GrowthWitness, _sorted_distinct
-from .errors import DomainMarginError, EvaluationOverflow, HorizonExceeded
+from .errors import DomainMarginError, EvaluationOverflow, HorizonExceeded, PrecisionExhausted
 # solve_electric, solve_harmonic, erfcx and assoc_legendre_tanh are not
 # called here; bench/tracer.py patches them under these names
 from .ode_coeff import (  # noqa: F401
@@ -45,6 +47,7 @@ from .ode_coeff import (  # noqa: F401
     solve_quadratic,
 )
 from .special_fn import (  # noqa: F401
+    _EXP_LIMIT,
     ROOT_I,
     _POLE_MARGIN,
     _pt_orders,
@@ -140,9 +143,8 @@ class PoschlTeller(Potential):
 class GreensKernel:
     """Immutable evaluator bundle realizing G = e^{i a (z-x)^2} gtilde.
 
-    horizon         largest time where the kernel formula is valid: the first
-                    zero of alpha for the quadratic kernels, where a(t) =
-                    beta/(4 alpha) changes sign at the zeros of beta
+    horizon         end of the kernel's solved span: the coefficient solve's
+                    t_max for the quadratic kernels, +inf for the others
     sector_angle    contour half-angle, fixed per potential (``make_kernel``),
                     signed like a(t); the witnesses hold on the sectors
                     ``contour_center`` admits
@@ -155,6 +157,9 @@ class GreensKernel:
                     factor)
     growth_imag     (t, x) -> (A0, B0) with |gtilde| <= A0 e^{B0 |Im z|}
                     (all four potentials admit one)
+    coeff_error     (t, x) -> bound on the kernel's relative error near x from
+                    its coefficient solve, which grows like 1/|alpha| toward
+                    a caustic; None for the closed-form kernels
     """
 
     potential: Potential
@@ -165,12 +170,11 @@ class GreensKernel:
     poles: Callable[[np.ndarray], np.ndarray] | None
     growth: Callable[[float, float], GrowthWitness]
     growth_imag: Callable[[float, float], tuple[float, float]]
+    coeff_error: Callable[[float, float], float] | None = None
 
     def check_time(self, t: float):
-        if not 0.0 < t < self.horizon:
-            raise HorizonExceeded(
-                f"t={t} outside (0, {self.horizon}) for {self.potential.label()}"
-            )
+        if not 0.0 < t <= self.horizon:
+            raise HorizonExceeded(f"t={t} outside (0, {self.horizon}] for {self.potential.label()}")
 
     def contour_center(self, x: float, stationary: float) -> float:
         """The real point the contour for target x passes through.
@@ -242,40 +246,56 @@ def _free_kernel() -> GreensKernel:
 def _quadratic_kernel(potential: Quadratic, t_max: float) -> GreensKernel:
     coeffs = solve_quadratic(potential.lam2, potential.lam1, t_max)
 
+    def state(t):
+        y = coeffs.state(t)
+        if y[0] == 0.0:
+            raise PrecisionExhausted(f"t={t:g} is at a caustic of the kernel: alpha(t) = 0")
+        return y
+
     def a(t):
-        al, _, be = coeffs.state(t)[:3]
+        al, _, be = state(t)[:3]
         return be / (4.0 * al)
 
     def gtilde(t, x, z):
         z = np.asarray(z, dtype=complex)
-        al, ap, be = coeffs.state(t)[:3]
+        al, ap, be = state(t)[:3]
         p, _, r = coeffs.phase(t)
         phase = (ap - be) * x * x / (4.0 * al) + p * x + r
-        return np.exp(1j * (phase + freq(t, x) * z)) / (2.0 * np.sqrt(np.pi * al) * ROOT_I)
+        # 2 sqrt(i pi alpha) continued: |alpha|, times i (exact) per zero passed
+        root = 2.0 * np.sqrt(np.pi * abs(al)) * ROOT_I * 1j ** (coeffs.maslov(t) % 4)
+        return np.exp(1j * (phase + freq(t, x) * z)) / root
 
     def freq(t, x):
-        al, _, be, _, xi = coeffs.state(t)[:5]
+        al, _, be, _, xi = state(t)[:5]
         return (x * (be - 1.0) + xi) / (2.0 * al)
 
     # the phase is real: gtilde is e^{i w z} times a factor of modulus
-    # 1 / (2 sqrt(pi alpha)), so the modulus witness is exact with rate 0
+    # 1 / (2 sqrt(pi |alpha|)), so the modulus witness is exact with rate 0
     def growth(t, x):
-        amp = 1.0 / (2.0 * np.sqrt(np.pi * coeffs.alpha(t)))
+        amp = 1.0 / (2.0 * np.sqrt(np.pi * abs(state(t)[0])))
         return GrowthWitness(amp, 0.0, "modulus", freq(t, x))
 
     def growth_imag(t, x):
         g = growth(t, x)
         return g.amplitude, abs(g.freq)
 
+    # the phase (beta z^2 + alpha' x^2 - 2 x z + 2 W x + 2 xi z)/(4 alpha)
+    # and the modulus 1/sqrt(|alpha|): errors e in alpha, alpha', beta, xi
+    # and W move the kernel at |z| ~ |x| by at most e (1 + |x|)^2 / (2 |alpha|)
+    # (the product xi W / (4 alpha) rounds with the phase, as V does)
+    def coeff_error(t, x):
+        return coeffs.error(t) * (1.0 + abs(x)) ** 2 / (2.0 * abs(state(t)[0]))
+
     return GreensKernel(
         potential=potential,
         a=a,
         gtilde=gtilde,
-        horizon=min(coeffs.horizon, t_max),
+        horizon=t_max,
         sector_angle=_SECTOR_ANGLE,
         poles=None,
         growth=growth,
         growth_imag=growth_imag,
+        coeff_error=coeff_error,
     )
 
 
@@ -410,10 +430,11 @@ def pde_residual(kernel: GreensKernel, t: float, x: float, z: complex) -> float:
     """Relative Schrodinger residual |i dG/dt + d2G/dx2 - V G| / max(|G|, 1e-12).
 
     Central differences in t and x at fixed z, steps 1e-4 (the t step at
-    most t/4) and their halves, Richardson-extrapolated, so that the
-    stencil stays accurate where the kernel phase rotates fast (small t
-    or large |z - x|); the result measures the stencil's truncation and
-    rounding error when the kernel is exact.
+    most t/4, and divided by 1 + a(t)^2, since the phase turns at a rate
+    ~a^2 next to a caustic) and their halves, Richardson-extrapolated, so
+    that the stencil stays accurate where the kernel phase rotates fast
+    (small t or large |z - x|); the result measures the stencil's
+    truncation and rounding error when the kernel is exact.
     """
 
     def stencil(ht, hx):
@@ -423,7 +444,7 @@ def pde_residual(kernel: GreensKernel, t: float, x: float, z: complex) -> float:
         dxx = (g(t, x + hx) - 2.0 * g0 + g(t, x - hx)) / (hx * hx)
         return g0, dt, dxx
 
-    h_t, h_x = min(1e-4, 0.25 * t), 1e-4
+    h_t, h_x = min(1e-4, 0.25 * t) / (1.0 + kernel.a(t) ** 2), 1e-4
     g0, dt, dxx = stencil(h_t, h_x)
     _, dt2, dxx2 = stencil(0.5 * h_t, 0.5 * h_x)
     dt = (4.0 * dt2 - dt) / 3.0
@@ -488,6 +509,13 @@ def _sector_samples(kernel: GreensKernel, radii=_AUDIT_RADII[:4]) -> np.ndarray:
     return z
 
 
+def _largest(values) -> tuple[float, int]:
+    """The largest value and its index; nan, an overflow on the way, counts as inf."""
+    values = np.where(np.isnan(values), np.inf, values)
+    return float(np.max(values)), int(np.argmax(values))
+
+
+@np.errstate(over="ignore", invalid="ignore")  # such samples fail their check
 def audit_kernel(kernel: GreensKernel) -> KernelAuditReport:
     """Numerical audit of the kernel contract on sampled points.
 
@@ -499,9 +527,10 @@ def audit_kernel(kernel: GreensKernel) -> KernelAuditReport:
     half the samples, verified on the other half).  Envelope fitting is a
     sampled stand-in for the locally-integrable bound the derivation
     assumes; it certifies the sampled points only.  Samples: t in
-    _AUDIT_T (capped at 0.6 of the horizon), x in _AUDIT_X, z on sector
+    _AUDIT_T (capped at 0.6 of the solved span), x in _AUDIT_X, z on sector
     rays of radius 0.5 to 6, and to 60 (_AUDIT_RADII) for the growth
-    witness |gtilde| <= A e^{B |z| - w Im z}.
+    witness |gtilde| <= A e^{B |z| - w Im z} (where that bound is a
+    double).  A sample that overflows or reads nan violates its check.
     """
     report = KernelAuditReport(potential=kernel.potential.label())
     zs = _sector_samples(kernel)
@@ -512,21 +541,22 @@ def audit_kernel(kernel: GreensKernel) -> KernelAuditReport:
     # finite-difference stencil inside its resolution budget
     worst, wpt = 0.0, ()
     z_pde = zs[np.abs(zs) <= 2.0]
+    z_pde = z_pde[:: max(1, len(z_pde) // 8)]
     for t in ts:
         t = max(t, min(0.15, t_hi))
         for x in _AUDIT_X:
-            for z in z_pde[:: max(1, len(z_pde) // 8)]:
-                r = pde_residual(kernel, t, x, complex(z))
-                if r > worst:
-                    worst, wpt = r, (t, x, complex(z))
+            r, i = _largest([pde_residual(kernel, t, x, complex(z)) for z in z_pde])
+            if r > worst:
+                worst, wpt = r, (t, x, complex(z_pde[i]))
     report.checks.append(
         AuditCheck("pde_residual", worst, wpt, worst <= 1e-3)
     )
 
-    # (2) a(t) falls from +inf at 0+ (past a focal time it turns negative)
+    # (2) a(t) falls from +inf at 0+ (past a focal time it turns negative),
+    # a' = -1/(4 alpha^2), but jumps from -inf to +inf across a caustic
     t_log = np.geomspace(1e-6, t_hi, 25)
     a_vals = np.array([kernel.a(t) for t in t_log])
-    ok = bool(a_vals[0] > 0.0 and np.all(np.diff(a_vals) < 0.0))
+    ok = bool(a_vals[0] > 0.0 and all(b < a or a < 0.0 < b for a, b in zip(a_vals, a_vals[1:])))
     ok = ok and a_vals[0] > 100.0 * a_vals[-1]
     report.checks.append(
         AuditCheck("gaussian_rate_blowup", 0.0 if ok else 1.0, (float(t_log[0]),), ok)
@@ -538,13 +568,12 @@ def audit_kernel(kernel: GreensKernel) -> KernelAuditReport:
     for t in ts:
         for x in _AUDIT_X:
             g = kernel.growth(t, x)
-            ratio = (
-                np.abs(kernel.gtilde(t, x, z_far))
-                * np.exp(g.freq * z_far.imag - g.rate * np.abs(z_far)) / g.amplitude
-            )
-            i = int(np.argmax(ratio))
-            if ratio[i] > worst:
-                worst, wpt = float(ratio[i]), (t, x, complex(z_far[i]))
+            # samples whose bound is a double (w ~ 1/|alpha| near a caustic)
+            expo = g.rate * np.abs(z_far) - g.freq * z_far.imag
+            z, expo = z_far[np.abs(expo) < _EXP_LIMIT], expo[np.abs(expo) < _EXP_LIMIT]
+            r, i = _largest(np.abs(kernel.gtilde(t, x, z)) * np.exp(-expo) / g.amplitude)
+            if r > worst:
+                worst, wpt = r, (t, x, complex(z[i]))
     report.checks.append(
         AuditCheck("growth_witness", worst, wpt, worst <= 1.0 + 1e-6)
     )
@@ -558,12 +587,11 @@ def audit_kernel(kernel: GreensKernel) -> KernelAuditReport:
     for t0 in (1e-4, 1e-5, 1e-6):
         worst, wpt = 0.0, ()
         for x in _AUDIT_X:
-            dev = np.abs(
-                kernel.gtilde(t0, x, z_small) / np.sqrt(kernel.a(t0)) - INV_SQRT_IPI
+            dev, i = _largest(
+                np.abs(kernel.gtilde(t0, x, z_small) / np.sqrt(kernel.a(t0)) - INV_SQRT_IPI)
             )
-            i = int(np.argmax(dev))
-            if dev[i] > worst:
-                worst, wpt = float(dev[i]), (t0, x, complex(z_small[i]))
+            if dev > worst:
+                worst, wpt = dev, (t0, x, complex(z_small[i]))
         devs.append(worst)
     ok = worst <= 1e-3 and all(
         later <= max(0.2 * earlier, 1e-12) for earlier, later in zip(devs, devs[1:])
@@ -593,7 +621,8 @@ def audit_kernel(kernel: GreensKernel) -> KernelAuditReport:
             dxx = (right - 2 * kernel.gtilde(t, x, zs) + left) / (h * h)
             dt = (kernel.gtilde(t + h, x, zs) - kernel.gtilde(t - h, x, zs)) / (2 * h)
             for deriv in (dx, dxx, dt):
-                mags = np.abs(deriv)
+                # an overflow spoils the fit as nan, which _largest reads as inf
+                mags = np.abs(np.where(np.isinf(deriv), np.nan, deriv))
                 amps = np.array(
                     [np.max(mags[fit_idx] * np.exp(-b * r_all[fit_idx])) for b in b_grid]
                 )
@@ -603,9 +632,9 @@ def audit_kernel(kernel: GreensKernel) -> KernelAuditReport:
                 ratio = mags[chk_idx] / np.maximum(
                     a1 * np.exp(b1 * r_all[chk_idx]), 1e-300
                 )
-                i = int(np.argmax(ratio))
-                if ratio[i] > worst:
-                    worst, wpt = float(ratio[i]), (t, x, complex(zs[chk_idx][i]))
+                r, i = _largest(ratio)
+                if r > worst:
+                    worst, wpt = r, (t, x, complex(zs[chk_idx][i]))
     report.checks.append(
         AuditCheck("derivative_envelopes", worst, wpt, worst <= 2.0)
     )

@@ -2,7 +2,8 @@
 
 The propagator is e^{i S}/sqrt(4 pi i alpha), S the classical action,
 which is quadratic in the end points (Feynman & Hibbs 1965, quadratic
-Lagrangians); its coefficients solve, from t = 0,
+Lagrangians), the root continued past each zero of alpha; its
+coefficients solve, from t = 0,
 
 * the oscillator pair alpha'' = -4 lam2 alpha, beta'' = -4 lam2 beta
   with alpha(0)=0, alpha'(0)=1, beta(0)=1, beta'(0)=0;
@@ -20,9 +21,11 @@ of one linear solve.  W and V are h J integrals.
 
 Certificate: a panel whose trailing Chebyshev coefficients are not below
 _TOL = 1e-13 (or a few ulps) times the size of their component there is
-halved and solved again.  Dense output is barycentric within one panel,
-exact at the panel points, and raises ``ValueError`` outside [0, t_max];
-horizons are roots of the panel interpolant.
+halved and solved again; a panel's accepted tails are its error
+(``QuadraticCoeffs.error``).  Dense output is barycentric within one panel,
+exact at the panel points, and raises ``ValueError`` outside [0, t_max].
+The zeros of alpha, the kernel's caustics, are counted from the signs of
+alpha at the panel points (``QuadraticCoeffs.maslov``), not solved for.
 """
 
 from __future__ import annotations
@@ -91,25 +94,6 @@ class ChebyshevPanels:
         q = _W / d
         return (q @ self.values[p]) / q.sum()
 
-    def first_zero(self, component: int) -> float:
-        """First t > 0 where the component turns from positive to <= 0
-        (+inf if it never does): the interpolant's root between the two
-        Lobatto points that bracket the turn."""
-        v = self.values[:, :, component]
-        ts = np.array([_points(a, b) for a, b in zip(self.edges, self.edges[1:])])
-        hit = (v <= 0.0) & (ts > 0.0)
-        if not hit.any():
-            return np.inf
-        p, k = np.unravel_index(np.argmax(hit), hit.shape)
-        c = _matrices()[0] @ v[p]
-        dc = cheb.chebder(c)
-        lo, hi = _X[k - 1], _X[k]
-        x = lo + (hi - lo) * v[p, k - 1] / (v[p, k - 1] - v[p, k])
-        for _ in range(8):  # Newton from the secant point, kept in the bracket
-            x = min(max(x - cheb.chebval(x, c) / cheb.chebval(x, dc), lo), hi)
-        a, b = self.edges[p], self.edges[p + 1]
-        return float(0.5 * (a + b) + 0.5 * (b - a) * x)
-
 
 def _quadratic_panel(
     lam2: np.ndarray, lam1: np.ndarray, t: np.ndarray, y0: np.ndarray
@@ -171,10 +155,10 @@ class QuadraticCoeffs:
     """Dense propagator coefficients of V = lam2 x^2 + lam1 x on [0, t_max].
 
     ``state(t)`` is (alpha, alpha', beta, beta', xi, xi', W, V) from one
-    evaluation; it caches the last t, so the kernel calls of one time
-    slice share it.  alpha' beta - alpha beta' = 1 and W = alpha xi' -
-    alpha' xi.  ``horizon`` is the first positive zero of alpha (+inf when
-    there is none on the solved span).
+    evaluation, ``maslov(t)`` the number of zeros of alpha in (0, t) and
+    ``error(t)`` the certificate of t's panel; all are cached for the last
+    t, so the kernel calls of one time slice share them.  alpha' beta -
+    alpha beta' = 1 and W = alpha xi' - alpha' xi.
     """
 
     alpha, alpha_prime, beta, xi = _component(0), _component(1), _component(2), _component(4)
@@ -183,15 +167,41 @@ class QuadraticCoeffs:
     def __init__(self, t_max: float, dense: ChebyshevPanels):
         self.t_max = t_max
         self._dense = dense
-        self._last = (None, ())
-        self.horizon = dense.first_zero(0)
+        self._last = (None, (), 0, 0.0)
+        # each panel's largest trailing coefficient of the components the
+        # kernel divides by alpha: alpha, alpha', beta, xi and W
+        tails = np.abs(_matrices()[0][-_TAIL:] @ dense.values[:, :, [0, 1, 2, 4, 6]])
+        self._tails = tails.max(axis=(1, 2)).tolist()
+        # the sign of alpha at each Lobatto point (a panel's last point is
+        # the next one's first) and the sign changes up to it.  Two zeros
+        # never share a bracket: their Sturm spacing pi / (2 sqrt(max lam2))
+        # is over five brackets of a panel that resolves alpha to _TOL
+        edges, pos = dense.edges, dense.values[:, :, 0].ravel() >= 0.0
+        self._knots = np.concatenate([_points(a, b) for a, b in zip(edges, edges[1:])]).tolist()
+        self._positive = pos.tolist()
+        self._passed = np.concatenate([[0], np.cumsum(pos[1:] != pos[:-1])]).tolist()
 
     def state(self, t: float) -> tuple:
-        last_t, y = self._last
+        last_t, y = self._last[:2]
         if t != last_t:
             y = tuple(self._dense(t).tolist())
-            self._last = (t, y)
+            i = bisect_right(self._knots, t) - 1
+            m = self._passed[i] + (self._positive[i] != (y[0] >= 0.0))
+            self._last = (t, y, m, self._tails[i // _N])
         return y
+
+    def maslov(self, t: float) -> int:
+        """The zeros of alpha in (0, t) without root-finding: its sign
+        changes over the Lobatto points up to t's bracket, plus one if
+        alpha(t) has left the bracket start's sign (parity: sign of alpha)."""
+        self.state(t)
+        return self._last[2]
+
+    def error(self, t: float) -> float:
+        """Largest trailing Chebyshev coefficient of alpha, alpha', beta,
+        xi and W on t's panel, the scale of their absolute error there."""
+        self.state(t)
+        return self._last[3]
 
     def phase(self, t: float) -> tuple[float, float, float]:
         """(p, q, r) of the kernel's linear phase p x + q z + r:
@@ -206,8 +216,7 @@ class QuadraticCoeffs:
 def solve_quadratic(
     lam2: Callable[[float], float], lam1: Callable[[float], float], t_max: float
 ) -> QuadraticCoeffs:
-    """Coefficients and horizon on [0, t_max], certified to relative
-    _TOL per panel."""
+    """Coefficients on [0, t_max], certified to relative _TOL per panel."""
     return QuadraticCoeffs(t_max, _march(lam2, lam1, t_max, _TOL))
 
 

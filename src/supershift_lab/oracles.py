@@ -28,6 +28,8 @@ _MAX_DPS = 20000
 # beyond |Re z| >= 3 the bound coth 3 < 1.01 holds analytically
 JOST_TANH_BOUND = 2.0
 JOST_X_MAX = 2.5
+# (-i)^n for n mod 4
+_MINUS_I_POWERS = np.array([1, -1j, -1, 1j])
 
 
 def free_plane(t, x, kappa):
@@ -43,23 +45,25 @@ def electric_plane(t, x, kappa):
 
 
 def harmonic_plane(t, x, kappa):
-    """Unit oscillator V = x^2, valid for t < pi/2:
+    """Unit oscillator V = x^2:
 
-        beta^{-1/2} exp(i alpha' x^2/(4 alpha) - i alpha (kappa - x/(2 alpha))^2 / beta)
+        (-i)^n |beta|^{-1/2} exp(i [kappa x - (x^2 + kappa^2) alpha] / beta)
 
-    with alpha = sin(2t)/2 and beta = alpha' = cos(2t), by a Gaussian
-    square completion; it reduces to the free form as t -> 0.  The square
-    root is complex: past the focal time pi/4, where beta < 0, beta^{-1/2}
-    carries the phase -i.
+    with alpha = sin(2t)/2 and beta = cos(2t), by a Gaussian square
+    completion; it reduces to the free form as t -> 0.  beta^{-1/2} is
+    continued in t: n counts the zeros of beta passed, the focal times
+    pi/4 + k pi/2, each a factor -i.  Past a caustic k pi/2, where the
+    kernel tends to a point evaluation, the wave is smooth.
     """
-    al, be, ap = np.sin(2 * t) / 2, np.cos(2 * t), np.cos(2 * t)
-    arg = 1j * ap * x * x / (4 * al) - 1j * al * (kappa - x / (2 * al)) ** 2 / be
-    return np.exp(arg) / np.sqrt(be + 0j)
+    al, be = np.sin(2 * t) / 2, np.cos(2 * t)
+    n = np.floor(2 * t / np.pi + 0.5).astype(int) % 4
+    phase = (kappa * x - (x * x + kappa * kappa) * al) / be
+    return _MINUS_I_POWERS[n] * np.exp(1j * phase) / np.sqrt(np.abs(be))
 
 
 def driven_plane(t, x, kappa, e):
     """V = x^2 + E x, the unit oscillator about -s, s = E/2, with the
-    energy shifted by -E^2/4; valid for t < pi/2 (``harmonic_plane``)."""
+    energy shifted by -E^2/4 (``harmonic_plane``)."""
     s = e / 2
     return np.exp(1j * e * e * t / 4 - 1j * kappa * s) * harmonic_plane(t, x + s, kappa)
 

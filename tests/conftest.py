@@ -16,15 +16,16 @@ def electric_kernel():
 
 @pytest.fixture(scope="session")
 def harmonic_kernel():
-    # omega = 1: horizon pi/2 (first alpha zero); a(t) = beta/(4 alpha)
-    # turns negative at the focal time pi/4 (first beta zero)
+    # omega = 1, solved to t = 1.7: a(t) = beta/(4 alpha) turns negative at
+    # the focal time pi/4 (first beta zero) and jumps from -inf to +inf at
+    # the caustic pi/2 (first alpha zero)
     return make_kernel(Harmonic(lambda t: 1.0, "omega=1"), t_max=1.7)
 
 
 @pytest.fixture(scope="session")
 def driven_kernel():
     # V = x^2 + 0.7 x: the omega = 1 oscillator about x = -0.35, shifted
-    # in energy by -0.7^2/4; horizon pi/2, focal time pi/4
+    # in energy by -0.7^2/4; focal time pi/4, caustic pi/2
     driven = Quadratic(lambda t: 1.0, lambda t: 0.7, "driven(omega=1,E=0.7)")
     return make_kernel(driven, t_max=1.7)
 

@@ -44,6 +44,9 @@ class TestExitCodes:
         "args",
         [
             ["--potential", "harmonic"],
+            # the points at t = 1e-4, |x| = 2 stay: their coefficient bound
+            # is 2.8e-11, below tol/2
+            ["--potential", "harmonic", "--tol", "1e-10"],
             ["--potential", "harmonic:omega=2"],
             ["--potential", "harmonic:omega=2", "--initial", "superosc"],
         ],
@@ -55,6 +58,33 @@ class TestExitCodes:
         doc = json.loads(Path(outdir, "run_verify.json").read_text())
         [check] = [c for c in doc["checks"] if c["name"] == "schrodinger_residual"]
         assert check["value"] <= 1e-5
+
+    def test_verify_patch_inside_grid_times(self, tmp_path, outdir, monkeypatch):
+        # a lambda table that ends at 0.4 under a grid t in [0.1, 0.3]: the
+        # residual patch starts at the grid's first time and stays inside
+        # its times, never on the spline past its last knot
+        from supershift_lab import cli
+
+        patches = []
+        field = cli.wavefield
+        def recorded(k, f, ts, xs, tol):
+            patches.append(ts)
+            return field(k, f, ts, xs, tol)
+
+        monkeypatch.setattr(cli, "wavefield", recorded)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "potential": {"kind": "harmonic", "lambda": {
+                        "kind": "table", "t": [0.0, 0.2, 0.4], "values": [1.0, 1.5, 0.5]}},
+                    "grid": {"t": [0.1, 0.3, 3], "x": [-1.0, 1.0, 3]},
+                }
+            )
+        )
+        assert run(["verify", "--config", str(cfg), "--output", outdir]) == 0
+        [patch] = patches
+        assert len(patch) == 5 and patch[0] == 0.1 and 0.1 <= min(patch) <= max(patch) <= 0.3
 
     def test_verify_complex_plane_wave_passes(self, tmp_path, outdir):
         # k = [re, im]: the closed-form check compares with e^{i k x - i k^2 t}
@@ -337,6 +367,10 @@ class TestExitCodes:
         assert run(["evolve", "--nonsense"]) == 1
 
     def test_grid_beyond_horizon_rejected(self, tmp_path, outdir):
+        # t from 0.1 to 2 crosses the caustic pi/2: the grid runs, its
+        # coefficients solved to t = 4, and meets the continued closed form
+        from supershift_lab.oracles import harmonic_plane
+
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
             json.dumps(
@@ -347,7 +381,15 @@ class TestExitCodes:
                 }
             )
         )
-        assert run(["evolve", "--config", str(cfg), "--output", outdir]) == 1
+        assert run(["evolve", "--config", str(cfg), "--output", outdir]) == 0
+        with open(os.path.join(outdir, "run_field.csv"), newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 9
+        for row in rows:
+            psi = complex(float(row["re_psi"]), float(row["im_psi"]))
+            exact = harmonic_plane(float(row["t"]), float(row["x"]), 1.0)
+            assert abs(psi - exact) <= float(row["quad_err"])
+        assert json.loads(Path(outdir, "run_manifest.json").read_text())["failures"] == 0
 
     @staticmethod
     def _table_run(tmp_path, outdir, knots, grid_t):
@@ -401,23 +443,23 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: invalid grid axis")
 
     def test_descending_time_axis_checked_against_horizon(self, tmp_path, outdir, capsys):
-        # t runs 2.0 -> 0.1; the harmonic horizon pi/2 lies inside the axis
+        # t runs 2.0 -> 0.0: the axis ends at t = 0, where no kernel exists
         cfg = tmp_path / "cfg.json"
         cfg.write_text(
             json.dumps(
                 {
                     "potential": {"kind": "harmonic", "omega": 1.0},
-                    "grid": {"t": [2.0, 0.1, 3], "x": [-1, 1, 3]},
+                    "grid": {"t": [2.0, 0.0, 3], "x": [-1, 1, 3]},
                 }
             )
         )
         assert run(["evolve", "--config", str(cfg), "--output", outdir]) == 1
-        assert "grid times must lie in (0, 1.5708)" in capsys.readouterr().err
+        assert "grid times must be > 0, got 0" in capsys.readouterr().err
         assert not os.path.exists(os.path.join(outdir, "run_field.csv"))
 
     def test_harmonic_grid_past_focal_time(self, tmp_path, outdir):
-        # t from 0.9 to 1.5 lies past the focal time pi/4 and inside the
-        # horizon pi/2: the field is written and meets its closed form
+        # t from 0.9 to 1.5 lies past the focal time pi/4 and before the
+        # caustic pi/2: the field is written and meets its closed form
         from supershift_lab.oracles import harmonic_plane
 
         cfg = tmp_path / "cfg.json"

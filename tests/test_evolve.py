@@ -25,7 +25,7 @@ from supershift_lab.crosschecks import (
     epsilon_regularized_integral,
     truncated_integral,
 )
-from supershift_lab.errors import HorizonExceeded
+from supershift_lab.errors import HorizonExceeded, PrecisionExhausted
 from supershift_lab.evolve import (
     WaveField,
     continuous_dependence_check,
@@ -36,7 +36,7 @@ from supershift_lab.evolve import (
     wavefunction,
     wavefunction_result,
 )
-from supershift_lab.greens import Harmonic, make_kernel
+from supershift_lab.greens import Harmonic, greens_value, make_kernel, pde_residual
 from supershift_lab.initial_data import (
     combine_signals,
     constant_signal,
@@ -110,9 +110,15 @@ class TestWavefunction:
         assert abs(lhs - rhs) <= 10 * tol
 
     def test_horizon_enforced(self, harmonic_kernel):
-        # the horizon is the first zero of alpha, pi/2
+        # the horizon is the end of the solved span, 1.7: a time past it
+        # raises, and in a grid it is a per-point failure
         with pytest.raises(HorizonExceeded):
-            wavefunction(harmonic_kernel, plane_wave(1.0), np.pi / 2 + 0.05, 0.0)
+            wavefunction(harmonic_kernel, plane_wave(1.0), 1.75, 0.0)
+        fld = wavefield(harmonic_kernel, plane_wave(1.0), [1.6, 1.75], [0.0], tol=1e-9)
+        [(t, x, reason)] = fld.failures
+        assert (t, x) == (1.75, 0.0) and reason.startswith("HorizonExceeded")
+        assert np.isnan(fld.values[1, 0]) and fld.quad_errors[1, 0] == np.inf
+        assert abs(fld.values[0, 0] - harmonic_plane(1.6, 0.0, 1.0)) <= fld.quad_errors[0, 0]
 
     @pytest.mark.parametrize("zero", [0.0, -0.0])
     def test_focal_time_is_a_point_failure(self, harmonic_kernel, zero):
@@ -300,7 +306,7 @@ class TestWavefield:
                 )
 
     def test_failed_point_records_rotated_value(self, harmonic_kernel, monkeypatch):
-        # near the pi/4 horizon no contour is stationary for both terms of
+        # near the focal time pi/4 no contour is stationary for both terms of
         # e^{2iz} + e^{-2iz}, so at tol 1e-10 the point refines after its
         # 70 seed panels; a panel budget of 80 fails it after that pass, and
         # the recorded value is still the rotated panel sum with the
@@ -342,7 +348,7 @@ class TestWavefield:
         assert 0.1 <= measured / predicted <= 10.0
 
     def test_harmonic_plane_wave_to_075(self, harmonic_kernel):
-        # the harmonic plane-wave grid up to t = 0.75, near the pi/4 horizon
+        # the harmonic plane-wave grid up to t = 0.75, near the focal time pi/4
         # (at tol 1e-9 the line through y1 = x failed 19 of these points on
         # cancellation)
         ts, xs = np.linspace(0.1, 0.75, 14), np.linspace(-2.0, 2.0, 25)
@@ -369,7 +375,7 @@ class TestWavefield:
             assert np.all(np.isfinite(fld.values[..., fld.nodes >= 0]))
 
     def test_driven_plane_wave(self, driven_kernel):
-        # the forced path moves the stationary point: below the pi/4 horizon
+        # the forced path moves the stationary point: below the focal time pi/4
         # the driven oscillator's grid meets its oracle like the harmonic one
         ts, xs = np.linspace(0.1, 0.75, 8), np.linspace(-2.0, 2.0, 13)
         fld = wavefield(driven_kernel, plane_wave(2.0), ts, xs, tol=1e-9)
@@ -431,6 +437,146 @@ class TestCalibration:
             res = wavefunction_result(harmonic_kernel, plane_wave(3.0), t, -1.0, 1e-9)
             ratios.append(abs(res.value - harmonic_plane(t, -1.0, 3.0)) / res.err_estimate)
         assert max(ratios) <= 1.0, ratios
+
+
+class TestPastCaustics:
+    """Quadratic kernels for all time: past each zero of alpha, a caustic,
+    the kernel takes |alpha| and a factor -i (Buniy, Colombo, Sabadini and
+    Struppa, J. Math. Phys. 55 (2014) 113511); next to a caustic the point
+    fails with its reason."""
+
+    TS = (0.3, 1.0, 1.5, 1.9, 2.0, 2.9, 3.3, 4.0)
+
+    @pytest.fixture(scope="class")
+    def long_kernels(self):
+        from supershift_lab.greens import Quadratic
+
+        return (
+            make_kernel(Harmonic(lambda t: 1.0, "omega=1"), t_max=5.0),
+            make_kernel(Quadratic(lambda t: 1.0, lambda t: 0.7, "driven(E=0.7)"), t_max=5.0),
+        )
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["harmonic", "driven"])
+    def test_plane_waves_for_all_time(self, long_kernels, which):
+        # t up to 4 passes the caustics pi/2 and pi and the focal times
+        # pi/4, 3 pi/4 and 5 pi/4; the oracle takes the continuous branch
+        # of beta^{-1/2}.  Max error 4.9e-10 and error/estimate 0.972 on
+        # both kernels
+        kernel = long_kernels[which]
+        exact = [
+            lambda t, x: harmonic_plane(t, x, 2.0),
+            lambda t, x: driven_plane(t, x, 2.0, 0.7),
+        ][which]
+        ts, xs = np.array(self.TS), np.linspace(-2.0, 2.0, 9)
+        fld = wavefield(kernel, plane_wave(2.0), ts, xs, tol=1e-9)
+        assert not fld.failures
+        err = np.abs(fld.values - exact(ts[:, None], xs[None, :]))
+        assert np.all(err <= fld.quad_errors), np.max(err / fld.quad_errors)
+        assert err.max() <= 5e-10
+
+    def test_revival_identity_on_superoscillation_stack(self, long_kernels):
+        # H = -d^2 + x^2 has the spectrum 2n + 1 and Hermite functions of
+        # parity (-1)^n, so U(pi/2) = -i P: Psi(t + pi/2, x) = -i Psi(t, -x)
+        # for every datum, here F_20 (kappa = 2) beside its target, which
+        # no closed form covers
+        kernel = long_kernels[0]
+        stack = signal_stack([plane_wave(2.0), superosc_signal(20, 2.0)])
+        xs = np.linspace(-2.0, 2.0, 9)
+        for t in (0.3, 0.6):
+            now = wavefield(kernel, stack, [t], xs, tol=1e-9)
+            later = wavefield(kernel, stack, [t + np.pi / 2], xs[::-1], tol=1e-9)
+            assert not now.failures and not later.failures
+            gap = np.abs(later.values + 1j * now.values)
+            assert np.all(gap <= later.quad_errors + now.quad_errors)
+
+    def test_supershift_repeats_a_quarter_period_later(self, long_kernels):
+        # on a grid symmetric in x the revival maps every gap |Psi(F_n) -
+        # Psi(target)| at (t, x) to the one at (t + pi/2, -x), so d_n on the
+        # grid shifted past the caustic pi/2 equal the unshifted ones
+        kernel = long_kernels[0]
+        ts, xs, ns = np.linspace(0.1, 0.4, 4), np.linspace(-1.0, 1.0, 9), [10, 20, 40]
+        stack = signal_stack([plane_wave(2.0)] + [superosc_signal(n, 2.0) for n in ns])
+        slack = np.zeros(len(ns))
+        reports = []
+        for grid in (ts, ts + np.pi / 2):
+            rep = supershift_experiment(kernel, ns, 2.0, grid, xs, tol=1e-8)
+            assert not rep.failures and rep.strictly_decreasing
+            reports.append(rep.distances)
+            est = wavefield(kernel, stack, grid, xs, tol=1e-8).quad_errors
+            slack += (est[1:] + est[0]).reshape(len(ns), -1).max(axis=1)
+        assert reports[0] == pytest.approx(HARM_D, abs=1e-4)
+        assert np.all(np.abs(np.subtract(*reports)) <= slack)
+
+    def test_growing_kernel_keeps_every_point(self):
+        # the inverted oscillator's alpha = sinh(2t)/2 never vanishes; its
+        # coefficients grow like e^{2t} to the solve's end t_max = 10, and
+        # the guard reads each time's own panel, so no point fails
+        kernel = make_kernel(Harmonic(lambda t: -1.0, "inverted"))
+        ts, xs = np.array([0.3, 1.0, 2.0, 3.0, 5.0]), np.linspace(-2.0, 2.0, 9)
+        fld = wavefield(kernel, plane_wave(2.0), ts, xs, tol=1e-9)
+        assert not fld.failures
+        t, x = ts[:, None], xs[None, :]
+        exact = np.exp(0.5j * (x * x - 4.0) * np.tanh(2 * t) + 2j * x / np.cosh(2 * t))
+        err = np.abs(fld.values - exact / np.sqrt(np.cosh(2 * t)))
+        assert np.all(err <= fld.quad_errors)
+
+    def test_caustic_probe(self, long_kernels):
+        # t = k pi/2 + delta next to the caustics pi/2, pi and 3 pi/2: a
+        # point fails with its reason or lies within its estimate of a
+        # 40-digit oracle at the same double t.  Without the coefficient
+        # guard 18 of these points, all next to pi, returned values off by
+        # up to 1.8 (alpha(pi) reads +1.4e-16, the wrong sign)
+        import mpmath as mp
+
+        def oracle(t, x, kappa=2):
+            with mp.workdps(40):
+                t, x = mp.mpf(t), mp.mpf(x)
+                turns = int(mp.floor(2 * t / mp.pi + 0.5))
+                al, be = mp.sin(2 * t) / 2, mp.cos(2 * t)
+                phase = (kappa * x - (x * x + kappa * kappa) * al) / be
+                return complex((-1j) ** turns * mp.expj(phase) / mp.sqrt(abs(be)))
+
+        kernel = long_kernels[0]
+        steps = (1e-15, 1e-13, 1e-11, 1e-9, 1e-7, 1e-5, 1e-3)
+        deltas = [0.0] + [s * d for d in steps for s in (1, -1)]
+        xs = [0.5, -1.5]
+        guarded = 0
+        for k in (1, 2, 3):
+            ts = [k * np.pi / 2 + d for d in deltas]
+            fld = wavefield(kernel, plane_wave(2.0), ts, xs, tol=1e-9)
+            failed = {(t, x): reason for t, x, reason in fld.failures}
+            for i, t in enumerate(ts):
+                for j, x in enumerate(xs):
+                    if (t, x) in failed:
+                        assert failed[(t, x)]
+                        guarded += "caustic" in failed[(t, x)]
+                        continue
+                    assert abs(fld.values[i, j] - oracle(t, x)) <= fld.quad_errors[i, j], (t, x)
+            # the points 1e-3 away evaluate; those within 1e-7 fail
+            assert all(abs(t - k * np.pi / 2) < 1e-4 for t, _ in failed)
+            assert all((t, x) in failed for t in ts[:11] for x in xs)
+        assert guarded >= 66
+
+    def test_exact_zero_of_alpha_is_a_point_failure(self, monkeypatch):
+        # alpha(t) == 0.0 would divide by zero in a = beta / (4 alpha): the
+        # kernel raises an error that names the caustic, the point fails
+        # with it, and the grid goes on
+        kernel = make_kernel(Harmonic(lambda t: 1.0, "omega=1"), t_max=2.0)
+        state = ode_coeff.QuadraticCoeffs.state
+        monkeypatch.setattr(
+            ode_coeff.QuadraticCoeffs, "state",
+            lambda self, t: (0.0, *state(self, t)[1:]) if t == 1.5 else state(self, t),
+        )
+        fld = wavefield(kernel, plane_wave(2.0), [1.5, 1.6], [0.5], tol=1e-9)
+        [(t, x, reason)] = fld.failures
+        assert (t, x) == (1.5, 0.5)
+        assert reason.startswith("PrecisionExhausted") and "caustic" in reason
+        assert np.isnan(fld.values[0, 0]) and fld.quad_errors[0, 0] == np.inf
+        for call in (kernel.a, lambda t: greens_value(kernel, t, 0.5, 0.2),
+                     lambda t: pde_residual(kernel, t, 0.5, 0.2)):
+            with pytest.raises(PrecisionExhausted, match="caustic"):
+                call(1.5)
+        assert abs(fld.values[1, 0] - harmonic_plane(1.6, 0.5, 2.0)) <= fld.quad_errors[1, 0]
 
 
 class TestSeedLength:

@@ -33,10 +33,13 @@ PT2_VALUE = 0.2036766716638412 + 0.4077634410054483j  # G(0.4, 0.3, 0.8), l=2
 
 
 def harmonic_reduced(t, x, z, omega=1.0):
-    """Unit-frequency oscillator kernel in trigonometric form."""
+    """Oscillator kernel in trigonometric form; its square root continues
+    past each zero of sin(2 omega t), a caustic, by a factor -i (the
+    principal root is off by -1 past the first)."""
+    turns = int(2 * omega * t / np.pi)
     return (
-        np.sqrt(omega)
-        / np.sqrt(2j * np.pi * np.sin(2 * omega * t))
+        np.sqrt(omega) * (-1j) ** turns
+        / np.sqrt(2j * np.pi * abs(np.sin(2 * omega * t)))
         * np.exp(
             -omega * (z - x) ** 2 / (2j * np.tan(2 * omega * t))
             - 1j * omega * x * z * np.tan(omega * t)
@@ -130,17 +133,20 @@ class TestHarmonicKernel:
         assert worst <= 1e-9
 
     def test_kernel_valid_past_focal_time(self, harmonic_kernel):
-        # beta < 0 on (pi/4, pi/2): the values stay valid up to the zero of
-        # alpha, the one horizon, and stop there
-        t = np.pi / 4 + 0.2
-        v = greens_value(harmonic_kernel, t, 0.3, 0.5)
-        assert abs(v - harmonic_reduced(t, 0.3, 0.5)) < 1e-10
-        assert harmonic_kernel.a(t) < 0.0
-        harmonic_kernel.check_time(t)
+        # beta < 0 on (pi/4, 3 pi/4): the values stay valid past the focal
+        # time and past the zero of alpha at pi/2, a caustic, up to the end
+        # of the solved span, 1.7, and stop there
+        for t in (np.pi / 4 + 0.2, np.pi / 2 + 0.05, np.pi / 2 + 0.1):
+            v = greens_value(harmonic_kernel, t, 0.3, 0.5)
+            assert abs(v - harmonic_reduced(t, 0.3, 0.5)) < 1e-10
+            # a = beta/(4 alpha) < 0 between the focal time and the caustic
+            assert (harmonic_kernel.a(t) < 0.0) == (t < np.pi / 2)
+            harmonic_kernel.check_time(t)
+        harmonic_kernel.check_time(1.7)
         with pytest.raises(HorizonExceeded):
-            harmonic_kernel.check_time(np.pi / 2 + 0.01)
+            harmonic_kernel.check_time(1.71)
         with pytest.raises(HorizonExceeded):
-            greens_value(harmonic_kernel, np.pi / 2 + 0.01, 0.3, 0.5)
+            greens_value(harmonic_kernel, 1.71, 0.3, 0.5)
 
     def test_inverted_oscillator_kernel(self):
         ki = make_kernel(Harmonic(lambda t: -1.0, "-1"), t_max=1.2)
@@ -151,7 +157,17 @@ class TestHarmonicKernel:
         assert pde_residual(harmonic_kernel, 0.3, 0.5, 0.4 + 0.2j) <= 1e-4
 
     def test_horizon_is_alpha_zero(self, harmonic_kernel):
-        assert abs(harmonic_kernel.horizon - np.pi / 2) < 1e-8
+        # the horizon is the solved span; alpha > 0 on (0, pi/2) and < 0 on
+        # (pi/2, pi), where gtilde(t, 0, 0) = (-i)^m / (2 sqrt(i pi |alpha|))
+        # takes its factor -i
+        assert harmonic_kernel.horizon == 1.7
+        k = make_kernel(Harmonic(lambda t: 1.0, "omega=1"), t_max=3.2)
+        for t in np.linspace(0.05, np.pi - 0.05, 40):
+            m = 0 if t < np.pi / 2 else 1
+            al = np.sin(2 * t) / 2
+            expected = (-1j) ** m / (2.0 * np.sqrt(1j * np.pi * abs(al)))
+            assert abs(k.gtilde(t, 0.0, 0.0) - expected) <= 1e-12 * abs(expected)
+            assert abs(k.growth(t, 0.0).amplitude - abs(expected)) <= 1e-12 * abs(expected)
 
 
 class TestDrivenKernel:
@@ -295,6 +311,23 @@ class TestAudit:
         kernel = request.getfixturevalue(fixture)
         report = audit_kernel(kernel)
         assert report.passed, report.to_json()
+
+    @pytest.mark.parametrize("omega", [4.0, 6.0, 8.0])
+    def test_window_across_a_caustic(self, omega):
+        # at the CLI's t_max = 1 the window [1e-6, 0.5] passes the caustic
+        # pi / (2 omega), where a jumps up from -inf to +inf; a falls on
+        # either side, a' = -1/(4 alpha^2), and the kernel is right there.
+        # For omega = 8 the sample t = 0.2 lies 4e-3 past the caustic pi/16:
+        # the derivatives of gtilde overflow there, which fails the audit
+        kernel = make_kernel(Harmonic(lambda t: omega * omega, f"omega={omega:g}"), t_max=1.0)
+        caustic = np.pi / (2.0 * omega)
+        assert kernel.a(caustic - 1e-3) < -100.0 and kernel.a(caustic + 1e-3) > 100.0
+        report = audit_kernel(kernel)
+        if omega < 8.0:
+            assert report.passed, report.to_json()
+        else:
+            [failed] = [c for c in report.checks if not c.passed]
+            assert failed.name == "derivative_envelopes" and failed.max_violation == np.inf
 
     def test_small_time_limit_values(self, harmonic_kernel, free_kernel):
         # free: gtilde/sqrt(a) = 1/sqrt(i pi) exactly for every t

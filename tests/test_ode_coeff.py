@@ -42,16 +42,20 @@ class TestHarmonic:
         assert max(abs(h.alpha_prime(t) - np.cos(2 * t)) for t in ts) <= 1e-10
 
     def test_horizons(self):
-        h = solve_harmonic(lambda t: 1.0, t_max=1.65)
-        assert abs(h.horizon - np.pi / 2) <= 1e-8
-        # beta's zero, the focal time pi/4, is no horizon
+        # alpha's zeros, the caustics k pi/2, step the Maslov count; beta's
+        # zero, the focal time pi/4, does not
+        h = solve_harmonic(lambda t: 1.0, t_max=3.2)
         assert abs(h.beta(np.pi / 4)) <= 1e-10
+        for t in np.linspace(1e-3, 3.2, 321):
+            m = 0 if t < np.pi / 2 else (1 if t < np.pi else 2)
+            assert h.maslov(t) == m
+            assert (h.alpha(t) > 0.0) == (m % 2 == 0)
 
     def test_free_reduction(self):
         h = solve_harmonic(lambda t: 0.0, t_max=2.0)
         assert h.alpha(1.3) == pytest.approx(1.3, abs=1e-12)
         assert h.beta(0.7) == pytest.approx(1.0, abs=1e-12)
-        assert h.horizon == np.inf
+        assert all(h.maslov(t) == 0 for t in np.linspace(0.0, 2.0, 41))
         # a(t) = beta/(4 alpha) = 1/(4t) recovers the free rate
         assert abs(h.beta(0.5) / (4 * h.alpha(0.5)) - 1.0 / 2.0) < 1e-12
 
@@ -60,7 +64,18 @@ class TestHarmonic:
         ts = np.linspace(0.0, 2.0, 41)
         assert max(abs(h.alpha(t) - np.sinh(2 * t) / 2) for t in ts) <= 5e-10
         assert max(abs(h.beta(t) - np.cosh(2 * t)) for t in ts) <= 5e-10
-        assert h.horizon == np.inf
+        assert all(h.maslov(t) == 0 for t in ts)
+
+    def test_error_is_the_panels_own(self):
+        # the certificate at t bounds the coefficients' absolute error on
+        # t's panel and grows with them: e^{2t} on the inverted oscillator
+        h = solve_harmonic(lambda t: -1.0, t_max=10.0)
+        for t in (0.3, 1.0, 4.0, 9.0):
+            exact = (np.sinh(2 * t) / 2, np.cosh(2 * t), np.cosh(2 * t))
+            got = (h.alpha(t), h.alpha_prime(t), h.beta(t))
+            assert max(abs(g - e) for g, e in zip(got, exact)) <= 5.0 * h.error(t)
+            assert h.error(t) <= 1e-14 * np.cosh(2 * t)
+        assert h.error(9.0) > 1e6 * h.error(1.0)
 
     def test_wronskian_closed_form_exact(self):
         h = solve_harmonic(lambda t: 1.0, t_max=1.6)
@@ -73,17 +88,34 @@ class TestHarmonic:
 
     def test_wronskian_nonautonomous(self):
         h = solve_harmonic(lambda t: 1.0 + 0.5 * np.sin(t), t_max=1.5)
-        hi = min(h.horizon, h.t_max) * 0.99
-        drift = wronskian_drift(h, np.linspace(0.01, hi, 37))
+        drift = wronskian_drift(h, np.linspace(0.01, h.t_max, 37))
         assert drift <= 1e-10
         # independent confirmation via a tighter march than the solvers' _TOL
         h2 = QuadraticCoeffs(1.5, _march(lambda t: 1.0 + 0.5 * np.sin(t), _zero, 1.5, 1e-14))
         assert abs(h.alpha(1.0) - h2.alpha(1.0)) <= 1e-10
 
     def test_alpha_positive_inside_horizon(self):
-        h = solve_harmonic(lambda t: 1.0, t_max=1.65)
-        for t in np.linspace(1e-4, h.horizon * 0.999, 50):
+        # alpha > 0 on (0, pi/2) and < 0 on (pi/2, pi)
+        h = solve_harmonic(lambda t: 1.0, t_max=3.2)
+        for t in np.linspace(1e-4, np.pi / 2 * 0.999, 50):
             assert h.alpha(t) > 0.0
+        for t in np.linspace(np.pi / 2 * 1.001, np.pi * 0.999, 50):
+            assert h.alpha(t) < 0.0
+
+    @pytest.mark.parametrize("omega", [0.5, 1.0, 4.0, 20.0, 60.0])
+    def test_zeros_of_alpha_never_share_a_bracket(self, omega):
+        # the Sturm spacing pi / (2 sqrt(max lam2)) of alpha's zeros is
+        # over four Lobatto brackets of the solve, so the sign scan sees
+        # each zero; for constant lam2 the count is floor(2 omega t / pi)
+        lam = lambda t: omega * omega * (1.0 + 0.3 * np.sin(t) ** 2)
+        h = solve_harmonic(lam, t_max=3.0)
+        spacing = np.pi / (2.0 * omega * np.sqrt(1.3))
+        assert np.diff(h._knots).max() < 0.25 * spacing
+        c = solve_harmonic(lambda t: omega * omega, t_max=3.0)
+        for t in np.linspace(0.01, 3.0, 97):
+            n = int(2.0 * omega * t / np.pi)
+            if abs(2.0 * omega * t / np.pi - n) > 1e-6:
+                assert c.maslov(t) == n
 
 
 class TestElectric:
