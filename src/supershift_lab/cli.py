@@ -323,14 +323,11 @@ def _fmt(v: float) -> str:
 
 def field_csv(field: WaveField) -> str:
     lines = ["t,x,re_psi,im_psi,abs_psi,quad_err"]
-    for i, t in enumerate(field.ts):
-        for j, x in enumerate(field.xs):
-            v = field.values[i, j]
+    xs = field.xs.tolist()
+    for t, vs, es in zip(field.ts.tolist(), field.values.tolist(), field.quad_errors.tolist()):
+        for x, v, e in zip(xs, vs, es):
             lines.append(
-                ",".join(
-                    _fmt(w)
-                    for w in (t, x, v.real, v.imag, abs(v), field.quad_errors[i, j])
-                )
+                f"{_fmt(t)},{_fmt(x)},{_fmt(v.real)},{_fmt(v.imag)},{_fmt(abs(v))},{_fmt(e)}"
             )
     return "\n".join(lines) + "\n"
 
@@ -338,10 +335,10 @@ def field_csv(field: WaveField) -> str:
 def emit_plotdata(field: WaveField, path: str):
     """Gnuplot-ready blocks (one per time slice), byte-stable per input."""
     chunks = []
-    for i, t in enumerate(field.ts):
+    xs = field.xs.tolist()
+    for t, vs in zip(field.ts.tolist(), field.values.tolist()):
         chunks.append(f"# t = {_fmt(t)}")
-        for j, x in enumerate(field.xs):
-            v = field.values[i, j]
+        for x, v in zip(xs, vs):
             chunks.append(f"{_fmt(x)} {_fmt(v.real)} {_fmt(v.imag)} {_fmt(abs(v))}")
         chunks.append("")
     _atomic_write(path, "\n".join(chunks) + "\n")

@@ -292,7 +292,8 @@ def supershift_experiment(
 
     d_n = max over the grid of |Psi(t, x; F_n) - Psi(t, x; e^{i kappa .})|
     where F_n combines plane waves at unit-bounded frequencies; it enters
-    the integrand in its product form (see ``superosc_signal``).  The
+    the integrand in its product form, the base from real cos, sin, cosh
+    and sinh passes (see ``superosc_signal``).  The
     target and the F_n run as one signal stack under their common witness
     (for real kappa the F_n's own), each converged to tol on the stack's
     panels (``_field_distances``).  A failed point goes to ``failures`` as

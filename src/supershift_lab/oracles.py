@@ -199,7 +199,8 @@ def supershift_combination_direct(
     Per-frequency wave values are computed in doubles and combined in
     extended precision, so rounding is amplified by sum|C_l|; useful only
     while n log(k) stays small.  Cross-checks the product form that
-    ``supershift_experiment`` integrates.
+    ``supershift_experiment`` integrates (``superosc_signal``: the base
+    from real cos, sin, cosh and sinh passes, raised to the n-th power).
     """
     import mpmath as mp
 

@@ -557,6 +557,28 @@ class TestEvolveOutputs:
         ]
         assert all("created" in a for a, _ in diff)  # timestamp isolated to one line
 
+    def test_failed_point_rows(self, tmp_path, outdir):
+        # past t ~ 355 the l = 2 sech^2 witness overflows: the point fails
+        # and both files write its nan value and inf estimate
+        cfg = tmp_path / "fail.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "potential": {"kind": "poschl_teller", "l": 2},
+                    "initial": {"kind": "plane_wave", "k": 1.0},
+                    "grid": {"t": [1.0, 400.0, 2], "x": [0.0, 0.0, 1]},
+                    "quadrature": {"tol": 1e-9},
+                }
+            )
+        )
+        assert run(["evolve", "--config", str(cfg), "--output", outdir]) == 0
+        assert json.loads(Path(outdir, "run_manifest.json").read_text())["failures"] == 1
+        rows = Path(outdir, "run_field.csv").read_text().splitlines()
+        assert rows[0] == "t,x,re_psi,im_psi,abs_psi,quad_err"
+        assert rows[1].startswith("1,0,") and rows[2:] == ["400,0,nan,0,nan,inf"]
+        plot = Path(outdir, "run_plot.dat").read_text()
+        assert plot.endswith("# t = 400\n0 nan 0 nan\n\n")
+
     def test_pt_field_independent_of_blas_threads(self, tmp_path):
         # the Faddeeva kernel forms its polynomial blocks as one BLAS
         # product; a sech^2-well field must be byte-identical whatever

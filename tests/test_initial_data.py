@@ -11,6 +11,7 @@ import pytest
 
 from supershift_lab.errors import PrecisionExhausted
 from supershift_lab.initial_data import (
+    HolomorphicSignal,
     combine_signals,
     constant_signal,
     default_weight,
@@ -132,21 +133,42 @@ class TestSignals:
         bound = np.exp(0.5 * np.abs(zs) - 2.0 * zs.imag)
         assert np.all(np.abs(pw(zs)) <= bound * (1 + 1e-12))
 
+    @staticmethod
+    def _product_form_reference(n, k, zs):
+        """(cos w + i k sin w)^n, w = z/n, at 50 digits."""
+        with mp.workdps(50):
+            km = mp.mpc(k.real, k.imag)
+            return np.array(
+                [
+                    complex((mp.cos(w) + 1j * km * mp.sin(w)) ** n)
+                    for w in (mp.mpc(z.real, z.imag) / n for z in zs)
+                ]
+            )
+
     def test_superosc_signal_product_form(self):
         zs = np.concatenate(
             [disk_samples(3.0), np.exp(0.25j * np.pi) * np.linspace(-15.0, 15.0, 31)]
         )
-        for n in (1, 20, 60, 640):
-            for k in (2, 3, 2 + 1j):
+        for n in (1, 20, 60, 640, 2560, 10240):
+            for k in (2, 3, 2 + 1j, 1.5 - 0.3j):
                 sg = superosc_signal(n, k)
                 rate = max(1.0, abs(k))
                 assert (sg.growth.amplitude, sg.growth.rate) == (1.0, rate)
                 vals = sg(zs)
                 assert np.all(np.abs(vals) <= np.exp(rate * np.abs(zs)) * (1 + 1e-12))
-                # the extended-precision oracle is slow at n = 640
+                # the base's rounding, raised to the n-th power
+                ref = self._product_form_reference(n, complex(k), zs)
+                rel = np.abs(vals - ref) / np.abs(ref)
+                assert np.max(rel) <= 6e-16 * n + 3e-14
+                # 0-d and 2-d inputs give the 1-d values
+                assert sg(zs[7]) == vals[7]
+                assert np.array_equal(sg(zs[:100].reshape(4, 25)), vals[:100].reshape(4, 25))
+                # the coefficient sum: slow at n = 640, and too slow beyond
+                # it or at k = 1.5 - 0.3i
+                if n > 640 or k == 1.5 - 0.3j:
+                    continue
                 pick = zs[::60] if n == 640 else zs[::5]
-                got = sg(pick)
-                for z, v in zip(pick, got):
+                for z, v in zip(pick, sg(pick)):
                     ref = superosc_value(n, k, z)
                     assert abs(v - ref) <= 1e-12 * abs(ref)
         with pytest.raises(ValueError):
@@ -178,11 +200,21 @@ class TestSignals:
         stack = signal_stack(fs)
         assert stack.growth == fs[0].growth
         zs = disk_samples(3.0)
-        vals = stack(zs)
-        assert vals.shape == (3, zs.size)
-        for row, f in zip(vals, fs):
-            assert np.array_equal(row, f(zs))
+        # each row is its member evaluated alone, bit for bit, at any shape
+        for z in (zs[5], zs, zs[:72].reshape(8, 9)):
+            vals = stack(z)
+            assert vals.shape == (3, *np.shape(z)) and vals.dtype == complex
+            for row, f in zip(vals, fs):
+                assert np.array_equal(row, f(z))
         assert signal_stack(fs[:1])(zs).shape == (1, zs.size)
+        # a member with real values gets a complex row
+        real = HolomorphicSignal(
+            eval=lambda z: np.cos(np.real(z)), growth=fs[0].growth, label="re"
+        )
+        vals = signal_stack([fs[0], real])(zs)
+        assert vals.dtype == complex and np.array_equal(vals[1], np.cos(zs.real))
+        # the empty probe ``evolve.wavefield`` reads the leading axis from
+        assert stack(np.empty(0, dtype=complex)).shape == (3, 0)
 
     def test_signal_stack_refuses_empty_and_joins_mixed_witnesses(self):
         with pytest.raises(ValueError, match="at least one"):
