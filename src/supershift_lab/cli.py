@@ -17,6 +17,7 @@ import os
 import sys
 import tempfile
 import time
+from bisect import bisect_right
 
 import numpy as np
 
@@ -112,6 +113,51 @@ def _only(spec: dict, kind: str, *keys: str):
         )
 
 
+def _not_a_knot(ts: list, vs: list):
+    """The not-a-knot cubic spline through the knots (ts, vs), defined on
+    [ts[0], ts[-1]] only (de Boor 1978, as scipy's CubicSpline builds it):
+    the line for 2 knots, the parabola for 3, and past that the third
+    derivative continuous at the second and the second-to-last knot."""
+    n = len(ts)
+    if n < 2 or n != len(vs):
+        raise ValueError(f"a table needs >= 2 knots and one value per knot, got {n} and {len(vs)}")
+    t, v = np.array(ts), np.array(vs)
+    h = np.diff(t)
+    if not np.all(h > 0.0):
+        raise ValueError(f"table times must increase, got {ts}")
+    m = np.diff(v) / h
+    # the knot slopes s: C^2 at the inner knots, and the end rows
+    a, b = np.zeros((n, n)), np.empty(n)
+    i = np.arange(1, n - 1)
+    a[i, i - 1], a[i, i], a[i, i + 1] = h[1:], 2.0 * (h[:-1] + h[1:]), h[:-1]
+    b[i] = 3.0 * (h[1:] * m[:-1] + h[:-1] * m[1:])
+    if n == 2:
+        a[0, 0], a[1, 1], b[:] = 1.0, 1.0, m[0]
+    elif n == 3:
+        a[0, :2], a[2, 1:], b[0], b[2] = 1.0, 1.0, 2.0 * m[0], 2.0 * m[1]
+    else:
+        d0, d1 = t[2] - t[0], t[-1] - t[-3]
+        a[0, :2], a[-1, -2:] = (h[1], d0), (d1, h[-2])
+        b[0] = ((h[0] + 2.0 * d0) * h[1] * m[0] + h[0] ** 2 * m[1]) / d0
+        b[-1] = (h[-1] ** 2 * m[-2] + (2.0 * d1 + h[-1]) * h[-2] * m[-1]) / d1
+    s = np.linalg.solve(a, b)
+    # each interval's Hermite cubic in powers of t - t_i; the last knot
+    # gets the constant row, so every knot returns its value exactly
+    c = (s[:-1] + s[1:] - 2.0 * m) / h
+    rows = np.column_stack([c / h, (m - s[:-1]) / h - c, s[:-1], v[:-1]]).tolist()
+    rows.append([0.0, 0.0, 0.0, vs[-1]])
+
+    def lam(x: float) -> float:
+        if not ts[0] <= x <= ts[-1]:
+            raise ValueError(f"t = {x!r} lies outside the lambda table [{ts[0]:g}, {ts[-1]:g}]")
+        i = bisect_right(ts, x) - 1
+        c3, c2, c1, c0 = rows[i]
+        d = x - ts[i]
+        return ((c3 * d + c2) * d + c1) * d + c0
+
+    return lam
+
+
 def _lambda_from_spec(spec) -> tuple:
     kind = spec.get("kind")
     if kind == "constant":
@@ -124,15 +170,12 @@ def _lambda_from_spec(spec) -> tuple:
         return (lambda t: a + b * np.sin(om * t)), f"sin:{a:g},{b:g},{om:g}"
     if kind == "table":
         _only(spec, kind, "kind", "t", "values")
-        from scipy.interpolate import CubicSpline
-
-        ts = np.array([_finite(v) for v in spec["t"]])
-        vs = np.array([_finite(v) for v in spec["values"]])
-        sp = CubicSpline(ts, vs)
+        ts = [_finite(v) for v in spec["t"]]
+        lam = _not_a_knot(ts, [_finite(v) for v in spec["values"]])
         if ts[0] > 0.0:
             # the coefficient solve starts at t = 0
-            raise ValueError(f"table starts at t = {ts[0]:g} > 0: lambda would be extrapolated")
-        return (lambda t: float(sp(t))), f"table:{len(ts)}pts"
+            raise ValueError(f"table starts at t = {ts[0]:g} > 0: lambda is not defined there")
+        return lam, f"table:{len(ts)}pts"
     raise _UsageError(f"unknown lambda kind {kind!r} (constant|sinusoid|table)")
 
 
@@ -261,6 +304,12 @@ def _load_config(args) -> dict:
     for section in DEFAULTS:
         if not isinstance(cfg[section], dict):
             raise _UsageError(f"{section} must be an object, got {cfg[section]!r}")
+    with _parsing("config"):
+        _only(cfg, "top-level", "experiment", "potential", "initial", *DEFAULTS)
+        for section in ("grid", "verify", "output"):
+            _only(cfg[section], section, *DEFAULTS[section])
+        _only(cfg["supershift"], "supershift", *DEFAULTS["supershift"],
+              "weight_C", "sample_radius")
     with _parsing("option"):
         if getattr(args, "potential", None):
             cfg["potential"] = _spec_from_inline(args.potential, "potential")
@@ -368,16 +417,21 @@ def _out_path(cfg: dict, suffix: str) -> str:
 
 def _build_kernel(cfg: dict):
     """The kernel of the config's potential, its coefficients solved on
-    [0, max(2 t, 1)] for the grid's last time t.  A ``table`` lambda must
-    cover the grid's times: past its last knot the spline extrapolates."""
+    [0, max(2 t, 1)] for the grid's last time t.  A ``table`` lambda is
+    defined up to its last knot only: it must cover the grid's times, and
+    the solve, and so the kernel's horizon, ends there."""
     pot = _potential_from_config(cfg["potential"])
     t_hi = float(_grid_axis(cfg["grid"]["t"]).max())
+    t_max = max(2.0 * t_hi, 1.0)
     lam = cfg["potential"].get("lambda")
-    if isinstance(lam, dict) and lam.get("kind") == "table" and t_hi > lam["t"][-1]:
-        raise _UsageError(
-            f"grid time {t_hi:g} lies past the lambda table's last knot {lam['t'][-1]:g}"
-        )
-    return make_kernel(pot, t_max=max(2.0 * t_hi, 1.0))
+    if isinstance(lam, dict) and lam.get("kind") == "table":
+        t_last = float(lam["t"][-1])
+        if t_hi > t_last:
+            raise _UsageError(
+                f"grid time {t_hi:g} lies past the lambda table's last knot {t_last:g}"
+            )
+        t_max = min(t_max, t_last)
+    return make_kernel(pot, t_max=t_max)
 
 
 def _grid(cfg: dict):

@@ -144,7 +144,8 @@ class GreensKernel:
     """Immutable evaluator bundle realizing G = e^{i a (z-x)^2} gtilde.
 
     horizon         end of the kernel's solved span: the coefficient solve's
-                    t_max for the quadratic kernels, +inf for the others
+                    last certified edge for the quadratic kernels (its t_max
+                    unless a panel fails before), +inf for the others
     sector_angle    contour half-angle, fixed per potential (``make_kernel``),
                     signed like a(t); the witnesses hold on the sectors
                     ``contour_center`` admits
@@ -290,7 +291,7 @@ def _quadratic_kernel(potential: Quadratic, t_max: float) -> GreensKernel:
         potential=potential,
         a=a,
         gtilde=gtilde,
-        horizon=t_max,
+        horizon=coeffs.t_max,
         sector_angle=_SECTOR_ANGLE,
         poles=None,
         growth=growth,

@@ -22,8 +22,11 @@ of one linear solve.  W and V are h J integrals.
 Certificate: a panel whose trailing Chebyshev coefficients are not below
 _TOL = 1e-13 (or a few ulps) times the size of their component there is
 halved and solved again; a panel's accepted tails are its error
-(``QuadraticCoeffs.error``).  Dense output is barycentric within one panel,
-exact at the panel points, and raises ``ValueError`` outside [0, t_max].
+(``QuadraticCoeffs.error``).  A panel still failing at width
+1e-12 max(1, t_max), where alpha overflows say, ends the span at its
+start, which becomes the coefficients' t_max.  Dense output is
+barycentric within one panel, exact at the panel points, and raises
+``ValueError`` outside [0, t_max].
 The zeros of alpha, the kernel's caustics, are counted from the signs of
 alpha at the panel points (``QuadraticCoeffs.maslov``), not solved for.
 """
@@ -36,6 +39,8 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial import chebyshev as cheb
+
+from .errors import SupershiftError
 
 _N = 24  # Lobatto points per panel
 _PANEL = 0.5  # length of the panels the march starts from
@@ -114,9 +119,12 @@ def _quadratic_panel(
     return y
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing panel fails its certificate
 def _march(lam2, lam1, t_max: float, tol: float) -> ChebyshevPanels:
     """Solve panel by panel over [0, t_max] from the state at 0, halving
-    a panel until its trailing coefficients meet the certificate."""
+    a panel until its trailing coefficients meet the certificate.  A panel
+    that misses it at width 1e-12 max(1, t_max) ends the span at its
+    start; no panel certified from t = 0 is a ``SupershiftError``."""
     if not t_max > 0.0:
         raise ValueError("coefficient solve needs t_max > 0")
     inv = _matrices()[0]
@@ -138,8 +146,12 @@ def _march(lam2, lam1, t_max: float, tol: float) -> ChebyshevPanels:
             a, y = b, vals[-1]
         elif b - a > 1e-12 * max(1.0, t_max):
             pending.append(0.5 * (a + b))
+        elif values:
+            break
         else:
-            raise RuntimeError(f"Chebyshev tail {tail.max():.3e} above tol {tol:.1e} at t={a:.6g}")
+            raise SupershiftError(
+                f"coefficient solve: Chebyshev tail {tail.max():.3e} above tol {tol:.1e} from t=0"
+            )
     return ChebyshevPanels(edges, np.array(values))
 
 
@@ -216,8 +228,11 @@ class QuadraticCoeffs:
 def solve_quadratic(
     lam2: Callable[[float], float], lam1: Callable[[float], float], t_max: float
 ) -> QuadraticCoeffs:
-    """Coefficients on [0, t_max], certified to relative _TOL per panel."""
-    return QuadraticCoeffs(t_max, _march(lam2, lam1, t_max, _TOL))
+    """Coefficients on [0, t_max], certified to relative _TOL per panel;
+    their t_max is the last certified edge, t_max itself unless a panel
+    fails the certificate (alpha overflowing, say) before it."""
+    dense = _march(lam2, lam1, t_max, _TOL)
+    return QuadraticCoeffs(dense.edges[-1], dense)
 
 
 def _zero(t: float) -> float:

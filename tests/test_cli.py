@@ -62,7 +62,7 @@ class TestExitCodes:
     def test_verify_patch_inside_grid_times(self, tmp_path, outdir, monkeypatch):
         # a lambda table that ends at 0.4 under a grid t in [0.1, 0.3]: the
         # residual patch starts at the grid's first time and stays inside
-        # its times, never on the spline past its last knot
+        # its times, where the spline is defined
         from supershift_lab import cli
 
         patches = []
@@ -216,6 +216,21 @@ class TestExitCodes:
             (["supershift"], {"supershift": {"sample_radius": 0}}),
             (["supershift"], {"supershift": {"sample_radius": -3.0}}),
             (["supershift"], {"supershift": {"weight_C": -1}}),
+            # a table: times increasing, one value per knot, at least two knots
+            (["evolve"], {"potential": {"kind": "harmonic", "lambda": {
+                "kind": "table", "t": [0.0, 0.5, 0.5, 1.0], "values": [1.0, 1.2, 0.9, 1.1]}}}),
+            (["evolve"], {"potential": {"kind": "harmonic", "lambda": {
+                "kind": "table", "t": [0.0, 0.5, 1.0], "values": [1.0, 1.2]}}}),
+            (["evolve"], {"potential": {"kind": "harmonic", "lambda": {
+                "kind": "table", "t": [0.0], "values": [1.0]}}}),
+            # so is a top-level or section key the runner does not read
+            (["supershift"], {"supershift": {"n_value": [5]}}),
+            (["supershift"], {"supershift": {"kapa": 2.0}}),
+            (["supershift"], {"quadratur": {"tol": 1e-6}}),
+            (["supershift"], {"output": {"prefx": "mine"}}),
+            (["verify"], {"verify": {"residual_treshold": 1e-9}}),
+            (["evolve"], {"threads": 4}),
+            (["evolve"], {"grid": {"t": [0.1, 0.5, 3], "dt": 0.1}}),
         ],
     )
     def test_non_finite_number_is_usage_error(self, tmp_path, outdir, capsys, argv, doc):
@@ -407,7 +422,7 @@ class TestExitCodes:
         return run(["evolve", "--config", str(cfg), "--output", outdir])
 
     def test_grid_past_lambda_table_is_usage_error(self, tmp_path, outdir, capsys):
-        # the spline would extrapolate lambda forward past its last knot
+        # lambda is not defined past the table's last knot
         assert self._table_run(tmp_path, outdir, [0.0, 0.2, 0.4], [0.3, 1.2, 3]) == 1
         assert "past the lambda table's last knot 0.4" in capsys.readouterr().err
         assert not os.path.exists(outdir)
@@ -419,6 +434,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid potential") and "table starts at t = 0.5" in err
         assert not os.path.exists(outdir)
+
+    def test_table_solve_ends_at_its_last_knot(self, tmp_path, outdir):
+        # past t = 0.2 a spline would continue this lambda to -6e5 by
+        # t = 1, where the solve, then run to 1, overflowed
+        cfg = tmp_path / "tbl.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "potential": {"kind": "harmonic", "lambda": {
+                        "kind": "table", "t": [0.0, 0.1, 0.2], "values": [0.0, 5000.0, -5000.0]}},
+                    "initial": {"kind": "plane_wave", "k": 1.0},
+                    "grid": {"t": [0.05, 0.2, 4], "x": [-1.0, 1.0, 5]},
+                }
+            )
+        )
+        assert cli._build_kernel(json.loads(cfg.read_text())).horizon == 0.2
+        assert run(["evolve", "--config", str(cfg), "--output", outdir]) == 0
+        assert json.loads(Path(outdir, "run_manifest.json").read_text())["failures"] == 0
+
+    def test_overflowing_solve_ends_its_span(self, outdir, capsys):
+        # alpha ~ e^{894 t} overflows at t ~ 0.78, inside the solve's [0, 1]
+        # but past the grid's t <= 0.5: the span ends at the last panel
+        # that certifies; one that certifies no panel is an error exit
+        argv = ["evolve", "--initial", "plane:k=1", "--output", outdir]
+        assert run([*argv, "--potential", "harmonic:lambda=-200000"]) == 0
+        assert run([*argv, "--potential", "harmonic:lambda=-1e300"]) == 1
+        assert capsys.readouterr().err.startswith("error: coefficient solve")
 
     def test_empty_order_is_usage_error(self, outdir, capsys):
         assert run(["supershift", "--potential", "free", "--n", "10,,20", "--output", outdir]) == 1
@@ -891,3 +933,63 @@ def _blas_env(threads: str) -> dict:
         os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads,
         OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
     )
+
+
+class TestLambdaTable:
+    """The ``table`` lambda: the not-a-knot cubic spline through the
+    knots, defined from the first knot to the last."""
+
+    # scipy 1.17.1's CubicSpline(t, values)(s) at s on the tables of the
+    # CLI and coefficient tests
+    SCIPY = [
+        ([0.0, 0.2, 0.4], [1.0, 1.5, 0.5],
+         [(0.02, 1.1175), (0.148, 1.5143), (0.244, 1.4087), (0.372, 0.7303000000000002)]),
+        ([0.0, 0.2, 0.4], [1.0, 1.2, 0.9],
+         [(0.02, 1.0425), (0.148, 1.1961), (0.244, 1.1769), (0.372, 0.9721000000000002)]),
+        ([0.0, 0.5, 1.0, 1.5], [1.0, 1.2, 0.9, 1.1],
+         [(0.075, 1.1011875), (0.555, 1.1733634999999998), (0.915, 0.9432395),
+          (1.395, 0.9670315000000002)]),
+        ([0.0, 0.3, 0.7, 1.2, 1.6, 2.0], [1.0, 1.3, 0.8, 1.1, 0.9, 1.2],
+         [(0.1, 1.2533531684355432), (0.74, 0.7892585056174787), (1.22, 1.1034085113126693),
+          (1.86, 0.9356602436276035)]),
+    ]
+
+    @staticmethod
+    def _lam(ts, f):
+        vs = [f(t) for t in ts]
+        lam, label = cli._lambda_from_spec({"kind": "table", "t": ts, "values": vs})
+        assert label == f"table:{len(ts)}pts"
+        assert [lam(t) for t in ts] == vs
+        return lam
+
+    def test_reproduces_a_cubic_on_uneven_knots(self):
+        def cubic(t):
+            return 1.0 - 2.0 * t + 0.7 * t * t - 1.3 * t**3
+
+        lam = self._lam([0.0, 0.13, 0.5, 0.61, 1.3], cubic)
+        for t in np.linspace(0.0, 1.3, 131).tolist():
+            assert lam(t) == pytest.approx(cubic(t), rel=0.0, abs=4e-15)
+
+    def test_three_knots_give_the_parabola_and_two_the_line(self):
+        def parabola(t):
+            return 0.5 - t + 2.0 * t * t
+
+        def line(t):
+            return 1.0 - 2.0 * t
+
+        three, two = self._lam([-0.2, 0.3, 1.1], parabola), self._lam([0.0, 1.1], line)
+        for t in np.linspace(0.0, 1.1, 111).tolist():
+            assert three(t) == pytest.approx(parabola(t), rel=0.0, abs=2e-15)
+            assert two(t) == pytest.approx(line(t), rel=0.0, abs=1e-15)
+
+    def test_refuses_times_outside_its_knots(self):
+        lam = self._lam([0.0, 0.2, 0.4], lambda t: 1.0 + t)
+        for t in (np.nextafter(0.0, -1.0), np.nextafter(0.4, 1.0), 1.0, -3.0):
+            with pytest.raises(ValueError, match="outside the lambda table"):
+                lam(float(t))
+
+    def test_matches_scipy_cubic_spline(self):
+        for ts, vs, frozen in self.SCIPY:
+            lam, _ = cli._lambda_from_spec({"kind": "table", "t": ts, "values": vs})
+            for t, want in frozen:
+                assert abs(lam(t) - want) <= 2e-15 * abs(want), (ts, t)

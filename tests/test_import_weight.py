@@ -4,13 +4,14 @@ Importing ``scipy.special`` costs 0.3-0.4 s and ~25 MB, ``scipy.integrate``
 0.2-0.4 s and ~26 MB, ``mpmath`` ~35 ms and ``numpy.ma``, which the first
 ``np.unique`` call imports, ~6 ms; each shows directly in the benchmark's
 ``setup_s``, ``wall_s`` or ``peak_rss_mb`` and in every CLI run.  This
-test pins that the import (``supershift_lab.oracles`` included), the four
-kernel builds, one grid point per kernel, one real-line comparator call
-(from ``supershift_lab.crosschecks``), one kernel audit and one point each
-of the three grid experiments (supershift distances, two orders stacked on one
-contour; continuous dependence with its initial-data metric; the
-initial-value limit) load none of them: scipy
-stays a lazy import of the CLI's ``table`` spline, and mpmath one of the
+test pins that the import (``supershift_lab.oracles`` and ``cli``
+included), the four kernel builds and the CLI's build of a ``table``
+lambda, a numpy spline, one grid point per kernel, one real-line
+comparator call (from ``supershift_lab.crosschecks``), one kernel audit
+and one point each of the three grid experiments (supershift distances,
+two orders stacked on one contour; continuous dependence with its
+initial-data metric; the initial-value limit) load none of them: no
+module imports scipy, and mpmath stays a lazy import of the
 extended-precision sums in ``oracles``, the only module that imports it.
 ``initial_data`` and ``oracles`` import each other, so each of the two,
 and ``evolve``, which ``oracles`` uses, must also import cleanly when it
@@ -39,6 +40,7 @@ SCRIPT = """
 import sys
 import supershift_lab
 import supershift_lab.oracles
+from supershift_lab import cli
 from supershift_lab.crosschecks import epsilon_regularized_integral
 from supershift_lab.evolve import (
     continuous_dependence_check,
@@ -60,6 +62,11 @@ kernels = [
     make_kernel(Electric(lambda t: 1.0, "const:1"), t_max=2.0),
     make_kernel(Harmonic(lambda t: 1.0, "omega=1"), t_max=1.7),
     make_kernel(PoschlTeller(2)),
+    cli._build_kernel({
+        "potential": {"kind": "harmonic", "lambda": {
+            "kind": "table", "t": [0.0, 0.5, 1.0, 1.5], "values": [1.0, 1.2, 0.9, 1.1]}},
+        "grid": {"t": [0.3, 0.3, 1]},
+    }),
 ]
 for kernel in kernels:
     field = wavefield(kernel, plane_wave(2.0), [0.3], [0.4], tol=1e-8)

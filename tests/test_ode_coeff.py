@@ -17,6 +17,10 @@ import pytest
 from numpy.polynomial import chebyshev as cheb
 
 from supershift_lab.crosschecks import wronskian_drift
+from supershift_lab.errors import SupershiftError
+from supershift_lab.evolve import wavefield
+from supershift_lab.greens import Harmonic, make_kernel
+from supershift_lab.initial_data import plane_wave
 from supershift_lab.ode_coeff import (
     QuadraticCoeffs,
     _march,
@@ -76,6 +80,27 @@ class TestHarmonic:
             assert max(abs(g - e) for g, e in zip(got, exact)) <= 5.0 * h.error(t)
             assert h.error(t) <= 1e-14 * np.cosh(2 * t)
         assert h.error(9.0) > 1e6 * h.error(1.0)
+
+    def test_overflow_ends_the_span(self):
+        # lam = -2e5: alpha = sinh(2 w t)/(2 w), w = sqrt(2e5), overflows
+        # near t = 0.79, so no panel past ~0.78 certifies: the span, and
+        # the kernel's horizon, end at the last certified edge, and a time
+        # past it is a point failure
+        w = np.sqrt(2e5)
+        h = solve_harmonic(lambda t: -2e5, t_max=1.0)
+        assert 0.75 < h.t_max < 0.79 and h.t_max == h._dense.edges[-1]
+        for t in (0.1, 0.4, h.t_max):
+            assert h.alpha(t) == pytest.approx(np.sinh(2 * w * t) / (2 * w), rel=1e-11)
+        with pytest.raises(ValueError, match="outside solved span"):
+            h.alpha(0.9)
+        kernel = make_kernel(Harmonic(lambda t: -2e5, "-2e5"), t_max=1.0)
+        assert kernel.horizon == h.t_max
+        field = wavefield(kernel, plane_wave(1.0), [0.9], [0.0])
+        assert [f[2].split(":")[0] for f in field.failures] == ["HorizonExceeded"]
+
+    def test_no_certified_panel_is_an_error(self):
+        with pytest.raises(SupershiftError, match="from t=0"):
+            solve_harmonic(lambda t: -1e300, t_max=1.0)
 
     def test_wronskian_closed_form_exact(self):
         h = solve_harmonic(lambda t: 1.0, t_max=1.6)
