@@ -487,7 +487,7 @@ def run_supershift(cfg: dict) -> int:
     )
     target = plane_wave(kappa)
     lines = ["n,d_n,metric_n"]
-    for n, d in zip(report.n_values, report.distances):
+    for n, d in zip(n_values, report.distances):
         m = weighted_sup_distance(superosc_signal(n, kappa), target, c_weight, samples)
         lines.append(f"{n},{_fmt(d)},{_fmt(m)}")
     _atomic_write(_out_path(cfg, "supershift.csv"), "\n".join(lines) + "\n")
@@ -613,10 +613,7 @@ def main(argv=None) -> int:
             "greens-audit": run_greens_audit,
         }[args.command]
         return runner(cfg)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SupershiftError as exc:
+    except (_UsageError, SupershiftError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

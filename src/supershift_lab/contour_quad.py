@@ -462,7 +462,7 @@ def _rotate(rot, value):
 
 
 def rotated_integral(
-    f, *, a: float, y1: float, center: float, angle: float, tol: float
+    f, *, a: float, y1: float, center: float, angle: float, tol: float, poles=None
 ) -> QuadratureResult:
     """Contour evaluation of  int_R e^{i a (y - y1)^2} f(y) dy.
 
@@ -482,7 +482,8 @@ def rotated_integral(
     geometric cluster at the Gaussian width 1 / sqrt(2 a sin(2 angle)),
     no wider than 3 / b at tol 1e-9 (b the envelope's linear coefficient
     along the line, as in ``truncation_radius``), and clear of f's
-    singular set (``f.poles``) at the Bernstein parameter rho(tol); the
+    singular set at the Bernstein parameter rho(tol), where ``poles``
+    gives a point's distance to it (None: f has none); the
     seed stays one integrand call of at most ``_SEED_PANELS`` panels.
     Through a stationary point b is the witness rate: the free, electric
     and harmonic plane waves keep the cluster as it is.
@@ -506,7 +507,7 @@ def rotated_integral(
         1.0 / math.sqrt(2.0 * a * math.sin(2.0 * angle)),
         _linear_rate(f.growth, a, angle, y1, center),
         tol,
-        f.poles,
+        poles,
         center,
         rot,
     )

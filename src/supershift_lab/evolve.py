@@ -35,16 +35,15 @@ from .initial_data import (
 
 def _integrand(kernel: GreensKernel, t: float, x: float, f: HolomorphicSignal):
     """gtilde * f with the product of the kernel's witness and the datum's:
-    amplitudes multiply, rates and frequencies add.  Its singular set is
-    the kernel's (``kernel.poles``).  For a signal stack the one gtilde
-    value per node multiplies every row."""
+    amplitudes multiply, rates and frequencies add.  For a signal stack
+    the one gtilde value per node multiplies every row."""
     gt = kernel.gtilde
     ev = lambda z: gt(t, x, np.asarray(z, dtype=complex)) * f.eval(z)
     gw, fw = kernel.growth(t, x), f.growth
     witness = GrowthWitness(
         gw.amplitude * fw.amplitude, gw.rate + fw.rate, "modulus", gw.freq + fw.freq
     )
-    return HolomorphicSignal(eval=ev, growth=witness, label="integrand", poles=kernel.poles)
+    return HolomorphicSignal(eval=ev, growth=witness, label="integrand")
 
 
 def wavefunction_result(
@@ -60,7 +59,8 @@ def wavefunction_result(
     integrand's witness: along that line the phase is stationary and the
     integrand a Gaussian times a bounded factor, so no cancellation is
     left for the panel sums.  Where the poles of a sech^2 well refuse that
-    line, ``kernel.contour_center`` moves it back toward x.  The line turns
+    line, ``kernel.contour_center`` moves it back toward x, and the seed
+    panels keep clear of them (``kernel.poles``).  The line turns
     with the sign of a; at a focal time, a = 0, the point fails.  So does
     a point next to a caustic, a zero of alpha, where the kernel's error
     from its coefficients (``kernel.coeff_error``), which the estimate
@@ -77,7 +77,9 @@ def wavefunction_result(
     integrand = _integrand(kernel, t, x, f)
     center = kernel.contour_center(x, x - integrand.growth.freq / (2.0 * a))
     angle = math.copysign(kernel.sector_angle, a)
-    return rotated_integral(integrand, a=a, y1=x, center=center, angle=angle, tol=tol)
+    return rotated_integral(
+        integrand, a=a, y1=x, center=center, angle=angle, tol=tol, poles=kernel.poles
+    )
 
 
 def wavefunction(
@@ -106,9 +108,6 @@ class WaveField:
     xs: np.ndarray
     values: np.ndarray
     quad_errors: np.ndarray
-    potential: str
-    initial: str
-    tol: float
     radius: np.ndarray
     nodes: np.ndarray
     rounds: np.ndarray
@@ -163,9 +162,6 @@ def wavefield(
         xs=xs,
         values=values,
         quad_errors=errors,
-        potential=kernel.potential.label(),
-        initial=f.label,
-        tol=tol,
         failures=failures,
         radius=radius,
         nodes=nodes,
@@ -270,12 +266,7 @@ def _field_distances(kernel, target, signals, t_grid, x_grid, tol):
 
 @dataclass
 class SupershiftReport:
-    n_values: list
     distances: list
-    kappa: complex
-    potential: str
-    t_grid: list
-    x_grid: list
     strictly_decreasing: bool
     failures: list = field(default_factory=list)
 
@@ -312,12 +303,7 @@ def supershift_experiment(
         distances[i + 1] < distances[i] for i in range(len(distances) - 1)
     )
     return SupershiftReport(
-        n_values=list(n_values),
         distances=distances,
-        kappa=complex(kappa),
-        potential=kernel.potential.label(),
-        t_grid=list(t_grid),
-        x_grid=list(x_grid),
         strictly_decreasing=dec,
         failures=failures,
     )
@@ -325,7 +311,6 @@ def supershift_experiment(
 
 @dataclass
 class ContinuousDependenceReport:
-    n_values: list
     metrics: list
     field_distances: list
     ratios: list
@@ -368,7 +353,6 @@ def continuous_dependence_check(
     finite = [r for r in ratios if 0 < r < np.inf]
     stable = (max(finite) / min(finite)) if len(finite) >= 2 else 1.0
     return ContinuousDependenceReport(
-        n_values=list(n_values),
         metrics=metrics,
         field_distances=dists,
         ratios=ratios,

@@ -36,19 +36,11 @@ from .contour_quad import GrowthWitness
 
 @dataclass(frozen=True)
 class HolomorphicSignal:
-    """Entire (or sector-holomorphic) initial condition with a growth witness.
-
-    poles gives a point's distance to the integrand's singular set (None:
-    none), which the rotated route's seed panels keep clear of.  Only the
-    integrand that ``evolve`` builds sets it, from the kernel
-    (``GreensKernel.poles``): a datum's own field is never read, and
-    ``signal_stack`` and ``combine_signals`` drop it.
-    """
+    """Entire (or sector-holomorphic) initial condition with a growth witness."""
 
     eval: Callable
     growth: GrowthWitness
     label: str
-    poles: Callable | None = None
 
     def __call__(self, z):
         return self.eval(z)
@@ -69,15 +61,6 @@ def plane_wave(kappa: complex) -> HolomorphicSignal:
         eval=ev,
         growth=GrowthWitness(1.0, abs(kappa.imag), "modulus", kappa.real),
         label=f"plane:k={kappa.real:g}" + (f"{kappa.imag:+g}j" if kappa.imag else ""),
-    )
-
-
-def constant_signal() -> HolomorphicSignal:
-    """The constant 1."""
-    return HolomorphicSignal(
-        eval=lambda z: np.full(np.shape(z), 1.0 + 0j),
-        growth=GrowthWitness(1.0, 0.0, "imag"),
-        label="const:1.0",
     )
 
 

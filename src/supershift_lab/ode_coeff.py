@@ -164,7 +164,8 @@ def _phase_part(i: int):
 
 
 class QuadraticCoeffs:
-    """Dense propagator coefficients of V = lam2 x^2 + lam1 x on [0, t_max].
+    """Dense propagator coefficients of V = lam2 x^2 + lam1 x on [0, t_max],
+    t_max the last edge of the dense output's panels.
 
     ``state(t)`` is (alpha, alpha', beta, beta', xi, xi', W, V) from one
     evaluation, ``maslov(t)`` the number of zeros of alpha in (0, t) and
@@ -176,8 +177,8 @@ class QuadraticCoeffs:
     alpha, alpha_prime, beta, xi = _component(0), _component(1), _component(2), _component(4)
     p, q, r = _phase_part(0), _phase_part(1), _phase_part(2)
 
-    def __init__(self, t_max: float, dense: ChebyshevPanels):
-        self.t_max = t_max
+    def __init__(self, dense: ChebyshevPanels):
+        self.t_max = dense.edges[-1]
         self._dense = dense
         self._last = (None, (), 0, 0.0)
         # each panel's largest trailing coefficient of the components the
@@ -231,8 +232,7 @@ def solve_quadratic(
     """Coefficients on [0, t_max], certified to relative _TOL per panel;
     their t_max is the last certified edge, t_max itself unless a panel
     fails the certificate (alpha overflowing, say) before it."""
-    dense = _march(lam2, lam1, t_max, _TOL)
-    return QuadraticCoeffs(dense.edges[-1], dense)
+    return QuadraticCoeffs(_march(lam2, lam1, t_max, _TOL))
 
 
 def _zero(t: float) -> float:

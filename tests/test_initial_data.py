@@ -9,11 +9,11 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from supershift_lab.contour_quad import GrowthWitness
 from supershift_lab.errors import PrecisionExhausted
 from supershift_lab.initial_data import (
     HolomorphicSignal,
     combine_signals,
-    constant_signal,
     default_weight,
     disk_samples,
     plane_wave,
@@ -119,6 +119,15 @@ class TestEvaluation:
             superosc_value(80000, 6.0, 0.5)
 
 
+def _imag_one():
+    """The constant 1 with the imag-kind witness |f| <= e^{0 |Im z|}."""
+    return HolomorphicSignal(
+        eval=lambda z: np.full(np.shape(z), 1.0 + 0j),
+        growth=GrowthWitness(1.0, 0.0, "imag"),
+        label="one",
+    )
+
+
 class TestSignals:
     def test_plane_wave_witness(self):
         # |e^{i kappa z}| = e^{-Re kappa Im z - Im kappa Re z}: frequency
@@ -175,7 +184,7 @@ class TestSignals:
             superosc_signal(0, 3)
 
     def test_combined_signal(self):
-        comb = combine_signals([(2.0, plane_wave(1.0)), (-0.5j, constant_signal())])
+        comb = combine_signals([(2.0, plane_wave(1.0)), (-0.5j, plane_wave(0.0))])
         z = 0.4 - 0.1j
         assert abs(comb(z) - (2.0 * np.exp(1j * z) - 0.5j)) < 1e-15
         assert comb.growth.amplitude == pytest.approx(2.5)
@@ -192,7 +201,7 @@ class TestSignals:
         bound = w.amplitude * np.exp(w.rate * np.abs(zs) - w.freq * zs.imag)
         assert np.all(np.abs(comb(zs)) <= bound * (1 + 1e-12))
         # without frequencies the witness is the plain triangle inequality
-        sup = combine_signals([(1.0, superosc_signal(4, 2.0)), (1.0, constant_signal())])
+        sup = combine_signals([(1.0, superosc_signal(4, 2.0)), (1.0, plane_wave(0.0))])
         assert (sup.growth.rate, sup.growth.freq) == (2.0, 0.0)
 
     def test_signal_stack_rows_and_witness(self):
@@ -241,11 +250,12 @@ class TestSignals:
                 plane_wave(2.0),
                 combine_signals([(3.0, plane_wave(-1.0))]),
                 plane_wave(0.5 + 0.7j),
-                constant_signal(),
+                _imag_one(),
                 superosc_signal(6, 2.0),
             ],
             lambda: [plane_wave(2.5), combine_signals([(0.5j, plane_wave(-0.5 - 0.25j))])],
-            lambda: [constant_signal(), combine_signals([(2.0, constant_signal())])],
+            # the constant 1 under an imag-kind witness: the stack keeps the kind
+            lambda: [_imag_one(), combine_signals([(2.0, _imag_one())])],
         ],
         ids=["five-mixed", "two-plane", "all-imag"],
     )
@@ -270,7 +280,7 @@ class TestSignals:
         fs = [superosc_signal(n, 3.0) for n in (10, 20, 40)]
         assert signal_stack(fs).growth == fs[0].growth
         zs = disk_samples(3.0)
-        for f in (pw, plane_wave(-2.0), constant_signal(), fs[1], combine_signals([(2j, pw)])):
+        for f in (pw, plane_wave(-2.0), plane_wave(0.0), fs[1], combine_signals([(2j, pw)])):
             one = signal_stack([f])
             assert one.growth == f.growth
             assert np.array_equal(one(zs)[0], f(zs))

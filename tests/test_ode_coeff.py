@@ -116,7 +116,7 @@ class TestHarmonic:
         drift = wronskian_drift(h, np.linspace(0.01, h.t_max, 37))
         assert drift <= 1e-10
         # independent confirmation via a tighter march than the solvers' _TOL
-        h2 = QuadraticCoeffs(1.5, _march(lambda t: 1.0 + 0.5 * np.sin(t), _zero, 1.5, 1e-14))
+        h2 = QuadraticCoeffs(_march(lambda t: 1.0 + 0.5 * np.sin(t), _zero, 1.5, 1e-14))
         assert abs(h.alpha(1.0) - h2.alpha(1.0)) <= 1e-10
 
     def test_alpha_positive_inside_horizon(self):
