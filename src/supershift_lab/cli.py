@@ -159,15 +159,16 @@ def _not_a_knot(ts: list, vs: list):
 
 
 def _lambda_from_spec(spec) -> tuple:
+    """lambda(t), its label, and its last time: a table's last knot, else inf."""
     kind = spec.get("kind")
     if kind == "constant":
         _only(spec, kind, "kind", "c")
         c = _finite(spec["c"])
-        return (lambda t: c), f"const:{c:g}"
+        return (lambda t: c), f"const:{c:g}", np.inf
     if kind == "sinusoid":
         _only(spec, kind, "kind", "a", "b", "omega")
         a, b, om = _finite(spec["a"]), _finite(spec["b"]), _finite(spec["omega"])
-        return (lambda t: a + b * np.sin(om * t)), f"sin:{a:g},{b:g},{om:g}"
+        return (lambda t: a + b * np.sin(om * t)), f"sin:{a:g},{b:g},{om:g}", np.inf
     if kind == "table":
         _only(spec, kind, "kind", "t", "values")
         ts = [_finite(v) for v in spec["t"]]
@@ -175,32 +176,33 @@ def _lambda_from_spec(spec) -> tuple:
         if ts[0] > 0.0:
             # the coefficient solve starts at t = 0
             raise ValueError(f"table starts at t = {ts[0]:g} > 0: lambda is not defined there")
-        return lam, f"table:{len(ts)}pts"
+        return lam, f"table:{len(ts)}pts", ts[-1]
     raise _UsageError(f"unknown lambda kind {kind!r} (constant|sinusoid|table)")
 
 
 @_parsing("potential")
-def _potential_from_config(spec) -> object:
+def _potential_from_config(spec) -> tuple:
+    """The potential and its last time: its lambda's end, else inf."""
     kind = spec.get("kind")
     if kind == "free":
         _only(spec, kind, "kind")
-        return Free()
+        return Free(), np.inf
     if kind == "electric":
         _only(spec, kind, "kind", "lambda")
-        lam, lab = _lambda_from_spec(spec.get("lambda", {"kind": "constant", "c": 1.0}))
-        return Electric(lam, lab)
+        lam, lab, t_end = _lambda_from_spec(spec.get("lambda", {"kind": "constant", "c": 1.0}))
+        return Electric(lam, lab), t_end
     if kind == "harmonic":
         _only(spec, kind, "kind", "omega", "lambda")
         if "omega" in spec:
             if "lambda" in spec:
                 raise ValueError("harmonic takes omega or a lambda spec, not both")
             om = _finite(spec["omega"])
-            return Harmonic(lambda t: om * om, f"omega={om:g}")
-        lam, lab = _lambda_from_spec(spec.get("lambda", {"kind": "constant", "c": 1.0}))
-        return Harmonic(lam, lab)
+            return Harmonic(lambda t: om * om, f"omega={om:g}"), np.inf
+        lam, lab, t_end = _lambda_from_spec(spec.get("lambda", {"kind": "constant", "c": 1.0}))
+        return Harmonic(lam, lab), t_end
     if kind in ("poschl_teller", "poschl-teller"):
         _only(spec, kind, "kind", "l")
-        return PoschlTeller(_count(spec["l"]))
+        return PoschlTeller(_count(spec["l"])), np.inf
     raise _UsageError(f"config field 'potential.kind' missing or unknown: {kind!r}")
 
 
@@ -328,6 +330,7 @@ def _load_config(args) -> dict:
     if "potential" not in cfg:
         raise _UsageError("missing required field: potential")
     _check_quadrature(cfg["quadrature"])
+    _check_output(cfg)
     return cfg
 
 
@@ -342,6 +345,17 @@ def _check_quadrature(spec):
     tol = spec["tol"]
     if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0.0 < tol < np.inf:
         raise _UsageError(f"quadrature.tol must be a positive number, got {tol!r}")
+
+
+def _check_output(cfg: dict):
+    """Refuse an output directory that is, or lies under, something other
+    than a directory: writing there would fail only after the run."""
+    with _parsing("output"):
+        head = os.path.dirname(_out_path(cfg, ""))
+        while head and not os.path.lexists(head):
+            head = os.path.dirname(head)
+    if head and not os.path.isdir(head):
+        raise _UsageError(f"output path {head!r} exists and is not a directory")
 
 
 def _grid_axis(spec) -> np.ndarray:
@@ -415,30 +429,23 @@ def _out_path(cfg: dict, suffix: str) -> str:
     return os.path.join(out["dir"], f"{out['prefix']}_{suffix}")
 
 
-def _build_kernel(cfg: dict):
-    """The kernel of the config's potential, its coefficients solved on
-    [0, max(2 t, 1)] for the grid's last time t.  A ``table`` lambda is
-    defined up to its last knot only: it must cover the grid's times, and
-    the solve, and so the kernel's horizon, ends there."""
-    pot = _potential_from_config(cfg["potential"])
-    t_hi = float(_grid_axis(cfg["grid"]["t"]).max())
-    t_max = max(2.0 * t_hi, 1.0)
-    lam = cfg["potential"].get("lambda")
-    if isinstance(lam, dict) and lam.get("kind") == "table":
-        t_last = float(lam["t"][-1])
-        if t_hi > t_last:
-            raise _UsageError(
-                f"grid time {t_hi:g} lies past the lambda table's last knot {t_last:g}"
-            )
-        t_max = min(t_max, t_last)
-    return make_kernel(pot, t_max=t_max)
+def _build_kernel(pot, t_end: float, ts):
+    """The kernel of the potential, its coefficients solved on
+    [0, max(2 t, 1)] for the grid's last time t, and no further than the
+    potential's end t_end: a table lambda is defined up to its last knot
+    only, and the solve, and so the kernel's horizon, ends there."""
+    return make_kernel(pot, t_max=min(max(2.0 * float(np.max(ts)), 1.0), t_end))
 
 
-def _grid(cfg: dict):
-    """The config's t and x axes; every t must be > 0."""
+def _grid(cfg: dict, t_end: float):
+    """The config's t and x axes; every t must be > 0 and at most the
+    potential's end t_end."""
     ts, xs = _grid_axis(cfg["grid"]["t"]), _grid_axis(cfg["grid"]["x"])
     if ts.min() <= 0:
         raise _UsageError(f"grid times must be > 0, got {ts.min():g}")
+    if ts.max() > t_end:
+        raise _UsageError(
+            f"grid time {ts.max():g} lies past the lambda table's last knot {t_end:g}")
     return ts, xs
 
 
@@ -449,22 +456,21 @@ def _initial(cfg: dict):
 
 
 def run_evolve(cfg: dict) -> int:
-    kernel = _build_kernel(cfg)
+    pot, t_end = _potential_from_config(cfg["potential"])
     signal = _initial(cfg)
-    ts, xs = _grid(cfg)
+    ts, xs = _grid(cfg, t_end)
+    kernel = _build_kernel(pot, t_end, ts)
     field = wavefield(kernel, signal, ts, xs, tol=cfg["quadrature"]["tol"])
     _atomic_write(_out_path(cfg, "field.csv"), field_csv(field))
     emit_plotdata(field, _out_path(cfg, "plot.dat"))
-    _atomic_write(
-        _out_path(cfg, "manifest.json"),
-        _manifest(cfg, {"failures": len(field.failures)}),
-    )
+    _atomic_write(_out_path(cfg, "manifest.json"),
+                  _manifest(cfg, {"failures": len(field.failures)}))
     print(f"wrote {_out_path(cfg, 'field.csv')} ({field.values.size} points)")
     return 0
 
 
 def run_supershift(cfg: dict) -> int:
-    kernel = _build_kernel(cfg)
+    pot, t_end = _potential_from_config(cfg["potential"])
     ss = cfg["supershift"]
     with _parsing("supershift"):
         kappa = _finite(ss["kappa"])
@@ -481,9 +487,9 @@ def run_supershift(cfg: dict) -> int:
         if radius <= 0.0:
             raise ValueError(f"sample_radius must be > 0, got {radius:g}")
         samples = disk_samples(radius)
-    ts, xs = _grid(cfg)
+    ts, xs = _grid(cfg, t_end)
     report = supershift_experiment(
-        kernel, n_values, kappa, ts, xs, tol=cfg["quadrature"]["tol"]
+        _build_kernel(pot, t_end, ts), n_values, kappa, ts, xs, tol=cfg["quadrature"]["tol"]
     )
     target = plane_wave(kappa)
     lines = ["n,d_n,metric_n"]
@@ -491,18 +497,24 @@ def run_supershift(cfg: dict) -> int:
         m = weighted_sup_distance(superosc_signal(n, kappa), target, c_weight, samples)
         lines.append(f"{n},{_fmt(d)},{_fmt(m)}")
     _atomic_write(_out_path(cfg, "supershift.csv"), "\n".join(lines) + "\n")
-    _atomic_write(
-        _out_path(cfg, "manifest.json"),
-        _manifest(cfg, {"kappa": kappa, "weight_C": c_weight}),
-    )
+    _atomic_write(_out_path(cfg, "manifest.json"),
+                  _manifest(cfg, {"kappa": kappa, "weight_C": c_weight}))
     print(f"wrote {_out_path(cfg, 'supershift.csv')}; decreasing={report.strictly_decreasing}"
           f"; failures={len(report.failures)}")
     return 0
 
 
+def _entry(name: str, value, threshold: float, passed, **extra) -> dict:
+    """One entry of verify.json, its keys in their written order."""
+    return {"name": name, "value": value, **extra, "threshold": threshold, "pass": bool(passed)}
+
+
 def run_verify(cfg: dict) -> int:
-    kernel = _build_kernel(cfg)
+    pot, t_end = _potential_from_config(cfg["potential"])
     signal = _initial(cfg)
+    # the free plane wave's closed form is the third check's reference
+    init = cfg["initial"]
+    kappa = _scalar(init["k"]) if isinstance(pot, Free) and init["kind"] == "plane_wave" else None
     vf = cfg["verify"]
     with _parsing("verify"):
         res_threshold = _finite(vf["residual_threshold"])
@@ -510,56 +522,31 @@ def run_verify(cfg: dict) -> int:
         t_sequence = [_finite(t) for t in vf["t_sequence"]]
         if not t_sequence or min(t_sequence) <= 0:
             raise ValueError(f"t_sequence must hold positive times, got {t_sequence}")
+    ts, _ = _grid(cfg, t_end)
     tol = cfg["quadrature"]["tol"]
-    checks = []
+    kernel = _build_kernel(pot, t_end, ts)
 
     # the patch starts at the grid's first time and stays inside its times
     # (a grid of one time takes the full steps past it); near a focal time
     # the stencil's t derivative, not the field, sets the residual
-    ts, _ = _grid(cfg)
     h = 2e-3
     ts = ts.min() + min(h, (ts.max() - ts.min()) / 4 or h) * np.arange(5)
     xs = 0.3 + h * np.arange(5)
     fld = wavefield(kernel, signal, ts, xs, tol=min(tol, 1e-9))
     res = schrodinger_residual_field(fld, kernel)
-    checks.append(
-        {
-            "name": "schrodinger_residual",
-            "value": res,
-            "threshold": res_threshold,
-            "pass": bool(res <= res_threshold),
-        }
-    )
+    checks = [_entry("schrodinger_residual", res, res_threshold, res <= res_threshold)]
 
-    x_win = np.linspace(-2.0, 2.0, 9)
-    rep = initial_limit_check(
-        kernel, signal, x_win, t_sequence, tol=min(tol, 1e-8), threshold=limit_threshold,
-    )
-    checks.append(
-        {
-            "name": "initial_value_limit",
-            "value": rep.final_error,
-            "errors": rep.errors,
-            "failures": len(rep.failures),
-            "threshold": limit_threshold,
-            "pass": bool(rep.passed),
-        }
-    )
+    rep = initial_limit_check(kernel, signal, np.linspace(-2.0, 2.0, 9), t_sequence,
+                              tol=min(tol, 1e-8), threshold=limit_threshold)
+    checks.append(_entry("initial_value_limit", rep.final_error, limit_threshold, rep.passed,
+                         errors=rep.errors, failures=len(rep.failures)))
 
-    if cfg["potential"]["kind"] == "free" and cfg["initial"]["kind"] == "plane_wave":
-        kappa = _scalar(cfg["initial"]["k"])
+    if kappa is not None:
         ts, xs = np.meshgrid(np.linspace(0.1, 1.0, 5), np.linspace(-3.0, 3.0, 7), indexing="ij")
         fld = wavefield(kernel, signal, ts[:, 0], xs[0], tol=1e-10)
         gap = fld.values - free_plane(ts, xs, kappa)
         worst = float(np.max(np.hypot(gap.real, gap.imag)))
-        checks.append(
-            {
-                "name": "free_plane_wave_closed_form",
-                "value": worst,
-                "threshold": 1e-8,
-                "pass": bool(worst <= 1e-8),
-            }
-        )
+        checks.append(_entry("free_plane_wave_closed_form", worst, 1e-8, worst <= 1e-8))
 
     passed = all(c["pass"] for c in checks)
     doc = {"potential": kernel.potential.label(), "initial": signal.label,
@@ -570,8 +557,10 @@ def run_verify(cfg: dict) -> int:
 
 
 def run_greens_audit(cfg: dict) -> int:
-    kernel = _build_kernel(cfg)
-    report = audit_kernel(kernel)
+    # the audit takes its times from the kernel, not from a grid: it solves
+    # on [0, 1], or up to a table lambda's last knot when that comes first
+    pot, t_end = _potential_from_config(cfg["potential"])
+    report = audit_kernel(make_kernel(pot, t_max=min(1.0, t_end)))
     _atomic_write(_out_path(cfg, "audit.json"), report.to_json() + "\n")
     print(f"greens-audit: {'PASS' if report.passed else 'FAIL'} -> {_out_path(cfg, 'audit.json')}")
     return 0 if report.passed else 2

@@ -27,6 +27,19 @@ def outdir(tmp_path):
     return str(tmp_path / "out")
 
 
+@pytest.fixture()
+def kernel_calls(monkeypatch):
+    """The keyword arguments of every cli.make_kernel call of a run."""
+    calls, make = [], cli.make_kernel
+
+    def recorded(potential, **kwargs):
+        calls.append(kwargs)
+        return make(potential, **kwargs)
+
+    monkeypatch.setattr(cli, "make_kernel", recorded)
+    return calls
+
+
 class TestExitCodes:
     def test_verify_free_plane_wave_passes(self, outdir):
         # without a datum, verify runs the default plane wave k = 3 and
@@ -427,6 +440,44 @@ class TestExitCodes:
         assert "past the lambda table's last knot 0.4" in capsys.readouterr().err
         assert not os.path.exists(outdir)
 
+    @pytest.mark.parametrize(
+        "command, section",
+        [("supershift", {"supershift": {"n_values": []}}),
+         ("verify", {"verify": {"t_sequence": []}})],
+    )
+    def test_malformed_section_fails_before_any_kernel(
+        self, tmp_path, outdir, capsys, kernel_calls, command, section
+    ):
+        # a run checks its own section before it solves a kernel
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"potential": {"kind": "harmonic", "omega": 1.0}, **section}))
+        assert run([command, "--config", str(cfg), "--output", outdir]) == 1
+        assert capsys.readouterr().err.startswith(f"error: invalid {command}")
+        assert kernel_calls == []
+        assert not os.path.exists(outdir)
+
+    @pytest.mark.parametrize("command", ["evolve", "greens-audit"])
+    @pytest.mark.parametrize("below", [(), ("sub",)])
+    def test_output_at_a_file_fails_before_any_kernel(
+        self, tmp_path, capsys, kernel_calls, command, below
+    ):
+        # an output directory that is a regular file, or lies under one, is
+        # refused before the run, not when the run writes its first file
+        taken = tmp_path / "taken"
+        taken.write_text("mine")
+        assert run([command, "--potential", "free", "--output", str(taken.joinpath(*below))]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: output path {str(taken)!r} exists and is not a directory\n"
+        assert kernel_calls == []
+        assert os.listdir(tmp_path) == ["taken"] and taken.read_text() == "mine"
+
+    def test_non_string_output_dir_is_usage_error(self, tmp_path, capsys, kernel_calls):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"potential": {"kind": "free"}, "output": {"dir": 5}}))
+        assert run(["evolve", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: invalid output: TypeError")
+        assert kernel_calls == []
+
     def test_lambda_table_after_zero_is_usage_error(self, tmp_path, outdir, capsys):
         # the coefficient solve starts at t = 0: lambda on [0, 0.5) would be
         # extrapolated backward
@@ -449,7 +500,9 @@ class TestExitCodes:
                 }
             )
         )
-        assert cli._build_kernel(json.loads(cfg.read_text())).horizon == 0.2
+        pot, t_end = cli._potential_from_config(json.loads(cfg.read_text())["potential"])
+        assert t_end == 0.2
+        assert cli._build_kernel(pot, t_end, [0.05, 0.2]).horizon == 0.2
         assert run(["evolve", "--config", str(cfg), "--output", outdir]) == 0
         assert json.loads(Path(outdir, "run_manifest.json").read_text())["failures"] == 0
 
@@ -677,6 +730,15 @@ class TestEvolveOutputs:
         ]
         assert digests[0] == digests[1]
 
+    def test_failed_replace_leaves_no_temporary_file(self, outdir, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="replace refused"):
+            cli._atomic_write(os.path.join(outdir, "run_field.csv"), "t,x\n")
+        assert os.listdir(outdir) == []
+
     def test_single_point_grid(self, tmp_path, outdir):
         cfg = tmp_path / "one.json"
         cfg.write_text(
@@ -764,6 +826,17 @@ class TestGreensAudit:
         assert doc["pass"] is True
         assert doc["potential"].startswith("poschl_teller")
 
+    def test_table_audit_reads_no_grid(self, tmp_path, outdir, kernel_calls):
+        # the audit evaluates no grid: a table that ends at 0.3, before the
+        # default grid's last time 0.5, is audited on its own span [0, 0.3]
+        cfg = tmp_path / "tbl.json"
+        cfg.write_text(json.dumps({"potential": {"kind": "harmonic", "lambda": {
+            "kind": "table", "t": [0.0, 0.15, 0.3], "values": [1.0, 1.2, 0.9]}}}))
+        assert run(["greens-audit", "--config", str(cfg), "--output", outdir]) == 0
+        assert kernel_calls == [{"t_max": 0.3}]
+        doc = json.loads(Path(outdir, "run_audit.json").read_text())
+        assert doc["pass"] is True and doc["potential"] == "harmonic(table:3pts)"
+
 
 class TestInlineSpecs:
     def test_harmonic_omega_inline(self, outdir):
@@ -786,8 +859,9 @@ class TestInlineSpecs:
         assert sorted(os.listdir(outdir)) == ["mine_field.csv", "mine_manifest.json", "mine_plot.dat"]
 
     def test_sinusoid_lambda_values(self):
-        lam, label = cli._lambda_from_spec({"kind": "sinusoid", "a": 1.0, "b": 0.5, "omega": 2.0})
-        assert label == "sin:1,0.5,2"
+        lam, label, t_end = cli._lambda_from_spec(
+            {"kind": "sinusoid", "a": 1.0, "b": 0.5, "omega": 2.0})
+        assert label == "sin:1,0.5,2" and t_end == np.inf
         for t in (0.0, 0.3, 1.1, 2.5):
             assert lam(t) == 1.0 + 0.5 * np.sin(2.0 * t)
 
@@ -957,8 +1031,8 @@ class TestLambdaTable:
     @staticmethod
     def _lam(ts, f):
         vs = [f(t) for t in ts]
-        lam, label = cli._lambda_from_spec({"kind": "table", "t": ts, "values": vs})
-        assert label == f"table:{len(ts)}pts"
+        lam, label, t_end = cli._lambda_from_spec({"kind": "table", "t": ts, "values": vs})
+        assert label == f"table:{len(ts)}pts" and t_end == ts[-1]
         assert [lam(t) for t in ts] == vs
         return lam
 
@@ -990,6 +1064,6 @@ class TestLambdaTable:
 
     def test_matches_scipy_cubic_spline(self):
         for ts, vs, frozen in self.SCIPY:
-            lam, _ = cli._lambda_from_spec({"kind": "table", "t": ts, "values": vs})
+            lam, _, _ = cli._lambda_from_spec({"kind": "table", "t": ts, "values": vs})
             for t, want in frozen:
                 assert abs(lam(t) - want) <= 2e-15 * abs(want), (ts, t)

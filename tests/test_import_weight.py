@@ -61,11 +61,8 @@ kernels = [
     make_kernel(Electric(lambda t: 1.0, "const:1"), t_max=2.0),
     make_kernel(Harmonic(lambda t: 1.0, "omega=1"), t_max=1.7),
     make_kernel(PoschlTeller(2)),
-    cli._build_kernel({
-        "potential": {"kind": "harmonic", "lambda": {
-            "kind": "table", "t": [0.0, 0.5, 1.0, 1.5], "values": [1.0, 1.2, 0.9, 1.1]}},
-        "grid": {"t": [0.3, 0.3, 1]},
-    }),
+    cli._build_kernel(*cli._potential_from_config({"kind": "harmonic", "lambda": {
+        "kind": "table", "t": [0.0, 0.5, 1.0, 1.5], "values": [1.0, 1.2, 0.9, 1.1]}}), [0.3]),
 ]
 for kernel in kernels:
     field = wavefield(kernel, plane_wave(2.0), [0.3], [0.4], tol=1e-8)

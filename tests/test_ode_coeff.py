@@ -287,7 +287,7 @@ class TestChebyshevPanels:
         # [1, 1.5], and the tail certificate halves those panels toward them
         from supershift_lab.cli import _lambda_from_spec
 
-        lam, _ = _lambda_from_spec(
+        lam, _, _ = _lambda_from_spec(
             {"kind": "table", "t": [0.0, 0.3, 0.7, 1.2, 1.6, 2.0],
              "values": [1.0, 1.3, 0.8, 1.1, 0.9, 1.2]}
         )
